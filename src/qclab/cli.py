@@ -94,7 +94,7 @@ def _stage(name, fn):
         return fn()
     except StageError:
         raise
-    except QclabError as exc:
+    except (QclabError, OverflowError) as exc:
         raise StageError(name, exc) from exc
 
 
@@ -257,7 +257,7 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
     }
     if mu_log is not None:
         info["logderiv"] = {
-            "height": cfg.height if cfg.height != "auto" else "auto",
+            "height": cfg.height,
             "cutoff": cfg.cutoff,
             "d": mu_log.d,
             "atom_count": len(mu_log),

@@ -174,10 +174,12 @@ def logderiv_measure(
 ) -> PointMeasure:
     """Diffraction atoms from the coefficients of f'/f at height s.
 
-    The Neumann recursion is run pruning-free and deep enough to resolve
-    every product frequency below the cutoff, because coefficients at
-    frequency gamma get rescaled by exp(2*pi*gamma*s) afterwards and
-    may not be dropped however small they look at height s.
+    The Neumann recursion is run pruning-free and truncated at the
+    cutoff, because coefficients at frequency gamma get rescaled by
+    exp(2*pi*gamma*s) afterwards and may not be dropped however small
+    they look at height s.  The truncation is exact below the cutoff:
+    the spectrum of the Neumann remainder is strictly positive, so its
+    powers only move up.
     """
     if len(f) < 2:
         raise DomainError(

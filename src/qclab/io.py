@@ -16,7 +16,7 @@ import numpy as np
 
 from .diffraction import PointMeasure
 from .errors import InvalidInputError, ParseError
-from .wiener import ExpSum, canonicalize
+from .wiener import FREQ_TOL, ExpSum, canonicalize
 from .zeros import ZeroSet
 
 EXPSUM_HEADER = ["omega", "re", "im"]
@@ -26,10 +26,7 @@ MEASURE_HEADER = ["gamma", "re", "im"]
 
 def _read_rows(path, header):
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
+    text = path.read_text(encoding="utf-8")
     rows = list(csv.reader(text.splitlines()))
     if not rows or [c.strip() for c in rows[0]] != header:
         raise ParseError(f"expected header {','.join(header)!r}", path=path, line=1)
@@ -103,31 +100,13 @@ def write_zeroset(A: ZeroSet, path) -> None:
 
 def read_measure(path) -> PointMeasure:
     rows = _read_rows(path, MEASURE_HEADER)
-    merged: dict[float, complex] = {}
-    dup = False
-    for _, (g, re, im) in rows:
-        key = None
-        for k in merged:
-            if abs(k - g) <= 1e-9:
-                key = k
-                dup = True
-                break
-        if key is None:
-            merged[g] = complex(re, im)
-        else:
-            merged[key] += complex(re, im)
-    if dup:
+    gammas = np.sort([g for _, (g, _, _) in rows])
+    if np.any(np.diff(gammas) <= FREQ_TOL):
         warnings.warn(f"{path}: duplicate gamma rows merged by summing coefficients")
-    d = 0.0
-    gammas, masses = [], []
-    for g, b in merged.items():
-        if abs(g) <= 1e-9:
-            d = float(b.real)
-        else:
-            gammas.append(g)
-            masses.append(b)
-    return PointMeasure(d=d, gammas=np.asarray(gammas, float),
-                        masses=np.asarray(masses, complex))
+    mu = canonicalize([(g, complex(re, im)) for _, (g, re, im) in rows], prune_tol=0.0)
+    at_zero = np.abs(mu.freqs) <= FREQ_TOL
+    d = float(mu.coeffs[at_zero][0].real) if at_zero.any() else 0.0
+    return PointMeasure(d=d, gammas=mu.freqs[~at_zero], masses=mu.coeffs[~at_zero])
 
 
 def write_measure(mu: PointMeasure, path) -> None:

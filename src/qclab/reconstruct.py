@@ -180,28 +180,23 @@ def rebuild_dirichlet(
 ) -> ExpSum:
     """Dirichlet series with the measure's zero set, normalized to 1 at 0.
 
-    The exponential of the log series is taken pruning-free: structural
-    cancellations between power-series terms must not be disturbed, since
-    frequency-omega coefficients are rescaled by exp(2*pi*omega)
-    afterwards.
+    The exponential of the log series is taken pruning-free and truncated
+    at the largest atom frequency.  Frequencies above it depend on atoms
+    the measure does not carry, and the rescale by exp(2*pi*omega) below
+    would blow up their incomplete cancellations; the terms at or below
+    it are exact, because the log series has a strictly positive
+    spectrum and its powers only move up.
     """
     if d is None:
         d = mu_hat.d
     L = log_series_at_height_one(mu_hat, d, t3_budget=t3_budget)
     if len(L) == 0:
         warnings.warn("no positive atoms: reconstruction degenerates to a single exponential")
-        F = exp_series(L)
-        gmax = 0.0
-    else:
-        gmax = float(L.freqs[-1])
-        F = exp_series(L, prune_tol=0.0, keep_freqs_up_to=gmax)
-    # frequencies above the largest atom depend on atoms the measure does
-    # not carry; their power-series cancellations cannot complete, and the
-    # exponential rescale below would blow the leftovers up
-    keep = F.freqs <= gmax + 1e-9
-    freqs = F.freqs[keep] - d / 2.0
+    gmax = float(L.freqs[-1]) if len(L) else 0.0
+    F = exp_series(L, prune_tol=0.0, keep_freqs_up_to=gmax)
+    freqs = F.freqs - d / 2.0
     with np.errstate(over="ignore"):
-        coeffs = F.coeffs[keep] * np.exp(2.0 * math.pi * F.freqs[keep] - d * math.pi)
+        coeffs = F.coeffs * np.exp(2.0 * math.pi * F.freqs - d * math.pi)
     if not np.all(np.isfinite(coeffs)):
         raise OverflowError("reconstruction overflowed; lower the atom cutoff")
     g = canonicalize(list(zip(freqs.tolist(), coeffs.tolist())))

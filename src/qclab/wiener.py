@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    DivergenceError,
-    InvalidInputError,
-)
+from .errors import CapacityError, DivergenceError, InvalidInputError
 
 FREQ_TOL = 1e-9           # frequencies closer than this are one spectral point
 PRUNE_TOL = 1e-14         # relative to the Wiener norm
@@ -172,11 +167,18 @@ def scale(f: ExpSum, c) -> ExpSum:
     return _make(f.freqs, f.coeffs * complex(c))
 
 
-def multiply(f: ExpSum, g: ExpSum, prune_tol: float | None = None) -> ExpSum:
+def multiply(
+    f: ExpSum,
+    g: ExpSum,
+    prune_tol: float | None = None,
+    keep_freqs_up_to: float | None = None,
+) -> ExpSum:
     """Product in the algebra: all pairwise frequency sums, then canonicalize.
 
     The Wiener norm is submultiplicative, so the result's norm never
-    exceeds the product of the inputs' norms.
+    exceeds the product of the inputs' norms.  ``keep_freqs_up_to``
+    drops the pairwise terms above that frequency (by more than
+    ``FREQ_TOL``) before they are merged.
     """
     pt = PRUNE_TOL if prune_tol is None else prune_tol
     n, m = len(f), len(g)
@@ -189,6 +191,9 @@ def multiply(f: ExpSum, g: ExpSum, prune_tol: float | None = None) -> ExpSum:
         )
     freqs = (f.freqs[:, None] + g.freqs[None, :]).ravel()
     coeffs = (f.coeffs[:, None] * g.coeffs[None, :]).ravel()
+    if keep_freqs_up_to is not None:
+        low = freqs <= keep_freqs_up_to + FREQ_TOL
+        freqs, coeffs = freqs[low], coeffs[low]
     out = _canonical_from_arrays(freqs, coeffs, prune_tol=pt)
     if len(out) > max_terms():
         raise CapacityError(
@@ -212,7 +217,7 @@ def at_height(f: ExpSum, s: float) -> ExpSum:
     """
     if len(f) == 0:
         return empty_sum()
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         coeffs = f.coeffs * np.exp(-2.0 * np.pi * f.freqs * float(s))
     if not np.all(np.isfinite(coeffs)):
         raise OverflowError("at_height overflowed; height times frequency too large")
@@ -255,6 +260,28 @@ def choose_height(f: ExpSum) -> tuple[float, int]:
     return s * (1.0 + 1e-9) + 1e-12, M
 
 
+def _power_series(x: ExpSum, weight, converged, *, prune_tol, keep_freqs_up_to) -> ExpSum:
+    """``sum_k c_k * x^k`` with ``c_0 = 1`` and ``c_k = weight(k) * c_{k-1}``.
+
+    With ``keep_freqs_up_to`` every product is truncated at that bound.
+    The spectrum of x is strictly positive, so powers only move up and a
+    dropped term can never feed a kept one: the terms at or below the
+    bound are exact, and the truncated power is empty once k times the
+    smallest frequency passes the bound.  Without a bound the series
+    stops when ``converged(k, power)`` holds.
+    """
+    series = constant(1.0)
+    power = constant(1.0)
+    k = 0
+    while True:
+        k += 1
+        power = scale(multiply(power, x, prune_tol=prune_tol,
+                               keep_freqs_up_to=keep_freqs_up_to), weight(k))
+        series = add(series, power, prune_tol=prune_tol)
+        if len(power) == 0 or (keep_freqs_up_to is None and converged(k, power)):
+            return series
+
+
 def neumann_inverse(
     f: ExpSum,
     s: float | str = "auto",
@@ -262,7 +289,6 @@ def neumann_inverse(
     neumann_tol: float = NEUMANN_TOL,
     prune_tol: float | None = None,
     keep_freqs_up_to: float | None = None,
-    max_iter: int = 500,
 ) -> ExpSum:
     """Inverse of ``x -> f(x + 1j*s)`` as an exponential sum in x.
 
@@ -270,11 +296,12 @@ def neumann_inverse(
     ``w1 = inf`` of the spectrum and expands ``(1+H)^{-1}`` as the Neumann
     series ``sum (-H)^j``, truncated when ``||H^j||_W < neumann_tol * (1-||H||_W)``.
 
-    ``keep_freqs_up_to`` forces the recursion deep enough that every
-    term of the inverse with frequency (relative to -w1) below the given
-    bound is fully resolved, regardless of its size; the diffraction
-    extraction needs this because small high-frequency coefficients get
-    rescaled by large exponentials afterwards.
+    ``keep_freqs_up_to`` instead truncates the series at that frequency
+    (relative to -w1): every term up to the bound is kept however small,
+    and the result there is exact because H has a strictly positive
+    spectrum, so its powers only move up.  The diffraction extraction
+    needs this because small high-frequency coefficients get rescaled by
+    large exponentials afterwards.
     """
     if len(f) == 0:
         raise InvalidInputError("cannot invert the empty sum")
@@ -292,30 +319,9 @@ def neumann_inverse(
         raise DivergenceError(
             f"||H||_W = {hnorm:.6g} >= 1 at height s = {s:.6g}; use a larger height"
         )
-    delta = float(H.freqs[0])
-    cap = max_iter
-    if keep_freqs_up_to is not None:
-        need = int(math.ceil(keep_freqs_up_to / delta)) + 1
-        if need > 5000:
-            raise ConvergenceError(
-                "spectral gap too small to resolve the requested frequency range"
-            )
-        cap = max(cap, need + 10)
     slack = neumann_tol * (1.0 - hnorm)
-    series = constant(1.0)
-    power = constant(1.0)
-    j = 0
-    while True:
-        j += 1
-        if j > cap:
-            raise ConvergenceError(f"Neumann series not converged after {cap} terms")
-        power = scale(multiply(power, H, prune_tol=prune_tol), -1.0)
-        series = add(series, power, prune_tol=prune_tol)
-        if len(power) == 0:
-            break
-        deep_done = keep_freqs_up_to is None or (j + 1) * delta > keep_freqs_up_to
-        if power.wiener_norm < slack and deep_done:
-            break
+    series = _power_series(H, lambda j: -1.0, lambda j, power: power.wiener_norm < slack,
+                           prune_tol=prune_tol, keep_freqs_up_to=keep_freqs_up_to)
     shift = canonicalize([(-w1, 1.0 / q1)])
     return multiply(series, shift, prune_tol=prune_tol)
 
@@ -326,7 +332,6 @@ def exp_series(
     tol: float = 1e-13,
     prune_tol: float | None = None,
     keep_freqs_up_to: float | None = None,
-    max_iter: int = 400,
 ) -> ExpSum:
     """Exponential via the power series ``sum g^k / k!`` in the algebra.
 
@@ -334,41 +339,20 @@ def exp_series(
     ``||g^k/k!|| * r / (1-r)`` with ``r = ||g||/(k+1)``, which is the
     stopping rule; the result's norm never exceeds ``exp(||g||_W)``.
 
-    When ``keep_freqs_up_to`` is set (requires strictly positive
-    frequencies in g) the series runs deep enough that every coefficient
-    at a frequency below the bound receives all of its power-series
-    contributions, however small; callers that rescale coefficients by
-    growing exponentials need the cancellations below the bound to be
-    complete.
+    ``keep_freqs_up_to`` (requires strictly positive frequencies in g)
+    instead truncates the series at that frequency: every coefficient up
+    to the bound receives all of its power-series contributions, however
+    small, and is exact because powers of g only move the spectrum up.
+    Callers that rescale coefficients by growing exponentials need the
+    cancellations below the bound to be complete.
     """
+    if keep_freqs_up_to is not None and len(g) and g.freqs[0] <= 0:
+        raise InvalidInputError("keep_freqs_up_to needs strictly positive frequencies")
     gn = g.wiener_norm
-    cap = max_iter
-    gmin = None
-    if keep_freqs_up_to is not None and len(g):
-        gmin = float(g.freqs[0])
-        if gmin <= 0:
-            raise InvalidInputError(
-                "keep_freqs_up_to needs strictly positive frequencies"
-            )
-        need = int(math.ceil(keep_freqs_up_to / gmin)) + 1
-        if need > 5000:
-            raise CapacityError(
-                "smallest frequency too small to resolve the requested range"
-            )
-        cap = max(cap, need + 10)
-    series = constant(1.0)
-    power = constant(1.0)
-    k = 0
-    while True:
-        k += 1
-        if k > cap:
-            raise CapacityError(f"exp series not converged after {cap} terms")
-        power = scale(multiply(power, g, prune_tol=prune_tol), 1.0 / k)
-        series = add(series, power, prune_tol=prune_tol)
-        if len(power) == 0:
-            break
-        deep_done = gmin is None or (k + 1) * gmin > keep_freqs_up_to
+
+    def converged(k, power):
         r = gn / (k + 1.0)
-        if deep_done and r < 1.0 and power.wiener_norm * r / (1.0 - r) < tol:
-            break
-    return series
+        return r < 1.0 and power.wiener_norm * r / (1.0 - r) < tol
+
+    return _power_series(g, lambda k: 1.0 / k, converged,
+                         prune_tol=prune_tol, keep_freqs_up_to=keep_freqs_up_to)

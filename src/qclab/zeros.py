@@ -9,6 +9,7 @@ strip; on a mismatch the step is halved and the scan repeated.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
@@ -151,13 +152,14 @@ def _real_values(f, x):
     return np.real(evaluate(f, np.asarray(x, dtype=float) + 0j))
 
 
-def _bisect_real(f, lo, hi, iters=48):
+def _bisect_real(fn, lo, hi, iters=48):
+    """Bisect the real function ``fn`` on brackets [lo, hi] with a sign change."""
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    flo = _real_values(f, lo)
+    flo = fn(lo)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        fm = _real_values(f, mid)
+        fm = fn(mid)
         go_right = flo * fm > 0
         lo = np.where(go_right, mid, lo)
         flo = np.where(go_right, fm, flo)
@@ -202,7 +204,8 @@ def _refine_multiple(f, a, mult, halfwidth):
     if is_hermitian(g):
         va, vb = _real_values(g, a - halfwidth), _real_values(g, a + halfwidth)
         if va * vb < 0:
-            root = _bisect_real(g, np.array([a - halfwidth]), np.array([a + halfwidth]))
+            root = _bisect_real(lambda x: _real_values(g, x),
+                                np.array([a - halfwidth]), np.array([a + halfwidth]))
             root = _newton_real(g, root, a - halfwidth, a + halfwidth)
             return float(root[0])
     z = _newton_complex(g, a)
@@ -286,7 +289,7 @@ def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0):
         vals = _real_values(f, xs)
         cells = np.flatnonzero(vals[:-1] * vals[1:] < 0)
         if cells.size:
-            b = _bisect_real(f, xs[cells], xs[cells + 1])
+            b = _bisect_real(lambda x: _real_values(f, x), xs[cells], xs[cells + 1])
             b = _newton_real(f, b, xs[cells], xs[cells + 1])
             roots.extend(b.tolist())
         absv = np.abs(vals)
@@ -307,28 +310,21 @@ def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0):
         # sign of the derivative of f^2 / 2, for locating |f| minima
         return _real_values(f, t) * _real_values(df, t)
 
+    roots.sort()
     for x0 in cand:
-        if roots and np.min(np.abs(np.asarray(roots) - x0)) < 2 * step:
+        i = bisect.bisect_left(roots, x0)
+        if any(abs(roots[j] - x0) < 2 * step for j in (i - 1, i) if 0 <= j < len(roots)):
             continue
         if herm:
             ua, ub = u(np.array([x0 - step])), u(np.array([x0 + step]))
             if ua[0] * ub[0] < 0:
-                lo_b, hi_b = np.array([x0 - step]), np.array([x0 + step])
-                fu = ua
-                for _ in range(48):
-                    mid = 0.5 * (lo_b + hi_b)
-                    fm = u(mid)
-                    go_right = fu * fm > 0
-                    lo_b = np.where(go_right, mid, lo_b)
-                    fu = np.where(go_right, fm, fu)
-                    hi_b = np.where(go_right, hi_b, mid)
-                roots.append(float(0.5 * (lo_b + hi_b)[0]))
+                bisect.insort(roots, float(_bisect_real(u, [x0 - step], [x0 + step])[0]))
             else:
-                roots.append(float(x0))
+                bisect.insort(roots, float(x0))
         else:
             z = _newton_complex(f, complex(x0))
             if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)) and lo <= z.real <= hi:
-                roots.append(float(z.real))
+                bisect.insort(roots, float(z.real))
 
     if not roots:
         return np.empty(0), np.empty(0, np.int64)

@@ -40,6 +40,18 @@ class TestParseInputs:
             mu = parse_inputs(str(path), "measure")
         assert mu.mass_at(1.0) == pytest.approx(0.75)
 
+    def test_near_duplicate_gamma_rows_chain_merged(self, tmp_path):
+        # consecutive gaps of 6e-10 chain all three rows into one spectral
+        # point, the rule canonicalize applies to exponential sums
+        path = tmp_path / "mu.csv"
+        path.write_text("gamma,re,im\n0.0,1.0,0.0\n1.0,0.5,0.0\n"
+                        "1.0000000006,0.25,0.0\n1.0000000012,0.125,0.0\n")
+        with pytest.warns(UserWarning, match="duplicate"):
+            mu = parse_inputs(str(path), "measure")
+        assert mu.d == 1.0
+        assert len(mu) == 1
+        assert mu.masses[0] == pytest.approx(0.875)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("omega,real,imag\n0.0,1.0,0.0\n")
@@ -149,6 +161,14 @@ class TestMainExitCodes:
         assert code == 2
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["error"]["stage"] == "reconstruct/log_series"
+
+    def test_overflow_is_a_stage_error(self, cos_csv, tmp_path):
+        code = main(["analyze", "--input", cos_csv, "--window=-10,10", "--T", "10",
+                     "--height", "300", "--out", str(tmp_path / "out")])
+        assert code == 2
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["error"]["stage"] == "diffraction/logderiv"
+        assert doc["error"]["type"] == "OverflowError"
 
     def test_readonly_output_exit_one(self, cos_csv, tmp_path):
         ro = tmp_path / "ro"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclab.errors import CapacityError, DivergenceError, InvalidInputError
 from qclab.wiener import (
@@ -250,3 +252,68 @@ class TestExpSeries:
         g = canonicalize([(0.5, 0.4), (1.0, -0.3j)])
         e = exp_series(g)
         assert e.wiener_norm <= math.exp(g.wiener_norm) * (1 + 1e-12)
+
+
+# Integer spectra: every series below is a power series in t = exp(2j*pi*x),
+# so its truncation has a closed recurrence to compare with.
+_small = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+def _integer_sum(coeffs, constant_term=None):
+    terms = [(float(k), c) for k, c in enumerate(coeffs, start=1)]
+    if constant_term is not None:
+        terms.append((0.0, constant_term))
+    return canonicalize(terms, prune_tol=0.0)
+
+
+def _dense(f, n):
+    out = np.zeros(n + 1, complex)
+    for w, q in f.terms():
+        out[int(w)] = q
+    return out
+
+
+@st.composite
+def _scaled_coeffs(draw, norm_max):
+    # coefficients of t, t^2, ... with Wiener norm at most norm_max
+    coeffs = draw(st.lists(_small, min_size=1, max_size=5))
+    total = sum(abs(c) for c in coeffs)
+    if total > norm_max:
+        coeffs = [c * (norm_max / total) for c in coeffs]
+    return coeffs
+
+
+class TestTruncatedSeries:
+    @settings(max_examples=40, deadline=None)
+    @given(_scaled_coeffs(0.9), st.integers(1, 30))
+    def test_neumann_matches_reciprocal_recurrence(self, h, N):
+        inv = neumann_inverse(_integer_sum(h, 1.0), 0.0, prune_tol=0.0, keep_freqs_up_to=N)
+        assert inv.freqs[-1] <= N
+        c = np.zeros(N + 1, complex)
+        c[0] = 1.0
+        for n in range(1, N + 1):
+            c[n] = -sum(h[k - 1] * c[n - k] for k in range(1, min(n, len(h)) + 1))
+        assert np.max(np.abs(_dense(inv, N) - c)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_scaled_coeffs(2.0), st.integers(1, 30))
+    def test_exp_matches_power_series_recurrence(self, g, N):
+        e = exp_series(_integer_sum(g), prune_tol=0.0, keep_freqs_up_to=N)
+        assert e.freqs[-1] <= N
+        a = np.zeros(N + 1, complex)
+        a[0] = 1.0
+        for n in range(1, N + 1):
+            a[n] = sum(k * g[k - 1] * a[n - k] for k in range(1, min(n, len(g)) + 1)) / n
+        assert np.max(np.abs(_dense(e, N) - a)) < 1e-12 * math.exp(2.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_scaled_coeffs(0.9), st.integers(1, 15))
+    def test_doubling_the_bound_keeps_the_low_terms(self, x, X):
+        f = _integer_sum(x, 1.0)
+        g = _integer_sum(x)
+        for series in (lambda b: neumann_inverse(f, 0.0, prune_tol=0.0, keep_freqs_up_to=b),
+                       lambda b: exp_series(g, prune_tol=0.0, keep_freqs_up_to=b)):
+            low, high = series(X), series(2 * X)
+            sel = high.freqs <= X
+            assert np.array_equal(low.freqs, high.freqs[sel])
+            assert np.array_equal(low.coeffs, high.coeffs[sel])
