@@ -5,6 +5,17 @@ Bernstein bound |f'| <= 2*pi*B*||f||_W: simple zeros separated by more
 than one step cannot hide between grid points.  Whatever the scan finds
 is audited against a certified winding-number count over the window
 strip; on a mismatch the step is halved and the scan repeated.
+
+The strip count does the certifying (Delves & Lyness, 1967).  A
+sign-change bracket of a Hermitian sum holds an odd number of zeros, so
+at least one.  Candidates without a sign change (even-order minima and
+grid-exact hits) get a winding box each.  Those boxes lie inside the
+strip and are disjoint from every bracket cell and from each other, so
+when the brackets plus the box counts add up to the strip count, every
+bracket holds exactly one simple zero and needs no box.  Otherwise (odd
+orders above 1, clusters, non-Hermitian sums) every root is boxed.  A
+box count m > 1 is reported as one zero of order m only when the
+centred second moment of the box's zeros vanishes to rounding.
 """
 
 from __future__ import annotations
@@ -138,11 +149,13 @@ def count_zeros_rectangle(f: ExpSum, rect, *, edge_margin: float | None = None) 
 
 
 def _count_with_retries(f, rect, attempts=_NUDGE):
+    """Winding count on ``rect``, retried with its height scaled by each
+    nudge in turn; returns the count and the scale whose contour certified."""
     x0, x1, y0, y1 = rect
     err = None
     for k in attempts:
         try:
-            return count_zeros_rectangle(f, (x0, x1, y0 * k, y1 * k))
+            return count_zeros_rectangle(f, (x0, x1, y0 * k, y1 * k)), k
         except ContourError as exc:
             err = exc
     raise err
@@ -214,6 +227,35 @@ def _refine_multiple(f, a, mult, halfwidth):
     return float(a)
 
 
+def _one_point(f, center, m, hw):
+    """True when the m zeros of a box around ``center`` sit at one point.
+
+    Delves-Lyness moments mu_k = (1/2 pi i) oint (z - center)^k f'/f dz,
+    by the trapezoidal rule on the circle of radius hw/2, give the count
+    mu_0 and the centred second moment sum (z_i - mean)^2 =
+    mu_2 - mu_1^2 / mu_0.  It vanishes for one zero of order m and is
+    about s^2 for a cluster of spread s; the residual |f| of a cluster
+    point is only O(s^m), so the residual test alone would accept it.
+    The moment is compared with its rounding floor.
+    """
+    w = 0.5 * hw * np.exp(2j * np.pi * np.arange(64) / 64)
+    df = derivative(f)
+    fv = evaluate(f, center + w)
+    dv = evaluate(df, center + w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = w * dv / fv
+        mu0, mu1, mu2 = (np.mean(q * w ** k) for k in range(3))
+        if not (np.isfinite(mu2) and abs(mu0 - m) < 0.25):
+            return False
+        # |error of f'/f| <= eps * (1 + 2 pi B |z|) * (||f'|| + |f'/f| ||f||) / |f|;
+        # mu_k carries r^(k+1) times that, so with |mean - center| <= r the
+        # centred moment carries at most 4 r^3 times it
+        kappa = np.finfo(float).eps * (1.0 + 2 * np.pi * f.max_abs_freq * abs(center))
+        err = kappa * np.max((df.wiener_norm + np.abs(dv / fv) * f.wiener_norm) / np.abs(fv))
+        floor = 4.0 * (0.5 * hw) ** 3 * err
+    return bool(abs(mu2 - mu1 ** 2 / mu0) <= floor)
+
+
 def find_real_zeros(
     f: ExpSum,
     window,
@@ -231,6 +273,17 @@ def find_real_zeros(
     winding count on a small box, which also supplies multiplicities.
     The sum of multiplicities is checked against the winding count over
     the whole window strip; mismatches trigger scan-step halving.
+
+    The strip count also certifies the brackets.  A sign-change bracket
+    holds an odd number of zeros, so at least one.  When the brackets
+    plus the box counts of the other candidates add up to the strip
+    count, and those boxes lie inside the strip and clear of every
+    bracket, no zero is left over: each bracket holds exactly one simple
+    zero and needs no box of its own.  Otherwise (zeros of odd order
+    above 1, clusters, non-Hermitian sums) every root is boxed.  A pass
+    whose box cannot be certified (``ContourError``) moves on to the
+    next halving like a mismatching pass; the last failure is raised
+    only when no pass certifies.
     """
     if len(f) == 0:
         raise InvalidInputError("the empty sum is identically zero")
@@ -245,7 +298,7 @@ def find_real_zeros(
     h = strip_height if strip_height is not None else step0
 
     try:
-        expected = _count_with_retries(f, (lo, hi, -h, h))
+        expected, nudge = _count_with_retries(f, (lo, hi, -h, h))
     except ContourError:
         edge_vals = np.abs(evaluate(f, np.array([lo, hi], dtype=complex)))
         if np.min(edge_vals) < 1e-3 * f.wiener_norm:
@@ -254,15 +307,22 @@ def find_real_zeros(
             ) from None
         raise
 
+    err = None
     for attempt in range(max_halvings):
         step = step0 / (2 ** attempt)
-        points, mults = _scan_window(f, lo, hi, step, resid_tol, boundary_tol)
+        try:
+            points, mults = _scan_window(f, lo, hi, step, resid_tol, boundary_tol,
+                                         strip=(expected, h * nudge))
+        except ContourError as exc:
+            err = exc
+            continue
         if int(np.sum(mults)) == expected:
             return ZeroSet((lo, hi), points, mults)
-    raise ConvergenceError(
-        f"scan found {int(np.sum(mults))} zeros but the contour count is {expected}; "
-        "zeros may be non-real or closer than the refined scan step"
-    )
+        err = ConvergenceError(
+            f"scan found {int(np.sum(mults))} zeros but the contour count is {expected}; "
+            "zeros may be non-real or closer than the refined scan step"
+        )
+    raise err
 
 
 def _resolve_cluster(f, lo, hi, m, resid_tol, depth):
@@ -276,24 +336,33 @@ def _resolve_cluster(f, lo, hi, m, resid_tol, depth):
     return None
 
 
-def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0):
+def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0, strip=None):
+    # ``strip`` is (count, half-height) of the certified strip count over
+    # (lo, hi); with it, sign-change brackets may be certified by counting
     n = int(np.ceil((hi - lo) / step)) + 1
     xs = np.linspace(lo, hi, n)
     B = f.max_abs_freq
     norm = f.wiener_norm
-    min_thresh = (2 * np.pi * B) ** 2 * norm * step ** 2
     herm = is_hermitian(f)
 
     roots = []
+    brackets = cell_lo = cell_hi = np.empty(0)
     if herm:
+        # a zero without a sign change has even order, so |f| is O(step^2)
+        # at the nearest grid point
+        min_thresh = (2 * np.pi * B) ** 2 * norm * step ** 2
         vals = _real_values(f, xs)
         cells = np.flatnonzero(vals[:-1] * vals[1:] < 0)
         if cells.size:
-            b = _bisect_real(lambda x: _real_values(f, x), xs[cells], xs[cells + 1])
-            b = _newton_real(f, b, xs[cells], xs[cells + 1])
-            roots.extend(b.tolist())
+            cell_lo, cell_hi = xs[cells], xs[cells + 1]
+            brackets = _bisect_real(lambda x: _real_values(f, x), cell_lo, cell_hi)
+            brackets = _newton_real(f, brackets, cell_lo, cell_hi)
+            roots.extend(brackets.tolist())
         absv = np.abs(vals)
     else:
+        # a simple zero may sit step/2 from the nearest grid point, where
+        # |f| <= |f'| * step / 2 <= pi * B * ||f|| * step
+        min_thresh = np.pi * B * norm * step
         absv = np.abs(evaluate(f, xs.astype(complex)))
 
     # minima of |f| below the grid-resolution threshold (plus grid-exact
@@ -354,17 +423,39 @@ def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0):
         d = np.diff(roots)
         gaps[:-1] = np.minimum(gaps[:-1], d)
         gaps[1:] = np.minimum(gaps[1:], d)
+    hws = np.minimum(step, 0.45 * gaps)
+    if depth == 0:
+        hws = np.minimum(hws, np.minimum(roots - lo, hi - roots))
+    # boxes for the candidates first; the strip count may then certify the
+    # brackets without boxes (see find_real_zeros)
+    def count_box(i):
+        return _count_with_retries(f, (roots[i] - hws[i], roots[i] + hws[i], -hws[i], hws[i]))
+
+    is_bracket = np.isin(roots, brackets)
+    boxed = np.flatnonzero(~is_bracket)
+    mults = np.zeros(roots.size, dtype=np.int64)
+    tops = np.zeros(roots.size)
+    for i in boxed:
+        mults[i], k = count_box(i)
+        tops[i] = hws[i] * k
+    if strip is not None and brackets.size and _brackets_certified(
+            strip, brackets.size, int(np.sum(is_bracket)), int(np.sum(mults)),
+            roots[boxed] - hws[boxed], roots[boxed] + hws[boxed], tops[boxed],
+            cell_lo, cell_hi):
+        mults[is_bracket] = 1
+    else:
+        for i in np.flatnonzero(is_bracket):
+            mults[i], _ = count_box(i)
+
     out_pts, out_mults = [], []
-    for a, gap in zip(roots, gaps):
-        hw = min(step, 0.45 * gap)
-        if depth == 0:
-            hw = min(hw, a - lo, hi - a)
-        m = _count_with_retries(f, (a - hw, a + hw, -hw, hw))
+    for a, m, hw in zip(roots, mults, hws):
         if m == 0:
             continue
+        center = a
         if m > 1:
             a = _refine_multiple(f, a, m, hw)
-        if abs(evaluate(f, complex(a))) < resid_tol * max(1.0, norm):
+        if abs(evaluate(f, complex(a))) < resid_tol * max(1.0, norm) and (
+                m == 1 or _one_point(f, center, m, hw)):
             out_pts.append(a)
             out_mults.append(m)
         elif m >= 2 and depth < 4:
@@ -377,6 +468,27 @@ def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0):
     pts = np.asarray(out_pts, dtype=float)
     order = np.argsort(pts)
     return pts[order], np.asarray(out_mults, dtype=np.int64)[order]
+
+
+def _brackets_certified(strip, n_cells, n_bracket_roots, boxed_count,
+                        box_lo, box_hi, box_top, cell_lo, cell_hi):
+    """True when the strip count proves that each bracket cell holds one simple zero.
+
+    Every cell has a sign change, so it holds an odd number of zeros.  If
+    the candidate boxes lie inside the strip and clear of every cell (the
+    boxes are disjoint from each other by their gap-sized widths) and the
+    cells plus the box counts add up to the strip count, no cell can hold
+    more than one zero.
+    """
+    expected, height = strip
+    if n_bracket_roots != n_cells:
+        return False  # two bracket roots merged into one
+    if n_cells + boxed_count != expected or np.any(box_top > height):
+        return False
+    # the last cell starting left of a box's right edge is the only one
+    # that can overlap the box
+    j = np.searchsorted(cell_lo, box_hi, side="left") - 1
+    return not np.any((j >= 0) & (cell_hi[np.maximum(j, 0)] > box_lo))
 
 
 def realness_check(
@@ -394,6 +506,6 @@ def realness_check(
     lo, hi = map(float, window)
     if zeros is None:
         zeros = find_real_zeros(f, (lo, hi))
-    total = _count_with_retries(f, (lo, hi, -float(strip_height), float(strip_height)))
+    total, _ = _count_with_retries(f, (lo, hi, -float(strip_height), float(strip_height)))
     real = zeros.count
     return RealnessReport(real_count=real, total_count=total, all_real=real == total)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qclab.errors import BoundaryError, ContourError, InvalidInputError
+from qclab import zeros
+from qclab.errors import BoundaryError, ContourError, InvalidInputError, QclabError
 from qclab.wiener import canonicalize, constant, evaluate, multiply
 from qclab.zeros import (
     ZeroSet,
@@ -11,6 +14,40 @@ from qclab.zeros import (
     find_real_zeros,
     realness_check,
 )
+
+from conftest import cos_sum
+
+
+def _cos_product(cs):
+    """The product of cos(pi*c*z) over c in ``cs``."""
+    f = cos_sum(cs[0] / 2.0)
+    for c in cs[1:]:
+        f = multiply(f, cos_sum(c / 2.0))
+    return f
+
+
+def _lattice_zeros(cs, lo, hi):
+    """Zeros (Z + 1/2)/c of that product in (lo, hi), one sorted multiset."""
+    pts = []
+    for c in cs:
+        k = np.arange(math.floor(lo * c) - 1, math.ceil(hi * c) + 2)
+        p = (k + 0.5) / c
+        pts.append(p[(p > lo) & (p < hi)])
+    return np.sort(np.concatenate(pts))
+
+
+@pytest.fixture
+def box_calls(monkeypatch):
+    """Counts the winding-number contours find_real_zeros integrates."""
+    calls = []
+    real = zeros.count_zeros_rectangle
+
+    def counted(f, rect, **kw):
+        calls.append(rect)
+        return real(f, rect, **kw)
+
+    monkeypatch.setattr(zeros, "count_zeros_rectangle", counted)
+    return calls
 
 
 class TestCountZerosRectangle:
@@ -100,6 +137,92 @@ class TestFindRealZeros:
         f = canonicalize([(0.0, 1.0), (1.0, -0.25)])
         A = find_real_zeros(f, (-5.2, 5.2))
         assert A.count == 0
+
+
+class TestCountCertificate:
+    """The strip count certifies sign-change brackets without per-zero boxes."""
+
+    def test_cos_needs_only_the_strip_count(self, cos, box_calls):
+        A = find_real_zeros(cos, (-1000.25, 1000.25))
+        assert A.count == 2000 and np.all(A.mults == 1)
+        assert np.max(np.abs(A.points - (np.arange(-1000, 1000) + 0.5))) < 1e-10
+        assert len(box_calls) <= len(zeros._NUDGE)
+
+    def test_three_factor_product_boxes_only_its_candidates(self, box_calls):
+        cs = (1.0, math.sqrt(2.0), math.sqrt(3.0))
+        A = find_real_zeros(_cos_product(cs), (-20.001, 20.001))
+        expect = _lattice_zeros(cs, -20.001, 20.001)
+        assert A.count == expect.size
+        assert np.max(np.abs(A.expand() - expect)) < 1e-10
+        assert len(box_calls) < 30
+
+    def test_odd_order_above_one_is_still_boxed(self, cos):
+        # a triple zero changes sign like a simple one; only its box sees m = 3
+        A = find_real_zeros(multiply(multiply(cos, cos), cos), (-5.2, 5.2))
+        assert A.points.tolist() == pytest.approx(np.arange(-5, 5) + 0.5, abs=1e-8)
+        assert A.mults.tolist() == [3] * 10
+
+    def test_failed_box_moves_to_a_finer_pass(self):
+        # the first pass boxes two near-coincident zeros with an edge too
+        # close to one of them; a finer pass separates them
+        cs = (1.0, math.sqrt(2.0), math.sqrt(3.0))
+        A = find_real_zeros(_cos_product(cs), (-40.001, 40.001))
+        expect = _lattice_zeros(cs, -40.001, 40.001)
+        assert A.count == expect.size
+        assert np.max(np.abs(A.expand() - expect)) < 1e-10
+
+    def test_non_hermitian_simple_zeros_found(self):
+        # 0.5 e^{-i pi z} + 0.5 e^{0.3i} e^{i pi z} has only real, simple
+        # zeros, and none of them is a sign change of a real function
+        f = canonicalize([(-0.5, 0.5), (0.5, 0.5 * np.exp(0.3j))])
+        A = find_real_zeros(f, (-10.2, 10.2))
+        expect = np.arange(-10, 10) + 0.5 - 0.3 / (2 * np.pi)
+        assert A.count == 20 and np.all(A.mults == 1)
+        assert np.max(np.abs(A.points - expect)) < 1e-10
+
+
+@st.composite
+def _cosine_products(draw):
+    n = draw(st.integers(2, 4))
+    cs = [draw(st.floats(0.5, 3.0)) for _ in range(n)]
+    if draw(st.integers(0, 9)) < 3:
+        # a near-coincident pair of lattices: zeros closer than the scan step
+        cs[1] = cs[0] * (1.0 + draw(st.floats(1e-4, 1e-2)))
+    ends = [draw(st.floats(1.0, 10.0)) for _ in range(2)]
+    return cs, ends
+
+
+def _clear_end(cs, t):
+    """Midpoint of the widest zero gap in [t - 1/2, t + 1/2]."""
+    pts = np.concatenate([[t - 0.5], _lattice_zeros(cs, t - 0.5, t + 0.5), [t + 0.5]])
+    i = int(np.argmax(np.diff(pts)))
+    return 0.5 * (pts[i] + pts[i + 1])
+
+
+class TestNeverAWrongAnswer:
+    def test_cluster_is_not_one_triple_zero(self):
+        # a double zero at 1 and a simple one at 1/1.0001 share a box; the
+        # residual at the inflection point between them is below 1e-13
+        cs = (0.5, 0.50005, 0.5)
+        try:
+            A = find_real_zeros(_cos_product(cs), (-1.25, 1.25))
+        except QclabError:
+            return
+        assert np.max(np.abs(A.expand() - _lattice_zeros(cs, -1.25, 1.25))) < 1e-9
+
+    @settings(max_examples=12, deadline=None)
+    @given(_cosine_products())
+    def test_cosine_products(self, case):
+        cs, (a, b) = case
+        lo, hi = -_clear_end(cs, a), _clear_end(cs, b)
+        expect = _lattice_zeros(cs, lo, hi)
+        assert np.min(np.abs(np.concatenate([expect - lo, hi - expect]))) >= 0.01
+        try:
+            A = find_real_zeros(_cos_product(cs), (lo, hi))
+        except QclabError:
+            return
+        assert A.count == expect.size
+        assert np.max(np.abs(A.expand() - expect)) < 1e-9
 
 
 class TestRealnessCheck:
