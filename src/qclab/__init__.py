@@ -27,7 +27,9 @@ from .diffraction import (
     GrowthProfile,
     PointMeasure,
     PoissonReport,
+    bohr_atoms,
     bohr_coefficient,
+    bohr_means,
     bohr_scan,
     growth_profile,
     logderiv_measure,

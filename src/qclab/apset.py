@@ -17,17 +17,18 @@ from .zeros import ZeroSet
 
 
 @dataclass(frozen=True)
-class DensityEstimate:
-    d: float
-    window_length: float
-    error_bound: float
-
-
-@dataclass(frozen=True)
 class CountingConstants:
     k1: int
     k2: int
     windows_sampled: int
+
+
+@dataclass(frozen=True)
+class DensityEstimate:
+    d: float
+    window_length: float
+    error_bound: float
+    counting: CountingConstants
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,69 @@ def unit_window_max(expanded: np.ndarray) -> int:
     return int(np.max(right - np.arange(expanded.size)))
 
 
-def _slide_extremes(e: np.ndarray, h: float, lo: float, hi: float) -> tuple[int, int]:
-    # exact max/min of #A in [x, x+h) over x in [lo, hi-h]: the count only
-    # changes at x = a_j and x = a_j - h, so probe both sides of each
-    xs = np.concatenate([e, e - h])
-    xs = np.concatenate([xs - 1e-9, xs + 1e-9, [lo, hi - h]])
-    xs = xs[(xs >= lo) & (xs <= hi - h)]
-    if xs.size == 0:
-        return 0, 0
-    cnt = np.searchsorted(e, xs + h, side="left") - np.searchsorted(e, xs, side="left")
-    return int(cnt.max()), int(cnt.min())
+def _ranks(e: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """#{e < y} for each y of the sorted keys.
+
+    A stable sort of the two sorted runs is one linear merge; with the
+    keys first, a key tied with a point sorts before it.
+    """
+    order = np.argsort(np.concatenate([keys, e]), kind="stable")
+    return np.flatnonzero(order < keys.size) - np.arange(keys.size)
+
+
+def _settle(e: np.ndarray, keys: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """#{e < y} for each key y, stepping each guess in r by one until
+    all settle; the steps taken are the guesses' largest error."""
+    n = e.size
+    while True:
+        down = (r > 0) & (e[np.maximum(r - 1, 0)] >= keys)
+        up = (r < n) & (e[np.minimum(r, n - 1)] < keys)
+        if not (down.any() or up.any()):
+            return r
+        r = r + up - down
+
+
+def _inside(x: np.ndarray, lo: float, top: float) -> slice:
+    # the sorted probes x with lo <= x <= top
+    return slice(np.searchsorted(x, lo, side="left"), np.searchsorted(x, top, side="right"))
+
+
+def _probe_counts(e: np.ndarray, h: float, lo: float, hi: float, fixed) -> np.ndarray:
+    """#A in [x, x+h) at every probe x of window length h.
+
+    The count only changes at x = a and x = a - h, so it is probed on
+    both sides of each: a -+ 1e-9, (a - h) -+ 1e-9, lo and hi - h, kept
+    in [lo, hi-h].  Each probe family is sorted, so the window keeps a
+    slice of it and its ranks come from a merge, not a binary search.
+    ``fixed`` holds the probes a -+ 1e-9 with their ranks, which do not
+    depend on h; ((a - h) -+ 1e-9) + h rounds to within a few ulps of
+    a -+ 1e-9, so those ranks start the steps to its own.
+    """
+    top = hi - h
+    counts = []
+    for x, r in fixed:
+        s = _inside(x, lo, top)
+        counts.append(_ranks(e, x[s] + h) - r[s])
+    eh = e - h
+    for (_, r), x in zip(fixed, (eh - 1e-9, eh + 1e-9)):
+        s = _inside(x, lo, top)
+        counts.append(_settle(e, x[s] + h, r[s]) - _ranks(e, x[s]))
+    ends = np.array([lo, top])
+    ends = ends[(ends >= lo) & (ends <= top)]
+    counts.append(np.searchsorted(e, ends + h) - np.searchsorted(e, ends))
+    return np.concatenate(counts)
+
+
+def _count_extremes(e: np.ndarray, h_grid, lo: float, hi: float) -> np.ndarray:
+    """Exact max and min of #A in [x, x+h) over x in [lo, hi-h], one row
+    (max, min) per window length h of h_grid; (0, 0) where no probe fits."""
+    fixed = [(x, np.searchsorted(e, x)) for x in (e - 1e-9, e + 1e-9)]
+    out = np.zeros((len(h_grid), 2), np.int64)
+    for k, h in enumerate(h_grid):
+        c = _probe_counts(e, h, lo, hi, fixed)
+        if c.size:
+            out[k] = c.max(), c.min()
+    return out
 
 
 def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
@@ -90,7 +144,10 @@ def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
     k1 is the exact sliding maximum over half-open unit windows.  k2 is,
     for each probed window length h, the exact spread max - min of the
     sliding count, maximized over a grid of lengths; this dominates every
-    sampled pair of equal-length windows at those lengths.
+    sampled pair of equal-length windows at those lengths.  The spreads
+    come from one exact rank sweep over the probes at which the count
+    can change (see ``_count_extremes``); ``density`` carries the result,
+    so a run needs only one call.
     """
     if A.count == 0:
         raise DomainError("counting constants need a nonempty set")
@@ -113,17 +170,16 @@ def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
                 np.linspace(h0, h_max, 64),
             ]))
             h_grid = h_grid[(h_grid >= h0) & (h_grid <= h_max)]
-    k2 = 0
-    for h in h_grid:
-        mx, mn = _slide_extremes(e, float(h), lo, hi)
-        k2 = max(k2, mx - mn)
+    ext = _count_extremes(e, h_grid, lo, hi)
+    k2 = int(np.max(ext[:, 0] - ext[:, 1], initial=0))
     sampled = len(h_grid) * (2 * e.size + 2)
     return CountingConstants(k1=k1, k2=int(k2), windows_sampled=sampled)
 
 
 def density(A: ZeroSet) -> DensityEstimate:
     """Point density over the window with the counting-constant error
-    bound (2*k2 + 2*k1) / length."""
+    bound (2*k2 + 2*k1) / length; the constants it used ride along as
+    ``counting``."""
     if A.count == 0:
         raise DomainError("cannot estimate the density of an empty set")
     lo, hi = A.window
@@ -133,7 +189,7 @@ def density(A: ZeroSet) -> DensityEstimate:
     cc = counting_constants(A)
     d = A.count / length
     return DensityEstimate(d=d, window_length=length,
-                           error_bound=(2.0 * cc.k2 + 2.0 * cc.k1) / length)
+                           error_bound=(2.0 * cc.k2 + 2.0 * cc.k1) / length, counting=cc)
 
 
 def almost_periods(

@@ -129,23 +129,32 @@ def _zeros_stage(f, cfg):
     return A, realness, info
 
 
+def _counting_spot_check(A, k2, rng, trials):
+    """How many of ``trials`` random pairs of equal-length windows differ
+    in count by more than k2.
+
+    Per trial a length h in [0.01, length/4) and two windows [x, x+h)
+    inside the window; the draws are those of rng.uniform(0.01, length/4)
+    then rng.uniform(lo, hi - h, 2), trial after trial.
+    """
+    lo, hi = A.window
+    e = A.expand()
+    u = rng.random(3 * trials).reshape(trials, 3)
+    h = 0.01 + ((hi - lo) / 4.0 - 0.01) * u[:, 0]
+    x = lo + ((hi - h) - lo)[:, None] * u[:, 1:]
+    c = np.searchsorted(e, x + h[:, None]) - np.searchsorted(e, x)
+    return int(np.sum(np.abs(c[:, 0] - c[:, 1]) > k2))
+
+
 def _apset_stage(A, cfg):
     rng = np.random.default_rng(cfg.seed)
     dens = apset.density(A)
-    cc = apset.counting_constants(A)
+    cc = dens.counting
     lo, hi = A.window
     length = hi - lo
 
-    e = A.expand()
-    violations = 0
     trials = 2000
-    for _ in range(trials):
-        h = float(rng.uniform(0.01, length / 4.0))
-        x1, x2 = rng.uniform(lo, hi - h, 2)
-        c1 = int(np.searchsorted(e, x1 + h) - np.searchsorted(e, x1))
-        c2 = int(np.searchsorted(e, x2 + h) - np.searchsorted(e, x2))
-        if abs(c1 - c2) > cc.k2:
-            violations += 1
+    violations = _counting_spot_check(A, cc.k2, rng, trials)
 
     tau_hi = min(50.0, length / 10.0)
     periods = apset.almost_periods(A, cfg.eps, (0.0, tau_hi), d=dens.d)
@@ -203,16 +212,20 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
     grid = np.arange(-cfg.cutoff, cfg.cutoff + cfg.grid_step / 2, cfg.grid_step)
     if mu_log is not None and len(mu_log):
         grid = np.concatenate([grid, mu_log.gammas])
-    mu_bohr = _stage("diffraction/bohr",
-                     lambda: diffraction.bohr_scan(A, grid, T_eff, threshold))
+    gammas = np.unique(grid)
+    # The main scan at T_eff and the Poisson-vs-T scans at T_eff/8 .. T_eff
+    # each need the means at T and T/2: five nested windows, one pass.
+    Ts = [T_eff / 2 ** k for k in range(5)]
+    means = _stage("diffraction/bohr", lambda: diffraction.bohr_means(A, gammas, Ts))
+    mu_bohr = _stage("diffraction/bohr", lambda: diffraction.bohr_atoms(
+        A, gammas, means[0], means[1], T_eff, threshold))
 
     agreement = None
     if mu_log is not None and len(mu_log):
-        diffs = [abs(diffraction.bohr_coefficient(A, g, T_eff) - b)
-                 for g, b in mu_log.atoms()]
+        diffs = np.abs(means[0][np.searchsorted(gammas, mu_log.gammas)] - mu_log.masses)
         agreement = {
-            "atoms_compared": len(diffs),
-            "max_atom_difference": float(max(diffs)),
+            "atoms_compared": int(diffs.size),
+            "max_atom_difference": float(np.max(diffs)),
             "d_difference": abs(mu_log.d - mu_bohr.d),
         }
 
@@ -221,10 +234,11 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
     poisson = _stage("diffraction/poisson",
                      lambda: diffraction.poisson_residual(A, mu, gauss))
     plot_poisson = []
-    for Ti in [T_eff / 8, T_eff / 4, T_eff / 2, T_eff]:
+    for k in (3, 2, 1, 0):
+        Ti = Ts[k]
         thr_i = max(0.05, 3.0 * cc.k1 / Ti)
         try:
-            mu_i = diffraction.bohr_scan(A, grid, Ti, thr_i)
+            mu_i = diffraction.bohr_atoms(A, gammas, means[k], means[k + 1], Ti, thr_i)
             r_i = diffraction.poisson_residual(A, mu_i, gauss).residual
             plot_poisson.append((float(Ti), float(r_i)))
         except QclabError:

@@ -105,20 +105,50 @@ class PoissonReport:
     atom_tail: float
 
 
+# Entries of one exp block in bohr_means: bounds the kernel's memory
+# (16 bytes each) without slowing it.
+_BOHR_BLOCK = 1_000_000
+
+
+def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
+    """Bohr means (1/2T) * sum_{|a_n|<T} mult * exp(-2j*pi*gamma*a_n) at
+    every T of Ts (rows) and gamma of gammas (columns).
+
+    The zero set is sorted, so each window |a| < T is a contiguous slice
+    of the widest one: one exp pass over the widest window gives every
+    row, each the same sum bit for bit as a pass over its own window.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    Ts = [float(T) for T in Ts]
+    lo, hi = A.window
+    T_max = max(Ts)
+    if min(Ts) <= 0:
+        raise DomainError("T must be positive")
+    if -T_max < lo or T_max > hi:
+        raise DomainError(f"T = {T_max} exceeds the window {A.window}")
+    e = A.expand()
+    sel = e[np.searchsorted(e, -T_max, side="right"):np.searchsorted(e, T_max, side="left")]
+    cuts = [(np.searchsorted(sel, -T, side="right"), np.searchsorted(sel, T, side="left"))
+            for T in Ts]
+    sums = np.zeros((len(Ts), gammas.size), complex)
+    if sel.size:
+        rows = max(1, _BOHR_BLOCK // sel.size)
+        for i in range(0, gammas.size, rows):
+            block = np.exp(-2j * np.pi * np.outer(gammas[i:i + rows], sel))
+            for k, (j0, j1) in enumerate(cuts):
+                sums[k, i:i + rows] = block[:, j0:j1].sum(axis=1)
+    for k, T in enumerate(Ts):
+        sums[k] /= 2.0 * T
+    return sums
+
+
 def bohr_coefficient(A: ZeroSet, gamma: float, T: float) -> complex:
-    """Bohr mean (1/2T) * sum_{|a_n|<T} mult * exp(-2j*pi*gamma*a_n).
+    """One Bohr mean, a one-entry call of ``bohr_means``.
 
     The finite-T error heuristic for these means is
     ``bohr_error_heuristic(A, T)``.
     """
-    lo, hi = A.window
-    if T <= 0:
-        raise DomainError("T must be positive")
-    if -T < lo or T > hi:
-        raise DomainError(f"T = {T} exceeds the window {A.window}")
-    e = A.expand()
-    sel = e[np.abs(e) < T]
-    return complex(np.sum(np.exp(-2j * np.pi * gamma * sel)) / (2.0 * T))
+    return complex(bohr_means(A, [gamma], [T])[0, 0])
 
 
 def bohr_error_heuristic(A: ZeroSet, T: float) -> float:
@@ -126,41 +156,35 @@ def bohr_error_heuristic(A: ZeroSet, T: float) -> float:
     return unit_window_max(A.expand()) / float(T)
 
 
-def _bohr_many(e: np.ndarray, gammas: np.ndarray, T: float) -> np.ndarray:
-    sel = e[np.abs(e) < T]
-    if sel.size == 0:
-        return np.zeros(gammas.size, complex)
-    out = np.empty(gammas.size, complex)
-    chunk = max(1, 4_000_000 // max(sel.size, 1))
-    for i in range(0, gammas.size, chunk):
-        out[i:i + chunk] = np.exp(-2j * np.pi * np.outer(gammas[i:i + chunk], sel)).sum(axis=1)
-    return out / (2.0 * T)
-
-
-def bohr_scan(A: ZeroSet, grid, T: float, threshold: float) -> PointMeasure:
-    """Bohr means on a frequency grid, kept where large and stable.
+def bohr_atoms(A: ZeroSet, gammas, full, half, T: float, threshold: float) -> PointMeasure:
+    """The atoms of a Bohr scan at half-length T, from the means ``full``
+    at T and ``half`` at T/2 on the grid ``gammas``.
 
     An atom survives when |estimate at T| exceeds the threshold and the
     drift against the half-window estimate stays below threshold/4; the
-    mass at zero becomes d.
+    gamma = 0 mean at T becomes d.
     """
-    lo, hi = A.window
-    if -T < lo or T > hi:
-        raise DomainError(f"T = {T} exceeds the window {A.window}")
-    e = A.expand()
     err = bohr_error_heuristic(A, T)
     if threshold <= 2.0 * err:
         raise InvalidInputError(
             f"threshold {threshold} must exceed twice the error heuristic {err:.3g}"
         )
+    gammas = np.asarray(gammas, dtype=float)
+    stable = (np.abs(full) > threshold) & (np.abs(full - half) < threshold / 4.0)
+    keep = stable & (np.abs(gammas) > _GAMMA_TOL)
+    d = float(np.real(bohr_means(A, [0.0], [T])[0, 0]))
+    return PointMeasure(d=d, gammas=gammas[keep], masses=full[keep])
+
+
+def bohr_scan(A: ZeroSet, grid, T: float, threshold: float) -> PointMeasure:
+    """Bohr means on a frequency grid, kept where large and stable.
+
+    One ``bohr_means`` call at (T, T/2) and the stability rule of
+    ``bohr_atoms``.
+    """
     gammas = np.unique(np.asarray(list(grid), dtype=float))
-    est_full = _bohr_many(e, gammas, T)
-    est_half = _bohr_many(e, gammas, T / 2.0)
-    stable = (np.abs(est_full) > threshold) & (np.abs(est_full - est_half) < threshold / 4.0)
-    nonzero = np.abs(gammas) > _GAMMA_TOL
-    keep = stable & nonzero
-    d = float(np.real(_bohr_many(e, np.array([0.0]), T)[0]))
-    return PointMeasure(d=d, gammas=gammas[keep], masses=est_full[keep])
+    full, half = bohr_means(A, gammas, [T, T / 2.0])
+    return bohr_atoms(A, gammas, full, half, T, threshold)
 
 
 def logderiv_measure(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -41,7 +42,7 @@ def _read_rows(path, header):
             vals = [float(c) for c in row]
         except ValueError:
             raise ParseError(f"non-numeric field in {row!r}", path=path, line=i) from None
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise ParseError("non-finite value", path=path, line=i)
         out.append((i, vals))
     return out
@@ -71,8 +72,6 @@ def read_zeroset(path) -> ZeroSet:
         mults.append(int(m))
     pts = np.asarray(pts, dtype=float)
     mults = np.asarray(mults, dtype=np.int64)
-    order = np.argsort(pts)
-    pts, mults = pts[order], mults[order]
     sidecar = Path(path).with_suffix(".json")
     if sidecar.exists():
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -81,7 +80,7 @@ def read_zeroset(path) -> ZeroSet:
         warnings.warn(f"no sidecar {sidecar.name}; taking the window from the point range")
         if pts.size == 0:
             raise InvalidInputError("empty zero set and no sidecar window")
-        window = (float(pts[0]), float(pts[-1]))
+        window = (float(np.min(pts)), float(np.max(pts)))
     return ZeroSet(window, pts, mults)
 
 

@@ -40,15 +40,24 @@ _NUDGE = (1.0, 0.8311, 1.2137, 0.6473, 1.4159)
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Sorted real zero multiset over a stated window."""
+    """Sorted real zero multiset over a stated window.
+
+    Points given out of order are sorted on construction, each keeping
+    its multiplicity; Bohr means and counting constants rely on the order.
+    """
 
     window: tuple[float, float]
     points: np.ndarray
     mults: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.ascontiguousarray(self.points, dtype=float))
-        object.__setattr__(self, "mults", np.ascontiguousarray(self.mults, dtype=np.int64))
+        points = np.ascontiguousarray(self.points, dtype=float)
+        mults = np.ascontiguousarray(self.mults, dtype=np.int64)
+        if np.any(np.diff(points) < 0):
+            order = np.argsort(points, kind="stable")
+            points, mults = points[order], mults[order]
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "mults", mults)
 
     def __len__(self) -> int:
         return self.points.size

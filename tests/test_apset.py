@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qclab import apset
 from qclab.apset import (
     almost_periods,
     counting_constants,
@@ -12,10 +16,70 @@ from qclab.apset import (
     phi_fourier,
     phi_representation,
 )
+from qclab.diffraction import bohr_means
 from qclab.errors import DomainError
 from qclab.zeros import ZeroSet
 
 from conftest import SQRT2, lattice_zeroset, union_zeroset
+
+
+def _oracle_counts(e: np.ndarray, h: float, lo: float, hi: float) -> np.ndarray:
+    # Reference: #A in [x, x+h) for x in [lo, hi-h]; the count only changes
+    # at x = a_j and x = a_j - h, so probe both sides of each with one
+    # binary search per probe.
+    xs = np.concatenate([e, e - h])
+    xs = np.concatenate([xs - 1e-9, xs + 1e-9, [lo, hi - h]])
+    xs = xs[(xs >= lo) & (xs <= hi - h)]
+    return np.searchsorted(e, xs + h, side="left") - np.searchsorted(e, xs, side="left")
+
+
+def _slide_extremes(e: np.ndarray, h: float, lo: float, hi: float) -> tuple[int, int]:
+    # Reference: exact max/min of #A in [x, x+h) over x in [lo, hi-h].
+    cnt = _oracle_counts(e, h, lo, hi)
+    if cnt.size == 0:
+        return 0, 0
+    return int(cnt.max()), int(cnt.min())
+
+
+def _oracle_extremes(e, h_grid, lo, hi):
+    return np.array([_slide_extremes(e, float(h), lo, hi) for h in h_grid],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+@st.composite
+def _hard_sets(draw):
+    """Small zero sets on a step grid, with multiplicities up to 3, points
+    within 1e-9 of each other and of the window ends, and 1 to 3 points
+    in some windows; plus window lengths that hit point spacings exactly."""
+    lo = draw(st.sampled_from([0.0, -3.0, -10.5]))
+    length = draw(st.sampled_from([1.0, 2.5, 7.0, 20.0]))
+    hi = lo + length
+    step = draw(st.sampled_from([0.25, 0.5, 1.0 / 3.0, SQRT2 / 2.0]))
+    top = int(length / step)
+    few = draw(st.booleans())
+    ks = draw(st.lists(st.integers(0, top), min_size=1, max_size=3 if few else 25))
+    pts = [lo + k * step for k in ks]
+    nudges = draw(st.lists(
+        st.tuples(st.integers(0, len(pts) - 1),
+                  st.sampled_from([-2e-9, -1e-9, -5e-10, 1e-12, 5e-10, 1e-9, 2e-9])),
+        max_size=0 if few else 6))
+    pts += [pts[i] + dx for i, dx in nudges]
+    pts += draw(st.lists(st.sampled_from([lo, lo + 5e-10, lo + 1e-9, hi - 1e-9, hi]),
+                         max_size=0 if few else 3))
+    pts = np.unique([p for p in pts if lo <= p <= hi])
+    mults = np.array(draw(st.lists(st.integers(1, 3), min_size=pts.size, max_size=pts.size)),
+                     dtype=np.int64)
+    A = ZeroSet((lo, hi), pts, mults)
+    e = A.expand()
+    spacings = np.unique(e[:, None] - e[None, :])
+    hs = [float(x) for x in spacings if 0 < x <= length]
+    hs = draw(st.lists(st.sampled_from(hs), max_size=8)) if hs else []
+    hs += draw(st.lists(st.floats(1e-3, 1.2 * length), max_size=3))
+    # generic lengths, for which ((a - h) - 1e-9) + h often rounds away from a - 1e-9
+    hs += [1.2 * length * k / 2**30 for k in draw(st.lists(st.integers(1, 2**30),
+                                                          min_size=1, max_size=4))]
+    hs += [k * step for k in draw(st.lists(st.integers(1, top + 1), max_size=4))]
+    return A, np.unique(hs)
 
 
 class TestDensity:
@@ -73,6 +137,60 @@ class TestCountingConstants:
             c1 = int(np.searchsorted(e, x + h) - np.searchsorted(e, x))
             cM = int(np.searchsorted(e, x + M * h) - np.searchsorted(e, x))
             assert abs(c1 - cM / M) <= cc.k2
+
+
+class TestCountingSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(_hard_sets())
+    def test_sweep_matches_oracle_per_length(self, case):
+        A, hs = case
+        lo, hi = A.window
+        e = A.expand()
+        got = apset._count_extremes(e, hs, lo, hi)
+        assert np.array_equal(got, _oracle_extremes(e, hs, lo, hi))
+        # same probes, so the same multiset of counts, not only its extremes
+        fixed = [(x, np.searchsorted(e, x)) for x in (e - 1e-9, e + 1e-9)]
+        for h in hs:
+            assert np.array_equal(np.sort(apset._probe_counts(e, h, lo, hi, fixed)),
+                                  np.sort(_oracle_counts(e, h, lo, hi)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_hard_sets())
+    def test_counting_constants_match_oracle(self, case):
+        A, hs = case
+        for h_grid in (None, hs):
+            got = counting_constants(A, h_grid)
+            with mock.patch.object(apset, "_count_extremes", _oracle_extremes):
+                want = counting_constants(A, h_grid)
+            assert got == want
+
+    def test_union_matches_oracle(self, uni500):
+        got = counting_constants(uni500)
+        with mock.patch.object(apset, "_count_extremes", _oracle_extremes):
+            assert got == counting_constants(uni500)
+
+    def test_density_carries_its_constants(self, uni500):
+        assert density(uni500).counting == counting_constants(uni500)
+
+
+class TestUnsortedZeroSet:
+    def test_same_constants_and_means_as_sorted_copy(self):
+        A = union_zeroset(60)
+        mults = np.arange(A.points.size) % 3 + 1
+        B = ZeroSet(A.window, A.points, mults)
+        perm = np.random.default_rng(5).permutation(A.points.size)
+        C = ZeroSet(A.window, B.points[perm], B.mults[perm])
+        assert np.array_equal(C.points, B.points)
+        assert np.array_equal(C.mults, B.mults)
+        assert counting_constants(C) == counting_constants(B)
+        gammas = np.linspace(-3.0, 3.0, 25)
+        Ts = [50.0, 25.0, 12.5]
+        assert np.array_equal(bohr_means(C, gammas, Ts), bohr_means(B, gammas, Ts))
+
+    def test_stable_for_repeated_points(self):
+        A = ZeroSet((0.0, 3.0), [2.0, 1.0, 1.0], [1, 2, 3])
+        assert A.points.tolist() == [1.0, 1.0, 2.0]
+        assert A.mults.tolist() == [2, 3, 1]
 
 
 class TestAlmostPeriods:

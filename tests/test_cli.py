@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from qclab import io as qio
-from qclab.cli import RunConfig, main, parse_inputs, run_pipeline, emit_outputs
+from qclab.cli import (
+    RunConfig,
+    _counting_spot_check,
+    emit_outputs,
+    main,
+    parse_inputs,
+    run_pipeline,
+)
 from qclab.diffraction import PointMeasure
 from qclab.errors import ParseError, StageError
 
-from conftest import cos_sum, lattice_zeroset
+from conftest import cos_sum, lattice_zeroset, union_zeroset
 
 
 @pytest.fixture()
@@ -115,6 +122,31 @@ class TestRunPipeline:
             with pytest.raises(StageError) as exc:
                 run_pipeline(cfg)
         assert exc.value.stage == "reconstruct/log_series"
+
+
+class TestCountingSpotCheck:
+    @staticmethod
+    def _loop(A, k2, rng, trials):
+        # reference: one trial at a time, scalar draws and searches
+        lo, hi = A.window
+        e = A.expand()
+        violations = 0
+        for _ in range(trials):
+            h = float(rng.uniform(0.01, (hi - lo) / 4.0))
+            x1, x2 = rng.uniform(lo, hi - h, 2)
+            c1 = int(np.searchsorted(e, x1 + h) - np.searchsorted(e, x1))
+            c2 = int(np.searchsorted(e, x2 + h) - np.searchsorted(e, x2))
+            if abs(c1 - c2) > k2:
+                violations += 1
+        return violations
+
+    @pytest.mark.parametrize("k2", [0, 1, 2])
+    def test_same_draws_and_count_as_the_loop(self, k2):
+        A = union_zeroset(200)
+        got = _counting_spot_check(A, k2, np.random.default_rng(7), 2000)
+        assert got == self._loop(A, k2, np.random.default_rng(7), 2000)
+        if k2 < 2:
+            assert got > 0
 
 
 class TestEmitOutputs:

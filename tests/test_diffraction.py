@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qclab import diffraction
 from qclab.diffraction import (
     GaussianSpec,
     PointMeasure,
     bohr_coefficient,
+    bohr_means,
     bohr_scan,
     growth_profile,
     logderiv_measure,
@@ -33,6 +35,43 @@ class TestBohrCoefficient:
     def test_window_guard(self, lat500):
         with pytest.raises(DomainError):
             bohr_coefficient(lat500, 1.0, 1000.0)
+
+
+class TestBohrMeans:
+    @staticmethod
+    def _single(A, gammas, T):
+        # reference: one exp pass over the window |a| < T alone
+        e = A.expand()
+        sel = e[np.abs(e) < T]
+        return np.exp(-2j * np.pi * np.outer(gammas, sel)).sum(axis=1) / (2.0 * T)
+
+    @pytest.mark.parametrize("block", [diffraction._BOHR_BLOCK, 997])
+    def test_rows_equal_single_window_sums(self, monkeypatch, block):
+        monkeypatch.setattr(diffraction, "_BOHR_BLOCK", block)
+        pts = np.sort(np.concatenate([np.arange(-40, 41) + 0.5,
+                                      (np.arange(-57, 57) + 0.5) / SQRT2]))
+        A = ZeroSet((-40.0, 40.0), pts, np.arange(pts.size) % 3 + 1)
+        gammas = np.unique(np.concatenate([np.arange(-3.0, 3.01, 0.125), [SQRT2, -SQRT2]]))
+        assert 0.0 in gammas
+        # 30.5 and |pts[10]| sit exactly on a point, which |a| < T leaves out
+        Ts = [40.0, 30.5, abs(pts[10]), 20.0, 5.0, 0.25]
+        means = bohr_means(A, gammas, Ts)
+        assert means.shape == (len(Ts), gammas.size)
+        for row, T in zip(means, Ts):
+            assert np.array_equal(row, self._single(A, gammas, T))
+
+    def test_empty_window_is_zero(self, lat500):
+        assert np.array_equal(bohr_means(lat500, [0.0, 1.0], [0.25]), np.zeros((1, 2), complex))
+
+    def test_scan_d_is_the_gamma_zero_mean(self, uni2100):
+        mu = bohr_scan(uni2100, [1.0, SQRT2], 2000.0, 0.1)
+        assert mu.d == bohr_means(uni2100, [0.0], [2000.0])[0, 0].real
+
+    def test_window_guards(self, lat500):
+        with pytest.raises(DomainError):
+            bohr_means(lat500, [1.0], [100.0, 1000.0])
+        with pytest.raises(DomainError):
+            bohr_means(lat500, [1.0], [100.0, 0.0])
 
 
 class TestBohrScan:
