@@ -14,6 +14,8 @@ tests lean on.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +107,25 @@ class PoissonReport:
     atom_tail: float
 
 
-# Entries of one exp block in bohr_means: bounds the kernel's memory
-# (16 bytes each) without slowing it.
+# Entries of all exp blocks in flight in bohr_means together: bounds the
+# kernel's memory (16 bytes each) without slowing it.
 _BOHR_BLOCK = 1_000_000
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_windows(A: ZeroSet, Ts) -> None:
+    if min(Ts) <= 0:
+        raise DomainError("T must be positive")
+    lo, hi = A.window
+    T_max = max(Ts)
+    if -T_max < lo or T_max > hi:
+        raise DomainError(f"T = {T_max} exceeds the window {A.window}")
 
 
 def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
@@ -117,29 +135,63 @@ def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
     The zero set is sorted, so each window |a| < T is a contiguous slice
     of the widest one: one exp pass over the widest window gives every
     row, each the same sum bit for bit as a pass over its own window.
+
+    The pass runs in blocks of gamma rows on one thread per CPU in the
+    process's affinity mask (numpy's exp and sum release the GIL).  Each
+    of w workers holds at most ``_BOHR_BLOCK // w`` entries, so the
+    memory in flight stays within ``_BOHR_BLOCK`` entries in total.  A
+    block's arithmetic does not depend on its neighbours and each block
+    writes only its own columns, so the means are bit-identical for
+    every worker count.  A pass of one block runs on the calling thread.
     """
     gammas = np.asarray(gammas, dtype=float)
     Ts = [float(T) for T in Ts]
-    lo, hi = A.window
+    _check_windows(A, Ts)
     T_max = max(Ts)
-    if min(Ts) <= 0:
-        raise DomainError("T must be positive")
-    if -T_max < lo or T_max > hi:
-        raise DomainError(f"T = {T_max} exceeds the window {A.window}")
     e = A.expand()
     sel = e[np.searchsorted(e, -T_max, side="right"):np.searchsorted(e, T_max, side="left")]
     cuts = [(np.searchsorted(sel, -T, side="right"), np.searchsorted(sel, T, side="left"))
             for T in Ts]
     sums = np.zeros((len(Ts), gammas.size), complex)
-    if sel.size:
-        rows = max(1, _BOHR_BLOCK // sel.size)
-        for i in range(0, gammas.size, rows):
-            block = np.exp(-2j * np.pi * np.outer(gammas[i:i + rows], sel))
-            for k, (j0, j1) in enumerate(cuts):
-                sums[k, i:i + rows] = block[:, j0:j1].sum(axis=1)
+    if sel.size and gammas.size:
+        workers = _cpu_count()
+        rows = max(1, _BOHR_BLOCK // workers // sel.size)
+        starts = range(0, gammas.size, rows)
+
+        def run(share):
+            for i in share:
+                block = np.exp(-2j * np.pi * np.outer(gammas[i:i + rows], sel))
+                for k, (j0, j1) in enumerate(cuts):
+                    sums[k, i:i + rows] = block[:, j0:j1].sum(axis=1)
+
+        _on_threads(run, [starts[w::workers] for w in range(min(workers, len(starts)))])
     for k, T in enumerate(Ts):
         sums[k] /= 2.0 * T
     return sums
+
+
+def _on_threads(work, shares) -> None:
+    """Run ``work(share)`` for every share: the first on the calling
+    thread, each other one on a thread of its own.  Once all have
+    finished, the first exception a share raised reaches the caller."""
+    errors = []
+
+    def guarded(share):
+        try:
+            work(share)
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(share,)) for share in shares[1:]]
+    for t in threads:
+        t.start()
+    try:
+        work(shares[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def bohr_coefficient(A: ZeroSet, gamma: float, T: float) -> complex:
@@ -164,6 +216,7 @@ def bohr_atoms(A: ZeroSet, gammas, full, half, T: float, threshold: float) -> Po
     drift against the half-window estimate stays below threshold/4; the
     gamma = 0 mean at T becomes d.
     """
+    _check_windows(A, [float(T)])
     err = bohr_error_heuristic(A, T)
     if threshold <= 2.0 * err:
         raise InvalidInputError(
@@ -172,7 +225,10 @@ def bohr_atoms(A: ZeroSet, gammas, full, half, T: float, threshold: float) -> Po
     gammas = np.asarray(gammas, dtype=float)
     stable = (np.abs(full) > threshold) & (np.abs(full - half) < threshold / 4.0)
     keep = stable & (np.abs(gammas) > _GAMMA_TOL)
-    d = float(np.real(bohr_means(A, [0.0], [T])[0, 0]))
+    # the gamma = 0 mean without its exp pass: every term is exactly 1, and
+    # numpy's complex division of the sum by 2T multiplies by the reciprocal,
+    # so the mean is n * (1 / 2T) bit for bit (n / 2T differs in the last bit)
+    d = float(A.mults[np.abs(A.points) < T].sum()) * (1.0 / (2.0 * T))
     return PointMeasure(d=d, gammas=gammas[keep], masses=full[keep])
 
 

@@ -456,18 +456,24 @@ def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0, strip=None):
         for i in np.flatnonzero(is_bracket):
             mults[i], _ = count_box(i)
 
+    # simple roots keep their scan position, so one evaluate call tests
+    # all their residuals; a multiple root is refined and tested alone
+    tol = resid_tol * max(1.0, norm)
+    simple_ok = mults == 1
+    simple_ok[simple_ok] = np.abs(evaluate(f, roots[simple_ok] + 0j)) < tol
     out_pts, out_mults = [], []
-    for a, m, hw in zip(roots, mults, hws):
-        if m == 0:
-            continue
-        center = a
-        if m > 1:
-            a = _refine_multiple(f, a, m, hw)
-        if abs(evaluate(f, complex(a))) < resid_tol * max(1.0, norm) and (
-                m == 1 or _one_point(f, center, m, hw)):
+    for a, m, hw, ok in zip(roots, mults, hws, simple_ok):
+        if ok:
             out_pts.append(a)
             out_mults.append(m)
-        elif m >= 2 and depth < 4:
+        if m < 2:
+            continue
+        center = a
+        a = _refine_multiple(f, a, m, hw)
+        if abs(evaluate(f, complex(a))) < tol and _one_point(f, center, m, hw):
+            out_pts.append(a)
+            out_mults.append(m)
+        elif depth < 4:
             # the box holds m zeros but no point of that order: a cluster
             # of distinct zeros tighter than the scan step
             got = _resolve_cluster(f, a - hw, a + hw, m, resid_tol, depth + 1)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from qclab import diffraction
 from qclab.diffraction import (
     GaussianSpec,
     PointMeasure,
+    bohr_atoms,
     bohr_coefficient,
     bohr_means,
     bohr_scan,
@@ -60,8 +63,54 @@ class TestBohrMeans:
         for row, T in zip(means, Ts):
             assert np.array_equal(row, self._single(A, gammas, T))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rows_equal_single_window_sums_on_every_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(diffraction, "_cpu_count", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many thread switches inside each pass
+        try:
+            self.test_rows_equal_single_window_sums(monkeypatch, 997)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(diffraction, "_BOHR_BLOCK", 997)
+        monkeypatch.setattr(diffraction, "_cpu_count", lambda: 2)
+        exp = np.exp
+
+        def exp_failing_off_the_calling_thread(x):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker block")
+            return exp(x)
+
+        monkeypatch.setattr(np, "exp", exp_failing_off_the_calling_thread)
+        pts = np.arange(-40, 41) + 0.5
+        A = ZeroSet((-40.0, 40.0), pts, np.ones(pts.size, np.int64))
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker block"):
+            bohr_means(A, np.arange(0.0, 3.0, 0.125), [40.0])
+        assert threading.active_count() == threads
+
+    def test_atoms_d_is_the_gamma_zero_mean_bit_for_bit(self):
+        pts = np.sort(np.concatenate([np.arange(-40, 41) + 0.5,
+                                      (np.arange(-57, 57) + 0.5) / SQRT2]))
+        A = ZeroSet((-40.0, 40.0), pts, np.arange(pts.size) % 3 + 1)
+        Ts = np.linspace(0.3, 40.0, 211)
+        zero = bohr_means(A, [0.0], Ts)[:, 0]
+        none = np.zeros(1, complex)
+        for T, mean in zip(Ts, zero):
+            assert bohr_atoms(A, [0.0], none, none, T, 1e3).d == mean.real
+
+    def test_atoms_window_guard(self, lat500):
+        none = np.zeros(1, complex)
+        with pytest.raises(DomainError):
+            bohr_atoms(lat500, [0.0], none, none, 1000.0, 1.0)
+
     def test_empty_window_is_zero(self, lat500):
         assert np.array_equal(bohr_means(lat500, [0.0, 1.0], [0.25]), np.zeros((1, 2), complex))
+
+    def test_empty_grid_has_no_columns(self, lat500):
+        assert bohr_means(lat500, [], [100.0, 50.0]).shape == (2, 0)
 
     def test_scan_d_is_the_gamma_zero_mean(self, uni2100):
         mu = bohr_scan(uni2100, [1.0, SQRT2], 2000.0, 0.1)

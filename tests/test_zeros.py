@@ -148,6 +148,19 @@ class TestCountCertificate:
         assert np.max(np.abs(A.points - (np.arange(-1000, 1000) + 0.5))) < 1e-10
         assert len(box_calls) <= len(zeros._NUDGE)
 
+    def test_simple_zero_residuals_share_one_evaluate_call(self, cos, monkeypatch):
+        calls = []
+        real = zeros.evaluate
+
+        def counted(f, z):
+            calls.append(z)
+            return real(f, z)
+
+        monkeypatch.setattr(zeros, "evaluate", counted)
+        A = find_real_zeros(cos, (-1000.25, 1000.25))
+        assert A.count == 2000
+        assert len(calls) < 400
+
     def test_three_factor_product_boxes_only_its_candidates(self, box_calls):
         cs = (1.0, math.sqrt(2.0), math.sqrt(3.0))
         A = find_real_zeros(_cos_product(cs), (-20.001, 20.001))
