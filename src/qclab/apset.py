@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .wiener import _exp_rows
 from .zeros import ZeroSet
 
 
@@ -256,18 +257,18 @@ def phi_fourier(phi: PhiRepresentation, freqs, N: int | None = None):
     """Bohr means (1/2N) * sum_{|n|<=N} phi(n) exp(-2j*pi*theta*n).
 
     Returns (coefficients, error_bound) with the O(1/N) boundary
-    heuristic 4*sup|phi|/N.
+    heuristic 4*sup|phi|/N.  N <= min(-n_min, n_max), the default.
     """
     n = phi.n
-    if N is None:
-        N = int(min(-n.min(), n.max()))
-    if N < 1:
-        raise DomainError("phi window too short for a Bohr mean")
+    n_sym = int(min(-n.min(), n.max()))
+    N = n_sym if N is None else N
+    if not 1 <= N <= n_sym:
+        raise DomainError(f"N = {N} is outside 1..{n_sym}, the symmetric index range of phi")
     mask = np.abs(n) <= N
     ns = n[mask]
     vs = phi.values[mask]
     thetas = np.atleast_1d(np.asarray(freqs, dtype=float))
-    coeffs = (np.exp(-2j * np.pi * np.outer(thetas, ns)) @ vs) / (2.0 * N)
+    coeffs = _exp_rows(-thetas, ns, lambda E: E @ vs) / (2.0 * N)
     err = 4.0 * phi.sup_abs / N
     return coeffs, err
 

@@ -14,8 +14,6 @@ tests lean on.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +23,7 @@ from .errors import DomainError, InsufficientDataError, InvalidInputError
 from .wiener import (
     ExpSum,
     NEUMANN_TOL,
+    _exp_rows,
     at_height,
     choose_height,
     derivative,
@@ -107,18 +106,6 @@ class PoissonReport:
     atom_tail: float
 
 
-# Entries of all exp blocks in flight in bohr_means together: bounds the
-# kernel's memory (16 bytes each) without slowing it.
-_BOHR_BLOCK = 1_000_000
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _check_windows(A: ZeroSet, Ts) -> None:
     if min(Ts) <= 0:
         raise DomainError("T must be positive")
@@ -133,16 +120,9 @@ def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
     every T of Ts (rows) and gamma of gammas (columns).
 
     The zero set is sorted, so each window |a| < T is a contiguous slice
-    of the widest one: one exp pass over the widest window gives every
-    row, each the same sum bit for bit as a pass over its own window.
-
-    The pass runs in blocks of gamma rows on one thread per CPU in the
-    process's affinity mask (numpy's exp and sum release the GIL).  Each
-    of w workers holds at most ``_BOHR_BLOCK // w`` entries, so the
-    memory in flight stays within ``_BOHR_BLOCK`` entries in total.  A
-    block's arithmetic does not depend on its neighbours and each block
-    writes only its own columns, so the means are bit-identical for
-    every worker count.  A pass of one block runs on the calling thread.
+    of the widest one: one ``_exp_rows`` pass over the widest window,
+    with points -gamma, gives every row, each the same sum bit for bit
+    as a pass over its own window, for every worker count.
     """
     gammas = np.asarray(gammas, dtype=float)
     Ts = [float(T) for T in Ts]
@@ -152,46 +132,10 @@ def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
     sel = e[np.searchsorted(e, -T_max, side="right"):np.searchsorted(e, T_max, side="left")]
     cuts = [(np.searchsorted(sel, -T, side="right"), np.searchsorted(sel, T, side="left"))
             for T in Ts]
-    sums = np.zeros((len(Ts), gammas.size), complex)
-    if sel.size and gammas.size:
-        workers = _cpu_count()
-        rows = max(1, _BOHR_BLOCK // workers // sel.size)
-        starts = range(0, gammas.size, rows)
-
-        def run(share):
-            for i in share:
-                block = np.exp(-2j * np.pi * np.outer(gammas[i:i + rows], sel))
-                for k, (j0, j1) in enumerate(cuts):
-                    sums[k, i:i + rows] = block[:, j0:j1].sum(axis=1)
-
-        _on_threads(run, [starts[w::workers] for w in range(min(workers, len(starts)))])
+    sums = _exp_rows(-gammas, sel, lambda E: np.stack([E[:, i:j].sum(1) for i, j in cuts]))
     for k, T in enumerate(Ts):
         sums[k] /= 2.0 * T
     return sums
-
-
-def _on_threads(work, shares) -> None:
-    """Run ``work(share)`` for every share: the first on the calling
-    thread, each other one on a thread of its own.  Once all have
-    finished, the first exception a share raised reaches the caller."""
-    errors = []
-
-    def guarded(share):
-        try:
-            work(share)
-        except BaseException as exc:  # re-raised on the calling thread below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(share,)) for share in shares[1:]]
-    for t in threads:
-        t.start()
-    try:
-        work(shares[0])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
 
 
 def bohr_coefficient(A: ZeroSet, gamma: float, T: float) -> complex:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffraction import PointMeasure
 from .errors import DomainError
-from .wiener import ExpSum, canonicalize, evaluate, exp_series, scale
+from .wiener import ExpSum, _exp_rows, canonicalize, evaluate, exp_series, scale
 from .zeros import ZeroSet
 
 VERDICT_BOUNDED = "bounded"
@@ -225,7 +225,7 @@ def _sup_abs_g(mu_hat: PointMeasure, X: float, samples_per_unit: float = 64.0) -
         return 0.0
 
     def many(xs):
-        return np.abs(np.exp(2j * np.pi * np.outer(xs, g)) @ (b / g) - np.sum(b / g))
+        return np.abs(_exp_rows(xs, g, lambda E: E @ (b / g)) - np.sum(b / g))
 
     n = max(512, int(2 * X * samples_per_unit) + 1)
     xs = np.linspace(-X, X, n)

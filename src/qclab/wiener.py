@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ PRUNE_TOL = 1e-14         # relative to the Wiener norm
 DEFAULT_MAX_TERMS = 200_000
 NEUMANN_TOL = 1e-10
 _WORK_CAP = 40_000_000    # pairwise-product workspace limit (complex entries)
-_EVAL_CHUNK = 4_000_000   # evaluate() workspace limit (complex entries)
+_EXP_BUDGET = 1_000_000   # _exp_rows workspace limit, all workers together (complex entries)
 
 
 def max_terms() -> int:
@@ -132,21 +133,75 @@ def constant(c) -> ExpSum:
     return canonicalize([(0.0, c)])
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_threads(work, shares) -> None:
+    """Run ``work(share)`` for every share: the first on the calling
+    thread, each other one on a thread of its own.  Once all have
+    finished, the first exception a share raised reaches the caller."""
+    errors = []
+
+    def guarded(share):
+        try:
+            work(share)
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(share,)) for share in shares[1:]]
+    for t in threads:
+        t.start()
+    try:
+        work(shares[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def _exp_rows(points, freqs, reduce):
+    """``reduce(E)`` joined along its last axis, the rows of
+    E = exp(2j*pi*outer(points, freqs)), formed in blocks of rows on one
+    thread per CPU; each of w workers reuses one buffer of
+    ``_EXP_BUDGET // w`` entries plus a row.  A one-row last block joins
+    the one before: numpy's matrix-vector product rounds a lone row
+    differently, and with the join (and a row-wise ``reduce``) the result
+    is bit-identical for any budget and worker count.  ``np.errstate`` is
+    thread-local, so each worker enters it.
+    """
+    workers = _cpu_count()
+    rows = max(2, _EXP_BUDGET // workers // max(len(freqs), 1))
+    bounds = (list(range(0, len(points) - 1, rows)) or [0]) + [len(points)]
+    out = [None] * (len(bounds) - 1)
+
+    def run(share):
+        buf = np.empty((min(rows + 1, len(points)), len(freqs)), complex)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for k in share:
+                x = buf[:bounds[k + 1] - bounds[k]]
+                np.multiply(points[bounds[k]:bounds[k + 1], None], freqs, out=x)  # np.outer
+                np.multiply(2j * np.pi, x, out=x)
+                out[k] = reduce(np.exp(x))
+
+    if len(out) == 1:  # the common small call: no thread machinery
+        run(range(1))
+        return out[0]
+    _on_threads(run, [range(w, len(out), workers) for w in range(min(workers, len(out)))])
+    return np.concatenate(out, axis=-1)
+
+
 def evaluate(f: ExpSum, z):
-    """Evaluate ``sum(q * exp(2j*pi*omega*z))`` at a scalar or array ``z``."""
+    """Evaluate ``sum(q * exp(2j*pi*omega*z))`` at a scalar or array ``z`` by ``_exp_rows``."""
     zarr = np.asarray(z, dtype=complex)
     scalar = zarr.ndim == 0
-    zs = np.atleast_1d(zarr).ravel()
-    out = np.zeros(zs.shape, dtype=complex)
-    if len(f):
-        chunk = max(1, _EVAL_CHUNK // len(f))
-        two_pi_i = 2j * np.pi
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            for i in range(0, zs.size, chunk):
-                blk = zs[i:i + chunk]
-                out[i:i + chunk] = np.exp(two_pi_i * np.outer(blk, f.freqs)) @ f.coeffs
-        if not np.all(np.isfinite(out)):
-            raise OverflowError("exponential sum overflowed; reduce |Im z|")
+    out = _exp_rows(np.atleast_1d(zarr).ravel(), f.freqs, lambda E: E @ f.coeffs)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("exponential sum overflowed; reduce |Im z|")
     if scalar:
         return complex(out[0])
     return out.reshape(np.atleast_1d(zarr).shape)

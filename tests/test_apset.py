@@ -244,6 +244,16 @@ class TestPhiFourier:
         c, err = phi_fourier(phi, [0.3])
         assert abs(c[0]) <= err
 
+    def test_N_past_the_symmetric_range_rejected(self):
+        # indices run from -500 to 499: N = 1000 would average 1000 terms over 2N
+        phi = phi_representation(lattice_zeroset(0.5, 1.0, 500), 1.0)
+        assert (phi.n.min(), phi.n.max()) == (-500, 499)
+        assert phi_fourier(phi, [0.0], N=499)[0][0] == pytest.approx(0.5, abs=0.01)
+        with pytest.raises(DomainError):
+            phi_fourier(phi, [0.0], N=500)
+        with pytest.raises(DomainError):
+            phi_fourier(phi, [0.0], N=1000)
+
     def test_union_dominant_frequency_stable(self):
         # the interleaving pattern puts the dominant phi frequency at 1/d
         uni = union_zeroset(4200)

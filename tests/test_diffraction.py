@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from qclab import diffraction
+from qclab import wiener
 from qclab.diffraction import (
     GaussianSpec,
     PointMeasure,
@@ -48,9 +48,9 @@ class TestBohrMeans:
         sel = e[np.abs(e) < T]
         return np.exp(-2j * np.pi * np.outer(gammas, sel)).sum(axis=1) / (2.0 * T)
 
-    @pytest.mark.parametrize("block", [diffraction._BOHR_BLOCK, 997])
+    @pytest.mark.parametrize("block", [wiener._EXP_BUDGET, 997])
     def test_rows_equal_single_window_sums(self, monkeypatch, block):
-        monkeypatch.setattr(diffraction, "_BOHR_BLOCK", block)
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", block)
         pts = np.sort(np.concatenate([np.arange(-40, 41) + 0.5,
                                       (np.arange(-57, 57) + 0.5) / SQRT2]))
         A = ZeroSet((-40.0, 40.0), pts, np.arange(pts.size) % 3 + 1)
@@ -65,7 +65,7 @@ class TestBohrMeans:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_rows_equal_single_window_sums_on_every_worker_count(self, monkeypatch, workers):
-        monkeypatch.setattr(diffraction, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(wiener, "_cpu_count", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # many thread switches inside each pass
         try:
@@ -74,8 +74,8 @@ class TestBohrMeans:
             sys.setswitchinterval(interval)
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(diffraction, "_BOHR_BLOCK", 997)
-        monkeypatch.setattr(diffraction, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", 997)
+        monkeypatch.setattr(wiener, "_cpu_count", lambda: 2)
         exp = np.exp
 
         def exp_failing_off_the_calling_thread(x):

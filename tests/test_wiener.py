@@ -1,10 +1,14 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qclab import wiener
+from qclab.apset import phi_fourier, phi_representation
 from qclab.errors import CapacityError, DivergenceError, InvalidInputError
 from qclab.wiener import (
     add,
@@ -21,6 +25,8 @@ from qclab.wiener import (
     neumann_inverse,
     scale,
 )
+
+from conftest import SQRT2, union_zeroset
 
 
 def random_sum(rng, n_terms=12, freq_span=5.0):
@@ -87,6 +93,65 @@ class TestEvaluate:
     def test_array_shape(self, cos):
         z = np.zeros((3, 4), complex)
         assert evaluate(cos, z).shape == (3, 4)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestExpKernel:
+    """One exp pass serves evaluate, the Bohr means, phi_fourier and sup|g|:
+    its values may not depend on the blocks, the budget or the threads."""
+
+    @pytest.fixture
+    def threaded(self, monkeypatch):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many thread switches inside each pass
+
+        def setup(budget, workers):
+            monkeypatch.setattr(wiener, "_EXP_BUDGET", budget)
+            monkeypatch.setattr(wiener, "_cpu_count", lambda: workers)
+
+        yield setup
+        sys.setswitchinterval(interval)
+
+    # 5085 - 1 is a multiple of the 124, 62 and 41 rows per block that an
+    # 8-term sum gets at budget 997 on 1, 2 and 3 workers, so every one of
+    # those calls has a one-row last block to join
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 5085])
+    @pytest.mark.parametrize("budget", [wiener._EXP_BUDGET, 997, 41])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_evaluate_equals_one_block(self, threaded, n_points, budget, workers):
+        rng = np.random.default_rng(0)
+        f = random_sum(rng, n_terms=8)
+        assert len(f) == 8
+        z = rng.uniform(-50.0, 50.0, n_points) + 1j * rng.uniform(-0.5, 0.5, n_points)
+        one_block = np.exp(2j * np.pi * np.outer(z, f.freqs)) @ f.coeffs
+        if n_points > 1:
+            # the reason for the join: alone, the last row rounds differently
+            one_row = np.exp(2j * np.pi * np.outer(z[-1:], f.freqs)) @ f.coeffs
+            assert one_row[0] != one_block[-1]
+        threaded(budget, workers)
+        assert _same_bits(evaluate(f, z), one_block)
+
+    def test_phi_fourier_equals_one_block(self, threaded):
+        phi = phi_representation(union_zeroset(500), 1.0 + SQRT2)
+        N = 400
+        thetas = np.array([0.0, 0.1, SQRT2 - 1.0, 0.25, -0.3, 1.0 / 3.0, 0.5])
+        mask = np.abs(phi.n) <= N
+        one_block = (np.exp(-2j * np.pi * np.outer(thetas, phi.n[mask]))
+                     @ phi.values[mask]) / (2.0 * N)
+        threaded(997, 2)
+        coeffs, _ = phi_fourier(phi, thetas, N=N)
+        assert _same_bits(coeffs, one_block)
+
+    def test_overflow_on_worker_threads_is_an_error_not_a_warning(self, threaded, cos):
+        threaded(997, 2)  # 249 rows per block: four blocks on two threads
+        z = np.linspace(-5.0, 5.0, 1000) + 1e3j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError):
+                evaluate(cos, z)
 
 
 class TestAlgebraOps:
