@@ -74,26 +74,45 @@ def unit_window_max(expanded: np.ndarray) -> int:
     return int(np.max(right - np.arange(expanded.size)))
 
 
-def _ranks(e: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """#{e < y} for each y of the sorted keys.
+def _merge(e: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(#{e < y} for each sorted key y, #{keys <= e_j} for each point e_j).
 
     A stable sort of the two sorted runs is one linear merge; with the
     keys first, a key tied with a point sorts before it.
     """
-    order = np.argsort(np.concatenate([keys, e]), kind="stable")
-    return np.flatnonzero(order < keys.size) - np.arange(keys.size)
+    at_key = np.argsort(np.concatenate([keys, e]), kind="stable") < keys.size
+    return (np.flatnonzero(at_key) - np.arange(keys.size),
+            np.flatnonzero(~at_key) - np.arange(e.size))
 
 
-def _settle(e: np.ndarray, keys: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """#{e < y} for each key y, stepping each guess in r by one until
-    all settle; the steps taken are the guesses' largest error."""
-    n = e.size
-    while True:
-        down = (r > 0) & (e[np.maximum(r - 1, 0)] >= keys)
-        up = (r < n) & (e[np.minimum(r, n - 1)] < keys)
-        if not (down.any() or up.any()):
-            return r
-        r = r + up - down
+def _settle(ep: np.ndarray, keys: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """#{e < y} for each key y from the guesses r, on ep = [-inf, e, +inf]:
+    a guess with e[r - 1] < y <= e[r] is the rank, and every other one is
+    found by binary search, so any start gives the exact ranks."""
+    bad = np.flatnonzero((ep[r] >= keys) | (ep[r + 1] < keys))
+    if bad.size:
+        r = r.copy()
+        r[bad] = np.searchsorted(ep[1:-1], keys[bad])
+    return r
+
+
+def _padded(e: np.ndarray) -> np.ndarray:
+    return np.concatenate([[-np.inf], e, [np.inf]])
+
+
+def _gaps(ep: np.ndarray, fixed) -> list[float]:
+    # each fixed probe family's distance to the set
+    return [min(np.min(x - ep[r]), np.min(ep[r + 1] - x)) for x, r in fixed]
+
+
+def _fixed_ranks(ep: np.ndarray, keys: np.ndarray, x: np.ndarray, r: np.ndarray,
+                 gap: float) -> np.ndarray:
+    """#{e < y} for keys y within a rounding of the fixed probes x: their
+    ranks r hold while every shift |y - x| stays below the probes'
+    distance to the set (halved against the rounding of both)."""
+    if np.max(np.abs(keys - x), initial=0.0) < 0.5 * gap:
+        return r
+    return _settle(ep, keys, r)
 
 
 def _inside(x: np.ndarray, lo: float, top: float) -> slice:
@@ -104,36 +123,82 @@ def _inside(x: np.ndarray, lo: float, top: float) -> slice:
 def _probe_counts(e: np.ndarray, h: float, lo: float, hi: float, fixed) -> np.ndarray:
     """#A in [x, x+h) at every probe x of window length h.
 
+    One merge per length gives one probe family's ranks exactly; the
+    other three families start from guesses that a check either proves
+    or hands to ``_settle``, which searches only the guesses that fail,
+    so every count equals a binary search per probe (see
+    ``_length_counts``).  ``fixed`` holds the probes a -+ 1e-9 with their
+    ranks #{e < x}, which do not depend on h.  This pads e and measures
+    the gaps for one length; ``_count_extremes`` does both once for all
+    lengths.
+    """
+    ep = _padded(e)
+    return _length_counts(ep, fixed, _gaps(ep, fixed), h, lo, hi)
+
+
+def _length_counts(ep: np.ndarray, fixed, gaps, h: float, lo: float, hi: float) -> np.ndarray:
+    """#A in [x, x+h) at every probe x of window length h, from one merge.
+
     The count only changes at x = a and x = a - h, so it is probed on
-    both sides of each: a -+ 1e-9, (a - h) -+ 1e-9, lo and hi - h, kept
-    in [lo, hi-h].  Each probe family is sorted, so the window keeps a
-    slice of it and its ranks come from a merge, not a binary search.
-    ``fixed`` holds the probes a -+ 1e-9 with their ranks, which do not
-    depend on h; ((a - h) -+ 1e-9) + h rounds to within a few ulps of
-    a -+ 1e-9, so those ranks start the steps to its own.
+    both sides of each: the families a -+ 1e-9 and (a - h) -+ 1e-9, plus
+    lo and hi - h, kept in [lo, hi-h].  A count is the rank #{e < x + h}
+    less the rank #{e < x}.  Each family is sorted, so the window keeps
+    a slice of it.  One merge of (a - 1e-9) + h with e gives the upper
+    ranks of a - 1e-9 exactly; every other rank starts from a guess and
+    is kept only where a check proves it, else ``_settle`` searches
+    for it, so the counts equal one binary search per probe:
+
+    - a + 1e-9 starts from the upper ranks of a - 1e-9, which can only be
+      low: one check e[r] >= y;
+    - (a - h) + 1e-9 starts from the merge's point positions
+      #{(a - 1e-9) + h <= e_j}, within a rounding of its lower ranks;
+    - (a - h) - 1e-9 starts from those, which can only be high: one
+      check e[r - 1] < y;
+    - the upper ends ((a - h) -+ 1e-9) + h round to within a few ulps of
+      a -+ 1e-9, whose fixed ranks hold while that shift stays below the
+      fixed probes' distance to the set (``gaps``).
+
+    ``ep`` is e padded as [-inf, e, +inf], so no check needs a clip.
     """
     top = hi - h
-    counts = []
-    for x, r in fixed:
-        s = _inside(x, lo, top)
-        counts.append(_ranks(e, x[s] + h) - r[s])
+    if top < lo:
+        return np.zeros(0, np.int64)
+    e = ep[1:-1]
+    (x1, r1), (x2, r2) = fixed
+    u1, below = _merge(e, x1 + h)
+    s1, s2 = _inside(x1, lo, top), _inside(x2, lo, top)
+    y2 = x2[s2] + h
+    u2 = u1[s2]
+    if (ep[u2 + 1] < y2).any():
+        u2 = _settle(ep, y2, u2)
     eh = e - h
-    for (_, r), x in zip(fixed, (eh - 1e-9, eh + 1e-9)):
-        s = _inside(x, lo, top)
-        counts.append(_settle(e, x[s] + h, r[s]) - _ranks(e, x[s]))
+    x3, x4 = eh - 1e-9, eh + 1e-9
+    s3, s4 = _inside(x3, lo, top), _inside(x4, lo, top)
+    w = slice(s4.start, s3.stop)  # x3 <= x4, so both slices lie in w
+    l4 = _settle(ep, x4[w], below[w])
+    l3 = l4
+    if (ep[l3] >= x3[w]).any():
+        l3 = _settle(ep, x3[w], l3)
+    u3, u4 = (_fixed_ranks(ep, x[w] + h, xf[w], rf[w], gap)
+              for x, (xf, rf), gap in zip((x3, x4), fixed, gaps))
+    i3 = slice(s3.start - w.start, s3.stop - w.start)
+    i4 = slice(0, s4.stop - w.start)
     ends = np.array([lo, top])
-    ends = ends[(ends >= lo) & (ends <= top)]
-    counts.append(np.searchsorted(e, ends + h) - np.searchsorted(e, ends))
-    return np.concatenate(counts)
+    return np.concatenate([
+        u1[s1] - r1[s1], u2 - r2[s2], (u3 - l3)[i3], (u4 - l4)[i4],
+        np.searchsorted(e, ends + h) - np.searchsorted(e, ends),
+    ])
 
 
 def _count_extremes(e: np.ndarray, h_grid, lo: float, hi: float) -> np.ndarray:
     """Exact max and min of #A in [x, x+h) over x in [lo, hi-h], one row
     (max, min) per window length h of h_grid; (0, 0) where no probe fits."""
     fixed = [(x, np.searchsorted(e, x)) for x in (e - 1e-9, e + 1e-9)]
+    ep = _padded(e)
+    gaps = _gaps(ep, fixed)
     out = np.zeros((len(h_grid), 2), np.int64)
     for k, h in enumerate(h_grid):
-        c = _probe_counts(e, h, lo, hi, fixed)
+        c = _length_counts(ep, fixed, gaps, h, lo, hi)
         if c.size:
             out[k] = c.max(), c.min()
     return out
@@ -147,8 +212,9 @@ def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
     sliding count, maximized over a grid of lengths; this dominates every
     sampled pair of equal-length windows at those lengths.  The spreads
     come from one exact rank sweep over the probes at which the count
-    can change (see ``_count_extremes``); ``density`` carries the result,
-    so a run needs only one call.
+    can change, one merge per length (see ``_probe_counts``); ``density``
+    carries the result, so a run needs only one call.  An explicit
+    ``h_grid`` must hold finite positive lengths.
     """
     if A.count == 0:
         raise DomainError("counting constants need a nonempty set")
@@ -171,6 +237,10 @@ def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
                 np.linspace(h0, h_max, 64),
             ]))
             h_grid = h_grid[(h_grid >= h0) & (h_grid <= h_max)]
+    else:
+        h_grid = np.asarray(h_grid, dtype=float)
+        if not np.all(np.isfinite(h_grid) & (h_grid > 0)):
+            raise DomainError("window lengths must be finite and positive")
     ext = _count_extremes(e, h_grid, lo, hi)
     k2 = int(np.max(ext[:, 0] - ext[:, 1], initial=0))
     sampled = len(h_grid) * (2 * e.size + 2)

@@ -61,17 +61,45 @@ def write_expsum(f: ExpSum, path) -> None:
             wr.writerow([repr(float(w)), repr(q.real), repr(q.imag)])
 
 
+def _zeroset_table(path) -> np.ndarray | None:
+    """The rows (point, multiplicity) of a zero-set CSV from one np.loadtxt
+    call, checked as whole arrays; None where anything fails, so that the
+    row parser can name the error and its line.
+
+    np.loadtxt parses a field to the same float as float(), but accepts
+    nan and overflowing values as inf, so finiteness is checked here.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or [c.strip() for c in lines[0].split(",")] != ZEROSET_HEADER:
+        return None
+    if not any(lines[1:]):
+        return None
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if table.shape[1] != len(ZEROSET_HEADER) or not np.isfinite(table).all():
+        return None
+    m = table[:, 1]
+    if not np.all((m >= 1) & (m == np.floor(m)) & (m < 2.0**53)):
+        return None
+    return table
+
+
 def read_zeroset(path) -> ZeroSet:
-    rows = _read_rows(path, ZEROSET_HEADER)
-    pts, mults = [], []
-    for line, (p, m) in rows:
-        if m != int(m) or m < 1:
-            raise ParseError(f"multiplicity must be a positive integer, got {m}",
-                             path=path, line=line)
-        pts.append(p)
-        mults.append(int(m))
-    pts = np.asarray(pts, dtype=float)
-    mults = np.asarray(mults, dtype=np.int64)
+    table = _zeroset_table(path)
+    if table is not None:
+        pts, mults = table[:, 0], table[:, 1].astype(np.int64)
+    else:
+        pts, mults = [], []
+        for line, (p, m) in _read_rows(path, ZEROSET_HEADER):
+            if m != int(m) or m < 1:
+                raise ParseError(f"multiplicity must be a positive integer, got {m}",
+                                 path=path, line=line)
+            pts.append(p)
+            mults.append(int(m))
+        pts = np.asarray(pts, dtype=float)
+        mults = np.asarray(mults, dtype=np.int64)
     sidecar = Path(path).with_suffix(".json")
     if sidecar.exists():
         meta = json.loads(sidecar.read_text(encoding="utf-8"))

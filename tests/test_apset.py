@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from qclab.diffraction import bohr_means
 from qclab.errors import DomainError
 from qclab.zeros import ZeroSet
 
-from conftest import SQRT2, lattice_zeroset, union_zeroset
+from conftest import SQRT2, lattice_points, lattice_zeroset, union_zeroset
 
 
 def _oracle_counts(e: np.ndarray, h: float, lo: float, hi: float) -> np.ndarray:
@@ -171,6 +172,87 @@ class TestCountingSweep:
 
     def test_density_carries_its_constants(self, uni500):
         assert density(uni500).counting == counting_constants(uni500)
+
+
+def _clusters():
+    """Clusters of 3-4 points within 1e-9 of each other, multiplicities 1-3,
+    and the first 40 point spacings as window lengths: every guess of the
+    sweep is wrong somewhere, some by a dozen."""
+    rng = np.random.default_rng(7)
+    offsets = np.array([0.0, 4e-10, 7e-10, 1e-9])
+    pts = np.concatenate([c + offsets[:rng.integers(3, 5)] for c in 0.37 * np.arange(1, 22)])
+    A = ZeroSet((0.0, 8.5), pts, rng.integers(1, 4, pts.size))
+    e = A.expand()
+    spacings = np.unique(e[:, None] - e[None, :])
+    return A, spacings[spacings > 0][:40]
+
+
+@contextmanager
+def _settle_errors():
+    """Records the largest error of the guesses of every apset._settle call."""
+    errors = []
+    settle = apset._settle
+
+    def spy(ep, keys, r):
+        out = settle(ep, keys, r)
+        errors.append(int(np.max(np.abs(out - r), initial=0)))
+        return out
+
+    with mock.patch.object(apset, "_settle", spy):
+        yield errors
+
+
+class TestSweepChecks:
+    def test_default_grid_on_the_2100_union_matches_oracle(self, uni2100):
+        # the symmetric window makes h_max = 1050 a lattice spacing, where
+        # points sit exactly at a + h and two checks fail
+        got = counting_constants(uni2100)
+        with mock.patch.object(apset, "_count_extremes", _oracle_extremes):
+            assert got == counting_constants(uni2100)
+
+    def test_every_check_fails_matches_oracle(self):
+        A, hs = _clusters()
+        lo, hi = A.window
+        e = A.expand()
+        with _settle_errors() as errors:
+            got = apset._count_extremes(e, hs, lo, hi)
+        assert np.array_equal(got, _oracle_extremes(e, hs, lo, hi))
+        # the merge-guessed ranks and all four checked ones settled at every length
+        assert len(errors) == 5 * len(hs)
+        assert max(errors) > 1
+        fixed = [(x, np.searchsorted(e, x)) for x in (e - 1e-9, e + 1e-9)]
+        for h in hs:
+            assert np.array_equal(np.sort(apset._probe_counts(e, h, lo, hi, fixed)),
+                                  np.sort(_oracle_counts(e, h, lo, hi)))
+
+    def test_high_multiplicity_at_a_plus_h_matches_oracle(self):
+        # every 20th lattice point has multiplicity 500 and integer lengths
+        # land a + h on it, so guesses are off by a whole multiplicity
+        pts = lattice_points(0.5, 1.0, 100)
+        mults = np.where(np.arange(pts.size) % 20 == 0, 500, 1)
+        A = ZeroSet((-100.0, 100.0), pts, mults)
+        lo, hi = A.window
+        e = A.expand()
+        hs = np.arange(1.0, 51.0)
+        with _settle_errors() as errors:
+            got = apset._count_extremes(e, hs, lo, hi)
+        assert np.array_equal(got, _oracle_extremes(e, hs, lo, hi))
+        assert max(errors) >= 500
+
+    def test_one_settle_per_length_on_the_benchmark_union(self):
+        # the zeroset-diffract set, a window off the lattice spacings:
+        # every check holds, and the one settle per length finds no error
+        A = union_zeroset(2100.18)
+        with _settle_errors() as errors:
+            counting_constants(A)
+        assert A.count == 10140
+        assert errors == [0] * 417
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -1.0, 0.0])
+    def test_invalid_window_length_rejected(self, h):
+        A = lattice_zeroset(0.5, 1.0, 10)
+        with pytest.raises(DomainError):
+            counting_constants(A, [2.0, h])
 
 
 class TestUnsortedZeroSet:

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -87,6 +88,50 @@ class TestParseInputs:
         assert back.d == 2.5
         assert back.mass_at(1.0) == pytest.approx(0.5 + 0.25j)
         assert back.mass_at(-1.0) == pytest.approx(0.5 - 0.25j)
+
+    @staticmethod
+    def _zeroset_file(tmp_path, kind):
+        rng = np.random.default_rng(3)
+        if kind == "10k":
+            pts = rng.standard_normal(10_000) * 10.0 ** rng.integers(-300, 300, 10_000)
+            pts[:5] = [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+            rows = [f"{float(p)!r},{m}" for p, m in zip(pts, rng.integers(1, 4, pts.size))]
+        else:
+            rows = ["0.5,1", "-1.25,2", "3.0,1.0"]
+        if kind == "blank":
+            rows[1:1] = ["", ""]
+            rows.append("")
+        if kind == "quoted":
+            rows[1] = '"-1.25",2'
+        eol = "\r\n" if kind == "crlf" else "\n"
+        path = tmp_path / "zeros.csv"
+        path.write_bytes(eol.join(["point,multiplicity"] + rows + [""]).encode())
+        path.with_suffix(".json").write_text('{"window": [-2.0, 4.0]}')
+        return path
+
+    @pytest.mark.parametrize("kind", ["10k", "crlf", "blank", "quoted"])
+    def test_zeroset_fast_path_equals_row_parser(self, tmp_path, kind):
+        path = self._zeroset_file(tmp_path, kind)
+        assert (qio._zeroset_table(path) is None) == (kind == "quoted")
+        fast = parse_inputs(str(path), "zeroset")
+        with mock.patch.object(qio, "_zeroset_table", lambda path: None):
+            rows = parse_inputs(str(path), "zeroset")
+        assert fast.window == rows.window
+        assert fast.points.tobytes() == rows.points.tobytes()
+        assert fast.mults.dtype == rows.mults.dtype
+        assert np.array_equal(fast.mults, rows.mults)
+
+    @pytest.mark.parametrize("body, line", [
+        ("0.5,1\n1.0,1\n1.5,2.5\n", 4),
+        ("0.5,1\nnan,1\n1.5,1\n", 3),
+        ("0.5,1\n1e400,1\n", 3),
+    ])
+    def test_zeroset_parse_error_line(self, tmp_path, body, line):
+        path = tmp_path / "zeros.csv"
+        path.write_text("point,multiplicity\n" + body)
+        with pytest.raises(ParseError) as exc:
+            parse_inputs(str(path), "zeroset")
+        assert exc.value.line == line
 
 
 class TestRunPipeline:
