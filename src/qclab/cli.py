@@ -480,6 +480,12 @@ def config_from_args(args) -> RunConfig:
             height = float(args.height)
         except ValueError:
             raise UsageError(f"--height expects a number or 'auto', got {args.height!r}") from None
+        if not np.isfinite(height):
+            raise UsageError(f"--height expects a finite number or 'auto', got {args.height!r}")
+    for flag, value in (("--T", args.T), ("--cutoff", args.cutoff),
+                        ("--grid", args.grid_step), ("--eps", args.eps)):
+        if not (np.isfinite(value) and value > 0):
+            raise UsageError(f"{flag} expects a finite number > 0, got {value!r}")
     return RunConfig(
         command=args.command,
         input_path=args.input,

@@ -44,7 +44,7 @@ class ContourError(QclabError):
 
 
 class BoundaryError(QclabError):
-    """A zero sits within boundary_tol of the window edge; shift the window."""
+    """A zero sits within 1e-6 of the window edge; shift the window."""
 
 
 class InsufficientDataError(QclabError):

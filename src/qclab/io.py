@@ -102,14 +102,25 @@ def read_zeroset(path) -> ZeroSet:
         mults = np.asarray(mults, dtype=np.int64)
     sidecar = Path(path).with_suffix(".json")
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        window = tuple(float(x) for x in meta["window"])
+        window = _sidecar_window(sidecar)
     else:
         warnings.warn(f"no sidecar {sidecar.name}; taking the window from the point range")
         if pts.size == 0:
             raise InvalidInputError("empty zero set and no sidecar window")
         window = (float(np.min(pts)), float(np.max(pts)))
     return ZeroSet(window, pts, mults)
+
+
+def _sidecar_window(sidecar: Path) -> tuple[float, float]:
+    try:
+        lo, hi = (float(x) for x in json.loads(sidecar.read_text(encoding="utf-8"))["window"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f'expected {{"window": [lo, hi]}} ({type(exc).__name__}: {exc})',
+                         path=sidecar) from None
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ParseError(f"window must be finite with lo < hi, got [{lo!r}, {hi!r}]",
+                         path=sidecar)
+    return lo, hi
 
 
 def write_zeroset(A: ZeroSet, path) -> None:

@@ -2,20 +2,30 @@
 
 The scan step 1/(16*B), with B the largest |frequency|, comes from the
 Bernstein bound |f'| <= 2*pi*B*||f||_W: simple zeros separated by more
-than one step cannot hide between grid points.  Whatever the scan finds
-is audited against a certified winding-number count over the window
-strip; on a mismatch the step is halved and the scan repeated.
+than one step cannot hide between grid points.  A winding-number count
+over the window strip says how many zeros the scan must account for.
 
-The strip count does the certifying (Delves & Lyness, 1967).  A
-sign-change bracket of a Hermitian sum holds an odd number of zeros, so
-at least one.  Candidates without a sign change (even-order minima and
-grid-exact hits) get a winding box each.  Those boxes lie inside the
-strip and are disjoint from every bracket cell and from each other, so
-when the brackets plus the box counts add up to the strip count, every
-bracket holds exactly one simple zero and needs no box.  Otherwise (odd
-orders above 1, clusters, non-Hermitian sums) every root is boxed.  A
-box count m > 1 is reported as one zero of order m only when the
-centred second moment of the box's zeros vanishes to rounding.
+The count does the certifying (Delves & Lyness, 1967).  A sign-change
+bracket of a Hermitian sum holds an odd number of zeros, so at least
+one.  Candidates without a sign change (even-order minima and grid-exact
+hits) get a winding box each.  Those boxes lie inside the strip and are
+disjoint from every bracket cell and from each other, so when the
+brackets plus the box counts add up to the strip count, every bracket
+holds exactly one simple zero and needs no box.
+
+One rule refines what does not add up.  Winding counts over the pieces
+of a cut strip add (Kravanja & Van Barel, LNM 1727, 2000), so the piece
+is cut at the grid point of largest |f| between its middle two roots,
+both pieces are counted, and each is certified again at half the step.
+A piece left with a single root boxes it for its multiplicity: a zero
+of odd order above 1 changes sign like a simple one.  A box count m > 1
+is reported as one zero of order m only when the centred second moment
+of the box's zeros vanishes to rounding; otherwise the box is certified
+by the same rule with count m.  The step never drops below 2**-12 of
+the first one; that fixed bound caps the work, and a piece still short
+there is a ConvergenceError.  Sign changes whose two ends both lie
+within the rounding of ``evaluate`` are not brackets, so the rounding
+noise around a multiple zero is never certified as simple zeros.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ from .wiener import ExpSum, derivative, evaluate, is_hermitian
 
 _EDGE_POINT_CAP = 4_000_000
 _NUDGE = (1.0, 0.8311, 1.2137, 0.6473, 1.4159)
+_RESID_TOL = 1e-9  # largest |f| at a reported zero, relative to max(1, ||f||_W)
+_BOUNDARY_TOL = 1e-6  # least distance of a zero from the window edge
+_FINEST = 2.0 ** -12  # finest scan step, relative to the first one
 
 
 @dataclass(frozen=True)
@@ -83,29 +96,32 @@ def _empty_zeroset(window) -> ZeroSet:
     return ZeroSet(tuple(map(float, window)), np.empty(0), np.empty(0, np.int64))
 
 
-def _deriv_bound(f: ExpSum, y0: float, y1: float) -> float:
-    # sup of |f'| over any segment whose imaginary part stays in [y0, y1]
+def _edge_bounds(f: ExpSum, y0: float, y1: float, zabs: float) -> tuple[float, float]:
+    """sup |f'| over any segment whose imaginary part stays in [y0, y1], and
+    the rounding of ``evaluate`` there at |z| <= zabs: n terms summed, each
+    with a phase 2*pi*w*z of relative error eps, so 16 eps (n sup|f| + |z| sup|f'|)."""
     w = f.freqs
     with np.errstate(over="ignore"):
-        decay = np.maximum(np.exp(-2 * np.pi * w * y0), np.exp(-2 * np.pi * w * y1))
-        bound = float(np.sum(2 * np.pi * np.abs(w) * np.abs(f.coeffs) * decay))
-    if not np.isfinite(bound):
+        size = np.abs(f.coeffs) * np.maximum(np.exp(-2 * np.pi * w * y0),
+                                              np.exp(-2 * np.pi * w * y1))
+        lbound = float(np.sum(2 * np.pi * np.abs(w) * size))
+    if not np.isfinite(lbound):
         raise ContourError("derivative bound overflowed on a contour edge")
-    return bound
+    return lbound, 16 * np.finfo(float).eps * (len(f) * float(np.sum(size)) + zabs * lbound)
 
 
-def _walk_edge(f: ExpSum, z0: complex, z1: complex, margin: float,
-               max_points: int = _EDGE_POINT_CAP) -> float:
+def _walk_edge(f: ExpSum, z0: complex, z1: complex) -> float:
     """Total argument increment of f along the segment z0 -> z1.
 
-    Subdivides until each sub-segment is certified zero-free and its
-    phase step is provably below pi/6; the principal-value phase sum is
-    then the exact argument variation.
+    Subdivides until each sub-segment is certified zero-free (|f| above
+    the rounding of ``evaluate``) and its phase step is provably below
+    pi/6; the principal-value phase sum is then the exact argument
+    variation.
     """
-    lbound = _deriv_bound(f, min(z0.imag, z1.imag), max(z0.imag, z1.imag))
+    lbound, margin = _edge_bounds(f, min(z0.imag, z1.imag), max(z0.imag, z1.imag),
+                                  max(abs(z0), abs(z1)))
     length = abs(z1 - z0)
-    n0 = int(min(max(16, lbound * length / max(margin, 1e-300) / 8), 1024))
-    ts = np.linspace(0.0, 1.0, n0)
+    ts = np.linspace(0.0, 1.0, 1024)
     vals = evaluate(f, z0 + ts * (z1 - z0))
     for _ in range(64):
         absv = np.abs(vals)
@@ -120,8 +136,13 @@ def _walk_edge(f: ExpSum, z0: complex, z1: complex, margin: float,
             raise ContourError(
                 "contour passes within the edge margin of a zero; perturb the rectangle"
             )
-        if ts.size > max_points:
-            raise ContourError("edge refinement exceeded its sample budget")
+        # a segment ends in pieces with lbound * piece <= |f| / 2; with |f|
+        # near its larger end along it, that is the samples still to come,
+        # so an edge through a flat cluster of zeros fails at once
+        with np.errstate(divide="ignore"):
+            need = np.maximum(1.0, 2 * lbound * seg / np.maximum(absv[:-1], absv[1:]))
+        if np.sum(need) > _EDGE_POINT_CAP:
+            raise ContourError("edge refinement would exceed its sample budget")
         mids = (0.5 * (ts[:-1] + ts[1:]))[bad]
         vals = np.concatenate([vals, evaluate(f, z0 + mids * (z1 - z0))])
         ts = np.concatenate([ts, mids])
@@ -133,23 +154,22 @@ def _walk_edge(f: ExpSum, z0: complex, z1: complex, margin: float,
     return float(np.sum(np.angle(vals[1:] / vals[:-1])))
 
 
-def count_zeros_rectangle(f: ExpSum, rect, *, edge_margin: float | None = None) -> int:
+def count_zeros_rectangle(f: ExpSum, rect) -> int:
     """Zeros of f inside an axis-aligned rectangle, counted with multiplicity.
 
-    ``rect`` is (x0, x1, y0, y1).  Precondition |f| > edge_margin on the
-    boundary is verified while integrating; the winding number is exact
-    once every phase step is certified.
+    ``rect`` is (x0, x1, y0, y1).  That |f| stays above the rounding of
+    ``evaluate`` on the boundary is verified while integrating; the
+    winding number is exact once every phase step is certified.
     """
     if len(f) == 0:
         raise InvalidInputError("cannot count zeros of the empty (identically zero) sum")
     x0, x1, y0, y1 = map(float, rect)
     if not (x0 < x1 and y0 < y1):
         raise InvalidInputError("rectangle must satisfy x0 < x1 and y0 < y1")
-    margin = 1e-6 * f.wiener_norm if edge_margin is None else float(edge_margin)
     c0, c1, c2, c3 = complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)
     total = 0.0
     for a, b in ((c0, c1), (c1, c2), (c2, c3), (c3, c0)):
-        total += _walk_edge(f, a, b, margin)
+        total += _walk_edge(f, a, b)
     winding = total / (2 * np.pi)
     n = int(round(winding))
     if abs(winding - n) > 0.25 or n < 0:
@@ -265,34 +285,23 @@ def _one_point(f, center, m, hw):
     return bool(abs(mu2 - mu1 ** 2 / mu0) <= floor)
 
 
-def find_real_zeros(
-    f: ExpSum,
-    window,
-    *,
-    scan_step: float | None = None,
-    strip_height: float | None = None,
-    resid_tol: float = 1e-9,
-    boundary_tol: float = 1e-6,
-    max_halvings: int = 6,
-) -> ZeroSet:
+def find_real_zeros(f: ExpSum, window, *, scan_step: float | None = None) -> ZeroSet:
     """Real zero multiset of f over the window.
 
-    Sign changes are bracketed and polished by Newton; zeros of even
-    multiplicity are detected as deep minima of |f| and confirmed by a
-    winding count on a small box, which also supplies multiplicities.
-    The sum of multiplicities is checked against the winding count over
-    the whole window strip; mismatches trigger scan-step halving.
+    The strip |Im z| < step over the window is counted by a winding
+    contour, and the zeros found must account for that count.  One rule
+    does it: scan the piece at the step; sign-change brackets, plus the
+    winding boxes of the other candidates, must add up to the piece's
+    count.  If they do not, cut the piece at the grid point of largest
+    |f| between its middle two roots, count both pieces on the same
+    strip height and certify each at half the step.  A piece left with
+    a single root boxes it for its multiplicity, and a box of m > 1
+    zeros that do not sit at one point is certified by the same rule
+    with count m.  ``scan_step`` sets the first step (default 1/(16 B)).
 
-    The strip count also certifies the brackets.  A sign-change bracket
-    holds an odd number of zeros, so at least one.  When the brackets
-    plus the box counts of the other candidates add up to the strip
-    count, and those boxes lie inside the strip and clear of every
-    bracket, no zero is left over: each bracket holds exactly one simple
-    zero and needs no box of its own.  Otherwise (zeros of odd order
-    above 1, clusters, non-Hermitian sums) every root is boxed.  A pass
-    whose box cannot be certified (``ContourError``) moves on to the
-    next halving like a mismatching pass; the last failure is raised
-    only when no pass certifies.
+    Raises ``ConvergenceError`` when a piece is still short at 2**-12 of
+    the first step (its zeros are not real, or closer than that step),
+    and ``BoundaryError`` for a zero within 1e-6 of the window edge.
     """
     if len(f) == 0:
         raise InvalidInputError("the empty sum is identically zero")
@@ -302,12 +311,10 @@ def find_real_zeros(
     if len(f) == 1:
         warnings.warn("a single exponential has no zeros; returning an empty set")
         return _empty_zeroset((lo, hi))
-    B = f.max_abs_freq
-    step0 = scan_step if scan_step is not None else 1.0 / (16.0 * B)
-    h = strip_height if strip_height is not None else step0
+    step = scan_step if scan_step is not None else 1.0 / (16.0 * f.max_abs_freq)
 
     try:
-        expected, nudge = _count_with_retries(f, (lo, hi, -h, h))
+        expected, nudge = _count_with_retries(f, (lo, hi, -step, step))
     except ContourError:
         edge_vals = np.abs(evaluate(f, np.array([lo, hi], dtype=complex)))
         if np.min(edge_vals) < 1e-3 * f.wiener_norm:
@@ -316,39 +323,108 @@ def find_real_zeros(
             ) from None
         raise
 
-    err = None
-    for attempt in range(max_halvings):
-        step = step0 / (2 ** attempt)
-        try:
-            points, mults = _scan_window(f, lo, hi, step, resid_tol, boundary_tol,
-                                         strip=(expected, h * nudge))
-        except ContourError as exc:
-            err = exc
-            continue
-        if int(np.sum(mults)) == expected:
-            return ZeroSet((lo, hi), points, mults)
-        err = ConvergenceError(
+    points, mults = _certify(f, lo, hi, expected, step * nudge, step, step * _FINEST)
+    if points.size and (points[0] - lo < _BOUNDARY_TOL or hi - points[-1] < _BOUNDARY_TOL):
+        raise BoundaryError("a zero lies within 1e-6 of the window edge; shift the window")
+    if int(np.sum(mults)) != expected:
+        raise ConvergenceError(
             f"scan found {int(np.sum(mults))} zeros but the contour count is {expected}; "
             "zeros may be non-real or closer than the refined scan step"
         )
-    raise err
+    return ZeroSet((lo, hi), points, mults)
 
 
-def _resolve_cluster(f, lo, hi, m, resid_tol, depth):
-    # several distinct zeros shared one detection box; rescan the box at
-    # geometrically finer steps until they separate
-    width = hi - lo
-    for k in range(2, 22):
-        pts, mults = _scan_window(f, lo, hi, width / 2 ** k, resid_tol, 0.0, depth)
-        if int(np.sum(mults)) == m:
-            return pts, mults
-    return None
+def _certify(f, lo, hi, count, h, step, finest):
+    """Real zeros of f in (lo, hi) that account for the ``count`` zeros of
+    the strip (lo, hi) x (-h, h): sorted points and multiplicities."""
+    if count == 0:
+        return np.empty(0), np.empty(0, np.int64)
+    if step < finest:
+        raise ConvergenceError(
+            f"zeros in ({lo:.9g}, {hi:.9g}) are not accounted for at the finest scan step; "
+            "they may be non-real or closer than that step"
+        )
+    xs, absv, roots, is_bracket, cell_lo, cell_hi = _scan(f, lo, hi, step)
+
+    # boxes sized by the local gap and kept inside the piece and its strip
+    gaps = np.full(roots.size, np.inf)
+    if roots.size > 1:
+        d = np.diff(roots)
+        gaps[:-1] = np.minimum(gaps[:-1], d)
+        gaps[1:] = np.minimum(gaps[1:], d)
+    hws = np.minimum(np.minimum(h, 0.45 * gaps), np.minimum(roots - lo, hi - roots))
+    mults = np.zeros(roots.size, dtype=np.int64)
+    tops = np.zeros(roots.size)
+
+    def count_box(i):
+        mults[i], k = _count_with_retries(
+            f, (roots[i] - hws[i], roots[i] + hws[i], -hws[i], hws[i]))
+        tops[i] = hws[i] * k
+
+    # boxes for the candidates first; the count may then certify the
+    # brackets without boxes
+    boxed = np.flatnonzero(~is_bracket)
+    for i in boxed:
+        count_box(i)
+    if _brackets_certified(count, h, cell_lo, cell_hi, int(np.sum(is_bracket)),
+                           roots[boxed] - hws[boxed], roots[boxed] + hws[boxed],
+                           mults[boxed], tops[boxed]):
+        mults[is_bracket] = 1
+    elif roots.size == 1 and is_bracket[0]:
+        # a lone bracket is boxed for its multiplicity: a zero of odd
+        # order above 1 changes sign like a simple one
+        count_box(0)
+        if mults[0] != count or tops[0] > h:
+            return _cut(f, lo, hi, count, h, step, finest, xs, absv, roots)
+    else:
+        return _cut(f, lo, hi, count, h, step, finest, xs, absv, roots)
+
+    # simple roots keep their scan position, so one evaluate call tests
+    # all their residuals; a multiple root is refined and tested alone
+    tol = _RESID_TOL * max(1.0, f.wiener_norm)
+    ok = mults == 1
+    ok[ok] = np.abs(evaluate(f, roots[ok] + 0j)) < tol
+    pts, ms = roots[ok], mults[ok]
+    for i in np.flatnonzero(mults > 1):
+        a = _refine_multiple(f, roots[i], mults[i], hws[i])
+        if abs(evaluate(f, complex(a))) < tol and _one_point(f, roots[i], mults[i], hws[i]):
+            got = [a], mults[i]
+        else:
+            # the box holds m zeros but no point of that order: a cluster
+            # of distinct zeros tighter than the scan step
+            got = _certify(f, roots[i] - hws[i], roots[i] + hws[i], mults[i], tops[i],
+                           min(step, hws[i]) / 2, finest)
+        pts, ms = np.append(pts, got[0]), np.append(ms, got[1])
+    order = np.argsort(pts)
+    return pts[order], ms[order]
 
 
-def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0, strip=None):
-    # ``strip`` is (count, half-height) of the certified strip count over
-    # (lo, hi); with it, sign-change brackets may be certified by counting
-    n = int(np.ceil((hi - lo) / step)) + 1
+def _cut(f, lo, hi, count, h, step, finest, xs, absv, roots):
+    # winding counts over the two pieces of a cut strip add up, so each
+    # piece can be certified on its own.  The cut is the grid point of
+    # largest |f| in the middle half of the gap between the middle two
+    # roots (the piece's ends count as roots), or the grid point nearest
+    # that gap's middle when the half holds none
+    ends = np.concatenate([[lo], roots, [hi]])
+    a, b = ends[ends.size // 2 - 1], ends[ends.size // 2]
+    off = np.abs(xs[1:-1] - 0.5 * (a + b))
+    inside = np.flatnonzero(off < 0.25 * (b - a))
+    c = xs[1 + (inside[np.argmax(absv[1:-1][inside])] if inside.size else np.argmin(off))]
+    left = _count_with_retries(f, (lo, c, -h, h))
+    # on the same height the right piece holds the rest of the count
+    right = (count - left[0], 1.0) if left[1] == 1.0 else _count_with_retries(f, (c, hi, -h, h))
+    (pl, ml), (pr, mr) = (_certify(f, x0, x1, m, h * k, step / 2, finest)
+                          for (x0, x1), (m, k) in (((lo, c), left), ((c, hi), right)))
+    return np.concatenate([pl, pr]), np.concatenate([ml, mr])
+
+
+def _scan(f, lo, hi, step):
+    """Roots of f that a grid of spacing ``step`` over (lo, hi) reveals.
+
+    Returns the grid, |f| on it, the sorted roots, which roots are
+    sign-change brackets, and the (lo, hi) ends of the bracket cells.
+    """
+    n = max(3, int(np.ceil((hi - lo) / step)) + 1)
     xs = np.linspace(lo, hi, n)
     B = f.max_abs_freq
     norm = f.wiener_norm
@@ -361,7 +437,11 @@ def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0, strip=None):
         # at the nearest grid point
         min_thresh = (2 * np.pi * B) ** 2 * norm * step ** 2
         vals = _real_values(f, xs)
-        cells = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+        # around a multiple zero rounding flips signs at random: a sign
+        # change whose two ends are both within it brackets nothing
+        _, noise = _edge_bounds(f, 0.0, 0.0, max(abs(lo), abs(hi)))
+        big = np.abs(vals) > noise
+        cells = np.flatnonzero((vals[:-1] * vals[1:] < 0) & (big[:-1] | big[1:]))
         if cells.size:
             cell_lo, cell_hi = xs[cells], xs[cells + 1]
             brackets = _bisect_real(lambda x: _real_values(f, x), cell_lo, cell_hi)
@@ -404,9 +484,6 @@ def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0, strip=None):
             if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)) and lo <= z.real <= hi:
                 bisect.insort(roots, float(z.real))
 
-    if not roots:
-        return np.empty(0), np.empty(0, np.int64)
-
     # refinement noise around even-order zeros can split one root into
     # twins a few 1e-9 apart; merge below a radius well under the step
     merge_radius = max(1e-9, min(1e-7, 1e-3 * step))
@@ -419,75 +496,12 @@ def _scan_window(f, lo, hi, step, resid_tol, boundary_tol, depth=0, strip=None):
         else:
             last = roots[i]
     roots = roots[keep]
-
-    if boundary_tol > 0 and roots.size and (
-            roots[0] - lo < boundary_tol or hi - roots[-1] < boundary_tol):
-        raise BoundaryError("a zero lies within boundary_tol of the window edge; shift the window")
-
-    # multiplicities from winding counts on boxes sized by the local gap;
-    # boxes are clipped to the window only at the top level (a recursive
-    # cluster window is surrounded by a known zero-free margin instead)
-    gaps = np.full(roots.size, np.inf)
-    if roots.size > 1:
-        d = np.diff(roots)
-        gaps[:-1] = np.minimum(gaps[:-1], d)
-        gaps[1:] = np.minimum(gaps[1:], d)
-    hws = np.minimum(step, 0.45 * gaps)
-    if depth == 0:
-        hws = np.minimum(hws, np.minimum(roots - lo, hi - roots))
-    # boxes for the candidates first; the strip count may then certify the
-    # brackets without boxes (see find_real_zeros)
-    def count_box(i):
-        return _count_with_retries(f, (roots[i] - hws[i], roots[i] + hws[i], -hws[i], hws[i]))
-
-    is_bracket = np.isin(roots, brackets)
-    boxed = np.flatnonzero(~is_bracket)
-    mults = np.zeros(roots.size, dtype=np.int64)
-    tops = np.zeros(roots.size)
-    for i in boxed:
-        mults[i], k = count_box(i)
-        tops[i] = hws[i] * k
-    if strip is not None and brackets.size and _brackets_certified(
-            strip, brackets.size, int(np.sum(is_bracket)), int(np.sum(mults)),
-            roots[boxed] - hws[boxed], roots[boxed] + hws[boxed], tops[boxed],
-            cell_lo, cell_hi):
-        mults[is_bracket] = 1
-    else:
-        for i in np.flatnonzero(is_bracket):
-            mults[i], _ = count_box(i)
-
-    # simple roots keep their scan position, so one evaluate call tests
-    # all their residuals; a multiple root is refined and tested alone
-    tol = resid_tol * max(1.0, norm)
-    simple_ok = mults == 1
-    simple_ok[simple_ok] = np.abs(evaluate(f, roots[simple_ok] + 0j)) < tol
-    out_pts, out_mults = [], []
-    for a, m, hw, ok in zip(roots, mults, hws, simple_ok):
-        if ok:
-            out_pts.append(a)
-            out_mults.append(m)
-        if m < 2:
-            continue
-        center = a
-        a = _refine_multiple(f, a, m, hw)
-        if abs(evaluate(f, complex(a))) < tol and _one_point(f, center, m, hw):
-            out_pts.append(a)
-            out_mults.append(m)
-        elif depth < 4:
-            # the box holds m zeros but no point of that order: a cluster
-            # of distinct zeros tighter than the scan step
-            got = _resolve_cluster(f, a - hw, a + hw, m, resid_tol, depth + 1)
-            if got is not None:
-                out_pts.extend(got[0].tolist())
-                out_mults.extend(got[1].tolist())
-    pts = np.asarray(out_pts, dtype=float)
-    order = np.argsort(pts)
-    return pts[order], np.asarray(out_mults, dtype=np.int64)[order]
+    return xs, absv, roots, np.isin(roots, brackets), cell_lo, cell_hi
 
 
-def _brackets_certified(strip, n_cells, n_bracket_roots, boxed_count,
-                        box_lo, box_hi, box_top, cell_lo, cell_hi):
-    """True when the strip count proves that each bracket cell holds one simple zero.
+def _brackets_certified(count, height, cell_lo, cell_hi, n_bracket_roots,
+                        box_lo, box_hi, box_counts, box_top):
+    """True when ``count`` proves that each bracket cell holds one simple zero.
 
     Every cell has a sign change, so it holds an odd number of zeros.  If
     the candidate boxes lie inside the strip and clear of every cell (the
@@ -495,15 +509,14 @@ def _brackets_certified(strip, n_cells, n_bracket_roots, boxed_count,
     cells plus the box counts add up to the strip count, no cell can hold
     more than one zero.
     """
-    expected, height = strip
-    if n_bracket_roots != n_cells:
+    if n_bracket_roots != cell_lo.size:
         return False  # two bracket roots merged into one
-    if n_cells + boxed_count != expected or np.any(box_top > height):
+    if cell_lo.size + int(np.sum(box_counts)) != count or np.any(box_top > height):
         return False
     # the last cell starting left of a box's right edge is the only one
     # that can overlap the box
     j = np.searchsorted(cell_lo, box_hi, side="left") - 1
-    return not np.any((j >= 0) & (cell_hi[np.maximum(j, 0)] > box_lo))
+    return not cell_lo.size or not np.any((j >= 0) & (cell_hi[np.maximum(j, 0)] > box_lo))
 
 
 def realness_check(

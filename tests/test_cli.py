@@ -228,6 +228,31 @@ class TestMainExitCodes:
     def test_usage_error_bad_window(self, cos_csv):
         assert main(["analyze", "--input", cos_csv, "--window", "oops"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--T", "nan"), ("--T", "0"), ("--grid", "0"), ("--grid", "-1"),
+        ("--cutoff", "nan"), ("--cutoff", "inf"), ("--eps", "nan"),
+        ("--height", "nan"), ("--height", "-inf"),
+    ])
+    def test_usage_error_bad_number(self, cos_csv, tmp_path, flag, value):
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", cos_csv, "--window=-10,10",
+                     f"{flag}={value}", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"win": [0, 3]}', "not json", '{"window": [3, 0]}', '{"window": [0, NaN]}',
+        '{"window": [0]}', '{"window": 3}', "[0, 3]",
+    ])
+    def test_bad_zeroset_sidecar_is_a_parse_error(self, tmp_path, sidecar):
+        path = tmp_path / "zeros.csv"
+        qio.write_zeroset(lattice_zeroset(0.5, 1.0, 10), path)
+        path.with_suffix(".json").write_text(sidecar, encoding="utf-8")
+        assert main(["apset", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["error"]["stage"] == "parse"
+        assert doc["error"]["type"] == "ParseError"
+        assert "zeros.json" in doc["error"]["message"]
+
     def test_stage_error_exit_two(self, tmp_path):
         path = tmp_path / "mu.csv"
         mu = PointMeasure(1.0, np.array([1e-7]), np.array([1.0 + 0j]))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclab import zeros
-from qclab.errors import BoundaryError, ContourError, InvalidInputError, QclabError
+from qclab.errors import (
+    BoundaryError,
+    ContourError,
+    ConvergenceError,
+    InvalidInputError,
+    QclabError,
+)
 from qclab.wiener import canonicalize, constant, evaluate, multiply
 from qclab.zeros import (
     ZeroSet,
@@ -183,6 +190,35 @@ class TestCountCertificate:
         expect = _lattice_zeros(cs, -40.001, 40.001)
         assert A.count == expect.size
         assert np.max(np.abs(A.expand() - expect)) < 1e-10
+
+    @pytest.mark.parametrize("cs, half", [
+        ((1.0, math.sqrt(2.0)), 500.1),
+        ((1.0, 1.0, math.sqrt(2.0)), 15.1),
+    ])
+    def test_close_pairs_are_cut_apart(self, cs, half):
+        # zeros 1.3e-4 apart (the union) and a double zero 4.3e-3 from a
+        # simple one: only the piece or box around them is rescanned finer
+        A = find_real_zeros(_cos_product(cs), (-half, half))
+        expect = _lattice_zeros(cs, -half, half)
+        assert A.count == expect.size
+        assert np.max(np.abs(A.expand() - expect)) < 1e-9
+
+    def test_refinement_stays_local(self, box_calls):
+        cs = (1.0, math.sqrt(2.0), math.sqrt(3.0))
+        A = find_real_zeros(_cos_product(cs), (-200.001, 200.001))
+        expect = _lattice_zeros(cs, -200.001, 200.001)
+        assert A.count == expect.size
+        assert np.max(np.abs(A.expand() - expect)) < 1e-9
+        assert len(box_calls) <= 150
+
+    def test_non_real_zeros_in_the_strip_fail_fast(self):
+        # 1 - 0.9 e^{2 pi i z} has its zeros at k - 0.0168i, inside the
+        # strip |Im z| < 1/16 but off the real line
+        f = canonicalize([(0.0, 1.0), (1.0, -0.9)])
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            find_real_zeros(f, (-50.2, 50.2))
+        assert time.perf_counter() - start < 0.5
 
     def test_non_hermitian_simple_zeros_found(self):
         # 0.5 e^{-i pi z} + 0.5 e^{0.3i} e^{i pi z} has only real, simple
