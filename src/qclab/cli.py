@@ -209,7 +209,9 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
     half = min(-lo, hi)
     T_eff = min(cfg.T, float(half))
     threshold = max(0.05, 3.0 * cc.k1 / T_eff)
-    grid = np.arange(-cfg.cutoff, cfg.cutoff + cfg.grid_step / 2, cfg.grid_step)
+    # k * step for |k| <= K: exact +- pairs, whose means bohr_means mirrors
+    K = round(cfg.cutoff / cfg.grid_step)
+    grid = cfg.grid_step * np.arange(-K, K + 1)
     if mu_log is not None and len(mu_log):
         grid = np.concatenate([grid, mu_log.gammas])
     gammas = np.unique(grid)

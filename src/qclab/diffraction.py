@@ -70,11 +70,26 @@ class PointMeasure:
         return 0j
 
     def conjugate_defect(self) -> float:
-        """max |b(-gamma) - conj(b(gamma))| over the positive atoms."""
+        """max |b(-gamma) - conj(b(gamma))| over the positive atoms.
+
+        b(-gamma) follows the rule of ``mass_at``, for all atoms in one
+        lookup: the atom just below the insertion point of -gamma, else the
+        one at it, each only within ``_GAMMA_TOL``, else 0.  CPython's
+        ``abs`` (hypot) takes the moduli; ``np.abs`` on an array can differ
+        from it in the last bit.
+        """
         g, b = self.positive()
         if g.size == 0:
             return 0.0
-        return float(max(abs(self.mass_at(-gg) - np.conj(bb)) for gg, bb in zip(g, b)))
+        neg = -g
+        i = np.searchsorted(self.gammas, neg)
+        below = np.maximum(i - 1, 0)
+        at = np.minimum(i, len(self) - 1)
+        hit_below = (i > 0) & (np.abs(self.gammas[below] - neg) <= _GAMMA_TOL)
+        hit_at = (i < len(self)) & (np.abs(self.gammas[at] - neg) <= _GAMMA_TOL)
+        mirror = np.where(hit_below, self.masses[below],
+                          np.where(hit_at, self.masses[at], 0j))
+        return float(max(map(abs, (mirror - np.conj(b)).tolist())))
 
     def drop_atom(self, gamma: float) -> "PointMeasure":
         keep = np.abs(self.gammas - gamma) > _GAMMA_TOL
@@ -117,12 +132,22 @@ def _check_windows(A: ZeroSet, Ts) -> None:
 
 def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
     """Bohr means (1/2T) * sum_{|a_n|<T} mult * exp(-2j*pi*gamma*a_n) at
-    every T of Ts (rows) and gamma of gammas (columns).
+    every T of Ts (rows) and gamma of gammas (columns), in any order and
+    with repeats.
 
     The zero set is sorted, so each window |a| < T is a contiguous slice
     of the widest one: one ``_exp_rows`` pass over the widest window,
     with points -gamma, gives every row, each the same sum bit for bit
     as a pass over its own window, for every worker count.
+
+    The zeros are real, so the mean at -gamma is the conjugate of the
+    mean at gamma, and bit for bit: the kernel's phase 2*pi*(gamma*a)
+    changes only its sign when gamma does, sin and cos of libm are odd
+    and even, and sums and quotients of conjugates are the conjugates of
+    the sums and quotients (an exactly zero imaginary part stays +0).
+    The pass therefore takes only the columns gamma >= 0 and every
+    gamma < 0 whose exact negative is not in gammas; each other column
+    is the conjugate of its partner.
     """
     gammas = np.asarray(gammas, dtype=float)
     Ts = [float(T) for T in Ts]
@@ -132,9 +157,20 @@ def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
     sel = e[np.searchsorted(e, -T_max, side="right"):np.searchsorted(e, T_max, side="left")]
     cuts = [(np.searchsorted(sel, -T, side="right"), np.searchsorted(sel, T, side="left"))
             for T in Ts]
-    sums = _exp_rows(-gammas, sel, lambda E: np.stack([E[:, i:j].sum(1) for i, j in cuts]))
+    mirrored = (gammas < 0) & np.isin(-gammas, gammas)
+    own = ~mirrored
+    owned = _exp_rows(-gammas[own], sel, lambda E: np.stack([E[:, i:j].sum(1) for i, j in cuts]))
     for k, T in enumerate(Ts):
-        sums[k] /= 2.0 * T
+        owned[k] /= 2.0 * T
+    sums = np.empty((len(Ts), gammas.size), complex)
+    sums[:, own] = owned
+    order = np.argsort(gammas)
+    partner = order[np.searchsorted(gammas[order], -gammas[mirrored])]
+    mirror = sums[:, partner]
+    # 0 - imag, not conj: a mean whose terms cancel exactly, or an empty
+    # window's, has imaginary part +0 at -gamma as at gamma
+    np.subtract(0.0, mirror.imag, out=mirror.imag)
+    sums[:, mirrored] = mirror
     return sums
 
 

@@ -169,6 +169,36 @@ class TestRunPipeline:
         assert exc.value.stage == "reconstruct/log_series"
 
 
+class TestSymmetricScanGrid:
+    """The scan grid is k * step for |k| <= round(cutoff / step): exact +-
+    pairs and 0, also for steps like 0.02 that are not dyadic."""
+
+    def test_diffract_grid_atoms_are_exact_conjugate_pairs(self, tmp_path):
+        path = tmp_path / "zeros.csv"
+        qio.write_zeroset(union_zeroset(300), path)
+        out = tmp_path / "out"
+        assert main(["diffract", "--input", str(path), "--grid", "0.02",
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        # sum |b|/gamma over 0 < gamma < 1; the first dual atom is at 1
+        assert doc["stages"]["diffraction"]["growth"]["t3_value"] == 0.0
+        rows = np.loadtxt(out / "measure.csv", delimiter=",", skiprows=2)
+        atoms = {g: complex(re, im) for g, re, im in rows}
+        assert 1.0 in atoms
+        for g, b in atoms.items():
+            assert atoms[-g] == b.conjugate(), g
+
+    def test_analyze_grid_and_log_atoms_coincide(self, cos_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", cos_csv, "--window=-60.1,60.1", "--T", "50",
+                     "--cutoff", "10", "--grid", "0.02", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        # k for 1 <= |k| <= 10, each once: no grid point sits beside a log atom
+        assert doc["stages"]["diffraction"]["bohr"]["atom_count"] == 20
+        plot = dict(np.loadtxt(out / "plot_poisson_vs_T.csv", delimiter=",", skiprows=1))
+        assert plot[50.0] == 0.0
+
+
 class TestCountingSpotCheck:
     @staticmethod
     def _loop(A, k2, rng, trials):

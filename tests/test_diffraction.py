@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from qclab import wiener
+from qclab import diffraction, wiener
 from qclab.diffraction import (
     GaussianSpec,
     PointMeasure,
@@ -18,7 +18,7 @@ from qclab.diffraction import (
     poisson_residual,
 )
 from qclab.errors import DomainError, InsufficientDataError, InvalidInputError
-from qclab.wiener import canonicalize
+from qclab.wiener import canonicalize, multiply
 from qclab.zeros import ZeroSet
 
 from conftest import SQRT2, lattice_measure, lattice_zeroset
@@ -72,6 +72,44 @@ class TestBohrMeans:
             self.test_rows_equal_single_window_sums(monkeypatch, 997)
         finally:
             sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _mixed_set():
+        pts = np.sort(np.concatenate([np.arange(-40, 41) + 0.5,
+                                      (np.arange(-57, 57) + 0.5) / SQRT2]))
+        return ZeroSet((-40.0, 40.0), pts, np.arange(pts.size) % 3 + 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_mirrored_columns_equal_single_window_sums(self, monkeypatch, workers):
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", 997)
+        monkeypatch.setattr(wiener, "_cpu_count", lambda: workers)
+        A = self._mixed_set()
+        paired = np.concatenate([np.arange(0.1, 3.0, 0.1), [SQRT2, 7.3]])
+        # +- pairs, one unpaired negative, 0 and repeats, in no order
+        gammas = np.concatenate([paired, -paired, [-2.35, 0.0, 0.3, -0.3, SQRT2]])
+        np.random.default_rng(4).shuffle(gammas)
+        Ts = [40.0, 30.5, 20.0, 0.25]
+        means = bohr_means(A, gammas, Ts)
+        for row, T in zip(means, Ts):
+            assert np.array_equal(row.view(np.int64), self._single(A, gammas, T).view(np.int64))
+
+    def test_exp_pass_takes_only_the_owned_columns(self, monkeypatch):
+        seen = []
+        exp_rows = diffraction._exp_rows
+
+        def spy(points, freqs, reduce):
+            seen.append(points.copy())
+            return exp_rows(points, freqs, reduce)
+
+        monkeypatch.setattr(diffraction, "_exp_rows", spy)
+        A = self._mixed_set()
+        K = 150
+        grid = 0.02 * np.arange(-K, K + 1)
+        bohr_means(A, grid, [40.0, 20.0])
+        assert len(seen) == 1 and seen[0].size == K + 1
+        assert np.array_equal(np.sort(-seen[0]), grid[K:])
+        bohr_means(A, np.append(grid, -0.013), [40.0])
+        assert np.array_equal(np.sort(-seen[1]), np.append(-0.013, grid[K:]))
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(wiener, "_EXP_BUDGET", 997)
@@ -158,6 +196,61 @@ class TestBohrScan:
                           + [round(k * SQRT2, 12) for k in range(-4, 5)]))
         mu = bohr_scan(uni2100, grid, 2000.0, 0.1)
         assert mu.conjugate_defect() < 0.01
+
+
+class TestConjugateDefect:
+    @staticmethod
+    def _loop(mu):
+        # reference: one mass_at lookup per positive atom
+        g, b = mu.positive()
+        if g.size == 0:
+            return 0.0
+        return float(max(abs(mu.mass_at(-gg) - np.conj(bb)) for gg, bb in zip(g, b)))
+
+    @staticmethod
+    def _random_measure(seed):
+        rng = np.random.default_rng(seed)
+        n = 70
+        g = np.sort(rng.uniform(0.01, 10.0, n))
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        kind = rng.integers(0, 4, n)  # 0 exact, 1 near, 2 missing, 3 near on both sides
+        neg, mneg = [], []
+        for gg, bb, k in zip(g, b, kind):
+            noise = 1e-3 * (rng.normal() + 1j * rng.normal())
+            if k == 0:
+                neg.append(-gg)
+            elif k == 1:
+                neg.append(-gg + rng.uniform(-9e-10, 9e-10))
+            elif k == 3:
+                neg += [-gg - rng.uniform(0, 9e-10), -gg + rng.uniform(0, 9e-10)]
+                mneg.append(rng.normal() + 1j * rng.normal())
+            else:
+                continue
+            mneg.append(np.conj(bb) + noise)
+        lone = -rng.uniform(0.01, 10.0, 5)  # negatives with no positive partner
+        gammas = np.concatenate([g, neg, lone])
+        masses = np.concatenate([b, mneg, rng.normal(size=5) + 0j])
+        return PointMeasure(1.0, gammas, masses)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_loop_on_random_measures(self, seed):
+        mu = self._random_measure(seed)
+        assert mu.conjugate_defect() == self._loop(mu)
+
+    def test_equals_the_loop_on_the_three_factor_log_measure(self):
+        f = multiply(multiply(canonicalize([(-0.5, 0.5), (0.5, 0.5)]),
+                              canonicalize([(-SQRT2 / 2, 0.5), (SQRT2 / 2, 0.5)])),
+                     canonicalize([(-np.sqrt(3.0) / 2, 0.5), (np.sqrt(3.0) / 2, 0.5)]))
+        mu = logderiv_measure(f, "auto", 20.0)
+        assert len(mu) > 40
+        assert mu.conjugate_defect() == self._loop(mu)
+        g, b = mu.positive()
+        skewed = PointMeasure(mu.d, np.concatenate([-g[::-1] + 3e-10, g]),
+                              np.concatenate([np.conj(b[::-1]) * 1.001, b]))
+        assert skewed.conjugate_defect() == self._loop(skewed) > 0.0
+
+    def test_no_positive_atoms(self):
+        assert PointMeasure(1.0, np.array([-1.0]), np.array([1j])).conjugate_defect() == 0.0
 
 
 class TestLogderivMeasure:
