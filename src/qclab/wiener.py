@@ -168,12 +168,15 @@ def _exp_rows(points, freqs, reduce):
     """``reduce(E)`` joined along its last axis, the rows of
     E = exp(2j*pi*outer(points, freqs)), formed in blocks of rows on one
     thread per CPU; each of w workers reuses one buffer of
-    ``_EXP_BUDGET // w`` entries plus a row.  A one-row last block joins
-    the one before: numpy's matrix-vector product rounds a lone row
-    differently, and with the join (and a row-wise ``reduce``) the result
-    is bit-identical for any budget and worker count.  ``np.errstate`` is
-    thread-local, so each worker enters it.
+    ``_EXP_BUDGET // w`` entries plus a row.  numpy's matrix-vector
+    product rounds a lone row differently, so a one-row last block joins
+    the one before and a one-point call is padded to two rows.  With a
+    row-wise ``reduce`` a point's value is then bit-identical whatever
+    else is in the call, for any budget and worker count.
+    ``np.errstate`` is thread-local, so each worker enters it.
     """
+    if len(points) == 1:
+        return _exp_rows(np.repeat(points, 2), freqs, reduce)[..., :1]
     workers = _cpu_count()
     rows = max(2, _EXP_BUDGET // workers // max(len(freqs), 1))
     bounds = (list(range(0, len(points) - 1, rows)) or [0]) + [len(points)]

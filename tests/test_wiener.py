@@ -126,13 +126,31 @@ class TestExpKernel:
         f = random_sum(rng, n_terms=8)
         assert len(f) == 8
         z = rng.uniform(-50.0, 50.0, n_points) + 1j * rng.uniform(-0.5, 0.5, n_points)
-        one_block = np.exp(2j * np.pi * np.outer(z, f.freqs)) @ f.coeffs
-        if n_points > 1:
-            # the reason for the join: alone, the last row rounds differently
-            one_row = np.exp(2j * np.pi * np.outer(z[-1:], f.freqs)) @ f.coeffs
-            assert one_row[0] != one_block[-1]
+        # one block of at least two rows: a lone point is padded
+        rows = np.resize(z, max(2, n_points))
+        one_block = (np.exp(2j * np.pi * np.outer(rows, f.freqs)) @ f.coeffs)[:n_points]
+        # the reason for the join and the pad: alone, a row rounds differently
+        one_row = np.exp(2j * np.pi * np.outer(z[-1:], f.freqs)) @ f.coeffs
+        assert one_row[0] != one_block[-1]
         threaded(budget, workers)
         assert _same_bits(evaluate(f, z), one_block)
+
+    @pytest.mark.parametrize("n_terms", [2, 8, 40])
+    @pytest.mark.parametrize("complex_z", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_value_does_not_depend_on_the_call(self, threaded, n_terms, complex_z, workers):
+        # the zero finder batches points of many pieces into one call; a
+        # point must get the same bits alone, in a small call or in a batch
+        rng = np.random.default_rng(n_terms)
+        f = random_sum(rng, n_terms=n_terms)
+        assert len(f) == n_terms
+        z = rng.uniform(-50.0, 50.0, 257) + (1j * rng.uniform(-0.5, 0.5, 257) if complex_z else 0)
+        threaded(wiener._EXP_BUDGET, workers)
+        batch = evaluate(f, z)
+        for size in (1, 2, 3, 5):
+            parts = [evaluate(f, z[i:i + size]) for i in range(0, z.size, size)]
+            assert _same_bits(np.concatenate(parts), batch)
+        assert all(evaluate(f, z[i]) == batch[i] for i in range(0, z.size, 16))
 
     def test_phi_fourier_equals_one_block(self, threaded):
         phi = phi_representation(union_zeroset(500), 1.0 + SQRT2)
