@@ -80,6 +80,20 @@ def empty_sum() -> ExpSum:
     return _make(np.empty(0), np.empty(0, complex))
 
 
+def _representatives(mag, new_group, starts):
+    """Index of each group's representative: the member of largest
+    ``mag``, ties going to the first (lowest frequency), with nan below
+    every number, as a stable sort on -mag would order them.  One linear
+    pass: the group maximum, then the first member that attains it."""
+    key = np.where(np.isnan(mag), -1.0, mag)  # magnitudes are >= 0
+    group = np.cumsum(new_group) - 1
+    hit = np.flatnonzero(key == np.maximum.reduceat(key, starts)[group])
+    first = np.empty(hit.size, dtype=bool)
+    first[0] = True
+    np.not_equal(group[hit[1:]], group[hit[:-1]], out=first[1:])
+    return hit[first]
+
+
 def _canonical_arrays(freqs, coeffs, freq_tol, prune_tol):
     if freqs.size == 0:
         return freqs.astype(float), coeffs.astype(complex)
@@ -92,11 +106,8 @@ def _canonical_arrays(freqs, coeffs, freq_tol, prune_tol):
     np.greater(np.diff(freqs), freq_tol, out=new_group[1:])
     starts = np.flatnonzero(new_group)
     merged = np.add.reduceat(coeffs, starts)
-    # representative frequency: the member with the largest |coefficient|,
-    # ties resolved toward the lowest frequency (lexsort is stable)
-    group = np.cumsum(new_group) - 1
-    by_group_then_mag = np.lexsort((-np.abs(coeffs), group))
-    rep_freqs = freqs[by_group_then_mag[starts]]
+    rep_freqs = freqs if starts.size == freqs.size else freqs[_representatives(
+        np.abs(coeffs), new_group, starts)]
     norm = float(np.sum(np.abs(merged)))
     keep = np.abs(merged) > prune_tol * norm
     return rep_freqs[keep], merged[keep]

@@ -66,6 +66,23 @@ class TestCanonicalize:
         f = canonicalize([(0.0, 1.0), (1.0, 1e-20)])
         assert len(f) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1e-10, 5e-10, 1.0]),
+                              st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf, np.nan])),
+                    min_size=1, max_size=40))
+    def test_representative_is_the_lexsort_pick(self, members):
+        # gaps of 1e-10 and 5e-10 chain members into one group, 1.0 starts
+        # a new one; magnitudes repeat (ties) and include inf and nan
+        gaps, mag = (np.array(v, dtype=float) for v in zip(*members))
+        freqs = np.cumsum(gaps)
+        new_group = np.empty(freqs.size, dtype=bool)
+        new_group[0] = True
+        np.greater(np.diff(freqs), wiener.FREQ_TOL, out=new_group[1:])
+        starts = np.flatnonzero(new_group)
+        group = np.cumsum(new_group) - 1
+        want = np.lexsort((-mag, group))[starts]
+        assert np.array_equal(wiener._representatives(mag, new_group, starts), want)
+
 
 class TestEvaluate:
     def test_cos_values(self, cos):
