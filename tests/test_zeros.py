@@ -45,15 +45,30 @@ def _lattice_zeros(cs, lo, hi):
 
 @pytest.fixture
 def box_calls(monkeypatch):
-    """Counts the winding-number contours find_real_zeros integrates."""
+    """Counts the winding-number contours find_real_zeros integrates: every
+    rectangle of every batch, each nudged retry again."""
     calls = []
-    real = zeros.count_zeros_rectangle
+    real = zeros._count_rectangles
 
-    def counted(f, rect, **kw):
-        calls.append(rect)
-        return real(f, rect, **kw)
+    def counted(f, rects):
+        calls.extend(rects)
+        return real(f, rects)
 
-    monkeypatch.setattr(zeros, "count_zeros_rectangle", counted)
+    monkeypatch.setattr(zeros, "_count_rectangles", counted)
+    return calls
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """Counts the evaluate calls of the zero finder."""
+    calls = []
+    real = zeros.evaluate
+
+    def counted(f, z):
+        calls.append(z)
+        return real(f, z)
+
+    monkeypatch.setattr(zeros, "evaluate", counted)
     return calls
 
 
@@ -168,13 +183,15 @@ class TestCountCertificate:
         assert A.count == 2000
         assert len(calls) < 400
 
-    def test_three_factor_product_boxes_only_its_candidates(self, box_calls):
+    def test_three_factor_product_boxes_only_its_candidates(self, box_calls, evaluate_calls):
         cs = (1.0, math.sqrt(2.0), math.sqrt(3.0))
         A = find_real_zeros(_cos_product(cs), (-20.001, 20.001))
         expect = _lattice_zeros(cs, -20.001, 20.001)
         assert A.count == expect.size
         assert np.max(np.abs(A.expand() - expect)) < 1e-10
         assert len(box_calls) < 30
+        # each round batches its pieces: 320 calls (1585 one piece at a time)
+        assert len(evaluate_calls) < 450
 
     def test_odd_order_above_one_is_still_boxed(self, cos):
         # a triple zero changes sign like a simple one; only its box sees m = 3
@@ -203,13 +220,23 @@ class TestCountCertificate:
         assert A.count == expect.size
         assert np.max(np.abs(A.expand() - expect)) < 1e-9
 
-    def test_refinement_stays_local(self, box_calls):
+    def test_refinement_stays_local(self, box_calls, evaluate_calls):
         cs = (1.0, math.sqrt(2.0), math.sqrt(3.0))
         A = find_real_zeros(_cos_product(cs), (-200.001, 200.001))
         expect = _lattice_zeros(cs, -200.001, 200.001)
         assert A.count == expect.size
         assert np.max(np.abs(A.expand() - expect)) < 1e-9
         assert len(box_calls) <= 150
+        # 1407 calls in rounds (15,421 one piece at a time)
+        assert len(evaluate_calls) < 2000
+
+    def test_zero_off_the_line_is_certified(self):
+        # Newton from a candidate lands on k - 0.0168i; a box around it that
+        # stays off the real line counts it, so the strip count can never
+        # be met by real zeros
+        f = canonicalize([(0.0, 1.0), (1.0, -0.9)])
+        with pytest.raises(ConvergenceError, match="off the real line"):
+            find_real_zeros(f, (-5.2, 5.2))
 
     def test_non_real_zeros_in_the_strip_fail_fast(self):
         # 1 - 0.9 e^{2 pi i z} has its zeros at k - 0.0168i, inside the
