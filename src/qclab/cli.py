@@ -213,7 +213,16 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
     K = round(cfg.cutoff / cfg.grid_step)
     grid = cfg.grid_step * np.arange(-K, K + 1)
     if mu_log is not None and len(mu_log):
-        grid = np.concatenate([grid, mu_log.gammas])
+        # a grid point within _GAMMA_TOL of a log atom is that atom (9.0 beside
+        # 8.999999999999998): one column each, or both would count as atoms.
+        # The atoms and the grid are exact +- pairs, so the merge keeps them so
+        atoms = np.sort(mu_log.gammas)
+        i = np.searchsorted(atoms, grid)
+        near = np.zeros(grid.size, dtype=bool)
+        for j in (i - 1, i):
+            inside = (j >= 0) & (j < atoms.size)
+            near[inside] |= np.abs(atoms[j[inside]] - grid[inside]) <= diffraction._GAMMA_TOL
+        grid = np.concatenate([grid[~near], mu_log.gammas])
     gammas = np.unique(grid)
     # The main scan at T_eff and the Poisson-vs-T scans at T_eff/8 .. T_eff
     # each need the means at T and T/2: five nested windows, one pass.

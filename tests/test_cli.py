@@ -198,6 +198,18 @@ class TestSymmetricScanGrid:
         plot = dict(np.loadtxt(out / "plot_poisson_vs_T.csv", delimiter=",", skiprows=1))
         assert plot[50.0] == 0.0
 
+    def test_grid_point_beside_a_log_atom_is_merged_into_it(self, tmp_path):
+        # the log atoms of cos(pi z / 3) sit at k/3, so 9.0 of the grid lies
+        # 1.8e-15 from the atom 8.999999999999998: one column, one atom
+        path = tmp_path / "cos3.csv"
+        qio.write_expsum(cos_sum(1.0 / 6.0), path)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--window=-181.1,181.1", "--T", "150",
+                     "--cutoff", "10", "--grid", "0.05", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        # k/3 for 1 <= |k| <= 29 and 30/3 at the cutoff, both signs
+        assert doc["stages"]["diffraction"]["bohr"]["atom_count"] == 60
+
 
 class TestCountingSpotCheck:
     @staticmethod
