@@ -216,13 +216,11 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
         # a grid point within _GAMMA_TOL of a log atom is that atom (9.0 beside
         # 8.999999999999998): one column each, or both would count as atoms.
         # The atoms and the grid are exact +- pairs, so the merge keeps them so
-        atoms = np.sort(mu_log.gammas)
+        atoms = mu_log.gammas  # sorted
         i = np.searchsorted(atoms, grid)
-        near = np.zeros(grid.size, dtype=bool)
-        for j in (i - 1, i):
-            inside = (j >= 0) & (j < atoms.size)
-            near[inside] |= np.abs(atoms[j[inside]] - grid[inside]) <= diffraction._GAMMA_TOL
-        grid = np.concatenate([grid[~near], mu_log.gammas])
+        gap = np.minimum(np.abs(atoms[np.maximum(i - 1, 0)] - grid),
+                         np.abs(atoms[np.minimum(i, atoms.size - 1)] - grid))
+        grid = np.concatenate([grid[gap > diffraction._GAMMA_TOL], atoms])
     gammas = np.unique(grid)
     # The main scan at T_eff and the Poisson-vs-T scans at T_eff/8 .. T_eff
     # each need the means at T and T/2: five nested windows, one pass.

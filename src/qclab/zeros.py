@@ -696,12 +696,11 @@ def _no_zero_off_the_line(f, pieces, owner, z):
 
 def _near(roots, x, dist):
     """For each x, whether a point of the sorted ``roots`` lies closer than dist."""
-    i = np.searchsorted(roots, x, side="left")
-    near = np.zeros(x.size, dtype=bool)
-    for j in (i - 1, i):
-        inside = (j >= 0) & (j < roots.size)
-        near[inside] |= np.abs(roots[j[inside]] - x[inside]) < dist
-    return near
+    if not roots.size:
+        return np.zeros(x.size, dtype=bool)
+    i = np.searchsorted(roots, x)
+    return ((np.abs(roots[np.maximum(i - 1, 0)] - x) < dist)
+            | (np.abs(roots[np.minimum(i, roots.size - 1)] - x) < dist))
 
 
 def _brackets_certified(count, height, cell_lo, cell_hi, n_bracket_roots,
