@@ -411,8 +411,9 @@ def find_real_zeros(f: ExpSum, window, *, scan_step: float | None = None) -> Zer
     batch of boxes.  ``scan_step`` sets the first step (default 1/(16 B)).
 
     Raises ``ConvergenceError`` when a piece is still short at 2**-12 of
-    the first step (its zeros are not real, or closer than that step),
-    and ``BoundaryError`` for a zero within 1e-6 of the window edge.
+    the first step (its zeros are not real, or closer than that step) or
+    a box clear of the real line counts a zero in a piece's strip, and
+    ``BoundaryError`` for a zero within 1e-6 of the window edge.
     """
     if len(f) == 0:
         raise InvalidInputError("the empty sum is identically zero")
