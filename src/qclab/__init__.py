@@ -57,6 +57,7 @@ from .reconstruct import (
     g_function,
     log_series_at_height_one,
     rebuild_dirichlet,
+    rebuild_from_log_series,
 )
 from .wiener import (
     ExpSum,

@@ -61,8 +61,7 @@ class RunConfig:
             "tolerances": {
                 "freq_tol": wiener.FREQ_TOL,
                 "prune_tol": wiener.PRUNE_TOL,
-                "neumann_tol": wiener.NEUMANN_TOL,
-                "max_terms": wiener.max_terms(),
+                "max_terms": wiener.MAX_TERMS,
             },
         }
 
@@ -294,7 +293,7 @@ def _reconstruct_stage(mu, A, cfg):
     L = _stage("reconstruct/log_series",
                lambda: reconstruct.log_series_at_height_one(mu, mu.d, t3_budget=cfg.t3_budget))
     rebuilt = _stage("reconstruct/rebuild",
-                     lambda: reconstruct.rebuild_dirichlet(mu, t3_budget=cfg.t3_budget))
+                     lambda: reconstruct.rebuild_from_log_series(L, mu.d))
 
     roundtrip = None
     if A is not None:

@@ -22,7 +22,6 @@ from .apset import unit_window_max
 from .errors import DomainError, InsufficientDataError, InvalidInputError
 from .wiener import (
     ExpSum,
-    NEUMANN_TOL,
     _exp_rows,
     at_height,
     choose_height,
@@ -33,6 +32,7 @@ from .wiener import (
 from .zeros import ZeroSet, realness_check
 
 _GAMMA_TOL = 1e-9
+_ATOM_TOL = 1e-9          # log-derivative atoms of smaller modulus are dropped
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,6 @@ def logderiv_measure(
     s: float | str = "auto",
     cutoff: float = 10.0,
     *,
-    atom_tol: float = 1e-9,
-    neumann_tol: float = NEUMANN_TOL,
     realness_window=None,
 ) -> PointMeasure:
     """Diffraction atoms from the coefficients of f'/f at height s.
@@ -256,12 +254,11 @@ def logderiv_measure(
                 f"{report.real_count} real of {report.total_count} total"
             )
     if s == "auto":
-        s, _ = choose_height(f)
+        s = choose_height(f)
     s = float(s)
-    inv = neumann_inverse(f, s, neumann_tol=neumann_tol, prune_tol=0.0,
-                          keep_freqs_up_to=cutoff)
+    inv = neumann_inverse(f, s, cutoff)
     dfs = at_height(derivative(f), s)
-    ld = multiply(dfs, inv, prune_tol=0.0)
+    ld = multiply(dfs, inv)
 
     i0 = np.flatnonzero(np.abs(ld.freqs) <= _GAMMA_TOL)
     p0 = complex(ld.coeffs[i0[0]]) if i0.size else 0j
@@ -270,7 +267,7 @@ def logderiv_measure(
     sel = (ld.freqs > _GAMMA_TOL) & (ld.freqs < cutoff)
     g = ld.freqs[sel]
     b = 1j * ld.coeffs[sel] * np.exp(2.0 * math.pi * g * s) / (2.0 * math.pi)
-    keep = np.abs(b) > atom_tol
+    keep = np.abs(b) > _ATOM_TOL
     g, b = g[keep], b[keep]
     gammas = np.concatenate([-g[::-1], g])
     masses = np.concatenate([np.conj(b[::-1]), b])

@@ -24,7 +24,8 @@ class ParseError(InvalidInputError):
 
 
 class CapacityError(QclabError):
-    """Term count exceeded the algebra capacity; raise prune_tol or QCLAB_MAX_TERMS."""
+    """A product would exceed the algebra capacity: more raw terms than
+    the workspace cap, or more terms after merging than ``MAX_TERMS``."""
 
 
 class DivergenceError(QclabError):

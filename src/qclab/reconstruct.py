@@ -178,7 +178,16 @@ def rebuild_dirichlet(
     *,
     t3_budget: float = math.inf,
 ) -> ExpSum:
-    """Dirichlet series with the measure's zero set, normalized to 1 at 0.
+    """Dirichlet series with the measure's zero set, normalized to 1 at 0:
+    ``rebuild_from_log_series`` of ``log_series_at_height_one``."""
+    if d is None:
+        d = mu_hat.d
+    return rebuild_from_log_series(log_series_at_height_one(mu_hat, d, t3_budget=t3_budget), d)
+
+
+def rebuild_from_log_series(L: ExpSum, d: float) -> ExpSum:
+    """Dirichlet series of density d whose log at height 1 is L,
+    normalized to 1 at 0.
 
     The exponential of the log series is taken pruning-free and truncated
     at the largest atom frequency.  Frequencies above it depend on atoms
@@ -187,13 +196,10 @@ def rebuild_dirichlet(
     it are exact, because the log series has a strictly positive
     spectrum and its powers only move up.
     """
-    if d is None:
-        d = mu_hat.d
-    L = log_series_at_height_one(mu_hat, d, t3_budget=t3_budget)
     if len(L) == 0:
         warnings.warn("no positive atoms: reconstruction degenerates to a single exponential")
     gmax = float(L.freqs[-1]) if len(L) else 0.0
-    F = exp_series(L, prune_tol=0.0, keep_freqs_up_to=gmax)
+    F = exp_series(L, gmax)
     freqs = F.freqs - d / 2.0
     with np.errstate(over="ignore"):
         coeffs = F.coeffs * np.exp(2.0 * math.pi * F.freqs - d * math.pi)

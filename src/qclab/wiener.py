@@ -7,9 +7,10 @@ a normed algebra: sums, products, Neumann inverses and exponentials stay
 inside the class, which is what the zero-counting and reconstruction
 modules rely on.
 
-All operations return canonical sums: frequencies strictly increasing,
-frequencies closer than ``FREQ_TOL`` merged, coefficients below
-``PRUNE_TOL`` times the Wiener norm dropped.
+All operations return canonical sums: frequencies strictly increasing
+and frequencies closer than ``FREQ_TOL`` merged.  ``canonicalize`` and
+``derivative`` drop coefficients below ``PRUNE_TOL`` times the Wiener
+norm; sums and products drop only exact cancellations.
 """
 
 from __future__ import annotations
@@ -25,24 +26,9 @@ from .errors import CapacityError, DivergenceError, InvalidInputError
 
 FREQ_TOL = 1e-9           # frequencies closer than this are one spectral point
 PRUNE_TOL = 1e-14         # relative to the Wiener norm
-DEFAULT_MAX_TERMS = 200_000
-NEUMANN_TOL = 1e-10
+MAX_TERMS = 200_000       # algebra capacity: terms of one product
 _WORK_CAP = 40_000_000    # pairwise-product workspace limit (complex entries)
 _EXP_BUDGET = 1_000_000   # _exp_rows workspace limit, all workers together (complex entries)
-
-
-def max_terms() -> int:
-    """Algebra capacity; the QCLAB_MAX_TERMS environment variable overrides it."""
-    raw = os.environ.get("QCLAB_MAX_TERMS")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise InvalidInputError(f"QCLAB_MAX_TERMS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise InvalidInputError("QCLAB_MAX_TERMS must be positive")
-        return n
-    return DEFAULT_MAX_TERMS
 
 
 @dataclass(frozen=True)
@@ -94,29 +80,31 @@ def _representatives(mag, new_group, starts):
     return hit[first]
 
 
-def _canonical_arrays(freqs, coeffs, freq_tol, prune_tol):
+def _canonical_from_arrays(freqs, coeffs, prune_tol) -> ExpSum:
+    """Merge and prune (frequency, coefficient) arrays into a canonical sum."""
+    freqs, coeffs = np.asarray(freqs, float), np.asarray(coeffs, complex)
     if freqs.size == 0:
-        return freqs.astype(float), coeffs.astype(complex)
+        return empty_sum()
     order = np.argsort(freqs, kind="stable")
     freqs = freqs[order]
     coeffs = coeffs[order]
-    # chain-merge: consecutive gaps <= freq_tol belong to one spectral point
+    # chain-merge: consecutive gaps <= FREQ_TOL belong to one spectral point
     new_group = np.empty(freqs.size, dtype=bool)
     new_group[0] = True
-    np.greater(np.diff(freqs), freq_tol, out=new_group[1:])
+    np.greater(np.diff(freqs), FREQ_TOL, out=new_group[1:])
     starts = np.flatnonzero(new_group)
     merged = np.add.reduceat(coeffs, starts)
     rep_freqs = freqs if starts.size == freqs.size else freqs[_representatives(
         np.abs(coeffs), new_group, starts)]
     norm = float(np.sum(np.abs(merged)))
     keep = np.abs(merged) > prune_tol * norm
-    return rep_freqs[keep], merged[keep]
+    return _make(rep_freqs[keep], merged[keep])
 
 
-def canonicalize(terms, freq_tol: float = FREQ_TOL, prune_tol: float = PRUNE_TOL) -> ExpSum:
+def canonicalize(terms, prune_tol: float = PRUNE_TOL) -> ExpSum:
     """Build a canonical ExpSum from (frequency, coefficient) pairs.
 
-    Frequencies within ``freq_tol`` of each other are merged by adding
+    Frequencies within ``FREQ_TOL`` of each other are merged by adding
     coefficients; coefficients smaller than ``prune_tol`` times the Wiener
     norm are dropped.  Idempotent.
     """
@@ -130,14 +118,7 @@ def canonicalize(terms, freq_tol: float = FREQ_TOL, prune_tol: float = PRUNE_TOL
         coeffs = np.array([p[1] for p in pairs], dtype=complex)
     if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(coeffs))):
         raise InvalidInputError("frequencies and coefficients must be finite")
-    f, c = _canonical_arrays(freqs, coeffs, freq_tol, prune_tol)
-    return _make(f, c)
-
-
-def _canonical_from_arrays(freqs, coeffs, prune_tol=PRUNE_TOL) -> ExpSum:
-    f, c = _canonical_arrays(np.asarray(freqs, float), np.asarray(coeffs, complex),
-                             FREQ_TOL, prune_tol)
-    return _make(f, c)
+    return _canonical_from_arrays(freqs, coeffs, prune_tol)
 
 
 def constant(c) -> ExpSum:
@@ -221,13 +202,9 @@ def evaluate(f: ExpSum, z):
     return out.reshape(np.atleast_1d(zarr).shape)
 
 
-def add(f: ExpSum, g: ExpSum, prune_tol: float | None = None) -> ExpSum:
-    pt = PRUNE_TOL if prune_tol is None else prune_tol
+def add(f: ExpSum, g: ExpSum) -> ExpSum:
     return _canonical_from_arrays(
-        np.concatenate([f.freqs, g.freqs]),
-        np.concatenate([f.coeffs, g.coeffs]),
-        prune_tol=pt,
-    )
+        np.concatenate([f.freqs, g.freqs]), np.concatenate([f.coeffs, g.coeffs]), 0.0)
 
 
 def scale(f: ExpSum, c) -> ExpSum:
@@ -236,12 +213,7 @@ def scale(f: ExpSum, c) -> ExpSum:
     return _make(f.freqs, f.coeffs * complex(c))
 
 
-def multiply(
-    f: ExpSum,
-    g: ExpSum,
-    prune_tol: float | None = None,
-    keep_freqs_up_to: float | None = None,
-) -> ExpSum:
+def multiply(f: ExpSum, g: ExpSum, *, keep_freqs_up_to: float | None = None) -> ExpSum:
     """Product in the algebra: all pairwise frequency sums, then canonicalize.
 
     The Wiener norm is submultiplicative, so the result's norm never
@@ -249,26 +221,21 @@ def multiply(
     drops the pairwise terms above that frequency (by more than
     ``FREQ_TOL``) before they are merged.
     """
-    pt = PRUNE_TOL if prune_tol is None else prune_tol
     n, m = len(f), len(g)
     if n == 0 or m == 0:
         return empty_sum()
     if n * m > _WORK_CAP:
         raise CapacityError(
-            f"product would create {n * m} raw terms (workspace cap {_WORK_CAP}); "
-            "raise prune_tol on the factors"
+            f"product would create {n * m} raw terms, above the workspace cap {_WORK_CAP}"
         )
     freqs = (f.freqs[:, None] + g.freqs[None, :]).ravel()
     coeffs = (f.coeffs[:, None] * g.coeffs[None, :]).ravel()
     if keep_freqs_up_to is not None:
         low = freqs <= keep_freqs_up_to + FREQ_TOL
         freqs, coeffs = freqs[low], coeffs[low]
-    out = _canonical_from_arrays(freqs, coeffs, prune_tol=pt)
-    if len(out) > max_terms():
-        raise CapacityError(
-            f"product has {len(out)} terms, above the capacity {max_terms()}; "
-            "raise prune_tol or QCLAB_MAX_TERMS"
-        )
+    out = _canonical_from_arrays(freqs, coeffs, 0.0)
+    if len(out) > MAX_TERMS:
+        raise CapacityError(f"product has {len(out)} terms, above the capacity {MAX_TERMS}")
     return out
 
 
@@ -276,7 +243,7 @@ def derivative(f: ExpSum) -> ExpSum:
     """Term-wise derivative ``q -> 2j*pi*omega*q``."""
     if len(f) == 0:
         return empty_sum()
-    return _canonical_from_arrays(f.freqs, f.coeffs * (2j * np.pi * f.freqs))
+    return _canonical_from_arrays(f.freqs, f.coeffs * (2j * np.pi * f.freqs), PRUNE_TOL)
 
 
 def at_height(f: ExpSum, s: float) -> ExpSum:
@@ -303,79 +270,61 @@ def is_hermitian(f: ExpSum, tol: float = 1e-12) -> bool:
     return bool(defect <= tol * max(1.0, f.wiener_norm))
 
 
-def choose_height(f: ExpSum) -> tuple[float, int]:
+def choose_height(f: ExpSum) -> float:
     """Height selection for the Neumann inverse.
 
-    Sorts terms by frequency, picks the smallest M with
-    ``sum_{n>M} |q_n/q_1| < 1/3``, then the smallest height making
-    ``exp(-2*pi*(w2-w1)*s) * sum_{n>=2} |q_n/q_1| < 1/3``.
-    Together these force ``||H||_W < 2/3``.
+    The smallest height s >= 0 with
+    ``exp(-2*pi*(w2-w1)*s) * sum_{n>=2} |q_n/q_1| < 1/3``, frequencies
+    sorted.  Every gap from w1 is at least w2 - w1, so this forces
+    ``||H||_W < 1/3``.
     """
     if len(f) == 0:
         raise InvalidInputError("cannot choose a height for the empty sum")
     if len(f) == 1:
-        return 0.0, 1
-    q1 = abs(f.coeffs[0])
-    ratios = np.abs(f.coeffs[1:]) / q1
-    tail = np.cumsum(ratios[::-1])[::-1]  # tail[k] = sum of ratios from k on
-    # smallest M (1-based index into the term list) with the high tail < 1/3
-    m_idx = int(np.argmax(tail < 1.0 / 3.0)) if np.any(tail < 1.0 / 3.0) else ratios.size
-    M = m_idx + 1  # tail beyond term M is tail[m_idx]
-    R = float(np.sum(ratios))
+        return 0.0
+    R = float(np.sum(np.abs(f.coeffs[1:]) / abs(f.coeffs[0])))
     if R < 1.0 / 3.0:
-        return 0.0, M
+        return 0.0
     delta = float(f.freqs[1] - f.freqs[0])
     s = math.log(3.0 * R) / (2.0 * math.pi * delta)
-    return s * (1.0 + 1e-9) + 1e-12, M
+    return s * (1.0 + 1e-9) + 1e-12
 
 
-def _power_series(x: ExpSum, weight, converged, *, prune_tol, keep_freqs_up_to) -> ExpSum:
-    """``sum_k c_k * x^k`` with ``c_0 = 1`` and ``c_k = weight(k) * c_{k-1}``.
+def _power_series(x: ExpSum, weight, cutoff: float) -> ExpSum:
+    """``sum_k c_k * x^k`` with ``c_0 = 1`` and ``c_k = weight(k) * c_{k-1}``,
+    pruning-free and truncated at the frequency ``cutoff``.
 
-    With ``keep_freqs_up_to`` every product is truncated at that bound.
-    The spectrum of x is strictly positive, so powers only move up and a
-    dropped term can never feed a kept one: the terms at or below the
-    bound are exact, and the truncated power is empty once k times the
-    smallest frequency passes the bound.  Without a bound the series
-    stops when ``converged(k, power)`` holds.
+    The spectrum of x must be strictly positive.  Powers then only move
+    up, so a dropped term can never feed a kept one: the terms at or
+    below the cutoff are exact, and the truncated power is empty once k
+    times the smallest frequency passes the cutoff.
     """
+    if len(x) and x.freqs[0] <= 0:
+        raise InvalidInputError("a truncated power series needs strictly positive frequencies")
+    if not math.isfinite(cutoff):
+        raise InvalidInputError("the series cutoff must be finite")
     series = constant(1.0)
     power = constant(1.0)
     k = 0
-    while True:
+    while len(power):
         k += 1
-        power = scale(multiply(power, x, prune_tol=prune_tol,
-                               keep_freqs_up_to=keep_freqs_up_to), weight(k))
-        series = add(series, power, prune_tol=prune_tol)
-        if len(power) == 0 or (keep_freqs_up_to is None and converged(k, power)):
-            return series
+        power = scale(multiply(power, x, keep_freqs_up_to=cutoff), weight(k))
+        series = add(series, power)
+    return series
 
 
-def neumann_inverse(
-    f: ExpSum,
-    s: float | str = "auto",
-    *,
-    neumann_tol: float = NEUMANN_TOL,
-    prune_tol: float | None = None,
-    keep_freqs_up_to: float | None = None,
-) -> ExpSum:
-    """Inverse of ``x -> f(x + 1j*s)`` as an exponential sum in x.
+def neumann_inverse(f: ExpSum, s: float, cutoff: float) -> ExpSum:
+    """Inverse of ``x -> f(x + 1j*s)`` as an exponential sum in x, exact
+    at the frequencies up to ``cutoff - w1``.
 
-    Writes ``f(x+1j*s) = q1 * exp(2j*pi*w1*x) * e1 * (1 + H(x))`` with
+    Writes ``f(x+1j*s) = q1 * exp(2j*pi*w1*x) * (1 + H(x))`` with
     ``w1 = inf`` of the spectrum and expands ``(1+H)^{-1}`` as the Neumann
-    series ``sum (-H)^j``, truncated when ``||H^j||_W < neumann_tol * (1-||H||_W)``.
-
-    ``keep_freqs_up_to`` instead truncates the series at that frequency
-    (relative to -w1): every term up to the bound is kept however small,
-    and the result there is exact because H has a strictly positive
-    spectrum, so its powers only move up.  The diffraction extraction
-    needs this because small high-frequency coefficients get rescaled by
-    large exponentials afterwards.
+    series ``sum (-H)^j`` truncated at ``cutoff``.  Every term up to the
+    cutoff is kept however small: the diffraction extraction rescales
+    high-frequency coefficients by large exponentials afterwards.
     """
     if len(f) == 0:
         raise InvalidInputError("cannot invert the empty sum")
-    if s == "auto":
-        s, _ = choose_height(f)
     s = float(s)
     fs = at_height(f, s)
     w1 = float(fs.freqs[0])
@@ -388,40 +337,19 @@ def neumann_inverse(
         raise DivergenceError(
             f"||H||_W = {hnorm:.6g} >= 1 at height s = {s:.6g}; use a larger height"
         )
-    slack = neumann_tol * (1.0 - hnorm)
-    series = _power_series(H, lambda j: -1.0, lambda j, power: power.wiener_norm < slack,
-                           prune_tol=prune_tol, keep_freqs_up_to=keep_freqs_up_to)
+    series = _power_series(H, lambda j: -1.0, cutoff)
     shift = canonicalize([(-w1, 1.0 / q1)])
-    return multiply(series, shift, prune_tol=prune_tol)
+    return multiply(series, shift)
 
 
-def exp_series(
-    g: ExpSum,
-    *,
-    tol: float = 1e-13,
-    prune_tol: float | None = None,
-    keep_freqs_up_to: float | None = None,
-) -> ExpSum:
-    """Exponential via the power series ``sum g^k / k!`` in the algebra.
+def exp_series(g: ExpSum, cutoff: float) -> ExpSum:
+    """Exponential via the power series ``sum g^k / k!`` in the algebra,
+    truncated at the frequency ``cutoff``; g needs a strictly positive
+    spectrum.
 
-    The tail after the k-th term is bounded by
-    ``||g^k/k!|| * r / (1-r)`` with ``r = ||g||/(k+1)``, which is the
-    stopping rule; the result's norm never exceeds ``exp(||g||_W)``.
-
-    ``keep_freqs_up_to`` (requires strictly positive frequencies in g)
-    instead truncates the series at that frequency: every coefficient up
-    to the bound receives all of its power-series contributions, however
-    small, and is exact because powers of g only move the spectrum up.
-    Callers that rescale coefficients by growing exponentials need the
-    cancellations below the bound to be complete.
+    Every coefficient up to the cutoff receives all of its power-series
+    contributions, however small.  Callers that rescale coefficients by
+    growing exponentials need the cancellations below the cutoff to be
+    complete.
     """
-    if keep_freqs_up_to is not None and len(g) and g.freqs[0] <= 0:
-        raise InvalidInputError("keep_freqs_up_to needs strictly positive frequencies")
-    gn = g.wiener_norm
-
-    def converged(k, power):
-        r = gn / (k + 1.0)
-        return r < 1.0 and power.wiener_norm * r / (1.0 - r) < tol
-
-    return _power_series(g, lambda k: 1.0 / k, converged,
-                         prune_tol=prune_tol, keep_freqs_up_to=keep_freqs_up_to)
+    return _power_series(g, lambda k: 1.0 / k, cutoff)

@@ -196,7 +196,8 @@ def test_criterion_6_section2_properties():
 
 
 def test_criterion_7_algebra_suite():
-    """Submultiplicativity on 1000 pairs; Neumann residual and the < 3 bound."""
+    """Submultiplicativity on 1000 pairs; Neumann residual below the cutoff
+    and the < 3 bound."""
     rng = np.random.default_rng(1)
     sub_ok = True
     for _ in range(1000):
@@ -215,14 +216,14 @@ def test_criterion_7_algebra_suite():
         n = int(rng.integers(2, 10))
         freqs = np.cumsum(rng.uniform(0.05, 1.0, n))
         f = canonicalize(zip(freqs, rng.normal(size=n) + 1j * rng.normal(size=n)))
-        s, _ = choose_height(f)
+        s = choose_height(f)
         fs = at_height(f, s)
         hnorm = float(np.sum(np.abs(fs.coeffs[1:]))) / abs(fs.coeffs[0])
         if hnorm >= 2.0 / 3.0:
             worst_resid = math.inf
             break
-        inv = neumann_inverse(f, s)
-        resid = add(multiply(fs, inv), constant(-1.0)).wiener_norm
+        inv = neumann_inverse(f, s, 4.0)
+        resid = add(multiply(fs, inv, keep_freqs_up_to=4.0), constant(-1.0)).wiener_norm
         worst_resid = max(worst_resid, resid)
         worst_bound = max(worst_bound, inv.wiener_norm * abs(fs.coeffs[0]))
     ok = sub_ok and worst_resid < 1e-10 and worst_bound < 3.0

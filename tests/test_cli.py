@@ -1,11 +1,15 @@
 import json
 import os
+import re
 import stat
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import qclab
 from qclab import io as qio
 from qclab.cli import (
     RunConfig,
@@ -18,7 +22,7 @@ from qclab.cli import (
 from qclab.diffraction import PointMeasure
 from qclab.errors import ParseError, StageError
 
-from conftest import cos_sum, lattice_zeroset, union_zeroset
+from conftest import cos_sum, lattice_measure, lattice_zeroset, union_zeroset
 
 
 @pytest.fixture()
@@ -168,6 +172,19 @@ class TestRunPipeline:
                 run_pipeline(cfg)
         assert exc.value.stage == "reconstruct/log_series"
 
+    def test_reconstruct_builds_the_log_series_once(self, tmp_path):
+        # an atom at 0.005 has |b|/gamma = 200, which warns while the log
+        # series is built: once per run, since the rebuild reuses it
+        path = tmp_path / "mu.csv"
+        mu = PointMeasure(1.0, np.array([-1.0, -0.005, 0.005, 1.0]), np.ones(4, complex))
+        qio.write_measure(mu, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = run_pipeline(RunConfig(command="reconstruct", input_path=str(path)))
+        budget = [w for w in caught if "low-frequency mass budget" in str(w.message)]
+        assert len(budget) == 1
+        assert rep.summary["stages"]["reconstruct"]["rebuilt_terms"] > 0
+
 
 class TestSymmetricScanGrid:
     """The scan grid is k * step for |k| <= round(cutoff / step): exact +-
@@ -249,6 +266,20 @@ class TestEmitOutputs:
         doc = json.loads((out / "report.json").read_text())
         assert doc["schema"] == 1
         assert doc["config"]["tolerances"]["freq_tol"] == 1e-9
+
+    def test_no_knob_outside_the_command_line(self, tmp_path):
+        # the run is set by its arguments alone: no environment variable
+        # is read, and the report's tolerance snapshot holds the constants
+        src = Path(qclab.__file__).parent
+        readers = [p.name for p in sorted(src.glob("*.py"))
+                   if re.search(r"\bos\.environ\b|\bgetenv\b", p.read_text(encoding="utf-8"))]
+        assert readers == []
+        path = tmp_path / "mu.csv"
+        qio.write_measure(lattice_measure(K=3), path)
+        assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["config"]["tolerances"] == {
+            "freq_tol": 1e-9, "prune_tol": 1e-14, "max_terms": 200_000}
 
 
 class TestMainExitCodes:

@@ -289,10 +289,8 @@ class TestLogderivMeasure:
         # 6*pi*max(|w_n| e^{2pi(w_n-w_1)s}) * sum|q_n/q_1|
         from qclab.wiener import at_height, choose_height, derivative, multiply, neumann_inverse
         for f in (cos, funion):
-            s, _ = choose_height(f)
-            ld = multiply(at_height(derivative(f), s),
-                          neumann_inverse(f, s, prune_tol=0.0, keep_freqs_up_to=10.0),
-                          prune_tol=0.0)
+            s = choose_height(f)
+            ld = multiply(at_height(derivative(f), s), neumann_inverse(f, s, 10.0))
             w1 = f.freqs[0]
             q1 = abs(f.coeffs[0])
             cf = (6 * np.pi

@@ -215,16 +215,12 @@ class TestAlgebraOps:
             rhs = evaluate(f, z) * evaluate(g, z)
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
         rng = np.random.default_rng(4)
         f = random_sum(rng, 600, 1.0)
-        import os
-        os.environ["QCLAB_MAX_TERMS"] = "1000"
-        try:
-            with pytest.raises(CapacityError):
-                multiply(f, random_sum(rng, 600, 1000.0))
-        finally:
-            del os.environ["QCLAB_MAX_TERMS"]
+        monkeypatch.setattr(wiener, "MAX_TERMS", 1000)
+        with pytest.raises(CapacityError):
+            multiply(f, random_sum(rng, 600, 1000.0))
 
 
 class TestDerivative:
@@ -279,17 +275,23 @@ class TestAtHeight:
         assert np.max(np.abs(a.coeffs - b.coeffs)) / b.wiener_norm < 1e-12
 
 
+def _residual_below(fs, inv, cutoff):
+    """||fs * inv - 1||_W over the frequencies up to the cutoff, where the
+    truncated inverse is exact."""
+    return add(multiply(fs, inv, keep_freqs_up_to=cutoff), constant(-1.0)).wiener_norm
+
+
 class TestNeumannInverse:
     def test_geometric_series(self):
         f = canonicalize([(0.0, 1.0), (1.0, 0.5)])
-        inv = neumann_inverse(f, 0.0)
+        inv = neumann_inverse(f, 0.0, 40.0)
+        assert inv.freqs[-1] == 40.0
         assert inv.wiener_norm == pytest.approx(2.0, abs=1e-9)
-        resid = add(multiply(at_height(f, 0.0), inv), constant(-1.0))
-        assert resid.wiener_norm < 1e-10
+        assert _residual_below(at_height(f, 0.0), inv, 40.0) < 1e-10
 
     def test_single_term(self):
         f = canonicalize([(0.7, 2.0)])
-        inv = neumann_inverse(f, 0.0)
+        inv = neumann_inverse(f, 0.0, 10.0)
         assert inv.terms() == [(-0.7, 0.5 + 0j)]
 
     def test_cos_height_one_h_norm(self, cos):
@@ -297,7 +299,7 @@ class TestNeumannInverse:
         fs = at_height(cos, 1.0)
         h = abs(fs.coeffs[1] / fs.coeffs[0])
         assert h == pytest.approx(math.exp(-2 * math.pi), rel=1e-12)
-        inv = neumann_inverse(cos, 1.0)
+        inv = neumann_inverse(cos, 1.0, 10.0)
         assert inv.wiener_norm * abs(fs.coeffs[0]) < 3.0
 
     def test_auto_height_bounds(self):
@@ -308,33 +310,36 @@ class TestNeumannInverse:
             freqs = np.cumsum(rng.uniform(0.05, 1.0, 10)) - 2.5
             coeffs = rng.normal(size=10) + 1j * rng.normal(size=10)
             f = canonicalize(list(zip(freqs, coeffs)))
-            s, _ = choose_height(f)
+            s = choose_height(f)
             fs = at_height(f, s)
             hnorm = float(np.sum(np.abs(fs.coeffs[1:]))) / abs(fs.coeffs[0])
             assert hnorm < 2.0 / 3.0
-            inv = neumann_inverse(f, s)
-            resid = add(multiply(fs, inv), constant(-1.0))
-            assert resid.wiener_norm < 1e-10
+            inv = neumann_inverse(f, s, 4.0)
+            assert _residual_below(fs, inv, 4.0) < 1e-10
             assert inv.wiener_norm * abs(fs.coeffs[0]) < 3.0
 
     def test_divergence_error(self):
         f = canonicalize([(0.0, 1.0), (1.0, 2.0)])
         with pytest.raises(DivergenceError):
-            neumann_inverse(f, 0.0)
+            neumann_inverse(f, 0.0, 10.0)
 
 
 class TestExpSeries:
     def test_empty_gives_one(self):
-        assert exp_series(empty_sum()).terms() == [(0.0, 1 + 0j)]
+        assert exp_series(empty_sum(), 1.0).terms() == [(0.0, 1 + 0j)]
 
-    def test_constant_log_two(self):
-        e = exp_series(constant(math.log(2.0)))
-        assert len(e) == 1
-        assert e.coeffs[0] == pytest.approx(2.0, rel=1e-12)
+    def test_rejects_a_spectrum_that_is_not_strictly_positive(self):
+        for g in (canonicalize([(0.0, math.log(2.0)), (1.0, 0.1)]),
+                  canonicalize([(-0.5, 0.1), (1.0, 0.1)])):
+            with pytest.raises(InvalidInputError):
+                exp_series(g, 10.0)
+        with pytest.raises(InvalidInputError):
+            exp_series(canonicalize([(1.0, 0.1)]), math.inf)
 
     def test_single_frequency_power_series(self):
         c = 0.3 - 0.2j
-        e = exp_series(canonicalize([(1.0, c)]))
+        e = exp_series(canonicalize([(1.0, c)]), 20.0)
+        assert len(e) == 21
         for k, (w, q) in enumerate(e.terms()):
             assert w == pytest.approx(float(k))
             assert q == pytest.approx(c ** k / math.factorial(k), rel=1e-10, abs=1e-16)
@@ -342,7 +347,7 @@ class TestExpSeries:
     def test_matches_pointwise_exp(self):
         rng = np.random.default_rng(8)
         g = canonicalize([(0.5, 0.1), (1.3, 0.05 + 0.02j), (2.0, -0.07)])
-        e = exp_series(g)
+        e = exp_series(g, 20.0)
         xs = rng.uniform(-5, 5, 40)
         lhs = evaluate(e, xs.astype(complex))
         rhs = np.exp(evaluate(g, xs.astype(complex)))
@@ -350,7 +355,7 @@ class TestExpSeries:
 
     def test_norm_bound(self):
         g = canonicalize([(0.5, 0.4), (1.0, -0.3j)])
-        e = exp_series(g)
+        e = exp_series(g, 20.0)
         assert e.wiener_norm <= math.exp(g.wiener_norm) * (1 + 1e-12)
 
 
@@ -387,7 +392,7 @@ class TestTruncatedSeries:
     @settings(max_examples=40, deadline=None)
     @given(_scaled_coeffs(0.9), st.integers(1, 30))
     def test_neumann_matches_reciprocal_recurrence(self, h, N):
-        inv = neumann_inverse(_integer_sum(h, 1.0), 0.0, prune_tol=0.0, keep_freqs_up_to=N)
+        inv = neumann_inverse(_integer_sum(h, 1.0), 0.0, N)
         assert inv.freqs[-1] <= N
         c = np.zeros(N + 1, complex)
         c[0] = 1.0
@@ -398,7 +403,7 @@ class TestTruncatedSeries:
     @settings(max_examples=40, deadline=None)
     @given(_scaled_coeffs(2.0), st.integers(1, 30))
     def test_exp_matches_power_series_recurrence(self, g, N):
-        e = exp_series(_integer_sum(g), prune_tol=0.0, keep_freqs_up_to=N)
+        e = exp_series(_integer_sum(g), N)
         assert e.freqs[-1] <= N
         a = np.zeros(N + 1, complex)
         a[0] = 1.0
@@ -411,8 +416,7 @@ class TestTruncatedSeries:
     def test_doubling_the_bound_keeps_the_low_terms(self, x, X):
         f = _integer_sum(x, 1.0)
         g = _integer_sum(x)
-        for series in (lambda b: neumann_inverse(f, 0.0, prune_tol=0.0, keep_freqs_up_to=b),
-                       lambda b: exp_series(g, prune_tol=0.0, keep_freqs_up_to=b)):
+        for series in (lambda b: neumann_inverse(f, 0.0, b), lambda b: exp_series(g, b)):
             low, high = series(X), series(2 * X)
             sel = high.freqs <= X
             assert np.array_equal(low.freqs, high.freqs[sel])
