@@ -23,14 +23,11 @@ from .apset import (
     phi_representation,
 )
 from .diffraction import (
-    GaussianSpec,
     GrowthProfile,
     PointMeasure,
     PoissonReport,
     bohr_atoms,
-    bohr_coefficient,
     bohr_means,
-    bohr_scan,
     growth_profile,
     logderiv_measure,
     poisson_residual,
@@ -76,7 +73,6 @@ from .wiener import (
 from .zeros import (
     RealnessReport,
     ZeroSet,
-    count_zeros_rectangle,
     find_real_zeros,
     realness_check,
 )

@@ -16,6 +16,8 @@ from .errors import DomainError
 from .wiener import _exp_rows
 from .zeros import ZeroSet
 
+_MIN_PAIRS = 32  # fewest index pairs inside the window that test a shift h
+
 
 @dataclass(frozen=True)
 class CountingConstants:
@@ -120,22 +122,6 @@ def _inside(x: np.ndarray, lo: float, top: float) -> slice:
     return slice(np.searchsorted(x, lo, side="left"), np.searchsorted(x, top, side="right"))
 
 
-def _probe_counts(e: np.ndarray, h: float, lo: float, hi: float, fixed) -> np.ndarray:
-    """#A in [x, x+h) at every probe x of window length h.
-
-    One merge per length gives one probe family's ranks exactly; the
-    other three families start from guesses that a check either proves
-    or hands to ``_settle``, which searches only the guesses that fail,
-    so every count equals a binary search per probe (see
-    ``_length_counts``).  ``fixed`` holds the probes a -+ 1e-9 with their
-    ranks #{e < x}, which do not depend on h.  This pads e and measures
-    the gaps for one length; ``_count_extremes`` does both once for all
-    lengths.
-    """
-    ep = _padded(e)
-    return _length_counts(ep, fixed, _gaps(ep, fixed), h, lo, hi)
-
-
 def _length_counts(ep: np.ndarray, fixed, gaps, h: float, lo: float, hi: float) -> np.ndarray:
     """#A in [x, x+h) at every probe x of window length h, from one merge.
 
@@ -159,6 +145,9 @@ def _length_counts(ep: np.ndarray, fixed, gaps, h: float, lo: float, hi: float) 
       fixed probes' distance to the set (``gaps``).
 
     ``ep`` is e padded as [-inf, e, +inf], so no check needs a clip.
+    ``fixed`` holds the probes a -+ 1e-9 with their ranks #{e < x} and
+    ``gaps`` their distances to the set; neither depends on h, so
+    ``_count_extremes`` computes them once for all lengths.
     """
     top = hi - h
     if top < lo:
@@ -212,7 +201,7 @@ def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
     sliding count, maximized over a grid of lengths; this dominates every
     sampled pair of equal-length windows at those lengths.  The spreads
     come from one exact rank sweep over the probes at which the count
-    can change, one merge per length (see ``_probe_counts``); ``density``
+    can change, one merge per length (see ``_length_counts``); ``density``
     carries the result, so a run needs only one call.  An explicit
     ``h_grid`` must hold finite positive lengths.
     """
@@ -269,14 +258,14 @@ def almost_periods(
     tau_range,
     *,
     d: float | None = None,
-    min_pairs: int = 32,
 ) -> AlmostPeriodReport:
     """Scan integer index shifts h for epsilon-almost periods.
 
     For each h the candidate translation is tau_h = median(a_{n+h} - a_n)
     over the interior of the window; (tau_h, h) is reported when the sup
     deviation stays below epsilon and tau_h is consistent with h/d, which
-    makes both report invariants hold by construction.
+    makes both report invariants hold by construction.  A shift needs at
+    least 32 index pairs inside the window.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
@@ -285,7 +274,7 @@ def almost_periods(
     if d is None:
         d = density(A).d
     t0, t1 = map(float, tau_range)
-    h_cap = min(int(np.ceil(t1 * d)) + 2, e.size - min_pairs)
+    h_cap = min(int(np.ceil(t1 * d)) + 2, e.size - _MIN_PAIRS)
     periods = []
     for h in range(1, max(h_cap, 0) + 1):
         diffs = e[h:] - e[:-h]
@@ -294,7 +283,7 @@ def almost_periods(
             break
         band = max(1.0, tau0)
         inside = (e[:-h] >= lo + band) & (e[h:] <= hi - band)
-        if int(inside.sum()) < min_pairs:
+        if int(inside.sum()) < _MIN_PAIRS:
             continue
         tau = float(np.median(diffs[inside]))
         sup_dev = float(np.max(np.abs(diffs[inside] - tau)))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import apset, diffraction, io, reconstruct, wiener, zeros
-from .diffraction import GaussianSpec, PointMeasure
+from .diffraction import PointMeasure
 from .errors import DomainError, InvalidInputError, QclabError, StageError
 from .wiener import ExpSum
 from .zeros import ZeroSet
@@ -44,7 +44,6 @@ class RunConfig:
     eps: float = 0.05
     out_dir: str | None = None
     seed: int = 0
-    t3_budget: float = 1000.0
 
     def snapshot(self) -> dict:
         return {
@@ -57,7 +56,7 @@ class RunConfig:
             "T": self.T,
             "eps": self.eps,
             "seed": self.seed,
-            "t3_budget": self.t3_budget,
+            "t3_budget": reconstruct.T3_BUDGET,
             "tolerances": {
                 "freq_tol": wiener.FREQ_TOL,
                 "prune_tol": wiener.PRUNE_TOL,
@@ -115,7 +114,7 @@ def _jsonable(obj):
 
 def _zeros_stage(f, cfg):
     A = zeros.find_real_zeros(f, cfg.window)
-    realness = zeros.realness_check(f, cfg.window, strip_height=0.5, zeros=A)
+    realness = zeros.realness_check(f, A)
     info = {
         "count": A.count,
         "distinct_points": len(A),
@@ -197,7 +196,9 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
     if f is not None:
         if realness is not None and not realness.all_real:
             raise StageError("diffraction/logderiv", DomainError(
-                "the zero set is not real; the log-derivative route needs real zeros"))
+                f"the zero set is not real: {realness.real_count} real of "
+                f"{realness.total_count} zeros in the strip; the log-derivative route "
+                "needs real zeros"))
         s = cfg.height
         mu_log = _stage("diffraction/logderiv",
                         lambda: diffraction.logderiv_measure(f, s, cfg.cutoff))
@@ -212,14 +213,14 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
     K = round(cfg.cutoff / cfg.grid_step)
     grid = cfg.grid_step * np.arange(-K, K + 1)
     if mu_log is not None and len(mu_log):
-        # a grid point within _GAMMA_TOL of a log atom is that atom (9.0 beside
+        # a grid point within FREQ_TOL of a log atom is that atom (9.0 beside
         # 8.999999999999998): one column each, or both would count as atoms.
         # The atoms and the grid are exact +- pairs, so the merge keeps them so
         atoms = mu_log.gammas  # sorted
         i = np.searchsorted(atoms, grid)
         gap = np.minimum(np.abs(atoms[np.maximum(i - 1, 0)] - grid),
                          np.abs(atoms[np.minimum(i, atoms.size - 1)] - grid))
-        grid = np.concatenate([grid[gap > diffraction._GAMMA_TOL], atoms])
+        grid = np.concatenate([grid[gap > wiener.FREQ_TOL], atoms])
     gammas = np.unique(grid)
     # The main scan at T_eff and the Poisson-vs-T scans at T_eff/8 .. T_eff
     # each need the means at T and T/2: five nested windows, one pass.
@@ -238,16 +239,14 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
         }
 
     mu = mu_log if mu_log is not None else mu_bohr
-    gauss = GaussianSpec(sigma=1.0)
-    poisson = _stage("diffraction/poisson",
-                     lambda: diffraction.poisson_residual(A, mu, gauss))
+    poisson = _stage("diffraction/poisson", lambda: diffraction.poisson_residual(A, mu))
     plot_poisson = []
     for k in (3, 2, 1, 0):
         Ti = Ts[k]
         thr_i = max(0.05, 3.0 * cc.k1 / Ti)
         try:
             mu_i = diffraction.bohr_atoms(A, gammas, means[k], means[k + 1], Ti, thr_i)
-            r_i = diffraction.poisson_residual(A, mu_i, gauss).residual
+            r_i = diffraction.poisson_residual(A, mu_i).residual
             plot_poisson.append((float(Ti), float(r_i)))
         except QclabError:
             continue
@@ -265,7 +264,7 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
         },
         "agreement": agreement,
         "poisson": {
-            "sigma": gauss.sigma,
+            "sigma": diffraction.POISSON_SIGMA,
             "residual": poisson.residual,
             "zero_side": poisson.zero_side,
             "atom_side": _jsonable(poisson.atom_side),
@@ -290,8 +289,7 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
 
 
 def _reconstruct_stage(mu, A, cfg):
-    L = _stage("reconstruct/log_series",
-               lambda: reconstruct.log_series_at_height_one(mu, mu.d, t3_budget=cfg.t3_budget))
+    L = _stage("reconstruct/log_series", lambda: reconstruct.log_series_at_height_one(mu, mu.d))
     rebuilt = _stage("reconstruct/rebuild",
                      lambda: reconstruct.rebuild_from_log_series(L, mu.d))
 
@@ -480,8 +478,8 @@ def config_from_args(args) -> RunConfig:
         lo, hi = (float(x) for x in args.window.split(","))
     except ValueError:
         raise UsageError(f"--window expects A,B; got {args.window!r}") from None
-    if not lo < hi:
-        raise UsageError("--window expects A < B")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise UsageError(f"--window expects finite A < B, got {args.window!r}")
     height: float | str = "auto"
     if args.height != "auto":
         try:
@@ -494,6 +492,8 @@ def config_from_args(args) -> RunConfig:
                         ("--grid", args.grid_step), ("--eps", args.eps)):
         if not (np.isfinite(value) and value > 0):
             raise UsageError(f"{flag} expects a finite number > 0, got {value!r}")
+    if args.seed < 0:
+        raise UsageError(f"--seed expects an integer >= 0, got {args.seed}")
     return RunConfig(
         command=args.command,
         input_path=args.input,

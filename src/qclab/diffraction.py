@@ -21,6 +21,7 @@ import numpy as np
 from .apset import unit_window_max
 from .errors import DomainError, InsufficientDataError, InvalidInputError
 from .wiener import (
+    FREQ_TOL,
     ExpSum,
     _exp_rows,
     at_height,
@@ -29,10 +30,11 @@ from .wiener import (
     multiply,
     neumann_inverse,
 )
-from .zeros import ZeroSet, realness_check
+from .zeros import ZeroSet
 
-_GAMMA_TOL = 1e-9
 _ATOM_TOL = 1e-9          # log-derivative atoms of smaller modulus are dropped
+POISSON_SIGMA = 1.0       # width of the Poisson test Gaussian exp(-pi*x^2/sigma^2)
+_POISSON_TAIL_TOL = 1e-8  # largest window or atom-list tail of a Poisson residual
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,15 @@ class PointMeasure:
         return [(float(g), complex(b)) for g, b in zip(self.gammas, self.masses)]
 
     def positive(self) -> tuple[np.ndarray, np.ndarray]:
-        mask = self.gammas > _GAMMA_TOL
+        mask = self.gammas > FREQ_TOL
         return self.gammas[mask], self.masses[mask]
 
-    def mass_at(self, gamma: float, tol: float = _GAMMA_TOL) -> complex:
-        if abs(gamma) <= tol:
+    def mass_at(self, gamma: float) -> complex:
+        if abs(gamma) <= FREQ_TOL:
             return complex(self.d)
         i = np.searchsorted(self.gammas, gamma)
         for j in (i - 1, i):
-            if 0 <= j < len(self) and abs(self.gammas[j] - gamma) <= tol:
+            if 0 <= j < len(self) and abs(self.gammas[j] - gamma) <= FREQ_TOL:
                 return complex(self.masses[j])
         return 0j
 
@@ -74,7 +76,7 @@ class PointMeasure:
 
         b(-gamma) follows the rule of ``mass_at``, for all atoms in one
         lookup: the atom just below the insertion point of -gamma, else the
-        one at it, each only within ``_GAMMA_TOL``, else 0.  CPython's
+        one at it, each only within ``FREQ_TOL``, else 0.  CPython's
         ``abs`` (hypot) takes the moduli; ``np.abs`` on an array can differ
         from it in the last bit.
         """
@@ -85,14 +87,14 @@ class PointMeasure:
         i = np.searchsorted(self.gammas, neg)
         below = np.maximum(i - 1, 0)
         at = np.minimum(i, len(self) - 1)
-        hit_below = (i > 0) & (np.abs(self.gammas[below] - neg) <= _GAMMA_TOL)
-        hit_at = (i < len(self)) & (np.abs(self.gammas[at] - neg) <= _GAMMA_TOL)
+        hit_below = (i > 0) & (np.abs(self.gammas[below] - neg) <= FREQ_TOL)
+        hit_at = (i < len(self)) & (np.abs(self.gammas[at] - neg) <= FREQ_TOL)
         mirror = np.where(hit_below, self.masses[below],
                           np.where(hit_at, self.masses[at], 0j))
         return float(max(map(abs, (mirror - np.conj(b)).tolist())))
 
     def drop_atom(self, gamma: float) -> "PointMeasure":
-        keep = np.abs(self.gammas - gamma) > _GAMMA_TOL
+        keep = np.abs(self.gammas - gamma) > FREQ_TOL
         return PointMeasure(self.d, self.gammas[keep], self.masses[keep])
 
 
@@ -101,15 +103,6 @@ class GrowthProfile:
     m_of_s: list[tuple[float, float]]
     t3_value: float
     kappa_fit: float
-
-
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Test Gaussian g(x) = exp(-pi*x^2/sigma^2); its transform is
-    sigma*exp(-pi*sigma^2*t^2) under the phi_hat(t) = int phi e^{-2pi i xt}
-    convention."""
-
-    sigma: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -174,15 +167,6 @@ def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
     return sums
 
 
-def bohr_coefficient(A: ZeroSet, gamma: float, T: float) -> complex:
-    """One Bohr mean, a one-entry call of ``bohr_means``.
-
-    The finite-T error heuristic for these means is
-    ``bohr_error_heuristic(A, T)``.
-    """
-    return complex(bohr_means(A, [gamma], [T])[0, 0])
-
-
 def bohr_error_heuristic(A: ZeroSet, T: float) -> float:
     """O(k1/T) edge-effect estimate for a Bohr mean at half-length T."""
     return unit_window_max(A.expand()) / float(T)
@@ -204,7 +188,7 @@ def bohr_atoms(A: ZeroSet, gammas, full, half, T: float, threshold: float) -> Po
         )
     gammas = np.asarray(gammas, dtype=float)
     stable = (np.abs(full) > threshold) & (np.abs(full - half) < threshold / 4.0)
-    keep = stable & (np.abs(gammas) > _GAMMA_TOL)
+    keep = stable & (np.abs(gammas) > FREQ_TOL)
     # the gamma = 0 mean without its exp pass: every term is exactly 1, and
     # numpy's complex division of the sum by 2T multiplies by the reciprocal,
     # so the mean is n * (1 / 2T) bit for bit (n / 2T differs in the last bit)
@@ -212,23 +196,10 @@ def bohr_atoms(A: ZeroSet, gammas, full, half, T: float, threshold: float) -> Po
     return PointMeasure(d=d, gammas=gammas[keep], masses=full[keep])
 
 
-def bohr_scan(A: ZeroSet, grid, T: float, threshold: float) -> PointMeasure:
-    """Bohr means on a frequency grid, kept where large and stable.
-
-    One ``bohr_means`` call at (T, T/2) and the stability rule of
-    ``bohr_atoms``.
-    """
-    gammas = np.unique(np.asarray(list(grid), dtype=float))
-    full, half = bohr_means(A, gammas, [T, T / 2.0])
-    return bohr_atoms(A, gammas, full, half, T, threshold)
-
-
 def logderiv_measure(
     f: ExpSum,
     s: float | str = "auto",
     cutoff: float = 10.0,
-    *,
-    realness_window=None,
 ) -> PointMeasure:
     """Diffraction atoms from the coefficients of f'/f at height s.
 
@@ -246,13 +217,6 @@ def logderiv_measure(
         )
     if cutoff <= 0:
         raise DomainError("cutoff must be positive")
-    if realness_window is not None:
-        report = realness_check(f, realness_window, strip_height=0.5)
-        if not report.all_real:
-            raise DomainError(
-                f"zero set is not real over {tuple(realness_window)}: "
-                f"{report.real_count} real of {report.total_count} total"
-            )
     if s == "auto":
         s = choose_height(f)
     s = float(s)
@@ -260,11 +224,11 @@ def logderiv_measure(
     dfs = at_height(derivative(f), s)
     ld = multiply(dfs, inv)
 
-    i0 = np.flatnonzero(np.abs(ld.freqs) <= _GAMMA_TOL)
+    i0 = np.flatnonzero(np.abs(ld.freqs) <= FREQ_TOL)
     p0 = complex(ld.coeffs[i0[0]]) if i0.size else 0j
     d_complex = 1j * p0 / math.pi
     d = float(d_complex.real)
-    sel = (ld.freqs > _GAMMA_TOL) & (ld.freqs < cutoff)
+    sel = (ld.freqs > FREQ_TOL) & (ld.freqs < cutoff)
     g = ld.freqs[sel]
     b = 1j * ld.coeffs[sel] * np.exp(2.0 * math.pi * g * s) / (2.0 * math.pi)
     keep = np.abs(b) > _ATOM_TOL
@@ -285,24 +249,20 @@ def _gaussian_comb_tail(x0: float, alpha: float) -> float:
     return lead / (1.0 - ratio)
 
 
-def poisson_residual(
-    A: ZeroSet,
-    mu_hat: PointMeasure,
-    test: GaussianSpec,
-    *,
-    T: float | None = None,
-    tail_tol: float = 1e-8,
-) -> PoissonReport:
+def poisson_residual(A: ZeroSet, mu_hat: PointMeasure) -> PoissonReport:
     """Residual of the summation identity
     sum mult * g_hat(a_n) = d * g(0) + sum b_gamma * g(gamma)
-    for the Gaussian test function, with certified window tails.
+    over |a_n| <= T, the symmetric half-window T = min(-lo, hi), with
+    certified window tails.
+
+    The test function is the Gaussian g(x) = exp(-pi*x^2/sigma^2) at
+    sigma = ``POISSON_SIGMA``; its transform is sigma*exp(-pi*sigma^2*t^2)
+    under the phi_hat(t) = int phi e^{-2pi i xt} convention.  Both tails
+    must stay below 1e-8, else ``InsufficientDataError``.
     """
-    sigma = float(test.sigma)
-    if sigma <= 0:
-        raise InvalidInputError("sigma must be positive")
+    sigma = POISSON_SIGMA
     lo, hi = A.window
-    half = min(-lo, hi)
-    T = half if T is None else min(float(T), half)
+    T = min(-lo, hi)
     e = A.expand()
     sel = e[np.abs(e) <= T]
 
@@ -322,11 +282,11 @@ def poisson_residual(
         rho = max(mu_hat.d, 1.0)
     atom_tail = 2.0 * rho * _gaussian_comb_tail(gmax, alpha)
 
-    if max(zero_tail, atom_tail) > tail_tol:
-        need = math.sqrt(max(math.log(max(2 * k1 * sigma, 2 * rho) / tail_tol), 1.0)
+    if max(zero_tail, atom_tail) > _POISSON_TAIL_TOL:
+        need = math.sqrt(max(math.log(max(2 * k1 * sigma, 2 * rho) / _POISSON_TAIL_TOL), 1.0)
                          / min(alpha_hat, alpha))
         raise InsufficientDataError(
-            f"truncation tails exceed {tail_tol:.1g}; extend the window and the "
+            f"truncation tails exceed {_POISSON_TAIL_TOL:.1g}; extend the window and the "
             f"atom list past {need:.1f}",
             required_window=need,
         )

@@ -25,9 +25,19 @@ ZEROSET_HEADER = ["point", "multiplicity"]
 MEASURE_HEADER = ["gamma", "re", "im"]
 
 
+def _decode(data: bytes, path) -> str:
+    """``data`` as UTF-8 text; a byte that is not UTF-8 is a ParseError
+    naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", path=path,
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _read_rows(path, header):
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _decode(path.read_bytes(), path)
     rows = list(csv.reader(text.splitlines()))
     if not rows or [c.strip() for c in rows[0]] != header:
         raise ParseError(f"expected header {','.join(header)!r}", path=path, line=1)
@@ -64,12 +74,13 @@ def write_expsum(f: ExpSum, path) -> None:
 def _zeroset_table(path) -> np.ndarray | None:
     """The rows (point, multiplicity) of a zero-set CSV from one np.loadtxt
     call, checked as whole arrays; None where anything fails, so that the
-    row parser can name the error and its line.
+    row parser can name the error and its line.  Text that is not UTF-8
+    is a ParseError here already.
 
     np.loadtxt parses a field to the same float as float(), but accepts
     nan and overflowing values as inf, so finiteness is checked here.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _decode(Path(path).read_bytes(), path).splitlines()
     if not lines or [c.strip() for c in lines[0].split(",")] != ZEROSET_HEADER:
         return None
     if not any(lines[1:]):
@@ -158,8 +169,9 @@ def write_measure(mu: PointMeasure, path) -> None:
 
 def sniff_kind(path) -> str:
     """Map a file's header line to its object kind."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = [c.strip() for c in fh.readline().strip().split(",")]
+    with open(path, "rb") as fh:
+        first = _decode(fh.readline(), path).splitlines()
+    header = [c.strip() for c in (first[0] if first else "").strip().split(",")]
     if header == EXPSUM_HEADER:
         return "expsum"
     if header == ZEROSET_HEADER:

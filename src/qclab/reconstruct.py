@@ -27,6 +27,7 @@ VERDICT_GROWING = "growing"
 VERDICT_INCONCLUSIVE = "inconclusive"
 _SLOPE_BOUNDED = 0.02
 _SLOPE_GROWING = 0.1
+T3_BUDGET = 1000.0  # largest sum |b|/gamma over 0 < gamma < 1 a rebuild accepts
 
 
 @dataclass(frozen=True)
@@ -141,15 +142,11 @@ def canonical_product(A: ZeroSet, z: complex) -> ProductValue:
                         error_bound=bound, shift=shift)
 
 
-def log_series_at_height_one(
-    mu_hat: PointMeasure,
-    d: float,
-    *,
-    t3_budget: float = math.inf,
-) -> ExpSum:
+def log_series_at_height_one(mu_hat: PointMeasure, d: float) -> ExpSum:
     """Exponential sum with coefficient -(b/gamma)*exp(-2*pi*gamma) at each
     positive atom frequency; represents log f(x+1j) + 1j*d*pi*x up to a
-    constant."""
+    constant.  A measure whose sum |b|/gamma over 0 < gamma < 1 exceeds
+    ``T3_BUDGET`` is a DomainError."""
     if d <= 0:
         raise DomainError("density must be positive")
     g, b = mu_hat.positive()
@@ -164,25 +161,20 @@ def log_series_at_height_one(
             f"atom at gamma = {gg:.3g} contributes |b|/gamma = {np.max(ratios):.3g} "
             "to the low-frequency mass budget"
         )
-    if t3 > t3_budget:
+    if t3 > T3_BUDGET:
         raise DomainError(
-            f"low-frequency mass sum |b|/gamma = {t3:.3g} exceeds the budget {t3_budget:.3g}"
+            f"low-frequency mass sum |b|/gamma = {t3:.3g} exceeds the budget {T3_BUDGET:.3g}"
         )
     coeffs = -(b / g) * np.exp(-2.0 * math.pi * g)
     return canonicalize(list(zip(g.tolist(), coeffs.tolist())))
 
 
-def rebuild_dirichlet(
-    mu_hat: PointMeasure,
-    d: float | None = None,
-    *,
-    t3_budget: float = math.inf,
-) -> ExpSum:
+def rebuild_dirichlet(mu_hat: PointMeasure, d: float | None = None) -> ExpSum:
     """Dirichlet series with the measure's zero set, normalized to 1 at 0:
     ``rebuild_from_log_series`` of ``log_series_at_height_one``."""
     if d is None:
         d = mu_hat.d
-    return rebuild_from_log_series(log_series_at_height_one(mu_hat, d, t3_budget=t3_budget), d)
+    return rebuild_from_log_series(log_series_at_height_one(mu_hat, d), d)
 
 
 def rebuild_from_log_series(L: ExpSum, d: float) -> ExpSum:
@@ -223,7 +215,7 @@ def g_function(mu_hat: PointMeasure, z: complex) -> complex:
     return complex(np.sum(b * (np.exp(2j * np.pi * g * z) - 1.0) / g))
 
 
-def _sup_abs_g(mu_hat: PointMeasure, X: float, samples_per_unit: float = 64.0) -> float:
+def _sup_abs_g(mu_hat: PointMeasure, X: float) -> float:
     g, b = mu_hat.positive()
     sel = g < 1.0
     g, b = g[sel], b[sel]
@@ -233,7 +225,7 @@ def _sup_abs_g(mu_hat: PointMeasure, X: float, samples_per_unit: float = 64.0) -
     def many(xs):
         return np.abs(_exp_rows(xs, g, lambda E: E @ (b / g)) - np.sum(b / g))
 
-    n = max(512, int(2 * X * samples_per_unit) + 1)
+    n = max(512, int(2 * X * 64.0) + 1)  # 64 points per unit of x
     xs = np.linspace(-X, X, n)
     vals = many(xs)
     best = int(np.argmax(vals))

@@ -260,14 +260,15 @@ def at_height(f: ExpSum, s: float) -> ExpSum:
     return _make(f.freqs, coeffs)
 
 
-def is_hermitian(f: ExpSum, tol: float = 1e-12) -> bool:
-    """True if terms pair omega <-> -omega with conjugate coefficients."""
+def is_hermitian(f: ExpSum) -> bool:
+    """True if terms pair omega <-> -omega with conjugate coefficients, to
+    1e-12 of max(1, ||f||_W)."""
     if len(f) == 0:
         return True
     if np.max(np.abs(f.freqs + f.freqs[::-1])) > FREQ_TOL:
         return False
     defect = np.max(np.abs(f.coeffs - np.conj(f.coeffs[::-1])))
-    return bool(defect <= tol * max(1.0, f.wiener_norm))
+    return bool(defect <= 1e-12 * max(1.0, f.wiener_norm))
 
 
 def choose_height(f: ExpSum) -> float:

@@ -249,19 +249,6 @@ def _count_rectangles(f: ExpSum, rects):
     return counts, failed
 
 
-def count_zeros_rectangle(f: ExpSum, rect) -> int:
-    """Zeros of f inside an axis-aligned rectangle, counted with multiplicity.
-
-    ``rect`` is (x0, x1, y0, y1).  That |f| stays above the rounding of
-    ``evaluate`` on the boundary is verified while integrating; the
-    winding number is exact once every phase step is certified.
-    """
-    counts, failed = _count_rectangles(f, [rect])
-    if failed:
-        raise failed[0]
-    return int(counts[0])
-
-
 def _count_boxes(f, rects):
     """Winding counts on ``rects``, all counted together.  A rectangle whose
     contour fails is retried with its height scaled by each nudge in turn;
@@ -393,7 +380,7 @@ def _one_point(f, df, centers, ms, hws):
     return out
 
 
-def find_real_zeros(f: ExpSum, window, *, scan_step: float | None = None) -> ZeroSet:
+def find_real_zeros(f: ExpSum, window) -> ZeroSet:
     """Real zero multiset of f over the window.
 
     The strip |Im z| < step over the window is counted by a winding
@@ -408,7 +395,7 @@ def find_real_zeros(f: ExpSum, window, *, scan_step: float | None = None) -> Zer
     sit at one point becomes a piece with count m.  Every round does
     each kind of work once for all open pieces: one scan, one bisection
     of all brackets, one of all other candidates, one contour walk per
-    batch of boxes.  ``scan_step`` sets the first step (default 1/(16 B)).
+    batch of boxes.  The first step is 1/(16 B).
 
     Raises ``ConvergenceError`` when a piece is still short at 2**-12 of
     the first step (its zeros are not real, or closer than that step) or
@@ -423,7 +410,7 @@ def find_real_zeros(f: ExpSum, window, *, scan_step: float | None = None) -> Zer
     if len(f) == 1:
         warnings.warn("a single exponential has no zeros; returning an empty set")
         return _empty_zeroset((lo, hi))
-    step = scan_step if scan_step is not None else 1.0 / (16.0 * f.max_abs_freq)
+    step = 1.0 / (16.0 * f.max_abs_freq)
 
     try:
         counts, nudges = _count_boxes(f, [(lo, hi, -step, step)])
@@ -724,21 +711,9 @@ def _brackets_certified(count, height, cell_lo, cell_hi, n_bracket_roots,
     return not cell_lo.size or not np.any((j >= 0) & (cell_hi[np.maximum(j, 0)] > box_lo))
 
 
-def realness_check(
-    f: ExpSum,
-    window,
-    strip_height: float,
-    *,
-    zeros: ZeroSet | None = None,
-) -> RealnessReport:
-    """Compare the real-zero count with the winding count over a strip.
-
-    ``zeros`` may pass a precomputed ZeroSet for the same window to skip
-    the rescan.
-    """
-    lo, hi = map(float, window)
-    if zeros is None:
-        zeros = find_real_zeros(f, (lo, hi))
-    total = int(_count_boxes(f, [(lo, hi, -float(strip_height), float(strip_height))])[0][0])
-    real = zeros.count
-    return RealnessReport(real_count=real, total_count=total, all_real=real == total)
+def realness_check(f: ExpSum, A: ZeroSet) -> RealnessReport:
+    """Compare the real zeros A of f with the winding count over the strip
+    |Im z| < 0.5 above A's window."""
+    lo, hi = A.window
+    total = int(_count_boxes(f, [(lo, hi, -0.5, 0.5)])[0][0])
+    return RealnessReport(real_count=A.count, total_count=total, all_real=A.count == total)

@@ -19,9 +19,8 @@ from qclab.apset import (
     phi_representation,
 )
 from qclab.diffraction import (
-    GaussianSpec,
-    bohr_coefficient,
-    bohr_scan,
+    bohr_atoms,
+    bohr_means,
     logderiv_measure,
     poisson_residual,
 )
@@ -90,9 +89,9 @@ def test_criterion_2_route_agreement():
     worst = 0.0
     for f, A in ((cos_sum(), lat), (union_sum(), uni)):
         mu = logderiv_measure(f, "auto", 10.0)
-        for g, b in mu.atoms():
-            worst = max(worst, abs(bohr_coefficient(A, g, 2000.0) - b))
-        worst = max(worst, abs(bohr_coefficient(A, 0.0, 2000.0).real - mu.d))
+        means = bohr_means(A, np.append(mu.gammas, 0.0), [2000.0])[0]
+        worst = max(worst, float(np.max(np.abs(means[:-1] - mu.masses))),
+                    abs(means[-1].real - mu.d))
     d_uni = density(uni).d
     elapsed = time.perf_counter() - t0
     ok = worst < 0.01 and abs(d_uni - (1 + SQRT2)) <= 0.02 and elapsed < 60.0
@@ -104,13 +103,13 @@ def test_criterion_3_poisson_identity():
     """Gaussian residuals: exact lattice, scanned union, negative control."""
     lat = lattice_zeroset(0.5, 1.0, 2100)
     uni = union_zeroset(2100)
-    gauss = GaussianSpec(1.0)
-    r_exact = poisson_residual(lat, lattice_measure(K=8), gauss).residual
+    r_exact = poisson_residual(lat, lattice_measure(K=8)).residual
     grid = sorted(set([float(k) for k in range(-8, 9)]
                       + [round(k * SQRT2, 12) for k in range(-6, 7)]))
-    mu_uni = bohr_scan(uni, grid, 2000.0, 0.1)
-    r_union = poisson_residual(uni, mu_uni, gauss).residual
-    r_broken = poisson_residual(lat, lattice_measure(K=8).drop_atom(1.0), gauss).residual
+    full, half = bohr_means(uni, grid, [2000.0, 1000.0])
+    mu_uni = bohr_atoms(uni, grid, full, half, 2000.0, 0.1)
+    r_union = poisson_residual(uni, mu_uni).residual
+    r_broken = poisson_residual(lat, lattice_measure(K=8).drop_atom(1.0)).residual
     ok = r_exact < 1e-8 and r_union < 1e-3 and r_broken > 1e-2
     _report(3, ok, f"exact {r_exact:.1e}, union {r_union:.1e}, control {r_broken:.1e}")
 

@@ -151,8 +151,10 @@ class TestCountingSweep:
         assert np.array_equal(got, _oracle_extremes(e, hs, lo, hi))
         # same probes, so the same multiset of counts, not only its extremes
         fixed = [(x, np.searchsorted(e, x)) for x in (e - 1e-9, e + 1e-9)]
+        ep = apset._padded(e)
+        gaps = apset._gaps(ep, fixed)
         for h in hs:
-            assert np.array_equal(np.sort(apset._probe_counts(e, h, lo, hi, fixed)),
+            assert np.array_equal(np.sort(apset._length_counts(ep, fixed, gaps, h, lo, hi)),
                                   np.sort(_oracle_counts(e, h, lo, hi)))
 
     @settings(max_examples=60, deadline=None)
@@ -221,8 +223,10 @@ class TestSweepChecks:
         assert len(errors) == 5 * len(hs)
         assert max(errors) > 1
         fixed = [(x, np.searchsorted(e, x)) for x in (e - 1e-9, e + 1e-9)]
+        ep = apset._padded(e)
+        gaps = apset._gaps(ep, fixed)
         for h in hs:
-            assert np.array_equal(np.sort(apset._probe_counts(e, h, lo, hi, fixed)),
+            assert np.array_equal(np.sort(apset._length_counts(ep, fixed, gaps, h, lo, hi)),
                                   np.sort(_oracle_counts(e, h, lo, hi)))
 
     def test_high_multiplicity_at_a_plus_h_matches_oracle(self):

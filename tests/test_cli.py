@@ -166,7 +166,7 @@ class TestRunPipeline:
         path = tmp_path / "mu.csv"
         mu = PointMeasure(1.0, np.array([1e-7]), np.array([1.0 + 0j]))
         qio.write_measure(mu, path)
-        cfg = RunConfig(command="reconstruct", input_path=str(path), t3_budget=1000.0)
+        cfg = RunConfig(command="reconstruct", input_path=str(path))
         with pytest.warns(UserWarning):
             with pytest.raises(StageError) as exc:
                 run_pipeline(cfg)
@@ -304,7 +304,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("flag, value", [
         ("--T", "nan"), ("--T", "0"), ("--grid", "0"), ("--grid", "-1"),
         ("--cutoff", "nan"), ("--cutoff", "inf"), ("--eps", "nan"),
-        ("--height", "nan"), ("--height", "-inf"),
+        ("--height", "nan"), ("--height", "-inf"), ("--seed", "-1"), ("--window", "-inf,inf"),
     ])
     def test_usage_error_bad_number(self, cos_csv, tmp_path, flag, value):
         out = tmp_path / "out"
@@ -325,6 +325,36 @@ class TestMainExitCodes:
         assert doc["error"]["stage"] == "parse"
         assert doc["error"]["type"] == "ParseError"
         assert "zeros.json" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("name, text, line", [
+        ("sum.csv", b"omega,re,im\n-0.5,0.5,0.0\n0.5,0.5\xff,0.0\n", 3),
+        ("sum.csv", b"omega\xff,re,im\n-0.5,0.5,0.0\n", 1),
+        ("zeros.csv", b"point,multiplicity\n0.5,1\n1.5,1\xff\n", 3),
+    ])
+    def test_input_that_is_not_utf8_is_a_parse_error(self, tmp_path, name, text, line):
+        path = tmp_path / name
+        path.write_bytes(text)
+        path.with_suffix(".json").write_text('{"window": [-2.0, 2.0]}')
+        out = tmp_path / "out"
+        assert main(["apset", "--input", str(path), "--out", str(out)]) == 2
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["error"]["stage"] == "parse"
+        assert doc["error"]["type"] == "ParseError"
+        assert doc["error"]["message"].endswith(f"{name}:{line}: byte 0xff is not UTF-8")
+
+    def test_non_real_zeros_stop_the_log_derivative_route(self, tmp_path):
+        # cos(pi z) * (1 - exp(2 pi i z) / 4): the half-integers, and the
+        # zeros k - i log(4) / (2 pi), 0.22 below the real line
+        path = tmp_path / "sum.csv"
+        path.write_text("omega,re,im\n-0.5,0.5,0.0\n0.5,0.375,0.0\n1.5,-0.125,0.0\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--window=-10.2,10.2", "--T", "10",
+                     "--out", str(out)]) == 2
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["error"]["stage"] == "diffraction/logderiv"
+        assert doc["error"]["type"] == "DomainError"
+        assert doc["stages"]["zeros"]["realness"] == {
+            "real_count": 20, "total_count": 41, "all_real": False}
 
     def test_stage_error_exit_two(self, tmp_path):
         path = tmp_path / "mu.csv"

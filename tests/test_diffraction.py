@@ -7,12 +7,9 @@ import pytest
 
 from qclab import diffraction, wiener
 from qclab.diffraction import (
-    GaussianSpec,
     PointMeasure,
     bohr_atoms,
-    bohr_coefficient,
     bohr_means,
-    bohr_scan,
     growth_profile,
     logderiv_measure,
     poisson_residual,
@@ -25,19 +22,20 @@ from conftest import SQRT2, lattice_measure, lattice_zeroset
 
 
 class TestBohrCoefficient:
+    """Single Bohr means: one-entry calls of ``bohr_means``."""
+
     def test_lattice_gamma_one(self, lat2100):
-        assert bohr_coefficient(lat2100, 1.0, 1000.0) == pytest.approx(-1.0, abs=0.01)
+        assert bohr_means(lat2100, [1.0], [1000.0])[0, 0] == pytest.approx(-1.0, abs=0.01)
 
     def test_gamma_zero_is_density(self, lat2100):
-        assert bohr_coefficient(lat2100, 0.0, 1000.0).real == pytest.approx(1.0, abs=0.01)
+        assert bohr_means(lat2100, [0.0], [1000.0])[0, 0].real == pytest.approx(1.0, abs=0.01)
 
     def test_off_spectrum_cancels(self, lat2100):
-        assert abs(bohr_coefficient(lat2100, 0.5, 1000.0)) < 0.01
-        assert abs(bohr_coefficient(lat2100, 0.5, 500.0)) < 0.01
+        assert np.all(np.abs(bohr_means(lat2100, [0.5], [1000.0, 500.0])) < 0.01)
 
     def test_window_guard(self, lat500):
         with pytest.raises(DomainError):
-            bohr_coefficient(lat500, 1.0, 1000.0)
+            bohr_means(lat500, [1.0], [1000.0])
 
 
 class TestBohrMeans:
@@ -151,7 +149,8 @@ class TestBohrMeans:
         assert bohr_means(lat500, [], [100.0, 50.0]).shape == (2, 0)
 
     def test_scan_d_is_the_gamma_zero_mean(self, uni2100):
-        mu = bohr_scan(uni2100, [1.0, SQRT2], 2000.0, 0.1)
+        full, half = bohr_means(uni2100, [1.0, SQRT2], [2000.0, 1000.0])
+        mu = bohr_atoms(uni2100, [1.0, SQRT2], full, half, 2000.0, 0.1)
         assert mu.d == bohr_means(uni2100, [0.0], [2000.0])[0, 0].real
 
     def test_window_guards(self, lat500):
@@ -161,9 +160,18 @@ class TestBohrMeans:
             bohr_means(lat500, [1.0], [100.0, 0.0])
 
 
+_UNION_GRID = sorted(set([float(k) for k in range(-6, 7)]
+                         + [round(k * SQRT2, 12) for k in range(-4, 5)]))
+
+
 class TestBohrScan:
+    """Atoms kept by ``bohr_atoms`` from the means at T and T/2 of one
+    ``bohr_means`` pass, as the CLI's scan keeps them."""
+
     def test_lattice_atoms(self, lat2100):
-        mu = bohr_scan(lat2100, [k / 4.0 for k in range(-20, 21)], 2000.0, 0.1)
+        grid = np.arange(-20, 21) / 4.0
+        full, half = bohr_means(lat2100, grid, [2000.0, 1000.0])
+        mu = bohr_atoms(lat2100, grid, full, half, 2000.0, 0.1)
         assert mu.d == pytest.approx(1.0, abs=0.01)
         got = dict((round(g * 4) / 4, b) for g, b in mu.atoms())
         assert sorted(got) == [float(k) for k in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)]
@@ -171,9 +179,8 @@ class TestBohrScan:
             assert b == pytest.approx((-1.0) ** abs(k), abs=0.01)
 
     def test_union_atoms(self, uni2100):
-        grid = sorted(set([float(k) for k in range(-6, 7)]
-                          + [round(k * SQRT2, 12) for k in range(-4, 5)]))
-        mu = bohr_scan(uni2100, grid, 2000.0, 0.1)
+        full, half = bohr_means(uni2100, _UNION_GRID, [2000.0, 1000.0])
+        mu = bohr_atoms(uni2100, _UNION_GRID, full, half, 2000.0, 0.1)
         assert mu.d == pytest.approx(1.0 + SQRT2, abs=0.02)
         assert mu.mass_at(1.0) == pytest.approx(-1.0, abs=0.01)
         assert mu.mass_at(SQRT2) == pytest.approx(-SQRT2, abs=0.01)
@@ -183,18 +190,20 @@ class TestBohrScan:
         rng = np.random.default_rng(2)
         pts = np.sort(rng.uniform(-2000.0, 2000.0, rng.poisson(4000)))
         A = ZeroSet((-2000.0, 2000.0), pts, np.ones(pts.size, np.int64))
-        mu = bohr_scan(A, [k / 4.0 for k in range(-20, 21)], 2000.0, 0.1)
+        grid = np.arange(-20, 21) / 4.0
+        full, half = bohr_means(A, grid, [2000.0, 1000.0])
+        mu = bohr_atoms(A, grid, full, half, 2000.0, 0.1)
         assert len(mu) == 0
         assert mu.d == pytest.approx(1.0, abs=0.05)
 
     def test_threshold_guard(self, lat2100):
+        full, half = bohr_means(lat2100, [1.0], [2000.0, 1000.0])
         with pytest.raises(InvalidInputError):
-            bohr_scan(lat2100, [1.0], 2000.0, 1e-5)
+            bohr_atoms(lat2100, [1.0], full, half, 2000.0, 1e-5)
 
     def test_scan_conjugate_symmetry(self, uni2100):
-        grid = sorted(set([float(k) for k in range(-6, 7)]
-                          + [round(k * SQRT2, 12) for k in range(-4, 5)]))
-        mu = bohr_scan(uni2100, grid, 2000.0, 0.1)
+        full, half = bohr_means(uni2100, _UNION_GRID, [2000.0, 1000.0])
+        mu = bohr_atoms(uni2100, _UNION_GRID, full, half, 2000.0, 0.1)
         assert mu.conjugate_defect() < 0.01
 
 
@@ -269,11 +278,6 @@ class TestLogderivMeasure:
         with pytest.raises(DomainError):
             logderiv_measure(canonicalize([(0.7, 2.0)]), 1.0, 10.0)
 
-    def test_non_real_zeros_rejected(self):
-        f = canonicalize([(0.0, 1.0), (1.0, -0.25)])
-        with pytest.raises(DomainError):
-            logderiv_measure(f, "auto", 5.0, realness_window=(-5.2, 5.2))
-
     def test_height_independence(self, cos):
         mu1 = logderiv_measure(cos, 0.6, 8.0)
         mu2 = logderiv_measure(cos, 1.3, 8.0)
@@ -315,15 +319,13 @@ class TestLogderivMeasure:
 class TestRouteAgreement:
     def test_cos_routes_agree(self, cos, lat2100):
         mu_log = logderiv_measure(cos, 1.0, 10.0)
-        for g, b in mu_log.atoms():
-            est = bohr_coefficient(lat2100, g, 2000.0)
-            assert abs(est - b) < 0.01
+        est = bohr_means(lat2100, mu_log.gammas, [2000.0])[0]
+        assert np.max(np.abs(est - mu_log.masses)) < 0.01
 
     def test_union_routes_agree(self, funion, uni2100):
         mu_log = logderiv_measure(funion, "auto", 10.0)
-        for g, b in mu_log.atoms():
-            est = bohr_coefficient(uni2100, g, 2000.0)
-            assert abs(est - b) < 0.01
+        est = bohr_means(uni2100, mu_log.gammas, [2000.0])[0]
+        assert np.max(np.abs(est - mu_log.masses)) < 0.01
 
     def test_d_matches_density(self, funion, uni2100):
         from qclab.apset import density
@@ -334,7 +336,7 @@ class TestRouteAgreement:
 
 class TestPoissonResidual:
     def test_exact_lattice_identity(self, lat2100):
-        rep = poisson_residual(lat2100, lattice_measure(K=8), GaussianSpec(1.0))
+        rep = poisson_residual(lat2100, lattice_measure(K=8))
         assert rep.residual < 1e-8
         assert rep.zero_tail < 1e-8 and rep.atom_tail < 1e-8
         # both sides equal the theta-function value
@@ -344,29 +346,32 @@ class TestPoissonResidual:
     def test_union_scanned_measure(self, uni2100):
         grid = sorted(set([float(k) for k in range(-8, 9)]
                           + [round(k * SQRT2, 12) for k in range(-6, 7)]))
-        mu = bohr_scan(uni2100, grid, 2000.0, 0.1)
-        rep = poisson_residual(uni2100, mu, GaussianSpec(1.0))
+        full, half = bohr_means(uni2100, grid, [2000.0, 1000.0])
+        mu = bohr_atoms(uni2100, grid, full, half, 2000.0, 0.1)
+        rep = poisson_residual(uni2100, mu)
         assert rep.residual < 1e-3
 
     def test_negative_control(self, lat2100):
         broken = lattice_measure(K=8).drop_atom(1.0)
-        rep = poisson_residual(lat2100, broken, GaussianSpec(1.0))
+        rep = poisson_residual(lat2100, broken)
         assert rep.residual > 1e-2
 
     def test_residual_improves_with_T(self, uni2100):
         grid = sorted(set([float(k) for k in range(-8, 9)]
                           + [round(k * SQRT2, 12) for k in range(-6, 7)]))
+        Ts = [2000.0, 1000.0, 500.0, 250.0, 125.0]
+        means = bohr_means(uni2100, grid, Ts)
         residuals = []
-        for T in (250.0, 500.0, 1000.0, 2000.0):
-            mu = bohr_scan(uni2100, grid, T, 0.1)
-            residuals.append(poisson_residual(uni2100, mu, GaussianSpec(1.0)).residual)
+        for k in (3, 2, 1, 0):
+            mu = bohr_atoms(uni2100, grid, means[k], means[k + 1], Ts[k], 0.1)
+            residuals.append(poisson_residual(uni2100, mu).residual)
         assert residuals[-1] <= residuals[0]
         assert residuals[-1] < 1e-3
 
     def test_insufficient_window(self):
         A = lattice_zeroset(0.5, 1.0, 3)
         with pytest.raises(InsufficientDataError) as exc:
-            poisson_residual(A, lattice_measure(K=1), GaussianSpec(1.0))
+            poisson_residual(A, lattice_measure(K=1))
         assert exc.value.required_window is not None
 
 

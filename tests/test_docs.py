@@ -1,6 +1,9 @@
 """The ``## Example`` blocks of README.md and PAPER.md run and do what
-their comments claim."""
+their comments claim, and their ``## Layout`` tables name the public
+functions of each module, no more and no fewer."""
 
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -38,3 +41,27 @@ def test_example_runs_as_commented(name):
     assert len(g) == 2
     assert np.max(np.abs(g.freqs - [-0.5, 0.5])) < 1e-12
     assert np.max(np.abs(g.coeffs - 0.5)) < 1e-12
+
+
+def layout_table(name):
+    """{module: names in backticks in its row} of the ``## Layout`` table."""
+    text = (ROOT / name).read_text(encoding="utf-8")
+    m = re.search(r"^## Layout\n+((?:\|.*\n)+)", text, re.M)
+    assert m, f"{name} has no table under '## Layout'"
+    rows = {}
+    for line in m.group(1).splitlines()[2:]:
+        module, contents = (c.strip() for c in line.strip("|").split("|"))
+        rows[module.strip("`")] = set(re.findall(r"`(\w+)`", contents))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["README.md", "PAPER.md"])
+def test_layout_names_every_public_function(name):
+    rows = layout_table(name)
+    assert rows
+    for module, names in rows.items():
+        mod = importlib.import_module(module)
+        assert {n for n in names if not hasattr(mod, n)} == set(), module
+        public = {n for n, f in vars(mod).items() if inspect.isfunction(f)
+                  and f.__module__ == mod.__name__ and not n.startswith("_")}
+        assert public - names == set(), module

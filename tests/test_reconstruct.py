@@ -75,15 +75,17 @@ class TestLogSeries:
         assert len(log_series_at_height_one(mu, 1.0)) == 0
 
     def test_tiny_gamma_flagged(self):
-        mu = PointMeasure(1.0, np.array([1e-6]), np.array([1.0 + 0j]))
+        # |b|/gamma = 200 warns, and stays within the budget of 1000
+        mu = PointMeasure(1.0, np.array([0.005]), np.array([1.0 + 0j]))
         with pytest.warns(UserWarning, match="mass budget"):
             log_series_at_height_one(mu, 1.0)
 
     def test_t3_budget_enforced(self):
         mu = PointMeasure(1.0, np.array([1e-6]), np.array([1.0 + 0j]))
-        with pytest.warns(UserWarning):
-            with pytest.raises(DomainError, match="budget"):
-                log_series_at_height_one(mu, 1.0, t3_budget=100.0)
+        for rebuild in (log_series_at_height_one, rebuild_dirichlet):
+            with pytest.warns(UserWarning):
+                with pytest.raises(DomainError, match="exceeds the budget 1e"):
+                    rebuild(mu, 1.0)
 
     def test_nonpositive_density_rejected(self):
         with pytest.raises(DomainError):

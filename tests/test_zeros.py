@@ -17,7 +17,7 @@ from qclab.errors import (
 from qclab.wiener import canonicalize, constant, evaluate, multiply
 from qclab.zeros import (
     ZeroSet,
-    count_zeros_rectangle,
+    _count_rectangles,
     find_real_zeros,
     realness_check,
 )
@@ -73,37 +73,49 @@ def evaluate_calls(monkeypatch):
 
 
 class TestCountZerosRectangle:
+    """Winding counts of ``_count_rectangles``, the batched contour walk
+    the zero finder runs: a count per rectangle, -1 and a ContourError
+    where a contour fails."""
+
     def test_cos_single_zero(self, cos):
-        assert count_zeros_rectangle(cos, (0.0, 1.0, -1.0, 1.0)) == 1
+        counts, failed = _count_rectangles(cos, [(0.0, 1.0, -1.0, 1.0)])
+        assert counts.tolist() == [1] and not failed
 
     def test_cos_empty_box(self, cos):
-        assert count_zeros_rectangle(cos, (0.6, 0.9, -1.0, 1.0)) == 0
+        counts, failed = _count_rectangles(cos, [(0.6, 0.9, -1.0, 1.0)])
+        assert counts.tolist() == [0] and not failed
 
     def test_cos_squared_double_zero(self, cos):
         sq = multiply(cos, cos)
-        assert count_zeros_rectangle(sq, (0.0, 1.0, -1.0, 1.0)) == 2
+        counts, failed = _count_rectangles(sq, [(0.0, 1.0, -1.0, 1.0)])
+        assert counts.tolist() == [2] and not failed
 
     def test_many_zeros(self, cos):
-        assert count_zeros_rectangle(cos, (-10.2, 10.2, -1.0, 1.0)) == 20
+        counts, failed = _count_rectangles(cos, [(-10.2, 10.2, -1.0, 1.0)])
+        assert counts.tolist() == [20] and not failed
 
     def test_complex_zero_found(self):
         # zero where exp(2*pi*i*z) = 4, i.e. z = k - i*log(4)/(2*pi)
         f = canonicalize([(0.0, 1.0), (1.0, -0.25)])
         y = -math.log(4.0) / (2 * math.pi)
-        assert count_zeros_rectangle(f, (-0.5, 0.5, y - 0.2, y + 0.2)) == 1
-        assert count_zeros_rectangle(f, (-0.5, 0.5, -0.05, 0.05)) == 0
+        counts, failed = _count_rectangles(f, [(-0.5, 0.5, y - 0.2, y + 0.2),
+                                               (-0.5, 0.5, -0.05, 0.05)])
+        assert counts.tolist() == [1, 0] and not failed
 
     def test_contour_through_zero_errors(self, cos):
-        with pytest.raises(ContourError):
-            count_zeros_rectangle(cos, (0.5, 1.0, -1.0, 1.0))
+        # the failed contour stops only its own rectangle
+        counts, failed = _count_rectangles(cos, [(0.0, 1.0, -1.0, 1.0), (0.5, 1.0, -1.0, 1.0)])
+        assert counts.tolist() == [1, -1]
+        assert list(failed) == [1] and isinstance(failed[1], ContourError)
 
     def test_constant_has_no_zeros(self):
-        assert count_zeros_rectangle(constant(2.0), (-3.0, 3.0, -1.0, 1.0)) == 0
+        counts, failed = _count_rectangles(constant(2.0), [(-3.0, 3.0, -1.0, 1.0)])
+        assert counts.tolist() == [0] and not failed
 
     def test_empty_sum_rejected(self):
         from qclab.wiener import empty_sum
         with pytest.raises(InvalidInputError):
-            count_zeros_rectangle(empty_sum(), (0.0, 1.0, -1.0, 1.0))
+            _count_rectangles(empty_sum(), [(0.0, 1.0, -1.0, 1.0)])
 
 
 class TestFindRealZeros:
@@ -131,16 +143,19 @@ class TestFindRealZeros:
 
     def test_completeness_union(self, funion):
         A = find_real_zeros(funion, (-30.0, 30.0))
-        strip = count_zeros_rectangle(funion, (-30.0, 30.0, -0.05, 0.05))
-        assert A.count == strip
+        counts, _ = _count_rectangles(funion, [(-30.0, 30.0, -0.05, 0.05)])
+        assert A.count == counts[0]
 
     def test_refinement_stability(self, funion):
+        # certifying the window from half the first step finds the same zeros
         A = find_real_zeros(funion, (-15.0, 15.0))
-        B_max = funion.max_abs_freq
-        half_step = 1.0 / (32.0 * B_max)
-        A2 = find_real_zeros(funion, (-15.0, 15.0), scan_step=half_step)
-        assert len(A) == len(A2)
-        assert np.max(np.abs(A.points - A2.points)) < 1e-9
+        half_step = 1.0 / (32.0 * funion.max_abs_freq)
+        counts, nudges = zeros._count_boxes(funion, [(-15.0, 15.0, -half_step, half_step)])
+        piece = zeros._Piece(-15.0, 15.0, int(counts[0]), half_step * nudges[0], half_step)
+        points, mults = zeros._certify(funion, [piece], half_step * zeros._FINEST)
+        assert int(np.sum(mults)) == counts[0] == A.count
+        assert len(A) == points.size
+        assert np.max(np.abs(A.points - points)) < 1e-9
 
     def test_odd_zeros_are_sign_changes(self, cos):
         A = find_real_zeros(cos, (-5.2, 5.2))
@@ -303,20 +318,21 @@ class TestNeverAWrongAnswer:
 
 class TestRealnessCheck:
     def test_cos_all_real(self, cos):
-        rep = realness_check(cos, (-10.2, 10.2), strip_height=0.5)
+        rep = realness_check(cos, find_real_zeros(cos, (-10.2, 10.2)))
         assert rep.all_real
         assert rep.real_count == rep.total_count == 20
 
     def test_complex_zeros_detected(self):
         f = canonicalize([(0.0, 1.0), (1.0, -0.25)])
-        rep = realness_check(f, (-5.2, 5.2), strip_height=0.5)
+        rep = realness_check(f, find_real_zeros(f, (-5.2, 5.2)))
         assert not rep.all_real
         assert rep.real_count == 0
         assert rep.total_count == 11
 
     def test_constant_vacuous(self):
         with pytest.warns(UserWarning):
-            rep = realness_check(constant(4.0), (-3.0, 3.0), strip_height=0.5)
+            A = find_real_zeros(constant(4.0), (-3.0, 3.0))
+        rep = realness_check(constant(4.0), A)
         assert rep.all_real
         assert rep.real_count == rep.total_count == 0
 
