@@ -76,120 +76,84 @@ def unit_window_max(expanded: np.ndarray) -> int:
     return int(np.max(right - np.arange(expanded.size)))
 
 
-def _merge(e: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(#{e < y} for each sorted key y, #{keys <= e_j} for each point e_j).
-
-    A stable sort of the two sorted runs is one linear merge; with the
-    keys first, a key tied with a point sorts before it.
-    """
-    at_key = np.argsort(np.concatenate([keys, e]), kind="stable") < keys.size
-    return (np.flatnonzero(at_key) - np.arange(keys.size),
-            np.flatnonzero(~at_key) - np.arange(e.size))
-
-
-def _settle(ep: np.ndarray, keys: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """#{e < y} for each key y from the guesses r, on ep = [-inf, e, +inf]:
-    a guess with e[r - 1] < y <= e[r] is the rank, and every other one is
-    found by binary search, so any start gives the exact ranks."""
-    bad = np.flatnonzero((ep[r] >= keys) | (ep[r + 1] < keys))
-    if bad.size:
-        r = r.copy()
-        r[bad] = np.searchsorted(ep[1:-1], keys[bad])
-    return r
-
-
-def _padded(e: np.ndarray) -> np.ndarray:
-    return np.concatenate([[-np.inf], e, [np.inf]])
-
-
-def _gaps(ep: np.ndarray, fixed) -> list[float]:
-    # each fixed probe family's distance to the set
-    return [min(np.min(x - ep[r]), np.min(ep[r + 1] - x)) for x, r in fixed]
-
-
-def _fixed_ranks(ep: np.ndarray, keys: np.ndarray, x: np.ndarray, r: np.ndarray,
-                 gap: float) -> np.ndarray:
-    """#{e < y} for keys y within a rounding of the fixed probes x: their
-    ranks r hold while every shift |y - x| stays below the probes'
-    distance to the set (halved against the rounding of both)."""
-    if np.max(np.abs(keys - x), initial=0.0) < 0.5 * gap:
-        return r
-    return _settle(ep, keys, r)
-
-
-def _inside(x: np.ndarray, lo: float, top: float) -> slice:
-    # the sorted probes x with lo <= x <= top
-    return slice(np.searchsorted(x, lo, side="left"), np.searchsorted(x, top, side="right"))
-
-
-def _length_counts(ep: np.ndarray, fixed, gaps, h: float, lo: float, hi: float) -> np.ndarray:
-    """#A in [x, x+h) at every probe x of window length h, from one merge.
-
-    The count only changes at x = a and x = a - h, so it is probed on
-    both sides of each: the families a -+ 1e-9 and (a - h) -+ 1e-9, plus
-    lo and hi - h, kept in [lo, hi-h].  A count is the rank #{e < x + h}
-    less the rank #{e < x}.  Each family is sorted, so the window keeps
-    a slice of it.  One merge of (a - 1e-9) + h with e gives the upper
-    ranks of a - 1e-9 exactly; every other rank starts from a guess and
-    is kept only where a check proves it, else ``_settle`` searches
-    for it, so the counts equal one binary search per probe:
-
-    - a + 1e-9 starts from the upper ranks of a - 1e-9, which can only be
-      low: one check e[r] >= y;
-    - (a - h) + 1e-9 starts from the merge's point positions
-      #{(a - 1e-9) + h <= e_j}, within a rounding of its lower ranks;
-    - (a - h) - 1e-9 starts from those, which can only be high: one
-      check e[r - 1] < y;
-    - the upper ends ((a - h) -+ 1e-9) + h round to within a few ulps of
-      a -+ 1e-9, whose fixed ranks hold while that shift stays below the
-      fixed probes' distance to the set (``gaps``).
-
-    ``ep`` is e padded as [-inf, e, +inf], so no check needs a clip.
-    ``fixed`` holds the probes a -+ 1e-9 with their ranks #{e < x} and
-    ``gaps`` their distances to the set; neither depends on h, so
-    ``_count_extremes`` computes them once for all lengths.
-    """
-    top = hi - h
-    if top < lo:
-        return np.zeros(0, np.int64)
-    e = ep[1:-1]
-    (x1, r1), (x2, r2) = fixed
-    u1, below = _merge(e, x1 + h)
-    s1, s2 = _inside(x1, lo, top), _inside(x2, lo, top)
-    y2 = x2[s2] + h
-    u2 = u1[s2]
-    if (ep[u2 + 1] < y2).any():
-        u2 = _settle(ep, y2, u2)
-    eh = e - h
-    x3, x4 = eh - 1e-9, eh + 1e-9
-    s3, s4 = _inside(x3, lo, top), _inside(x4, lo, top)
-    w = slice(s4.start, s3.stop)  # x3 <= x4, so both slices lie in w
-    l4 = _settle(ep, x4[w], below[w])
-    l3 = l4
-    if (ep[l3] >= x3[w]).any():
-        l3 = _settle(ep, x3[w], l3)
-    u3, u4 = (_fixed_ranks(ep, x[w] + h, xf[w], rf[w], gap)
-              for x, (xf, rf), gap in zip((x3, x4), fixed, gaps))
-    i3 = slice(s3.start - w.start, s3.stop - w.start)
-    i4 = slice(0, s4.stop - w.start)
-    ends = np.array([lo, top])
-    return np.concatenate([
-        u1[s1] - r1[s1], u2 - r2[s2], (u3 - l3)[i3], (u4 - l4)[i4],
-        np.searchsorted(e, ends + h) - np.searchsorted(e, ends),
-    ])
+def _searched_counts(e: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    # #A in [x, x+h) at each probe x, one binary search per end
+    return np.searchsorted(e, x + h) - np.searchsorted(e, x)
 
 
 def _count_extremes(e: np.ndarray, h_grid, lo: float, hi: float) -> np.ndarray:
     """Exact max and min of #A in [x, x+h) over x in [lo, hi-h], one row
-    (max, min) per window length h of h_grid; (0, 0) where no probe fits."""
-    fixed = [(x, np.searchsorted(e, x)) for x in (e - 1e-9, e + 1e-9)]
-    ep = _padded(e)
-    gaps = _gaps(ep, fixed)
+    (max, min) per window length h of h_grid; (0, 0) where hi - h < lo.
+
+    Exact means equal to the counts at every probe where the count can
+    change, a -+ 1e-9 and (a - h) -+ 1e-9 for each point a, plus lo and
+    hi - h, each probe in [lo, hi-h] counted by binary search.
+
+    The count rises just after an event a - h and falls just after an
+    event a.  One stable merge of the distinct points shifted to a - h
+    with the points a orders the events, and the running sum of their
+    signed multiplicities is the count on the stretch after each event.
+
+    An event is sharp when no other event, nor lo or hi - h, lies within
+    ``fuzz`` of it.  The probe offset is 1e-9, and each of the three
+    roundings between an event and a probe's ranks (a - h, b -+ 1e-9 and
+    x + h) moves it by at most eps/2 * S, where S bounds |a|, |lo| and
+    |hi| plus h.  So with fuzz >= 1e-9 + 1.5 eps S, the probes of a sharp
+    event b count the stretches just before and just after b, and they
+    lie in the window exactly when b does.  ``fuzz`` is 2e-9 + 8 eps S,
+    which also covers the roundings of its own comparisons.  Once
+    8 eps S reaches 1e-9 (S above about 5.6e5), the offset no longer
+    decides which side of its event a probe lands on, so every event is
+    fuzzy.
+
+    The lower probe of a sharp event b counts the stretch after the
+    event c before it.  The upper probe of c counts it too, as b lies
+    more than fuzz above c, or, where that probe falls below the window,
+    the probe at lo does.  So the probed counts are the running sums
+    after the sharp events in the window, the probes of the fuzzy
+    events, counted by binary search, and the counts at lo and hi - h.
+    With no fuzzy event these are one slice of running sums.
+    """
+    starts = np.flatnonzero(np.diff(e, prepend=-np.inf))
+    mults = np.diff(starts, append=e.size)
+    n = starts.size
+    signed = np.concatenate([mults, -mults])
+    events = np.empty(2 * n)  # the runs a - h and a, reused for every length
+    events[n:] = e[starts]
+    level = np.zeros(2 * n + 1, np.int64)  # the count after the first k events
+    reach = max(abs(lo), abs(hi), float(np.max(np.abs(e), initial=0.0)))
+    ulps = 8.0 * np.finfo(float).eps
     out = np.zeros((len(h_grid), 2), np.int64)
     for k, h in enumerate(h_grid):
-        c = _length_counts(ep, fixed, gaps, h, lo, hi)
-        if c.size:
+        top = hi - h
+        if top < lo:
+            continue
+        rounding = ulps * (reach + h)
+        fuzz = 2e-9 + rounding if rounding < 1e-9 else np.inf
+        np.subtract(events[n:], h, out=events[:n])
+        order = np.argsort(events, kind="stable")
+        np.cumsum(signed[order], out=level[1:])
+        merged = events[order]
+        # the events whose probes can fall in the window
+        i0 = np.searchsorted(merged, lo - fuzz)
+        i1 = np.searchsorted(merged, top + fuzz, side="right")
+        w = merged[i0:i1]
+        gaps = np.diff(w)
+        if not w.size or (w[0] > lo + fuzz and w[-1] < top - fuzz
+                          and np.min(gaps, initial=np.inf) > fuzz):
+            c = level[i0:i1 + 1]
             out[k] = c.max(), c.min()
+            continue
+        close = gaps <= fuzz
+        fuzzy = (w <= lo + fuzz) | (w >= top - fuzz)
+        fuzzy[1:] |= close
+        fuzzy[:-1] |= close
+        sharp = i0 + np.flatnonzero(~fuzzy)
+        x = w[fuzzy]
+        x = np.concatenate([x - 1e-9, x + 1e-9, [lo, top]])
+        x = x[(x >= lo) & (x <= top)]
+        c = np.concatenate([level[sharp + 1], _searched_counts(e, x, h)])
+        out[k] = c.max(), c.min()
     return out
 
 
@@ -200,10 +164,11 @@ def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
     for each probed window length h, the exact spread max - min of the
     sliding count, maximized over a grid of lengths; this dominates every
     sampled pair of equal-length windows at those lengths.  The spreads
-    come from one exact rank sweep over the probes at which the count
-    can change, one merge per length (see ``_length_counts``); ``density``
-    carries the result, so a run needs only one call.  An explicit
-    ``h_grid`` must hold finite positive lengths.
+    come from one merge of the events a - h and a per length, with binary
+    search only for the probes of events closer than a rounding margin to
+    another event or to the window ends (see ``_count_extremes``);
+    ``density`` carries the result, so a run needs only one call.  An
+    explicit ``h_grid`` must hold finite positive lengths.
     """
     if A.count == 0:
         raise DomainError("counting constants need a nonempty set")

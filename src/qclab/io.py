@@ -7,6 +7,7 @@ for measures with the gamma = 0 row carrying the density.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -26,13 +27,14 @@ MEASURE_HEADER = ["gamma", "re", "im"]
 
 
 def _decode(data: bytes, path) -> str:
-    """``data`` as UTF-8 text; a byte that is not UTF-8 is a ParseError
-    naming its line."""
+    """``data`` as UTF-8 text less a leading byte-order mark; a byte that
+    is not UTF-8 is a ParseError naming its line."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", path=path,
-                         line=data.count(b"\n", 0, exc.start) + 1) from None
+        body = data.removeprefix(codecs.BOM_UTF8)  # the decoder's offsets skip the mark
+        raise ParseError(f"byte {body[exc.start]:#04x} is not UTF-8", path=path,
+                         line=body.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _read_rows(path, header):
@@ -63,12 +65,19 @@ def read_expsum(path) -> ExpSum:
     return canonicalize([(w, re + 1j * im) for _, (w, re, im) in rows])
 
 
-def write_expsum(f: ExpSum, path) -> None:
+def _write_rows(path, header, columns) -> None:
+    """The header and one line per row of ``columns`` (lists of Python
+    numbers), byte for byte as csv.writer writes their reprs: separated
+    by commas, each line ended by CRLF.  No repr holds a character that
+    csv would quote."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(EXPSUM_HEADER)
-        for w, q in f.terms():
-            wr.writerow([repr(float(w)), repr(q.real), repr(q.imag)])
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def write_expsum(f: ExpSum, path) -> None:
+    _write_rows(path, EXPSUM_HEADER,
+                (f.freqs.tolist(), f.coeffs.real.tolist(), f.coeffs.imag.tolist()))
 
 
 def _zeroset_table(path) -> np.ndarray | None:
@@ -135,11 +144,7 @@ def _sidecar_window(sidecar: Path) -> tuple[float, float]:
 
 
 def write_zeroset(A: ZeroSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(ZEROSET_HEADER)
-        for p, m in zip(A.points, A.mults):
-            wr.writerow([repr(float(p)), int(m)])
+    _write_rows(path, ZEROSET_HEADER, (A.points.tolist(), A.mults.tolist()))
     sidecar = Path(path).with_suffix(".json")
     sidecar.write_text(
         json.dumps({"window": [A.window[0], A.window[1]]}, sort_keys=True) + "\n",
@@ -159,12 +164,9 @@ def read_measure(path) -> PointMeasure:
 
 
 def write_measure(mu: PointMeasure, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(MEASURE_HEADER)
-        wr.writerow([repr(0.0), repr(float(mu.d)), repr(0.0)])
-        for g, b in mu.atoms():
-            wr.writerow([repr(float(g)), repr(b.real), repr(b.imag)])
+    _write_rows(path, MEASURE_HEADER,
+                ([0.0] + mu.gammas.tolist(), [float(mu.d)] + mu.masses.real.tolist(),
+                 [0.0] + mu.masses.imag.tolist()))
 
 
 def sniff_kind(path) -> str:

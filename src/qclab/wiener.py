@@ -160,11 +160,13 @@ def _exp_rows(points, freqs, reduce):
     """``reduce(E)`` joined along its last axis, the rows of
     E = exp(2j*pi*outer(points, freqs)), formed in blocks of rows on one
     thread per CPU; each of w workers reuses one buffer of
-    ``_EXP_BUDGET // w`` entries plus a row.  numpy's matrix-vector
-    product rounds a lone row differently, so a one-row last block joins
-    the one before and a one-point call is padded to two rows.  With a
-    row-wise ``reduce`` a point's value is then bit-identical whatever
-    else is in the call, for any budget and worker count.
+    ``_EXP_BUDGET // w`` entries plus a row, which holds the phases and
+    then, in place, E, so ``reduce`` must return a new array, not a view
+    of E.  numpy's matrix-vector product rounds a lone row differently,
+    so a one-row last block joins the one before and a one-point call is
+    padded to two rows.  With a row-wise ``reduce`` a point's value is
+    then bit-identical whatever else is in the call, for any budget and
+    worker count.
     ``np.errstate`` is thread-local, so each worker enters it.
     """
     if len(points) == 1:
@@ -181,7 +183,7 @@ def _exp_rows(points, freqs, reduce):
                 x = buf[:bounds[k + 1] - bounds[k]]
                 np.multiply(points[bounds[k]:bounds[k + 1], None], freqs, out=x)  # np.outer
                 np.multiply(2j * np.pi, x, out=x)
-                out[k] = reduce(np.exp(x))
+                out[k] = reduce(np.exp(x, out=x))
 
     if len(out) == 1:  # the common small call: no thread machinery
         run(range(1))

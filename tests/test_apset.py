@@ -149,13 +149,10 @@ class TestCountingSweep:
         e = A.expand()
         got = apset._count_extremes(e, hs, lo, hi)
         assert np.array_equal(got, _oracle_extremes(e, hs, lo, hi))
-        # same probes, so the same multiset of counts, not only its extremes
-        fixed = [(x, np.searchsorted(e, x)) for x in (e - 1e-9, e + 1e-9)]
-        ep = apset._padded(e)
-        gaps = apset._gaps(ep, fixed)
-        for h in hs:
-            assert np.array_equal(np.sort(apset._length_counts(ep, fixed, gaps, h, lo, hi)),
-                                  np.sort(_oracle_counts(e, h, lo, hi)))
+        # one length at a time, longest first: the reused event buffer
+        # carries nothing from one length to the next
+        for k in reversed(range(len(hs))):
+            assert np.array_equal(apset._count_extremes(e, hs[k:k + 1], lo, hi), got[k:k + 1])
 
     @settings(max_examples=60, deadline=None)
     @given(_hard_sets())
@@ -190,18 +187,18 @@ def _clusters():
 
 
 @contextmanager
-def _settle_errors():
-    """Records the largest error of the guesses of every apset._settle call."""
-    errors = []
-    settle = apset._settle
+def _searches():
+    """Records the lengths at which apset._count_extremes counts probes
+    by binary search."""
+    lengths = []
+    searched = apset._searched_counts
 
-    def spy(ep, keys, r):
-        out = settle(ep, keys, r)
-        errors.append(int(np.max(np.abs(out - r), initial=0)))
-        return out
+    def spy(e, x, h):
+        lengths.append(h)
+        return searched(e, x, h)
 
-    with mock.patch.object(apset, "_settle", spy):
-        yield errors
+    with mock.patch.object(apset, "_searched_counts", spy):
+        yield lengths
 
 
 class TestSweepChecks:
@@ -213,44 +210,83 @@ class TestSweepChecks:
             assert got == counting_constants(uni2100)
 
     def test_every_check_fails_matches_oracle(self):
+        # every length has events within the fuzz of each other, so the
+        # sharpness check fails and the fuzzy probes are searched
         A, hs = _clusters()
         lo, hi = A.window
         e = A.expand()
-        with _settle_errors() as errors:
+        with _searches() as lengths:
             got = apset._count_extremes(e, hs, lo, hi)
         assert np.array_equal(got, _oracle_extremes(e, hs, lo, hi))
-        # the merge-guessed ranks and all four checked ones settled at every length
-        assert len(errors) == 5 * len(hs)
-        assert max(errors) > 1
-        fixed = [(x, np.searchsorted(e, x)) for x in (e - 1e-9, e + 1e-9)]
-        ep = apset._padded(e)
-        gaps = apset._gaps(ep, fixed)
-        for h in hs:
-            assert np.array_equal(np.sort(apset._length_counts(ep, fixed, gaps, h, lo, hi)),
-                                  np.sort(_oracle_counts(e, h, lo, hi)))
+        assert lengths == list(hs)
 
     def test_high_multiplicity_at_a_plus_h_matches_oracle(self):
         # every 20th lattice point has multiplicity 500 and integer lengths
-        # land a + h on it, so guesses are off by a whole multiplicity
+        # land a + h on it, so the events a - h and a coincide and every
+        # length is searched
         pts = lattice_points(0.5, 1.0, 100)
         mults = np.where(np.arange(pts.size) % 20 == 0, 500, 1)
         A = ZeroSet((-100.0, 100.0), pts, mults)
         lo, hi = A.window
         e = A.expand()
         hs = np.arange(1.0, 51.0)
-        with _settle_errors() as errors:
+        with _searches() as lengths:
             got = apset._count_extremes(e, hs, lo, hi)
         assert np.array_equal(got, _oracle_extremes(e, hs, lo, hi))
-        assert max(errors) >= 500
+        assert lengths == list(hs)
+        # a window gains a 500-fold point where another loses a simple one
+        assert np.max(got[:, 0] - got[:, 1]) == 499
 
-    def test_one_settle_per_length_on_the_benchmark_union(self):
-        # the zeroset-diffract set, a window off the lattice spacings:
-        # every check holds, and the one settle per length finds no error
+    def test_no_search_on_the_benchmark_union(self):
+        # the zeroset-diffract set, a window off the lattice spacings: no
+        # event is fuzzy at any length, so every length is one slice of
+        # running sums
         A = union_zeroset(2100.18)
-        with _settle_errors() as errors:
+        with _searches() as lengths:
             counting_constants(A)
         assert A.count == 10140
-        assert errors == [0] * 417
+        assert lengths == []
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_event_within_the_fuzz_of_a_window_end_matches_oracle(self, flip):
+        # a point 5e-10 below lo + h has its event a - h 5e-10 below lo
+        # (flipped: a point, so an event a, 5e-10 above hi - h), just
+        # outside the window; the count at that end is the window's
+        # minimum, and the running sum outside that event is one less
+        dense = 2.5 + 0.1 * SQRT2 * np.arange(53)
+        pts = np.append(dense, 2.0 - 5e-10)
+        if flip:
+            pts = 10.0 - pts
+        e = np.sort(pts)
+        with _searches() as lengths:
+            got = apset._count_extremes(e, [2.0], 0.0, 10.0)
+        assert np.array_equal(got, _oracle_extremes(e, [2.0], 0.0, 10.0))
+        assert got.tolist() == [[15, 1]]
+        assert lengths == [2.0]
+
+    def test_plateau_seen_by_one_probe_matches_oracle(self):
+        # the events 3 (5 - h, multiplicity 3), 3 + 3e-10 (a point, 3) and
+        # 3 + 1.1e-9 (a point): only the lower probe of the last one lands
+        # between the first two, where the count is the window's largest
+        e = np.array([3.0 + 3e-10] * 3 + [3.0 + 1.1e-9] + [5.0] * 3)
+        with _searches() as lengths:
+            got = apset._count_extremes(e, [2.0], 0.0, 10.0)
+        assert np.array_equal(got, _oracle_extremes(e, [2.0], 0.0, 10.0))
+        assert got.tolist() == [[7, 0]]
+        assert lengths == [2.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_hard_sets(), st.sampled_from([4e5, 6e5, 1e7, -3e8]))
+    def test_far_window_matches_oracle(self, case, shift):
+        # past |x| ~ 5.6e5 the rounding of x + h rivals the 1e-9 probe
+        # offset, and every probe is searched
+        A, hs = case
+        lo, hi = (x + shift for x in A.window)
+        e = A.expand() + shift
+        e = e[(e >= lo) & (e <= hi)]
+        if e.size:
+            assert np.array_equal(apset._count_extremes(e, hs, lo, hi),
+                                  _oracle_extremes(e, hs, lo, hi))
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, -1.0, 0.0])
     def test_invalid_window_length_rejected(self, h):

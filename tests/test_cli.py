@@ -1,3 +1,6 @@
+import codecs
+import csv
+import io as stdio
 import json
 import os
 import re
@@ -11,6 +14,7 @@ import pytest
 
 import qclab
 from qclab import io as qio
+from qclab import wiener
 from qclab.cli import (
     RunConfig,
     _counting_spot_check,
@@ -21,6 +25,7 @@ from qclab.cli import (
 )
 from qclab.diffraction import PointMeasure
 from qclab.errors import ParseError, StageError
+from qclab.zeros import ZeroSet
 
 from conftest import cos_sum, lattice_measure, lattice_zeroset, union_zeroset
 
@@ -92,6 +97,34 @@ class TestParseInputs:
         assert back.d == 2.5
         assert back.mass_at(1.0) == pytest.approx(0.5 + 0.25j)
         assert back.mass_at(-1.0) == pytest.approx(0.5 - 0.25j)
+
+    def test_writers_write_what_csv_writer_writes(self, tmp_path):
+        # signed zeros, subnormals, the extremes and multiplicities above 1
+        x = np.array([-1.7976931348623157e308, -1.0 / 3.0, -2.5e-310, -0.0, 0.0, 5e-324,
+                      2.2250738585072014e-308, 0.1, 1e22])
+        A = ZeroSet((-2.0, 2.0), x, np.arange(1, x.size + 1))
+        mu = PointMeasure(5e-324, x[x != 0], x[x != 0][::-1] + 1j * x[x != 0])
+        f = wiener._make(x, x[::-1] - 1j * x)
+
+        def csv_bytes(header, rows):
+            text = stdio.StringIO()
+            wr = csv.writer(text)
+            wr.writerow(header)
+            wr.writerows(rows)
+            return text.getvalue().encode()
+
+        for write, obj, header, rows in (
+            (qio.write_zeroset, A, qio.ZEROSET_HEADER,
+             [[repr(float(p)), int(m)] for p, m in zip(A.points, A.mults)]),
+            (qio.write_measure, mu, qio.MEASURE_HEADER,
+             [[repr(0.0), repr(float(mu.d)), repr(0.0)]]
+             + [[repr(float(g)), repr(b.real), repr(b.imag)] for g, b in mu.atoms()]),
+            (qio.write_expsum, f, qio.EXPSUM_HEADER,
+             [[repr(float(w)), repr(q.real), repr(q.imag)] for w, q in f.terms()]),
+        ):
+            path = tmp_path / "out.csv"
+            write(obj, path)
+            assert path.read_bytes() == csv_bytes(header, rows), write.__name__
 
     @staticmethod
     def _zeroset_file(tmp_path, kind):
@@ -330,6 +363,7 @@ class TestMainExitCodes:
         ("sum.csv", b"omega,re,im\n-0.5,0.5,0.0\n0.5,0.5\xff,0.0\n", 3),
         ("sum.csv", b"omega\xff,re,im\n-0.5,0.5,0.0\n", 1),
         ("zeros.csv", b"point,multiplicity\n0.5,1\n1.5,1\xff\n", 3),
+        ("zeros.csv", codecs.BOM_UTF8 + b"point,multiplicity\n0.5,1\n1.5,1\xff\n", 3),
     ])
     def test_input_that_is_not_utf8_is_a_parse_error(self, tmp_path, name, text, line):
         path = tmp_path / name
@@ -341,6 +375,34 @@ class TestMainExitCodes:
         assert doc["error"]["stage"] == "parse"
         assert doc["error"]["type"] == "ParseError"
         assert doc["error"]["message"].endswith(f"{name}:{line}: byte 0xff is not UTF-8")
+
+    @pytest.mark.parametrize("name, argv, rows", [
+        ("sum.csv", ["zeros", "--window=-20.2,20.2"], None),
+        ("zeros.csv", ["apset"], False),
+        ("zeros.csv", ["apset"], True),
+        ("mu.csv", ["reconstruct"], None),
+    ])
+    def test_byte_order_mark_gives_the_same_artifacts(self, tmp_path, name, argv, rows):
+        path = tmp_path / name
+        if name == "sum.csv":
+            qio.write_expsum(cos_sum(), path)
+        elif name == "mu.csv":
+            qio.write_measure(lattice_measure(K=3), path)
+        else:
+            qio.write_zeroset(lattice_zeroset(0.5, 1.0, 10), path)
+            if rows:  # a quoted field sends the parse to the row parser
+                path.write_text(path.read_text().replace("\n-9.5,", '\n"-9.5",'))
+        plain = path.read_bytes()
+        for out, data in (("plain", plain), ("marked", codecs.BOM_UTF8 + plain)):
+            path.write_bytes(data)
+            if rows is not None:
+                assert (qio._zeroset_table(path) is None) == rows
+            assert main(argv + ["--input", str(path), "--out", str(tmp_path / out)]) == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "marked").iterdir())
+        for artifact in names:
+            assert (tmp_path / "plain" / artifact).read_bytes() == \
+                   (tmp_path / "marked" / artifact).read_bytes(), artifact
 
     def test_non_real_zeros_stop_the_log_derivative_route(self, tmp_path):
         # cos(pi z) * (1 - exp(2 pi i z) / 4): the half-integers, and the

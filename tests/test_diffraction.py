@@ -114,10 +114,10 @@ class TestBohrMeans:
         monkeypatch.setattr(wiener, "_cpu_count", lambda: 2)
         exp = np.exp
 
-        def exp_failing_off_the_calling_thread(x):
+        def exp_failing_off_the_calling_thread(x, **kwargs):
             if threading.current_thread() is not threading.main_thread():
                 raise FloatingPointError("worker block")
-            return exp(x)
+            return exp(x, **kwargs)
 
         monkeypatch.setattr(np, "exp", exp_failing_off_the_calling_thread)
         pts = np.arange(-40, 41) + 0.5

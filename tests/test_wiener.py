@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from qclab import wiener
 from qclab.apset import phi_fourier, phi_representation
+from qclab.diffraction import bohr_means
 from qclab.errors import CapacityError, DivergenceError, InvalidInputError
 from qclab.wiener import (
     add,
@@ -187,6 +189,26 @@ class TestExpKernel:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OverflowError):
                 evaluate(cos, z)
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bohr_means_peak_is_one_buffer_per_worker(self, monkeypatch, workers):
+        # the exp is formed in place, so a pass of several blocks per
+        # worker holds the workers' buffers, _EXP_BUDGET entries in all,
+        # and no second array of that size
+        monkeypatch.setattr(wiener, "_cpu_count", lambda: workers)
+        A = union_zeroset(500)
+        gammas = 0.01 * np.arange(2000)
+        buffers = 16 * wiener._EXP_BUDGET
+        assert gammas.size * A.count > 4 * wiener._EXP_BUDGET
+        tracemalloc.start()
+        try:
+            bohr_means(A, gammas, [400.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the workers' buffers need not all be alive at once
+        assert buffers / workers < peak < 1.25 * buffers
 
 
 class TestAlgebraOps:
