@@ -298,8 +298,10 @@ def phi_fourier(phi: PhiRepresentation, freqs, N: int | None = None):
 
 
 def lindelof_sum(A: ZeroSet, N_list):
-    """Partial sums sum_{|a_n| < N} 1/a_n and their Cauchy statistic
-    (max pairwise spread over the top half of N_list)."""
+    """Partial sums sum_{|a_n| < N} 1/a_n, N > 0, and their Cauchy
+    statistic (max pairwise spread over the top half of N_list)."""
+    if any(float(N) <= 0 for N in N_list):
+        raise DomainError(f"N must be positive, so the window must contain 0; got {N_list}")
     e = A.expand()
     if e.size and np.min(np.abs(e)) < 1e-12:
         raise DomainError("0 is in the set; translate the set before summing 1/a_n")

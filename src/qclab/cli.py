@@ -112,6 +112,10 @@ def _jsonable(obj):
     return obj
 
 
+def _report_text(doc) -> str:
+    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+
+
 def _zeros_stage(f, cfg):
     A = zeros.find_real_zeros(f, cfg.window)
     realness = zeros.realness_check(f, A)
@@ -144,7 +148,7 @@ def _counting_spot_check(A, k2, rng, trials):
     return int(np.sum(np.abs(c[:, 0] - c[:, 1]) > k2))
 
 
-def _apset_stage(A, cfg):
+def _apset_stage(A, half, cfg):
     rng = np.random.default_rng(cfg.seed)
     dens = apset.density(A)
     cc = dens.counting
@@ -158,7 +162,6 @@ def _apset_stage(A, cfg):
     periods = apset.almost_periods(A, cfg.eps, (0.0, tau_hi), d=dens.d)
     phi = apset.phi_representation(A, dens.d)
 
-    half = min(-lo, hi)
     n_list = sorted({max(2.0, half / 8), half / 4, half / 2, float(half)})
     try:
         sums, cauchy = apset.lindelof_sum(A, n_list)
@@ -189,12 +192,12 @@ def _apset_stage(A, cfg):
         "lindelof": lindelof,
         "krein_levin": krein,
     }
-    return dens, cc, phi, info
+    return dens, info
 
 
-def _diffraction_stage(f, A, dens, cc, realness, cfg):
+def _diffraction_stage(f, A, half, dens, realness, cfg):
     if f is not None:
-        if realness is not None and not realness.all_real:
+        if not realness.all_real:
             raise StageError("diffraction/logderiv", DomainError(
                 f"the zero set is not real: {realness.real_count} real of "
                 f"{realness.total_count} zeros in the strip; the log-derivative route "
@@ -205,29 +208,29 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
     else:
         mu_log = None
 
-    lo, hi = A.window
-    half = min(-lo, hi)
+    if half <= 0:
+        raise StageError("diffraction/bohr", DomainError(
+            f"the zero-set window {A.window} must contain 0 for Bohr means over |a| < T"))
     T_eff = min(cfg.T, float(half))
-    threshold = max(0.05, 3.0 * cc.k1 / T_eff)
     # k * step for |k| <= K: exact +- pairs, whose means bohr_means mirrors
     K = round(cfg.cutoff / cfg.grid_step)
     grid = cfg.grid_step * np.arange(-K, K + 1)
     if mu_log is not None and len(mu_log):
-        # a grid point within FREQ_TOL of a log atom is that atom (9.0 beside
-        # 8.999999999999998): one column each, or both would count as atoms.
-        # The atoms and the grid are exact +- pairs, so the merge keeps them so
-        atoms = mu_log.gammas  # sorted
-        i = np.searchsorted(atoms, grid)
-        gap = np.minimum(np.abs(atoms[np.maximum(i - 1, 0)] - grid),
-                         np.abs(atoms[np.minimum(i, atoms.size - 1)] - grid))
-        grid = np.concatenate([grid[gap > wiener.FREQ_TOL], atoms])
+        # a grid point at a log atom is that atom (9.0 beside 8.999999999999998):
+        # one column each, or both would count as atoms.  The atoms and the
+        # grid are exact +- pairs, so the merge keeps them so
+        grid = np.concatenate([grid[mu_log.atom_index(grid) < 0], mu_log.gammas])
     gammas = np.unique(grid)
     # The main scan at T_eff and the Poisson-vs-T scans at T_eff/8 .. T_eff
     # each need the means at T and T/2: five nested windows, one pass.
     Ts = [T_eff / 2 ** k for k in range(5)]
+    thresholds = [max(0.05, 3.0 * dens.counting.k1 / T) for T in Ts]
     means = _stage("diffraction/bohr", lambda: diffraction.bohr_means(A, gammas, Ts))
-    mu_bohr = _stage("diffraction/bohr", lambda: diffraction.bohr_atoms(
-        A, gammas, means[0], means[1], T_eff, threshold))
+
+    def bohr(k):
+        return diffraction.bohr_atoms(A, gammas, means[k], means[k + 1], Ts[k], thresholds[k])
+
+    mu_bohr = _stage("diffraction/bohr", lambda: bohr(0))
 
     agreement = None
     if mu_log is not None and len(mu_log):
@@ -242,14 +245,12 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
     poisson = _stage("diffraction/poisson", lambda: diffraction.poisson_residual(A, mu))
     plot_poisson = []
     for k in (3, 2, 1, 0):
-        Ti = Ts[k]
-        thr_i = max(0.05, 3.0 * cc.k1 / Ti)
         try:
-            mu_i = diffraction.bohr_atoms(A, gammas, means[k], means[k + 1], Ti, thr_i)
-            r_i = diffraction.poisson_residual(A, mu_i).residual
-            plot_poisson.append((float(Ti), float(r_i)))
+            mu_k = bohr(k) if k else mu_bohr
+            r_k = poisson if mu_k is mu else diffraction.poisson_residual(A, mu_k)
         except QclabError:
             continue
+        plot_poisson.append((float(Ts[k]), float(r_k.residual)))
 
     profile = diffraction.growth_profile(mu, np.linspace(0.5, cfg.cutoff, 20))
 
@@ -258,7 +259,7 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
         "logderiv": None,
         "bohr": {
             "T": T_eff,
-            "threshold": threshold,
+            "threshold": thresholds[0],
             "d": mu_bohr.d,
             "atom_count": len(mu_bohr),
         },
@@ -283,12 +284,13 @@ def _diffraction_stage(f, A, dens, cc, realness, cfg):
             "d": mu_log.d,
             "atom_count": len(mu_log),
             "conjugate_defect": mu_log.conjugate_defect(),
-            "d_vs_density": abs(mu_log.d - dens.d) if dens is not None else None,
+            "d_vs_density": abs(mu_log.d - dens.d),
         }
-    return mu, mu_bohr, profile, plot_poisson, info
+    return mu, profile, plot_poisson, info
 
 
-def _reconstruct_stage(mu, A, cfg):
+def _reconstruct_stage(mu, A, report):
+    """The stage's report entry; sets ``report.rebuilt`` and ``report.plot_g``."""
     L = _stage("reconstruct/log_series", lambda: reconstruct.log_series_at_height_one(mu, mu.d))
     rebuilt = _stage("reconstruct/rebuild",
                      lambda: reconstruct.rebuild_from_log_series(L, mu.d))
@@ -324,7 +326,7 @@ def _reconstruct_stage(mu, A, cfg):
         },
         "roundtrip": roundtrip,
         "g": {
-            "windows": [[x, s] for x, s in greport.windows],
+            "windows": greport.windows,
             "slope_fit": greport.slope_fit,
             "verdict": greport.bounded_verdict,
         },
@@ -334,7 +336,9 @@ def _reconstruct_stage(mu, A, cfg):
             "relative_error": abs(etype - np.pi * mu.d) / (np.pi * mu.d) if mu.d > 0 else None,
         },
     }
-    return rebuilt, greport, info
+    report.rebuilt = rebuilt
+    report.plot_g = greport.windows
+    return info
 
 
 def run_pipeline(cfg: RunConfig) -> Report:
@@ -374,16 +378,12 @@ def _run_pipeline_inner(cfg: RunConfig, report: Report, stages: dict) -> Report:
     if cfg.command == "reconstruct":
         if mu is None:
             raise StageError("parse", InvalidInputError("reconstruct expects a measure input"))
-        rebuilt, greport, info = _stage("reconstruct", lambda: _reconstruct_stage(mu, None, cfg))
-        stages["reconstruct"] = info
+        stages["reconstruct"] = _stage("reconstruct", lambda: _reconstruct_stage(mu, None, report))
         report.measure = mu
-        report.rebuilt = rebuilt
-        report.plot_g = [(x, s) for x, s in greport.windows]
-        profile = diffraction.growth_profile(mu, np.linspace(0.5, cfg.cutoff, 20))
-        report.plot_m = profile.m_of_s
+        report.plot_m = diffraction.growth_profile(mu, np.linspace(0.5, cfg.cutoff, 20)).m_of_s
         return report
 
-    if f is not None and cfg.command in ("analyze", "zeros", "diffract", "poisson", "apset"):
+    if f is not None:
         A, realness, zinfo = _stage("zeros", lambda: _zeros_stage(f, cfg))
         stages["zeros"] = zinfo
         report.zeroset = A
@@ -394,13 +394,14 @@ def _run_pipeline_inner(cfg: RunConfig, report: Report, stages: dict) -> Report:
     if cfg.command == "zeros":
         return report
 
-    dens, cc, phi, ainfo = _stage("apset", lambda: _apset_stage(A, cfg))
+    half = min(-A.window[0], A.window[1])  # the symmetric half-window
+    dens, ainfo = _stage("apset", lambda: _apset_stage(A, half, cfg))
     stages["apset"] = ainfo
     if cfg.command == "apset":
         return report
 
-    mu, mu_bohr, profile, plot_poisson, dinfo = _stage(
-        "diffraction", lambda: _diffraction_stage(f, A, dens, cc, realness, cfg))
+    mu, profile, plot_poisson, dinfo = _stage(
+        "diffraction", lambda: _diffraction_stage(f, A, half, dens, realness, cfg))
     stages["diffraction"] = dinfo
     report.measure = mu
     report.plot_m = profile.m_of_s
@@ -408,10 +409,7 @@ def _run_pipeline_inner(cfg: RunConfig, report: Report, stages: dict) -> Report:
     if cfg.command in ("diffract", "poisson"):
         return report
 
-    rebuilt, greport, rinfo = _stage("reconstruct", lambda: _reconstruct_stage(mu, A, cfg))
-    stages["reconstruct"] = rinfo
-    report.rebuilt = rebuilt
-    report.plot_g = [(x, s) for x, s in greport.windows]
+    stages["reconstruct"] = _stage("reconstruct", lambda: _reconstruct_stage(mu, A, report))
     return report
 
 
@@ -422,8 +420,7 @@ def emit_outputs(report: Report, out_dir) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    text = json.dumps(_jsonable(report.summary), indent=2, sort_keys=True) + "\n"
-    (out / "report.json").write_text(text, encoding="utf-8")
+    (out / "report.json").write_text(_report_text(report.summary), encoding="utf-8")
     written.append("report.json")
 
     if report.zeroset is not None:
@@ -539,10 +536,7 @@ def main(argv=None) -> int:
             try:
                 out = Path(cfg.out_dir)
                 out.mkdir(parents=True, exist_ok=True)
-                (out / "report.json").write_text(
-                    json.dumps(_jsonable(error_doc), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
-                )
+                (out / "report.json").write_text(_report_text(error_doc), encoding="utf-8")
             except OSError:
                 pass
         return 2
@@ -555,7 +549,7 @@ def main(argv=None) -> int:
             return 1
         print(f"wrote {len(files)} files to {cfg.out_dir}")
     else:
-        print(json.dumps(_jsonable(report.summary), indent=2, sort_keys=True))
+        sys.stdout.write(_report_text(report.summary))
     return 0
 
 

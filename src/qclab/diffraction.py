@@ -62,36 +62,46 @@ class PointMeasure:
         mask = self.gammas > FREQ_TOL
         return self.gammas[mask], self.masses[mask]
 
+    def atom_index(self, gammas) -> np.ndarray:
+        """Index of the atom at each of ``gammas``: the atom just below its
+        insertion point, else the one at it, each only within ``FREQ_TOL``;
+        -1 where there is none."""
+        q = np.asarray(gammas, dtype=float)
+        if len(self) == 0:
+            return np.full(q.shape, -1)
+        i = np.searchsorted(self.gammas, q)
+        below = np.maximum(i - 1, 0)  # at either end, below and at are one atom
+        at = np.minimum(i, len(self) - 1)
+        hit_below = np.abs(self.gammas[below] - q) <= FREQ_TOL
+        hit_at = np.abs(self.gammas[at] - q) <= FREQ_TOL
+        return np.where(hit_below, below, np.where(hit_at, at, -1))
+
     def mass_at(self, gamma: float) -> complex:
         if abs(gamma) <= FREQ_TOL:
             return complex(self.d)
-        i = np.searchsorted(self.gammas, gamma)
-        for j in (i - 1, i):
-            if 0 <= j < len(self) and abs(self.gammas[j] - gamma) <= FREQ_TOL:
-                return complex(self.masses[j])
-        return 0j
+        j = int(self.atom_index(gamma))
+        return complex(self.masses[j]) if j >= 0 else 0j
 
     def conjugate_defect(self) -> float:
-        """max |b(-gamma) - conj(b(gamma))| over the positive atoms.
-
-        b(-gamma) follows the rule of ``mass_at``, for all atoms in one
-        lookup: the atom just below the insertion point of -gamma, else the
-        one at it, each only within ``FREQ_TOL``, else 0.  CPython's
-        ``abs`` (hypot) takes the moduli; ``np.abs`` on an array can differ
-        from it in the last bit.
+        """max |b(-gamma) - conj(b(gamma))| over the positive atoms, with
+        b(-gamma) from ``atom_index``, else 0.  CPython's ``abs`` (hypot)
+        takes the moduli; ``np.abs`` on an array can differ from it in the
+        last bit.
         """
         g, b = self.positive()
         if g.size == 0:
             return 0.0
-        neg = -g
-        i = np.searchsorted(self.gammas, neg)
-        below = np.maximum(i - 1, 0)
-        at = np.minimum(i, len(self) - 1)
-        hit_below = (i > 0) & (np.abs(self.gammas[below] - neg) <= FREQ_TOL)
-        hit_at = (i < len(self)) & (np.abs(self.gammas[at] - neg) <= FREQ_TOL)
-        mirror = np.where(hit_below, self.masses[below],
-                          np.where(hit_at, self.masses[at], 0j))
+        j = self.atom_index(-g)
+        mirror = np.where(j >= 0, self.masses[j], 0j)
         return float(max(map(abs, (mirror - np.conj(b)).tolist())))
+
+    def low_band(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The atoms with 0 < gamma < 1, their masses, and the low-frequency
+        mass sum |b|/gamma over them."""
+        g, b = self.positive()
+        band = g < 1.0
+        g, b = g[band], b[band]
+        return g, b, float(np.sum(np.abs(b) / g))
 
     def drop_atom(self, gamma: float) -> "PointMeasure":
         keep = np.abs(self.gammas - gamma) > FREQ_TOL
@@ -252,7 +262,7 @@ def _gaussian_comb_tail(x0: float, alpha: float) -> float:
 def poisson_residual(A: ZeroSet, mu_hat: PointMeasure) -> PoissonReport:
     """Residual of the summation identity
     sum mult * g_hat(a_n) = d * g(0) + sum b_gamma * g(gamma)
-    over |a_n| <= T, the symmetric half-window T = min(-lo, hi), with
+    over |a_n| <= T, the symmetric half-window T = min(-lo, hi) > 0, with
     certified window tails.
 
     The test function is the Gaussian g(x) = exp(-pi*x^2/sigma^2) at
@@ -263,6 +273,8 @@ def poisson_residual(A: ZeroSet, mu_hat: PointMeasure) -> PoissonReport:
     sigma = POISSON_SIGMA
     lo, hi = A.window
     T = min(-lo, hi)
+    if T <= 0:
+        raise DomainError(f"the window {A.window} must contain 0")
     e = A.expand()
     sel = e[np.abs(e) <= T]
 
@@ -303,8 +315,6 @@ def growth_profile(mu_hat: PointMeasure, s_grid) -> GrowthProfile:
     table = []
     for s in sorted(float(x) for x in s_grid):
         table.append((s, float(np.sum(mass[g <= s]))))
-    below_one = g < 1.0
-    t3 = float(np.sum(mass[below_one] / g[below_one])) if np.any(below_one) else 0.0
     ss = np.array([s for s, _ in table])
     ms = np.array([m for _, m in table])
     top = (ss >= ss[-1] / 10.0) & (ms > 0) if ss.size else np.zeros(0, bool)
@@ -312,4 +322,4 @@ def growth_profile(mu_hat: PointMeasure, s_grid) -> GrowthProfile:
         kappa = float(np.polyfit(np.log(ss[top]), np.log(ms[top]), 1)[0])
     else:
         kappa = 0.0
-    return GrowthProfile(m_of_s=table, t3_value=t3, kappa_fit=kappa)
+    return GrowthProfile(m_of_s=table, t3_value=mu_hat.low_band()[2], kappa_fit=kappa)

@@ -133,7 +133,7 @@ def read_zeroset(path) -> ZeroSet:
 
 def _sidecar_window(sidecar: Path) -> tuple[float, float]:
     try:
-        lo, hi = (float(x) for x in json.loads(sidecar.read_text(encoding="utf-8"))["window"])
+        lo, hi = (float(x) for x in json.loads(_decode(sidecar.read_bytes(), sidecar))["window"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f'expected {{"window": [lo, hi]}} ({type(exc).__name__}: {exc})',
                          path=sidecar) from None

@@ -153,8 +153,7 @@ def log_series_at_height_one(mu_hat: PointMeasure, d: float) -> ExpSum:
     if g.size == 0:
         return canonicalize([])
     ratios = np.abs(b) / g
-    below_one = g < 1.0
-    t3 = float(np.sum(ratios[below_one])) if below_one.any() else 0.0
+    t3 = mu_hat.low_band()[2]
     if np.any(ratios > 100.0):
         gg = float(g[int(np.argmax(ratios))])
         warnings.warn(
@@ -204,36 +203,30 @@ def rebuild_from_log_series(L: ExpSum, d: float) -> ExpSum:
     return scale(g, 1.0 / v0)
 
 
+def _g_values(g: np.ndarray, b: np.ndarray, zs) -> np.ndarray:
+    # sum of b*(exp(2j*pi*gamma*z)-1)/gamma over the band at every z of zs
+    return _exp_rows(zs, g, lambda E: E @ (b / g)) - np.sum(b / g)
+
+
 def g_function(mu_hat: PointMeasure, z: complex) -> complex:
     """g(z) = sum over atoms with 0 < gamma < 1 of b*(exp(2j*pi*gamma*z)-1)/gamma."""
-    g, b = mu_hat.positive()
-    sel = g < 1.0
-    g, b = g[sel], b[sel]
-    if g.size == 0:
-        return 0j
-    z = complex(z)
-    return complex(np.sum(b * (np.exp(2j * np.pi * g * z) - 1.0) / g))
+    g, b, _ = mu_hat.low_band()
+    return complex(_g_values(g, b, np.array([complex(z)]))[0])
 
 
 def _sup_abs_g(mu_hat: PointMeasure, X: float) -> float:
-    g, b = mu_hat.positive()
-    sel = g < 1.0
-    g, b = g[sel], b[sel]
+    g, b, _ = mu_hat.low_band()
     if g.size == 0:
         return 0.0
-
-    def many(xs):
-        return np.abs(_exp_rows(xs, g, lambda E: E @ (b / g)) - np.sum(b / g))
-
     n = max(512, int(2 * X * 64.0) + 1)  # 64 points per unit of x
     xs = np.linspace(-X, X, n)
-    vals = many(xs)
+    vals = np.abs(_g_values(g, b, xs))
     best = int(np.argmax(vals))
     lo = xs[max(best - 1, 0)]
     hi = xs[min(best + 1, n - 1)]
     for _ in range(4):
         xs = np.linspace(lo, hi, 65)
-        vals = many(xs)
+        vals = np.abs(_g_values(g, b, xs))
         best = int(np.argmax(vals))
         lo = xs[max(best - 1, 0)]
         hi = xs[min(best + 1, 64)]

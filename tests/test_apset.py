@@ -411,6 +411,12 @@ class TestLindelofSum:
         with pytest.raises(DomainError, match="translate"):
             lindelof_sum(A, [5])
 
+    @pytest.mark.parametrize("n_list", [[-10.2, -5.1, -2.55, 2.0], [0.0, 5.0]])
+    def test_nonpositive_n_rejected(self, n_list):
+        A = ZeroSet((10.2, 50.2), np.arange(10.5, 50.0), np.ones(40, np.int64))
+        with pytest.raises(DomainError, match="must be positive"):
+            lindelof_sum(A, n_list)
+
 
 class TestKreinLevin:
     def test_constant_phi_vanishes(self, lat500):

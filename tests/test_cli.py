@@ -14,7 +14,7 @@ import pytest
 
 import qclab
 from qclab import io as qio
-from qclab import wiener
+from qclab import diffraction, wiener
 from qclab.cli import (
     RunConfig,
     _counting_spot_check,
@@ -194,6 +194,43 @@ class TestRunPipeline:
         assert dstage["route"] == "bohr-only"
         assert dstage["logderiv"] is None
         assert dstage["bohr"]["d"] == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("command", ["analyze", "diffract"])
+    def test_window_without_zero(self, cos_csv, command):
+        # no symmetric half-window: no Lindelof sums, and no Bohr means
+        cfg = RunConfig(command=command, input_path=cos_csv, window=(10.2, 50.2))
+        with pytest.raises(StageError) as exc:
+            run_pipeline(cfg)
+        assert exc.value.stage == "diffraction/bohr"
+        assert "must contain 0" in str(exc.value.cause)
+        assert "skipped" in exc.value.partial_stages["apset"]["lindelof"]
+
+    @staticmethod
+    def _spy(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def spy(*args, _real=getattr(diffraction, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(diffraction, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("command, counts", [
+        ("diffract", {"bohr_atoms": 4, "poisson_residual": 4}),
+        ("analyze", {"bohr_atoms": 4, "poisson_residual": 5}),
+    ])
+    def test_one_bohr_pass_per_window(self, cos_csv, tmp_path, monkeypatch, command, counts):
+        # the Poisson-vs-T plot takes its T_eff entry from the main scan, and on
+        # the Bohr-only route also its residual
+        path = cos_csv
+        if command == "diffract":
+            path = tmp_path / "zeros.csv"
+            qio.write_zeroset(lattice_zeroset(0.5, 1.0, 60), path)
+        calls = self._spy(monkeypatch, *counts)
+        rep = run_pipeline(RunConfig(command=command, input_path=str(path),
+                                     window=(-60.0, 60.0), T=50.0))
+        assert calls == counts
+        assert rep.plot_poisson[-1][0] == 50.0
 
     def test_t3_budget_stage_error(self, tmp_path):
         path = tmp_path / "mu.csv"
@@ -393,8 +430,12 @@ class TestMainExitCodes:
             if rows:  # a quoted field sends the parse to the row parser
                 path.write_text(path.read_text().replace("\n-9.5,", '\n"-9.5",'))
         plain = path.read_bytes()
-        for out, data in (("plain", plain), ("marked", codecs.BOM_UTF8 + plain)):
-            path.write_bytes(data)
+        sidecar = path.with_suffix(".json")
+        side = sidecar.read_bytes() if sidecar.exists() else None
+        for out, mark in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+            path.write_bytes(mark + plain)
+            if side is not None:  # the zero set's window sidecar too
+                sidecar.write_bytes(mark + side)
             if rows is not None:
                 assert (qio._zeroset_table(path) is None) == rows
             assert main(argv + ["--input", str(path), "--out", str(tmp_path / out)]) == 0

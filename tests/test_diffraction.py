@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclab import diffraction, wiener
 from qclab.diffraction import (
@@ -262,6 +264,52 @@ class TestConjugateDefect:
         assert PointMeasure(1.0, np.array([-1.0]), np.array([1j])).conjugate_defect() == 0.0
 
 
+@st.composite
+def _close_atoms(draw):
+    """Sorted gammas, each followed by up to two atoms 1 to 2 FREQ_TOL above it."""
+    tol = wiener.FREQ_TOL
+    gammas = []
+    for x in draw(st.lists(st.floats(-10.0, 10.0), max_size=12)):
+        gammas.append(x)
+        for _ in range(draw(st.integers(0, 2))):
+            gammas.append(gammas[-1] + draw(st.floats(1.0, 2.0)) * tol)
+    return np.sort(np.array(gammas, dtype=float))
+
+
+class TestAtomIndex:
+    @staticmethod
+    def _rule(gammas, q):
+        # the scalar rule mass_at had: the atom just below the insertion
+        # point of q, else the one at it, each only within FREQ_TOL
+        i = np.searchsorted(gammas, q)
+        for j in (i - 1, i):
+            if 0 <= j < gammas.size and abs(gammas[j] - q) <= wiener.FREQ_TOL:
+                return j
+        return -1
+
+    @settings(max_examples=150, deadline=None)
+    @given(_close_atoms())
+    def test_equals_the_scalar_rule(self, gammas):
+        tol = wiener.FREQ_TOL
+        mu = PointMeasure(1.0, gammas, np.arange(gammas.size, dtype=complex))
+        g = mu.gammas
+        queries = [g, g + tol, g - tol, g + 1.0000001 * tol, g - 1.0000001 * tol,
+                   np.nextafter(g + tol, np.inf), np.nextafter(g - tol, -np.inf),
+                   (g[1:] + g[:-1]) / 2, np.array([0.0, 11.0, -11.0])]
+        q = np.concatenate(queries)
+        assert mu.atom_index(q).tolist() == [self._rule(g, x) for x in q]
+
+    def test_mass_at_reads_the_index(self):
+        mu = PointMeasure(2.0, np.array([-1.0, 1.0, 1.0 + 1.5e-9]), np.array([1j, 2.0, 3.0]))
+        assert mu.mass_at(0.0) == 2.0
+        assert mu.mass_at(-1.0 + 0.5e-9) == 1j
+        assert mu.mass_at(1.0 + 0.9e-9) == 2.0  # both within FREQ_TOL: the one below
+        assert mu.mass_at(1.0 + 2.6e-9) == 0j
+        assert mu.atom_index(0.5) == -1
+        assert PointMeasure(1.0, np.zeros(0), np.zeros(0)).atom_index([0.5, 1.0]).tolist() \
+            == [-1, -1]
+
+
 class TestLogderivMeasure:
     def test_cos_exact_atoms(self, cos):
         mu = logderiv_measure(cos, 1.0, 10.0)
@@ -350,6 +398,11 @@ class TestPoissonResidual:
         mu = bohr_atoms(uni2100, grid, full, half, 2000.0, 0.1)
         rep = poisson_residual(uni2100, mu)
         assert rep.residual < 1e-3
+
+    def test_window_must_contain_zero(self):
+        A = ZeroSet((10.2, 50.2), np.arange(10.5, 50.0), np.ones(40, np.int64))
+        with pytest.raises(DomainError, match="must contain 0"):
+            poisson_residual(A, lattice_measure(K=8))
 
     def test_negative_control(self, lat2100):
         broken = lattice_measure(K=8).drop_atom(1.0)
