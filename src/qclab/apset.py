@@ -217,13 +217,7 @@ def density(A: ZeroSet) -> DensityEstimate:
                            error_bound=(2.0 * cc.k2 + 2.0 * cc.k1) / length, counting=cc)
 
 
-def almost_periods(
-    A: ZeroSet,
-    epsilon: float,
-    tau_range,
-    *,
-    d: float | None = None,
-) -> AlmostPeriodReport:
+def almost_periods(A: ZeroSet, epsilon: float, tau_range) -> AlmostPeriodReport:
     """Scan integer index shifts h for epsilon-almost periods.
 
     For each h the candidate translation is tau_h = median(a_{n+h} - a_n)
@@ -236,8 +230,7 @@ def almost_periods(
         raise DomainError("epsilon must be positive")
     e = A.expand()
     lo, hi = A.window
-    if d is None:
-        d = density(A).d
+    d = A.count / (hi - lo)  # the density estimate of ``density``
     t0, t1 = map(float, tau_range)
     h_cap = min(int(np.ceil(t1 * d)) + 2, e.size - _MIN_PAIRS)
     periods = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,23 +46,18 @@ class RunConfig:
     seed: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input_path,
-            "window": list(self.window),
-            "height": self.height,
-            "cutoff": self.cutoff,
-            "grid_step": self.grid_step,
-            "T": self.T,
-            "eps": self.eps,
-            "seed": self.seed,
-            "t3_budget": reconstruct.T3_BUDGET,
-            "tolerances": {
-                "freq_tol": wiener.FREQ_TOL,
-                "prune_tol": wiener.PRUNE_TOL,
-                "max_terms": wiener.MAX_TERMS,
-            },
+        """The report's ``config``: every field but ``out_dir``, the input
+        path under ``input``, and the fixed budget and tolerances."""
+        doc = asdict(self)
+        del doc["out_dir"]
+        doc["input"] = doc.pop("input_path")
+        doc["t3_budget"] = reconstruct.T3_BUDGET
+        doc["tolerances"] = {
+            "freq_tol": wiener.FREQ_TOL,
+            "prune_tol": wiener.PRUNE_TOL,
+            "max_terms": wiener.MAX_TERMS,
         }
+        return doc
 
 
 @dataclass
@@ -122,11 +117,7 @@ def _zeros_stage(f, cfg):
     info = {
         "count": A.count,
         "distinct_points": len(A),
-        "realness": {
-            "real_count": realness.real_count,
-            "total_count": realness.total_count,
-            "all_real": realness.all_real,
-        },
+        "realness": asdict(realness),
     }
     return A, realness, info
 
@@ -151,15 +142,14 @@ def _counting_spot_check(A, k2, rng, trials):
 def _apset_stage(A, half, cfg):
     rng = np.random.default_rng(cfg.seed)
     dens = apset.density(A)
-    cc = dens.counting
     lo, hi = A.window
     length = hi - lo
 
     trials = 2000
-    violations = _counting_spot_check(A, cc.k2, rng, trials)
+    violations = _counting_spot_check(A, dens.counting.k2, rng, trials)
 
     tau_hi = min(50.0, length / 10.0)
-    periods = apset.almost_periods(A, cfg.eps, (0.0, tau_hi), d=dens.d)
+    periods = apset.almost_periods(A, cfg.eps, (0.0, tau_hi))
     phi = apset.phi_representation(A, dens.d)
 
     n_list = sorted({max(2.0, half / 8), half / 4, half / 2, float(half)})
@@ -182,9 +172,7 @@ def _apset_stage(A, half, cfg):
     info = {
         "d": dens.d,
         "error_bound": dens.error_bound,
-        "k1": cc.k1,
-        "k2": cc.k2,
-        "windows_sampled": cc.windows_sampled,
+        **asdict(dens.counting),
         "counting_spot_check": {"trials": trials, "violations": violations},
         "periods": [{"tau": t, "h": h, "sup_dev": s} for t, h, s in periods.periods],
         "periods_max_gap": periods.max_gap,
@@ -264,14 +252,7 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
             "atom_count": len(mu_bohr),
         },
         "agreement": agreement,
-        "poisson": {
-            "sigma": diffraction.POISSON_SIGMA,
-            "residual": poisson.residual,
-            "zero_side": poisson.zero_side,
-            "atom_side": _jsonable(poisson.atom_side),
-            "zero_tail": poisson.zero_tail,
-            "atom_tail": poisson.atom_tail,
-        },
+        "poisson": {"sigma": diffraction.POISSON_SIGMA, **asdict(poisson)},
         "growth": {
             "t3_value": profile.t3_value,
             "kappa_fit": profile.kappa_fit,
@@ -291,7 +272,7 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
 
 def _reconstruct_stage(mu, A, report):
     """The stage's report entry; sets ``report.rebuilt`` and ``report.plot_g``."""
-    L = _stage("reconstruct/log_series", lambda: reconstruct.log_series_at_height_one(mu, mu.d))
+    L = _stage("reconstruct/log_series", lambda: reconstruct.log_series_at_height_one(mu))
     rebuilt = _stage("reconstruct/rebuild",
                      lambda: reconstruct.rebuild_from_log_series(L, mu.d))
 
@@ -454,62 +435,71 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _window(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects A,B; got {text!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"expects finite A < B, got {text!r}")
+    return lo, hi
+
+
+def _height(text: str) -> float | str:
+    if text == "auto":
+        return text
+    try:
+        height = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number or 'auto', got {text!r}") from None
+    if not np.isfinite(height):
+        raise argparse.ArgumentTypeError(f"expects a finite number or 'auto', got {text!r}")
+    return height
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expects a finite number > 0, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expects an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
+    """The command line; each dest is a ``RunConfig`` field, and the
+    defaults are ``RunConfig``'s."""
     p = _Parser(prog="qclab", description=__doc__)
     p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--input", required=True, help="input CSV (kind sniffed from header)")
-    p.add_argument("--window", default="-100,100", help="A,B real window")
-    p.add_argument("--height", default="auto", help="height s for the log-derivative route")
-    p.add_argument("--cutoff", type=float, default=10.0, help="atom frequency cutoff")
-    p.add_argument("--grid", type=float, default=0.25, dest="grid_step",
-                   help="Bohr scan grid step")
-    p.add_argument("--T", type=float, default=2000.0, help="Bohr averaging half-length")
-    p.add_argument("--eps", type=float, default=0.05, help="almost-period tolerance")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
+    p.add_argument("--input", required=True, dest="input_path",
+                   help="input CSV (kind sniffed from header)")
+    p.add_argument("--window", type=_window, help="A,B real window")
+    p.add_argument("--height", type=_height, help="height s for the log-derivative route")
+    p.add_argument("--cutoff", type=_positive, help="atom frequency cutoff")
+    p.add_argument("--grid", type=_positive, dest="grid_step", help="Bohr scan grid step")
+    p.add_argument("--T", type=_positive, help="Bohr averaging half-length")
+    p.add_argument("--eps", type=_positive, help="almost-period tolerance")
+    p.add_argument("--out", dest="out_dir", help="output directory")
+    p.add_argument("--seed", type=_seed, help="seed for randomized sampling")
+    p.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING})
     return p
-
-
-def config_from_args(args) -> RunConfig:
-    try:
-        lo, hi = (float(x) for x in args.window.split(","))
-    except ValueError:
-        raise UsageError(f"--window expects A,B; got {args.window!r}") from None
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise UsageError(f"--window expects finite A < B, got {args.window!r}")
-    height: float | str = "auto"
-    if args.height != "auto":
-        try:
-            height = float(args.height)
-        except ValueError:
-            raise UsageError(f"--height expects a number or 'auto', got {args.height!r}") from None
-        if not np.isfinite(height):
-            raise UsageError(f"--height expects a finite number or 'auto', got {args.height!r}")
-    for flag, value in (("--T", args.T), ("--cutoff", args.cutoff),
-                        ("--grid", args.grid_step), ("--eps", args.eps)):
-        if not (np.isfinite(value) and value > 0):
-            raise UsageError(f"{flag} expects a finite number > 0, got {value!r}")
-    if args.seed < 0:
-        raise UsageError(f"--seed expects an integer >= 0, got {args.seed}")
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        window=(lo, hi),
-        height=height,
-        cutoff=args.cutoff,
-        grid_step=args.grid_step,
-        T=args.T,
-        eps=args.eps,
-        out_dir=args.out,
-        seed=args.seed,
-    )
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = config_from_args(args)
+        cfg = RunConfig(**vars(parser.parse_args(argv)))
         if not Path(cfg.input_path).is_file():
             raise UsageError(f"input file not found: {cfg.input_path}")
     except UsageError as exc:
@@ -518,13 +508,11 @@ def main(argv=None) -> int:
 
     try:
         report = run_pipeline(cfg)
-    except QclabError as exc:
-        if not isinstance(exc, StageError):
-            exc = StageError("pipeline", exc)
+    except StageError as exc:
         error_doc = {
             "schema": SCHEMA_VERSION,
             "config": cfg.snapshot(),
-            "stages": getattr(exc, "partial_stages", {}),
+            "stages": exc.partial_stages,
             "error": {
                 "stage": exc.stage,
                 "type": type(exc.cause).__name__,

@@ -123,6 +123,11 @@ def read_zeroset(path) -> ZeroSet:
     sidecar = Path(path).with_suffix(".json")
     if sidecar.exists():
         window = _sidecar_window(sidecar)
+        outside = (pts < window[0]) | (pts > window[1])
+        if outside.any():
+            raise ParseError(f"point {float(pts[np.argmax(outside)])!r} lies outside the "
+                             f"window [{window[0]!r}, {window[1]!r}] of {sidecar.name}",
+                             path=path)
     else:
         warnings.warn(f"no sidecar {sidecar.name}; taking the window from the point range")
         if pts.size == 0:

@@ -142,12 +142,12 @@ def canonical_product(A: ZeroSet, z: complex) -> ProductValue:
                         error_bound=bound, shift=shift)
 
 
-def log_series_at_height_one(mu_hat: PointMeasure, d: float) -> ExpSum:
+def log_series_at_height_one(mu_hat: PointMeasure) -> ExpSum:
     """Exponential sum with coefficient -(b/gamma)*exp(-2*pi*gamma) at each
-    positive atom frequency; represents log f(x+1j) + 1j*d*pi*x up to a
-    constant.  A measure whose sum |b|/gamma over 0 < gamma < 1 exceeds
+    positive atom frequency; represents log f(x+1j) + 1j*d*pi*x, with d
+    the measure's density, up to a constant.  A measure whose sum |b|/gamma over 0 < gamma < 1 exceeds
     ``T3_BUDGET`` is a DomainError."""
-    if d <= 0:
+    if mu_hat.d <= 0:
         raise DomainError("density must be positive")
     g, b = mu_hat.positive()
     if g.size == 0:
@@ -168,12 +168,10 @@ def log_series_at_height_one(mu_hat: PointMeasure, d: float) -> ExpSum:
     return canonicalize(list(zip(g.tolist(), coeffs.tolist())))
 
 
-def rebuild_dirichlet(mu_hat: PointMeasure, d: float | None = None) -> ExpSum:
+def rebuild_dirichlet(mu_hat: PointMeasure) -> ExpSum:
     """Dirichlet series with the measure's zero set, normalized to 1 at 0:
     ``rebuild_from_log_series`` of ``log_series_at_height_one``."""
-    if d is None:
-        d = mu_hat.d
-    return rebuild_from_log_series(log_series_at_height_one(mu_hat, d), d)
+    return rebuild_from_log_series(log_series_at_height_one(mu_hat), mu_hat.d)
 
 
 def rebuild_from_log_series(L: ExpSum, d: float) -> ExpSum:

@@ -178,7 +178,7 @@ def test_criterion_6_section2_properties():
             violations += 1
 
     d = density(uni).d
-    rep = almost_periods(uni, 0.05, (0.0, 200.0), d=d)
+    rep = almost_periods(uni, 0.05, (0.0, 200.0))
     period_ok = len(rep.periods) > 0 and all(
         abs(tau - h / d) <= 0.05 for tau, h, _ in rep.periods)
 

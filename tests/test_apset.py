@@ -325,7 +325,7 @@ class TestAlmostPeriods:
 
     def test_union_nonempty_and_consistent(self, uni500):
         d = density(uni500).d
-        rep = almost_periods(uni500, 0.05, (0.0, 200.0), d=d)
+        rep = almost_periods(uni500, 0.05, (0.0, 200.0))
         assert len(rep.periods) > 0
         for tau, h, dev in rep.periods:
             assert dev < 0.05

@@ -6,6 +6,7 @@ import os
 import re
 import stat
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from qclab import diffraction, wiener
 from qclab.cli import (
     RunConfig,
     _counting_spot_check,
+    build_parser,
     emit_outputs,
     main,
     parse_inputs,
@@ -143,7 +145,9 @@ class TestParseInputs:
         eol = "\r\n" if kind == "crlf" else "\n"
         path = tmp_path / "zeros.csv"
         path.write_bytes(eol.join(["point,multiplicity"] + rows + [""]).encode())
-        path.with_suffix(".json").write_text('{"window": [-2.0, 4.0]}')
+        # the window holds every point: the 10k points span the float range
+        window = "-1.7976931348623157e308, 1.7976931348623157e308" if kind == "10k" else "-2.0, 4.0"
+        path.with_suffix(".json").write_text(f'{{"window": [{window}]}}')
         return path
 
     @pytest.mark.parametrize("kind", ["10k", "crlf", "blank", "quoted"])
@@ -158,6 +162,15 @@ class TestParseInputs:
         assert fast.mults.dtype == rows.mults.dtype
         assert np.array_equal(fast.mults, rows.mults)
 
+    def test_zeroset_points_on_the_sidecar_window_ends_accepted(self, tmp_path):
+        A = lattice_zeroset(0.0, 1.0, 10)
+        assert A.points[0] == -10.0 and A.points[-1] == 10.0
+        path = tmp_path / "zeros.csv"
+        qio.write_zeroset(A, path)
+        back = parse_inputs(str(path), "zeroset")
+        assert back.window == (-10.0, 10.0)
+        assert np.array_equal(back.points, A.points)
+
     @pytest.mark.parametrize("body, line", [
         ("0.5,1\n1.0,1\n1.5,2.5\n", 4),
         ("0.5,1\nnan,1\n1.5,1\n", 3),
@@ -169,6 +182,26 @@ class TestParseInputs:
         with pytest.raises(ParseError) as exc:
             parse_inputs(str(path), "zeroset")
         assert exc.value.line == line
+
+
+class TestRunConfig:
+    def test_parser_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["analyze", "--input", "x"])
+        assert RunConfig(**vars(args)) == RunConfig("analyze", "x")
+
+    def test_flags_set_the_fields_of_their_name(self):
+        args = build_parser().parse_args([
+            "zeros", "--input", "x", "--window=-3,4.5", "--height", "2", "--cutoff", "7",
+            "--grid", "0.5", "--T", "30", "--eps", "0.1", "--out", "o", "--seed", "4"])
+        assert RunConfig(**vars(args)) == RunConfig(
+            "zeros", "x", window=(-3.0, 4.5), height=2.0, cutoff=7.0, grid_step=0.5,
+            T=30.0, eps=0.1, out_dir="o", seed=4)
+
+    def test_snapshot_keys_are_the_fields(self):
+        names = {f.name for f in fields(RunConfig)} - {"out_dir", "input_path"}
+        doc = RunConfig("analyze", "x").snapshot()
+        assert set(doc) == names | {"input", "t3_budget", "tolerances"}
+        assert doc["input"] == "x"
 
 
 class TestRunPipeline:
@@ -381,6 +414,29 @@ class TestMainExitCodes:
         assert main(["analyze", "--input", cos_csv, "--window=-10,10",
                      f"{flag}={value}", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--T", "0", "argument --T: expects a finite number > 0, got '0'"),
+        ("--seed", "1.5", "argument --seed: expects an integer >= 0, got '1.5'"),
+        ("--window", "1,2,3", "argument --window: expects A,B; got '1,2,3'"),
+        ("--height", "high", "argument --height: expects a number or 'auto', got 'high'"),
+    ], ids=["T", "seed", "window", "height"])
+    def test_usage_error_names_the_flag(self, cos_csv, capsys, flag, value, message):
+        assert main(["analyze", "--input", cos_csv, f"{flag}={value}"]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_zero_outside_the_sidecar_window_exits_two(self, tmp_path):
+        # 80 points over a length of 40 would read as density 2
+        path = tmp_path / "zeros.csv"
+        qio.write_zeroset(lattice_zeroset(0.5, 1.0, 40), path)
+        path.with_suffix(".json").write_text('{"window": [-20, 20]}')
+        out = tmp_path / "out"
+        assert main(["apset", "--input", str(path), "--out", str(out)]) == 2
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["error"]["stage"] == "parse"
+        assert doc["error"]["type"] == "ParseError"
+        assert doc["error"]["message"].endswith(
+            "zeros.csv: point -39.5 lies outside the window [-20.0, 20.0] of zeros.json")
 
     @pytest.mark.parametrize("sidecar", [
         '{"win": [0, 3]}', "not json", '{"window": [3, 0]}', '{"window": [0, NaN]}',

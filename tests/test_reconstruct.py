@@ -65,36 +65,36 @@ class TestCanonicalProduct:
 
 class TestLogSeries:
     def test_lattice_first_term(self):
-        L = log_series_at_height_one(lattice_measure(K=10), 1.0)
+        L = log_series_at_height_one(lattice_measure(K=10))
         w, q = L.terms()[0]
         assert w == 1.0
         assert q == pytest.approx(math.exp(-2 * math.pi), rel=1e-12)
 
     def test_empty_atoms_empty_series(self):
         mu = PointMeasure(1.0, np.empty(0), np.empty(0, complex))
-        assert len(log_series_at_height_one(mu, 1.0)) == 0
+        assert len(log_series_at_height_one(mu)) == 0
 
     def test_tiny_gamma_flagged(self):
         # |b|/gamma = 200 warns, and stays within the budget of 1000
         mu = PointMeasure(1.0, np.array([0.005]), np.array([1.0 + 0j]))
         with pytest.warns(UserWarning, match="mass budget"):
-            log_series_at_height_one(mu, 1.0)
+            log_series_at_height_one(mu)
 
     def test_t3_budget_enforced(self):
         mu = PointMeasure(1.0, np.array([1e-6]), np.array([1.0 + 0j]))
         for rebuild in (log_series_at_height_one, rebuild_dirichlet):
             with pytest.warns(UserWarning):
                 with pytest.raises(DomainError, match="exceeds the budget 1e"):
-                    rebuild(mu, 1.0)
+                    rebuild(mu)
 
     def test_nonpositive_density_rejected(self):
         with pytest.raises(DomainError):
-            log_series_at_height_one(lattice_measure(K=3), 0.0)
+            log_series_at_height_one(lattice_measure(K=3, d=0.0))
 
 
 class TestRebuildDirichlet:
     def test_lattice_measure_recovers_cos(self, cos):
-        f = rebuild_dirichlet(lattice_measure(K=10), 1.0)
+        f = rebuild_dirichlet(lattice_measure(K=10))
         assert len(f) == 2
         for (w1, q1), (w2, q2) in zip(f.terms(), cos.terms()):
             assert w1 == pytest.approx(w2, abs=1e-9)
@@ -109,7 +109,7 @@ class TestRebuildDirichlet:
     def test_degenerate_empty_atoms_flagged(self):
         mu = PointMeasure(1.0, np.empty(0), np.empty(0, complex))
         with pytest.warns(UserWarning, match="degenerate"):
-            f = rebuild_dirichlet(mu, 1.0)
+            f = rebuild_dirichlet(mu)
         assert len(f) == 1
         assert f.freqs[0] == pytest.approx(-0.5)
 

@@ -253,6 +253,13 @@ class TestCountCertificate:
         with pytest.raises(ConvergenceError, match="off the real line"):
             find_real_zeros(f, (-5.2, 5.2))
 
+    def test_pair_too_close_to_the_line_fails_at_the_finest_step(self):
+        # cos(pi z) + 1.001 has the zeros k +- 0.0142i at each odd k: the
+        # strip counts them, and no cut of their piece can resolve them
+        f = canonicalize([(-0.5, 0.5), (0.0, 1.001), (0.5, 0.5)])
+        with pytest.raises(ConvergenceError, match="not accounted for at the finest scan step"):
+            find_real_zeros(f, (-2.2, 2.2))
+
     def test_non_real_zeros_in_the_strip_fail_fast(self):
         # 1 - 0.9 e^{2 pi i z} has its zeros at k - 0.0168i, inside the
         # strip |Im z| < 1/16 but off the real line
