@@ -200,19 +200,28 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
         raise StageError("diffraction/bohr", DomainError(
             f"the zero-set window {A.window} must contain 0 for Bohr means over |a| < T"))
     T_eff = min(cfg.T, float(half))
-    # k * step for |k| <= K: exact +- pairs, whose means bohr_means mirrors
+    # The main scan at T_eff and the Poisson-vs-T scans at T_eff/8 .. T_eff
+    # each need the means at T and T/2: five nested windows
+    Ts = [T_eff / 2 ** k for k in range(5)]
+    thresholds = [max(0.05, 3.0 * dens.counting.k1 / T) for T in Ts]
+    # k * step for |k| <= K: exact +- pairs, whose means bohr_means mirrors.
+    # Only a column that passes the stability rule loosened by the screen's
+    # bound at some scanned T can be an atom; the others get no exact pass
     K = round(cfg.cutoff / cfg.grid_step)
-    grid = cfg.grid_step * np.arange(-K, K + 1)
+    screen, eta = _stage("diffraction/bohr",
+                         lambda: diffraction.bohr_grid_screen(A, cfg.grid_step, K, Ts))
+    candidate = np.zeros(K + 1, bool)
+    for k in range(4):
+        candidate |= diffraction.bohr_stable(screen[k], screen[k + 1], thresholds[k],
+                                             slack=eta[k] + eta[k + 1])
+    ks = np.arange(-K, K + 1)
+    grid = cfg.grid_step * ks[candidate[np.abs(ks)]]
     if mu_log is not None and len(mu_log):
         # a grid point at a log atom is that atom (9.0 beside 8.999999999999998):
         # one column each, or both would count as atoms.  The atoms and the
         # grid are exact +- pairs, so the merge keeps them so
         grid = np.concatenate([grid[mu_log.atom_index(grid) < 0], mu_log.gammas])
     gammas = np.unique(grid)
-    # The main scan at T_eff and the Poisson-vs-T scans at T_eff/8 .. T_eff
-    # each need the means at T and T/2: five nested windows, one pass.
-    Ts = [T_eff / 2 ** k for k in range(5)]
-    thresholds = [max(0.05, 3.0 * dens.counting.k1 / T) for T in Ts]
     means = _stage("diffraction/bohr", lambda: diffraction.bohr_means(A, gammas, Ts))
 
     def bohr(k):

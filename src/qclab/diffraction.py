@@ -35,6 +35,8 @@ from .zeros import ZeroSet
 _ATOM_TOL = 1e-9          # log-derivative atoms of smaller modulus are dropped
 POISSON_SIGMA = 1.0       # width of the Poisson test Gaussian exp(-pi*x^2/sigma^2)
 _POISSON_TAIL_TOL = 1e-8  # largest window or atom-list tail of a Poisson residual
+_U = 2.0 ** -53           # unit roundoff of float64
+_SCREEN_BLOCK = 1 << 17   # grid screen block (complex entries, 2 MB): larger blocks measured slower
 
 
 @dataclass(frozen=True)
@@ -133,15 +135,27 @@ def _check_windows(A: ZeroSet, Ts) -> None:
         raise DomainError(f"T = {T_max} exceeds the window {A.window}")
 
 
+def _nested_windows(A: ZeroSet, Ts) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The points of the widest window |a| < max(Ts), sorted and repeated
+    by multiplicity, and the slice (i, j) of them that is each window
+    |a| < T of Ts: the zero set is sorted, so the windows are nested."""
+    _check_windows(A, Ts)
+    T_max = max(Ts)
+    e = A.expand()
+    sel = e[np.searchsorted(e, -T_max, side="right"):np.searchsorted(e, T_max, side="left")]
+    cuts = [(int(np.searchsorted(sel, -T, side="right")), int(np.searchsorted(sel, T, side="left")))
+            for T in Ts]
+    return sel, cuts
+
+
 def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
     """Bohr means (1/2T) * sum_{|a_n|<T} mult * exp(-2j*pi*gamma*a_n) at
     every T of Ts (rows) and gamma of gammas (columns), in any order and
     with repeats.
 
-    The zero set is sorted, so each window |a| < T is a contiguous slice
-    of the widest one: one ``_exp_rows`` pass over the widest window,
-    with points -gamma, gives every row, each the same sum bit for bit
-    as a pass over its own window, for every worker count.
+    One ``_exp_rows`` pass over the widest window, with points -gamma,
+    gives every row, each the same sum bit for bit as a pass over its own
+    window, for every worker count.
 
     The zeros are real, so the mean at -gamma is the conjugate of the
     mean at gamma, and bit for bit: the kernel's phase 2*pi*(gamma*a)
@@ -154,12 +168,7 @@ def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
     """
     gammas = np.asarray(gammas, dtype=float)
     Ts = [float(T) for T in Ts]
-    _check_windows(A, Ts)
-    T_max = max(Ts)
-    e = A.expand()
-    sel = e[np.searchsorted(e, -T_max, side="right"):np.searchsorted(e, T_max, side="left")]
-    cuts = [(np.searchsorted(sel, -T, side="right"), np.searchsorted(sel, T, side="left"))
-            for T in Ts]
+    sel, cuts = _nested_windows(A, Ts)
     mirrored = (gammas < 0) & np.isin(-gammas, gammas)
     own = ~mirrored
     owned = _exp_rows(-gammas[own], sel, lambda E: np.stack([E[:, i:j].sum(1) for i, j in cuts]))
@@ -177,18 +186,138 @@ def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
     return sums
 
 
+def bohr_grid_screen(A: ZeroSet, step: float, K: int, Ts) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate Bohr means at gamma_k = fl(k * step), 0 <= k <= K
+    (columns), for every T of Ts (rows), and per row a bound eta_T on the
+    distance of each of them from ``bohr_means``' value at gamma_k.
+
+    No transcendental per entry: each point a gets z = cis(-2*pi*step*a)
+    from one complex exp, and the rows come in blocks by complex
+    multiplication alone.  A block's first row is z**k0; its rows
+    k0 + m .. k0 + 2m - 1 are its rows k0 .. k0 + m - 1 times z**m, for m
+    = 1, 2, 4, ... (z**m by squaring); its last row times z starts the
+    next block.  One ``np.add.reduceat`` per block sums the points
+    between consecutive window cuts, and each window is a run of those
+    pieces.  A block holds at most ``_SCREEN_BLOCK`` entries, or one row,
+    so with its squares, z and the carry the workspace stays inside
+    ``wiener._EXP_BUDGET`` for windows of up to 250,000 points.
+
+    The bound, with u = 2**-53, Phi = 2*pi*K*step*T, n the points of
+    |a| < T counted with multiplicity and gamma_m = m*u / (1 - m*u):
+
+    - libm (assumed): sin and cos err by at most 2u each, so
+      lam = 2*sqrt2*u bounds |cis computed - exp(1j*theta)| at the
+      computed phase theta.
+    - The kernel's phase of a term is fl(fl(2*pi) * fl(-gamma_k * a)),
+      with gamma_k = k * step * (1 + delta), |delta| <= u: four relative
+      roundings of 2*pi*k*step*a, so it is off by at most Phi * gamma_4
+      and, as |exp(1j*x) - exp(1j*y)| <= |x - y|, its exp by that plus lam.
+    - The screen's z has three roundings in its phase: it is within
+      eps0 = lam + 2*pi*step*T*gamma_3 of zeta = exp(-2j*pi*step*a), a
+      point of modulus 1.  The power of row k is a product tree of k
+      factors z and of factors exactly 1 (whose products are exact), so
+      of at most k - 1 rounded complex products, each with relative
+      error at most sqrt5*u (Brent, Percival and Zimmermann, Math. Comp.
+      76, 2007; 2u with a fused multiply-add).  Writing z = zeta*(1 + e),
+      it is zeta**k * (1 + e)**k * prod(1 + delta_i), within
+      rho = (1 + eps0)**K * (1 + sqrt5*u)**K - 1 of zeta**k.
+    - So one term of the screen and the kernel's term differ by at most
+      tau = rho + lam + Phi * gamma_4, and each has modulus at most
+      M = 1 + lam + rho.
+    - Each of the two sums of n terms, in any order, errs by at most
+      sqrt2 * gamma_{n-1} * n * M (gamma_{n-1} on each part).  Each
+      quotient by 2T multiplies both parts by fl(1 / 2T): two roundings,
+      at most gamma_2 * (1 + sqrt2 * gamma_{n-1}) * n * M / 2T.
+
+    Hence eta_T = n * (tau + 2*sqrt2*gamma_{n-1}*M
+    + 2*gamma_2*(1 + sqrt2*gamma_{n-1})*M) / 2T, raised by 1e-12 of
+    itself for its own rounding.  On the union of two lattices over
+    +-2100 with step 0.02 and K = 500 it is about 2e-10; the observed
+    distance is near 1e-12.
+    """
+    step = float(step)
+    Ts = [float(T) for T in Ts]
+    sel, cuts = _nested_windows(A, Ts)
+    n = sel.size
+    sums = np.zeros((len(Ts), K + 1), complex)
+    if n:
+        # the pieces between consecutive cuts; window i:j is pieces p:q
+        edges = np.unique(np.concatenate([np.ravel(cuts), [0, n]]))
+        spans = [(np.searchsorted(edges, i), np.searchsorted(edges, j)) for i, j in cuts]
+        z = np.exp(-2j * np.pi * (step * sel))
+        rows = min(K + 1, max(1, _SCREEN_BLOCK // n))
+        squares = [z]  # z**(2**j) for 2**j < rows
+        while 2 ** len(squares) < rows:
+            squares.append(squares[-1] * squares[-1])
+        block = np.empty((rows, n), complex)
+        carry = np.ones(n, complex)  # z**k0
+        for k0 in range(0, K + 1, rows):
+            b = block[:min(rows, K + 1 - k0)]
+            b[0] = carry
+            m = 1
+            for zm in squares:  # b[m:2m] = b[:m] * z**m
+                if m >= len(b):
+                    break
+                np.multiply(b[:min(m, len(b) - m)], zm, out=b[m:2 * m])
+                m *= 2
+            pieces = np.add.reduceat(b, edges[:-1], axis=1)
+            for t, (p, q) in enumerate(spans):
+                sums[t, k0:k0 + len(b)] = pieces[:, p:q].sum(1)
+            carry = b[-1] * z
+    eta = np.empty(len(Ts))
+    for t, (T, (i, j)) in enumerate(zip(Ts, cuts)):
+        sums[t] /= 2.0 * T
+        eta[t] = _screen_bound(j - i, step, K, T)
+    return sums, eta
+
+
+def _screen_bound(n: int, step: float, K: int, T: float) -> float:
+    """eta_T of ``bohr_grid_screen`` for n points of |a| < T."""
+    def gam(m):
+        return m * _U / (1.0 - m * _U)
+
+    lam = 2.0 * math.sqrt(2.0) * _U
+    eps0 = lam + 2.0 * math.pi * step * T * gam(3)
+    rho = math.expm1(K * (math.log1p(eps0) + math.log1p(math.sqrt(5.0) * _U)))
+    tau = rho + lam + 2.0 * math.pi * K * step * T * gam(4)
+    M = 1.0 + lam + rho
+    g = gam(max(n - 1, 0))
+    sq2 = math.sqrt(2.0)
+    eta = n * (tau + 2.0 * sq2 * g * M + 2.0 * gam(2) * (1.0 + sq2 * g) * M) / (2.0 * T)
+    return eta * (1.0 + 1e-12)
+
+
 def bohr_error_heuristic(A: ZeroSet, T: float) -> float:
     """O(k1/T) edge-effect estimate for a Bohr mean at half-length T."""
     return unit_window_max(A.expand()) / float(T)
+
+
+def bohr_stable(full, half, threshold: float, slack: float = 0.0) -> np.ndarray:
+    """The stability rule of a Bohr scan: |full| > threshold and
+    |full - half| < threshold/4, for the means ``full`` at T and ``half``
+    at T/2.
+
+    At slack > 0 both comparisons are loosened by L = (1 + 8u)*slack +
+    8u*threshold, u = 2**-53.  A column whose full and half lie within e1
+    and e2 of means that pass at slack 0, with e1 + e2 <= slack, then
+    passes too, roundings included: fl(full - half) errs by at most u and
+    ``np.abs`` (assumed within one ulp) by 2u of the modulus, which moves
+    the test |full| > threshold by up to 4u*threshold and |full - half| <
+    threshold/4 by up to about 2u*threshold, and threshold - L and
+    threshold/4 + L round by u of themselves.  At slack 0 the rule is
+    exactly the two comparisons.
+    """
+    loose = (1.0 + 8.0 * _U) * slack + 8.0 * _U * threshold if slack > 0 else 0.0
+    return (np.abs(full) > threshold - loose) & (np.abs(full - half) < threshold / 4.0 + loose)
 
 
 def bohr_atoms(A: ZeroSet, gammas, full, half, T: float, threshold: float) -> PointMeasure:
     """The atoms of a Bohr scan at half-length T, from the means ``full``
     at T and ``half`` at T/2 on the grid ``gammas``.
 
-    An atom survives when |estimate at T| exceeds the threshold and the
-    drift against the half-window estimate stays below threshold/4; the
-    gamma = 0 mean at T becomes d.
+    An atom survives ``bohr_stable`` at slack 0: |estimate at T| exceeds
+    the threshold and the drift against the half-window estimate stays
+    below threshold/4; the gamma = 0 mean at T becomes d.
     """
     _check_windows(A, [float(T)])
     err = bohr_error_heuristic(A, T)
@@ -197,8 +326,7 @@ def bohr_atoms(A: ZeroSet, gammas, full, half, T: float, threshold: float) -> Po
             f"threshold {threshold} must exceed twice the error heuristic {err:.3g}"
         )
     gammas = np.asarray(gammas, dtype=float)
-    stable = (np.abs(full) > threshold) & (np.abs(full - half) < threshold / 4.0)
-    keep = stable & (np.abs(gammas) > FREQ_TOL)
+    keep = bohr_stable(full, half, threshold) & (np.abs(gammas) > FREQ_TOL)
     # the gamma = 0 mean without its exp pass: every term is exactly 1, and
     # numpy's complex division of the sum by 2T multiplies by the reciprocal,
     # so the mean is n * (1 / 2T) bit for bit (n / 2T differs in the last bit)

@@ -145,17 +145,18 @@ def canonical_product(A: ZeroSet, z: complex) -> ProductValue:
 def log_series_at_height_one(mu_hat: PointMeasure) -> ExpSum:
     """Exponential sum with coefficient -(b/gamma)*exp(-2*pi*gamma) at each
     positive atom frequency; represents log f(x+1j) + 1j*d*pi*x, with d
-    the measure's density, up to a constant.  A measure whose sum |b|/gamma over 0 < gamma < 1 exceeds
-    ``T3_BUDGET`` is a DomainError."""
+    the measure's density, up to a constant.  An atom of the band
+    0 < gamma < 1 with |b|/gamma > 100 warns; a measure whose sum
+    |b|/gamma over that band exceeds ``T3_BUDGET`` is a DomainError."""
     if mu_hat.d <= 0:
         raise DomainError("density must be positive")
     g, b = mu_hat.positive()
     if g.size == 0:
         return canonicalize([])
-    ratios = np.abs(b) / g
-    t3 = mu_hat.low_band()[2]
+    low_g, low_b, t3 = mu_hat.low_band()
+    ratios = np.abs(low_b) / low_g
     if np.any(ratios > 100.0):
-        gg = float(g[int(np.argmax(ratios))])
+        gg = float(low_g[int(np.argmax(ratios))])
         warnings.warn(
             f"atom at gamma = {gg:.3g} contributes |b|/gamma = {np.max(ratios):.3g} "
             "to the low-frequency mass budget"

@@ -289,6 +289,59 @@ class TestRunPipeline:
         assert rep.summary["stages"]["reconstruct"]["rebuilt_terms"] > 0
 
 
+class TestBohrGridScreen:
+    """The diffraction stage runs the exact Bohr means only on the grid
+    columns the screen keeps, and finds the same atoms as an exact scan of
+    the whole grid."""
+
+    def test_atoms_at_every_T_equal_the_exact_scan_of_the_whole_grid(self, tmp_path,
+                                                                     monkeypatch):
+        path = tmp_path / "zeros.csv"
+        qio.write_zeroset(union_zeroset(300), path)
+        calls = []
+        real = diffraction.bohr_atoms
+
+        def spy(A, gammas, full, half, T, threshold):
+            calls.append((A, T, threshold, real(A, gammas, full, half, T, threshold)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(diffraction, "bohr_atoms", spy)
+        assert main(["diffract", "--input", str(path), "--cutoff", "10", "--grid", "0.02",
+                     "--out", str(tmp_path / "out")]) == 0
+        A = calls[0][0]
+        T0 = calls[0][1]
+        Ts = [T0 / 2 ** k for k in range(5)]
+        assert sorted({T for _, T, _, _ in calls}, reverse=True) == Ts[:4]
+        grid = 0.02 * np.arange(-500, 501)
+        means = diffraction.bohr_means(A, grid, Ts)
+        for _, T, threshold, mu in calls:
+            k = Ts.index(T)
+            ref = real(A, grid, means[k], means[k + 1], T, threshold)
+            assert len(ref) > 0
+            assert mu.d == ref.d
+            assert np.array_equal(mu.gammas, ref.gammas)
+            assert np.array_equal(mu.masses.view(np.int64), ref.masses.view(np.int64))
+
+    def test_exact_pass_sees_only_the_kept_grid_columns(self, tmp_path, monkeypatch):
+        # the benchmark's zero-set input: the union over +-2100, 501
+        # nonnegative grid columns k * 0.02 below the cutoff 10
+        path = tmp_path / "zeros.csv"
+        qio.write_zeroset(union_zeroset(2100), path)
+        seen = []
+        exp_rows = diffraction._exp_rows
+
+        def spy(points, freqs, reduce):
+            seen.append(points.copy())
+            return exp_rows(points, freqs, reduce)
+
+        monkeypatch.setattr(diffraction, "_exp_rows", spy)
+        assert main(["diffract", "--input", str(path), "--T", "2000", "--cutoff", "10",
+                     "--grid", "0.02", "--out", str(tmp_path / "out")]) == 0
+        assert len(seen) == 1
+        # points -gamma: gamma >= 0 is a point <= 0
+        assert 9 <= int(np.sum(seen[0] <= 0)) <= 20
+
+
 class TestSymmetricScanGrid:
     """The scan grid is k * step for |k| <= round(cutoff / step): exact +-
     pairs and 0, also for steps like 0.02 that are not dyadic."""

@@ -11,7 +11,9 @@ from qclab import diffraction, wiener
 from qclab.diffraction import (
     PointMeasure,
     bohr_atoms,
+    bohr_grid_screen,
     bohr_means,
+    bohr_stable,
     growth_profile,
     logderiv_measure,
     poisson_residual,
@@ -20,7 +22,7 @@ from qclab.errors import DomainError, InsufficientDataError, InvalidInputError
 from qclab.wiener import canonicalize, multiply
 from qclab.zeros import ZeroSet
 
-from conftest import SQRT2, lattice_measure, lattice_zeroset
+from conftest import SQRT2, lattice_measure, lattice_points, lattice_zeroset
 
 
 class TestBohrCoefficient:
@@ -207,6 +209,100 @@ class TestBohrScan:
         full, half = bohr_means(uni2100, _UNION_GRID, [2000.0, 1000.0])
         mu = bohr_atoms(uni2100, _UNION_GRID, full, half, 2000.0, 0.1)
         assert mu.conjugate_defect() < 0.01
+
+
+@st.composite
+def _screen_cases(draw):
+    """A union of one to three jittered lattices over +-half, each point
+    of multiplicity 1-3; a grid step, K, up to five nested windows and
+    the screen's block size."""
+    half = draw(st.sampled_from([40.0, 300.0, 2100.0]) | st.floats(5.0, 2100.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = []
+    for _ in range(draw(st.integers(1, 3))):
+        spacing = draw(st.floats(0.7, 2.0))
+        lattice = lattice_points(draw(st.floats(0.0, 1.0)), spacing, half)
+        jitter = draw(st.floats(0.0, 0.3)) * spacing
+        pts.append(lattice + jitter * rng.uniform(-0.5, 0.5, lattice.size))
+    pts = np.concatenate(pts)
+    pts = pts[np.abs(pts) < half]
+    A = ZeroSet((-half, half), pts, rng.integers(1, 4, pts.size))
+    step = draw(st.sampled_from([0.02, 0.013, 0.25]))
+    K = draw(st.integers(0, 500))
+    T = draw(st.floats(0.5, 1.0)) * half
+    Ts = [T / 2 ** k for k in range(draw(st.integers(1, 5)))]
+    block = draw(st.sampled_from([diffraction._SCREEN_BLOCK, 997]))
+    return A, step, K, Ts, block
+
+
+class TestBohrGridScreen:
+    """``bohr_grid_screen`` stays within its bound of ``bohr_means`` on the
+    grid k * step, and ``bohr_stable`` loosened by that bound keeps every
+    column the exact rule keeps."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(_screen_cases())
+    def test_within_its_bound_of_the_exact_means(self, case):
+        A, step, K, Ts, block = case
+        saved = diffraction._SCREEN_BLOCK
+        diffraction._SCREEN_BLOCK = block
+        try:
+            screen, eta = bohr_grid_screen(A, step, K, Ts)
+        finally:
+            diffraction._SCREEN_BLOCK = saved
+        exact = bohr_means(A, step * np.arange(K + 1), Ts)
+        assert screen.shape == exact.shape == (len(Ts), K + 1)
+        assert np.all(np.abs(screen - exact) <= eta[:, None])
+
+    def test_bound_is_tight_enough_to_screen(self, uni2100):
+        # the bound is far below any threshold, the distance far below it
+        Ts = [2000.0, 1000.0]
+        screen, eta = bohr_grid_screen(uni2100, 0.02, 500, Ts)
+        gap = np.abs(screen - bohr_means(uni2100, 0.02 * np.arange(501), Ts)).max(axis=1)
+        assert np.all(eta < 1e-9)
+        assert np.all(gap < eta / 10)
+
+    def test_empty_window_is_zero_with_zero_bound(self, lat500):
+        screen, eta = bohr_grid_screen(lat500, 0.25, 8, [0.25])
+        assert np.array_equal(screen, np.zeros((1, 9), complex))
+        assert eta.tolist() == [0.0]
+
+    def test_window_guards(self, lat500):
+        with pytest.raises(DomainError):
+            bohr_grid_screen(lat500, 0.02, 10, [1000.0])
+        with pytest.raises(DomainError):
+            bohr_grid_screen(lat500, 0.02, 10, [100.0, 0.0])
+
+    def test_rule_at_slack_zero_is_the_two_comparisons(self):
+        rng = np.random.default_rng(5)
+        thr = 0.25
+        full = rng.normal(size=4000) * 0.3 + 1j * rng.normal(size=4000) * 0.3
+        half = full + (rng.normal(size=4000) + 1j * rng.normal(size=4000)) * 0.05
+        # moduli on the boundaries themselves
+        full[:3] = [thr, 1j * thr, -thr]
+        half[3:6] = full[3:6] - [thr / 4, 1j * thr / 4, -thr / 4]
+        rule = (np.abs(full) > thr) & (np.abs(full - half) < thr / 4)
+        assert np.array_equal(bohr_stable(full, half, thr), rule)
+        assert not rule[:6].any()
+
+    @pytest.mark.parametrize("thr", [0.05, 0.06, 0.25, 1.7])
+    @pytest.mark.parametrize("rel", [1e-16, 1e-12, 1e-8])
+    def test_loosened_rule_keeps_every_column_within_the_slack(self, thr, rel):
+        # pairs that pass at slack 0 by a hair, moved by e1 + e2 = slack
+        # against the rule, pass at slack
+        rng = np.random.default_rng(6)
+        m = 5000
+        phase = np.exp(2j * np.pi * rng.uniform(size=m))
+        full = np.nextafter(thr, np.inf) * phase
+        drift = np.nextafter(thr / 4, 0.0) * np.exp(2j * np.pi * rng.uniform(size=m))
+        half = full - drift
+        passing = bohr_stable(full, half, thr)
+        assert passing.mean() > 0.2  # the rest miss by the rounding of |.|
+        slack = rel * thr
+        split = rng.uniform(size=m)
+        full_moved = full - split * slack * phase  # toward 0
+        half_moved = half + (1 - split) * slack * drift / np.abs(drift)  # away from full
+        assert bohr_stable(full_moved, half_moved, thr, slack)[passing].all()
 
 
 class TestConjugateDefect:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,14 @@ class TestLogSeries:
         mu = PointMeasure(1.0, np.array([0.005]), np.array([1.0 + 0j]))
         with pytest.warns(UserWarning, match="mass budget"):
             log_series_at_height_one(mu)
+
+    def test_atom_above_the_low_band_not_flagged(self):
+        # |b|/gamma = 200 at gamma = 59.9 is no part of the low-frequency
+        # mass budget, which sums over 0 < gamma < 1 only
+        mu = PointMeasure(1.0, np.array([59.9]), np.array([200.0 * 59.9 + 0j]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(log_series_at_height_one(mu)) == 1
 
     def test_t3_budget_enforced(self):
         mu = PointMeasure(1.0, np.array([1e-6]), np.array([1.0 + 0j]))
