@@ -60,7 +60,7 @@ class AlmostPeriodReport:
     epsilon: float
     periods: list[tuple[float, int, float]]  # (tau, shift h, sup deviation)
     search_range: tuple[float, float]
-    max_gap: float
+    max_gap: float | None  # largest gap between found periods; None below two
 
 
 def unit_window_max(expanded: np.ndarray) -> int:
@@ -224,7 +224,8 @@ def almost_periods(A: ZeroSet, epsilon: float, tau_range) -> AlmostPeriodReport:
     over the interior of the window; (tau_h, h) is reported when the sup
     deviation stays below epsilon and tau_h is consistent with h/d, which
     makes both report invariants hold by construction.  A shift needs at
-    least 32 index pairs inside the window.
+    least 32 index pairs inside the window.  ``max_gap`` is the largest
+    gap between consecutive periods, None when fewer than two are found.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
@@ -248,10 +249,7 @@ def almost_periods(A: ZeroSet, epsilon: float, tau_range) -> AlmostPeriodReport:
         if sup_dev < epsilon and abs(tau - h / d) <= epsilon and t0 <= tau <= t1:
             periods.append((tau, h, sup_dev))
     taus = sorted(p[0] for p in periods)
-    if len(taus) >= 2:
-        max_gap = float(np.max(np.diff(taus)))
-    else:
-        max_gap = t1 - t0
+    max_gap = float(np.max(np.diff(taus))) if len(taus) >= 2 else None
     return AlmostPeriodReport(epsilon=float(epsilon), periods=periods,
                               search_range=(t0, t1), max_gap=max_gap)
 

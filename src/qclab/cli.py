@@ -24,7 +24,7 @@ from .errors import DomainError, InvalidInputError, QclabError, StageError
 from .wiener import ExpSum
 from .zeros import ZeroSet
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 COMMANDS = ("analyze", "zeros", "diffract", "poisson", "reconstruct", "apset")
 
 
@@ -240,14 +240,15 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
 
     mu = mu_log if mu_log is not None else mu_bohr
     poisson = _stage("diffraction/poisson", lambda: diffraction.poisson_residual(A, mu))
-    plot_poisson = []
+    plot_poisson, skipped = [], []
     for k in (3, 2, 1, 0):
         try:
             mu_k = bohr(k) if k else mu_bohr
             r_k = poisson if mu_k is mu else diffraction.poisson_residual(A, mu_k)
-        except QclabError:
-            continue
-        plot_poisson.append((float(Ts[k]), float(r_k.residual)))
+        except QclabError as exc:
+            skipped.append({"T": float(Ts[k]), "error": type(exc).__name__, "message": str(exc)})
+        else:
+            plot_poisson.append((float(Ts[k]), float(r_k.residual)))
 
     profile = diffraction.growth_profile(mu, np.linspace(0.5, cfg.cutoff, 20))
 
@@ -262,6 +263,7 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
         },
         "agreement": agreement,
         "poisson": {"sigma": diffraction.POISSON_SIGMA, **asdict(poisson)},
+        "poisson_vs_T_skipped": skipped,
         "growth": {
             "t3_value": profile.t3_value,
             "kappa_fit": profile.kappa_fit,
@@ -315,13 +317,9 @@ def _reconstruct_stage(mu, A, report):
             "max_freq": float(rebuilt.freqs[-1]) if len(rebuilt) else None,
         },
         "roundtrip": roundtrip,
-        "g": {
-            "windows": greport.windows,
-            "slope_fit": greport.slope_fit,
-            "verdict": greport.bounded_verdict,
-        },
+        "g": asdict(greport),
         "exponential_type": {
-            "estimate": etype,
+            "exact": etype,
             "pi_d": float(np.pi * mu.d),
             "relative_error": abs(etype - np.pi * mu.d) / (np.pi * mu.d) if mu.d > 0 else None,
         },

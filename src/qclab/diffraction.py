@@ -114,7 +114,7 @@ class PointMeasure:
 class GrowthProfile:
     m_of_s: list[tuple[float, float]]
     t3_value: float
-    kappa_fit: float
+    kappa_fit: float | None
 
 
 @dataclass(frozen=True)
@@ -437,7 +437,8 @@ def poisson_residual(A: ZeroSet, mu_hat: PointMeasure) -> PoissonReport:
 
 def growth_profile(mu_hat: PointMeasure, s_grid) -> GrowthProfile:
     """Cumulative mass m(s) over 0 < gamma <= s, the sum |b|/gamma below 1,
-    and a log-log slope over the top decade of the grid."""
+    and a log-log slope over the top decade of the grid, None unless two
+    grid points of distinct s there carry mass."""
     g, b = mu_hat.positive()
     mass = np.abs(b)
     table = []
@@ -446,8 +447,7 @@ def growth_profile(mu_hat: PointMeasure, s_grid) -> GrowthProfile:
     ss = np.array([s for s, _ in table])
     ms = np.array([m for _, m in table])
     top = (ss >= ss[-1] / 10.0) & (ms > 0) if ss.size else np.zeros(0, bool)
+    kappa = None
     if int(np.sum(top)) >= 2 and np.ptp(np.log(ss[top])) > 0:
         kappa = float(np.polyfit(np.log(ss[top]), np.log(ms[top]), 1)[0])
-    else:
-        kappa = 0.0
     return GrowthProfile(m_of_s=table, t3_value=mu_hat.low_band()[2], kappa_fit=kappa)

@@ -22,11 +22,6 @@ from .errors import DomainError
 from .wiener import ExpSum, _exp_rows, canonicalize, evaluate, exp_series, scale
 from .zeros import ZeroSet
 
-VERDICT_BOUNDED = "bounded"
-VERDICT_GROWING = "growing"
-VERDICT_INCONCLUSIVE = "inconclusive"
-_SLOPE_BOUNDED = 0.02
-_SLOPE_GROWING = 0.1
 T3_BUDGET = 1000.0  # largest sum |b|/gamma over 0 < gamma < 1 a rebuild accepts
 
 
@@ -46,9 +41,8 @@ class ProductValue:
 
 @dataclass(frozen=True)
 class GReport:
-    windows: list[tuple[float, float]]  # (half-width X, sup |g| over [-X, X])
-    slope_fit: float
-    bounded_verdict: str
+    windows: list[tuple[float, float]]  # (half-width X, sampled sup |g| over [-X, X])
+    sup_bound: float  # bound on |g| over the real line: 2 * sum |b|/gamma over 0 < gamma < 1
 
 
 def _translated_points(A: ZeroSet):
@@ -233,11 +227,14 @@ def _sup_abs_g(mu_hat: PointMeasure, X: float) -> float:
 
 
 def g_boundedness(mu_hat: PointMeasure, X_grid) -> GReport:
-    """sup |g| over nested real windows with a log-log growth fit.
+    """Running sups of |g| sampled over nested real windows [-X, X], and
+    the bound ``sup_bound`` on |g| over the whole real line.
 
-    Verdict margins: bounded below slope 0.02, growing above 0.1; a
-    finite sample can only sample the dichotomy, hence the inconclusive
-    band between.
+    For real x each term of g has |exp(2j*pi*gamma*x) - 1| <= 2, so
+    |g(x)| <= sum over 0 < gamma < 1 of 2*|b|/gamma = 2*t3, with t3 the
+    low-band mass sum of ``PointMeasure.low_band``.  A finite atom list
+    therefore always gives a bounded g; the windows only show how much
+    of the bound a sample attains.
     """
     Xs = sorted(float(x) for x in X_grid)
     sups = []
@@ -245,29 +242,7 @@ def g_boundedness(mu_hat: PointMeasure, X_grid) -> GReport:
     for X in Xs:
         running = max(running, _sup_abs_g(mu_hat, X))
         sups.append(running)
-    windows = list(zip(Xs, sups))
-    scale_mass = max(sups) if sups else 0.0
-    if scale_mass < 1e-12:
-        return GReport(windows=windows, slope_fit=0.0, bounded_verdict=VERDICT_BOUNDED)
-    xs = np.log(np.asarray(Xs))
-    ys = np.log(np.maximum(np.asarray(sups), 1e-300))
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(Xs) >= 2 else 0.0
-    if slope < _SLOPE_BOUNDED:
-        verdict = VERDICT_BOUNDED
-    elif slope > _SLOPE_GROWING:
-        verdict = VERDICT_GROWING
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-    return GReport(windows=windows, slope_fit=slope, bounded_verdict=verdict)
-
-
-def _logabs_expsum(f: ExpSum, y: float) -> float:
-    # log |f(1j*y)| via log-sum-exp over the term magnitudes
-    a = np.log(np.abs(f.coeffs)) - 2.0 * np.pi * f.freqs * y
-    amax = float(np.max(a))
-    phases = f.coeffs / np.abs(f.coeffs)
-    r = complex(np.sum(phases * np.exp(a - amax)))
-    return amax + math.log(abs(r))
+    return GReport(windows=list(zip(Xs, sups)), sup_bound=2.0 * mu_hat.low_band()[2])
 
 
 def _logabs_zeroset(A: ZeroSet, y: float) -> float:
@@ -276,22 +251,28 @@ def _logabs_zeroset(A: ZeroSet, y: float) -> float:
 
 
 def exponential_type(obj, y_grid) -> float:
-    """Estimate of lim y^{-1} log |f(1j*y)| from the top of the grid.
+    """lim y^{-1} log |f(1j*y)|: exact for an ExpSum, an estimate for a
+    ZeroSet.
 
-    Uses the difference quotient of the two largest heights when
-    available (the constant term cancels), otherwise the plain ratio;
-    evaluation is log-domain throughout, so large heights cannot
-    overflow.
+    On an ExpSum the term c*exp(2j*pi*omega*z) has modulus
+    |c|*exp(-2*pi*omega*y) at z = 1j*y, and a canonical sum has no zero
+    coefficient, so the lowest frequency dominates as y -> +inf and the
+    type is -2*pi*freqs[0], whatever the (nonempty) ``y_grid``.  On a
+    ZeroSet the canonical product is evaluated in the log domain over
+    ``y_grid``, and the type is the difference quotient of the two
+    largest heights (the constant term cancels), or the plain ratio for
+    one height.
     """
     ys = sorted(float(y) for y in y_grid)
     if not ys:
         raise DomainError("y_grid must be nonempty")
     if isinstance(obj, ExpSum):
-        logs = [_logabs_expsum(obj, y) for y in ys]
-    elif isinstance(obj, ZeroSet):
-        logs = [_logabs_zeroset(obj, y) for y in ys]
-    else:
+        if len(obj) == 0:
+            raise DomainError("the empty sum has no exponential type")
+        return -2.0 * math.pi * float(obj.freqs[0])
+    if not isinstance(obj, ZeroSet):
         raise DomainError("exponential_type expects an ExpSum or a ZeroSet")
+    logs = [_logabs_zeroset(obj, y) for y in ys]
     if len(ys) >= 2:
         return (logs[-1] - logs[-2]) / (ys[-1] - ys[-2])
     return logs[-1] / ys[-1]

@@ -25,7 +25,6 @@ from qclab.diffraction import (
     poisson_residual,
 )
 from qclab.reconstruct import (
-    VERDICT_BOUNDED,
     exponential_type,
     g_boundedness,
     g_function,
@@ -150,13 +149,16 @@ def test_criterion_5_g_criterion_and_type():
         est = exponential_type(rebuilt, [6.0, 8.0])
         type_errs.append(abs(est - math.pi * d_ref) / (math.pi * d_ref))
     type_errs.append(abs(exponential_type(cos, [15.0, 20.0]) - math.pi) / math.pi)
+    # the bound 2 * sum |b|/gamma is attained by the sampled sup of the 0.6 atom
     ok = (
-        lat_rep.bounded_verdict == VERDICT_BOUNDED
-        and rep6.bounded_verdict == VERDICT_BOUNDED
+        lat_rep.sup_bound == 0.0
+        and rep6.sup_bound == 2.0
+        and abs(rep6.windows[-1][1] - rep6.sup_bound) < 1e-9
         and abs(sup_g - 2.0) < 1e-12
         and max(type_errs) < 0.05
     )
-    _report(5, ok, f"lattice verdict {lat_rep.bounded_verdict}, sup|g|={sup_g}, "
+    _report(5, ok, f"lattice sup bound {lat_rep.sup_bound}, 0.6-atom sup bound "
+                   f"{rep6.sup_bound}, sampled sup {rep6.windows[-1][1]}, sup|g|={sup_g}, "
                    f"max type err {max(type_errs):.2%}")
 
 
@@ -244,5 +246,5 @@ def test_criterion_8_determinism(tmp_path):
     a = (tmp_path / "a" / "report.json").read_bytes()
     b = (tmp_path / "b" / "report.json").read_bytes()
     doc = json.loads(a)
-    ok = code_a == code_b == 0 and a == b and doc["schema"] == 1
+    ok = code_a == code_b == 0 and a == b and doc["schema"] == 2
     _report(8, ok, f"{len(a)} byte reports, identical {a == b}")

@@ -338,6 +338,16 @@ class TestAlmostPeriods:
         rep = almost_periods(A, 0.01, (0.0, 50.0))
         assert rep.periods == []
 
+    @pytest.mark.parametrize("tau_range, taus, max_gap", [
+        ((0.5, 1.5), [1], None),
+        ((1.5, 1.9), [], None),
+        ((0.5, 3.5), [1, 2, 3], 1.0),
+    ])
+    def test_max_gap_needs_two_periods(self, lat500, tau_range, taus, max_gap):
+        rep = almost_periods(lat500, 0.01, tau_range)
+        assert [round(t) for t, _, _ in rep.periods] == taus
+        assert rep.max_gap == max_gap
+
 
 class TestPhiRepresentation:
     def test_lattice_constant_half(self, lat500):

@@ -214,7 +214,7 @@ class TestRunPipeline:
         agree = stages["diffraction"]["agreement"]
         assert agree["max_atom_difference"] < 0.01
         assert stages["reconstruct"]["roundtrip"]["max_deviation"] < 1e-6
-        assert stages["reconstruct"]["g"]["verdict"] == "bounded"
+        assert stages["reconstruct"]["g"]["sup_bound"] == 0
 
     def test_diffract_on_zeroset_is_bohr_only(self, tmp_path):
         A = lattice_zeroset(0.5, 1.0, 300)
@@ -287,6 +287,54 @@ class TestRunPipeline:
         budget = [w for w in caught if "low-frequency mass budget" in str(w.message)]
         assert len(budget) == 1
         assert rep.summary["stages"]["reconstruct"]["rebuilt_terms"] > 0
+
+
+@pytest.fixture(scope="module")
+def three_factor_run(tmp_path_factory):
+    """analyze of cos(pi z) cos(sqrt2 pi z) cos(sqrt3 pi z) on +-20.001 at
+    cutoff 40: the report and the rows of plot_poisson_vs_T.csv."""
+    tmp = tmp_path_factory.mktemp("three-factor")
+    f = wiener.multiply(wiener.multiply(cos_sum(0.5), cos_sum(np.sqrt(2.0) / 2.0)),
+                        cos_sum(np.sqrt(3.0) / 2.0))
+    qio.write_expsum(f, tmp / "f.csv")
+    out = tmp / "out"
+    assert main(["analyze", "--input", str(tmp / "f.csv"), "--window=-20.001,20.001",
+                 "--cutoff", "40", "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    rows = np.loadtxt(out / "plot_poisson_vs_T.csv", delimiter=",", skiprows=1, ndmin=2)
+    return doc, rows
+
+
+class TestPoissonVsTSkipped:
+    """Each Poisson-vs-T window without a residual is listed with its error."""
+
+    def test_half_integer_lattice_at_T_50(self, tmp_path):
+        # the scan at T = 25 keeps no atoms, whose empty list fails the atom-tail bound
+        path = tmp_path / "zeros.csv"
+        qio.write_zeroset(lattice_zeroset(0.5, 1.0, 60), path)
+        rep = run_pipeline(RunConfig(command="diffract", input_path=str(path), T=50.0))
+        skipped = rep.summary["stages"]["diffraction"]["poisson_vs_T_skipped"]
+        assert [(s["T"], s["error"]) for s in skipped] == [(25.0, "InsufficientDataError")]
+        assert "truncation tails" in skipped[0]["message"]
+        assert [T for T, _ in rep.plot_poisson] == [6.25, 12.5, 50.0]
+        assert len(rep.plot_poisson) + len(skipped) == 4
+
+    def test_three_factor_product(self, three_factor_run):
+        doc, rows = three_factor_run
+        skipped = doc["stages"]["diffraction"]["poisson_vs_T_skipped"]
+        assert [s["T"] for s in skipped] == pytest.approx([2.500125, 5.00025])
+        assert {s["error"] for s in skipped} == {"InsufficientDataError"}
+        assert len(rows) + len(skipped) == 4
+
+
+class TestReportSchema:
+    def test_schema_two_and_the_exact_type(self, three_factor_run):
+        doc, _ = three_factor_run
+        assert doc["schema"] == 2
+        rec = doc["stages"]["reconstruct"]
+        assert rec["exponential_type"]["exact"] == -2.0 * np.pi * rec["spectrum"]["min_freq"]
+        assert set(rec["g"]) == {"windows", "sup_bound"}
+        assert doc["stages"]["apset"]["periods_max_gap"] is None
 
 
 class TestBohrGridScreen:
@@ -420,7 +468,7 @@ class TestEmitOutputs:
                      "plot_g_sup.csv", "plot_m_of_s.csv", "plot_poisson_vs_T.csv"):
             assert (out / name).exists(), name
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["config"]["tolerances"]["freq_tol"] == 1e-9
 
     def test_no_knob_outside_the_command_line(self, tmp_path):

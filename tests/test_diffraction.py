@@ -541,6 +541,13 @@ class TestGrowthProfile:
         prof = growth_profile(mu, [0.5, 1.0, 2.0])
         assert prof.t3_value == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("s_grid", [[0.5, 0.9], [0.5, 10.0], [5.0]])
+    def test_no_slope_without_two_massive_points(self, s_grid):
+        # the lattice's first atom is at 1: below it m(s) = 0, and the top
+        # decade of [0.5, 10] holds one grid point
+        prof = growth_profile(lattice_measure(K=10), s_grid)
+        assert prof.kappa_fit is None
+
     def test_m_nondecreasing(self, funion):
         mu = logderiv_measure(funion, "auto", 10.0)
         ms = [m for _, m in growth_profile(mu, np.linspace(0.3, 9.5, 30)).m_of_s]

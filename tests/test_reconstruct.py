@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclab.diffraction import PointMeasure, logderiv_measure
 from qclab.errors import DomainError
 from qclab.reconstruct import (
-    VERDICT_BOUNDED,
     canonical_product,
     exponential_type,
     g_boundedness,
@@ -145,7 +146,7 @@ class TestGFunction:
         mu = lattice_measure(K=10)
         assert g_function(mu, 0.37) == 0
         rep = g_boundedness(mu, [5.0, 10.0, 20.0])
-        assert rep.bounded_verdict == VERDICT_BOUNDED
+        assert rep.sup_bound == 0.0
         assert all(s == 0.0 for _, s in rep.windows)
 
     def test_single_atom_sup_two(self):
@@ -153,7 +154,7 @@ class TestGFunction:
         val = g_function(mu, 5.0 / 6.0)
         assert abs(val) == pytest.approx(2.0, abs=1e-12)
         rep = g_boundedness(mu, [5.0, 10.0, 20.0, 40.0])
-        assert rep.bounded_verdict == VERDICT_BOUNDED
+        assert rep.sup_bound == 2.0
         assert rep.windows[-1][1] == pytest.approx(2.0, abs=1e-9)
 
     def test_synthetic_masses_match_direct_sum(self):
@@ -166,13 +167,66 @@ class TestGFunction:
             assert g_function(mu, x) == pytest.approx(complex(direct), rel=1e-12)
         sups = [s for _, s in rep.windows]
         assert all(a <= b + 1e-12 for a, b in zip(sups, sups[1:]))
-        assert rep.bounded_verdict in ("bounded", "growing", "inconclusive")
+        # 2 * sum |b|/gamma = 2 * 19, which the sampled sups stay below
+        assert rep.sup_bound == pytest.approx(38.0, rel=1e-15)
+        assert sups[-1] <= rep.sup_bound
+
+
+_MASS = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+class TestGSupBound:
+    # each sample of |g| sums at most 6 terms of size at most 2|b|/gamma,
+    # so it can exceed the exact value by a few ulps of 2 * t3: a relative
+    # allowance of 1e-12 covers it
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-3, 1.0, exclude_max=True), _MASS, _MASS),
+                    min_size=1, max_size=6, unique_by=lambda t: t[0]))
+    def test_sampled_sups_below_the_bound(self, atoms):
+        g = np.array([a[0] for a in atoms])
+        b = np.array([complex(a[1], a[2]) for a in atoms])
+        rep = g_boundedness(PointMeasure(1.0, g, b), [2.0, 5.0, 10.0])
+        assert rep.sup_bound == pytest.approx(2.0 * float(np.sum(np.abs(b) / g)), rel=1e-15)
+        for _, sup in rep.windows:
+            assert sup <= rep.sup_bound * (1.0 + 1e-12)
+
+
+def _log_quotient(f, y1, y2):
+    """The difference quotient of log |f(1j*y)| between y1 and y2, each log
+    a log-sum-exp over the term magnitudes: an estimate of the type that
+    does not read the spectrum's end."""
+    logs = []
+    for y in (y1, y2):
+        a = np.log(np.abs(f.coeffs)) - 2.0 * np.pi * f.freqs * y
+        amax = float(np.max(a))
+        r = complex(np.sum(f.coeffs / np.abs(f.coeffs) * np.exp(a - amax)))
+        logs.append(amax + math.log(abs(r)))
+    return (logs[1] - logs[0]) / (y2 - y1)
 
 
 class TestExponentialType:
+    # a gap of 0.5 above the lowest frequency leaves the other terms a share
+    # of at most 100 * exp(-2*pi*0.5*15) ~ 4e-19 of |f(15j)|
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-5.0, 5.0), st.lists(st.integers(0, 5000), min_size=0, max_size=5,
+                                          unique=True),
+           st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-math.pi, math.pi)),
+                    min_size=6, max_size=6))
+    def test_equals_the_log_quotient(self, w0, offsets, polar):
+        freqs = [w0] + [w0 + 0.5 + k / 1000.0 for k in offsets]
+        f = canonicalize([(w, r * complex(math.cos(t), math.sin(t)))
+                          for w, (r, t) in zip(freqs, polar)])
+        exact = exponential_type(f, [15.0, 20.0])
+        assert exact == -2.0 * math.pi * float(f.freqs[0])
+        assert exact == pytest.approx(_log_quotient(f, 15.0, 20.0), abs=1e-9)
+
+    def test_empty_sum_rejected(self):
+        with pytest.raises(DomainError):
+            exponential_type(canonicalize([]), [1.0])
+
     def test_cos_single_height(self, cos):
         est = exponential_type(cos, [20.0])
-        assert est == pytest.approx(math.log(math.cosh(20 * math.pi)) / 20.0, rel=1e-12)
+        assert est == math.pi
         assert abs(est - math.pi) < 0.05
 
     def test_cos_difference_quotient(self, cos):
