@@ -8,6 +8,8 @@ bound is an empirical certificate at finite scale, not a theorem.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,9 @@ from .wiener import _exp_rows
 from .zeros import ZeroSet
 
 _MIN_PAIRS = 32  # fewest index pairs inside the window that test a shift h
+# most rows of spans a window length checks before it takes the merge; on
+# 10^4 points that many rows cost about as much as one or two merges
+_BAND_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -63,19 +68,6 @@ class AlmostPeriodReport:
     max_gap: float | None  # largest gap between found periods; None below two
 
 
-def unit_window_max(expanded: np.ndarray) -> int:
-    """Largest count over half-open unit windows [x, x+1) (the sliding
-    max is attained with the left end on a point).
-
-    The right edge carries a 1e-9 guard so that root-finding noise on a
-    point sitting exactly one unit away cannot flip the boundary tie.
-    """
-    if expanded.size == 0:
-        return 0
-    right = np.searchsorted(expanded, expanded + (1.0 - 1e-9), side="left")
-    return int(np.max(right - np.arange(expanded.size)))
-
-
 def _searched_counts(e: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     # #A in [x, x+h) at each probe x, one binary search per end
     return np.searchsorted(e, x + h) - np.searchsorted(e, x)
@@ -90,83 +82,244 @@ def _count_extremes(e: np.ndarray, h_grid, lo: float, hi: float) -> np.ndarray:
     hi - h, each probe in [lo, hi-h] counted by binary search.
 
     The count rises just after an event a - h and falls just after an
-    event a.  One stable merge of the distinct points shifted to a - h
-    with the points a orders the events, and the running sum of their
-    signed multiplicities is the count on the stretch after each event.
+    event a.  A length is sharp with room when, with f = 2*fuzz + 4 eps S
+    (``fuzz`` and S as in ``_merge_extremes``), h > f, no two distinct
+    points lie within f of each other, no point lies within f of lo,
+    hi - h, lo + h or hi, and no span of k + 1 consecutive points,
+    s_k = e[i+k] - e[i], lies within f of h; only the k of the band of
+    ``_Spans`` need a look.  Every gap between two events is then a gap
+    between points or a span minus h, and every gap between an event
+    and a window end a gap between a point and lo, hi - h, lo + h or hi,
+    so each is at least f up to roundings below 2 eps S, and the merge
+    would take its one-slice path: no event fuzzy, none near the window
+    ends.  Its result is then the max and min of the counts at lo and
+    hi - h and on the stretches just after the events in the window, and
+    ``_span_extremes`` reads the same numbers off the spans.
 
-    An event is sharp when no other event, nor lo or hi - h, lies within
-    ``fuzz`` of it.  The probe offset is 1e-9, and each of the three
-    roundings between an event and a probe's ranks (a - h, b -+ 1e-9 and
-    x + h) moves it by at most eps/2 * S, where S bounds |a|, |lo| and
+    Every other length runs ``_merge_extremes``, and so does a length
+    whose band holds more than ``_BAND_ROWS`` rows (a set with a gap wider
+    than h puts every k up to the count of a window in it).
+    """
+    h_grid = np.asarray(h_grid, dtype=float)
+    out = np.zeros((h_grid.size, 2), np.int64)
+    reach = max(abs(lo), abs(hi), float(np.max(np.abs(e), initial=0.0)))
+    eps = np.finfo(float).eps
+    top = hi - h_grid
+    rounding = 8.0 * eps * (reach + h_grid)
+    fuzz = np.where(rounding < 1e-9, 2e-9 + rounding, np.inf)
+    f = 2.0 * fuzz + 4.0 * eps * (reach + h_grid)
+    starts = np.flatnonzero(np.diff(e, prepend=-np.inf))
+    gap = np.min(np.diff(e[starts]), initial=np.inf)
+
+    def rank(x, side="left"):
+        return np.searchsorted(e, x, side)
+
+    def clear(x):  # no point within f of x
+        return rank(x - f) == rank(x + f, "right")
+
+    sharp = ((top >= lo) & (gap > f) & (h_grid > f) & clear(lo) & clear(top)
+             & clear(lo + h_grid) & clear(hi))
+    # with room, the rises a - h in the window are those of e[r0:r1], the
+    # falls a those of e[f0:f1], and the counts at lo and hi - h follow
+    r0, f1 = rank(lo + h_grid), rank(top, "right")
+    r1, f0 = int(rank(hi, "right")), int(rank(lo))
+    c_lo, c_top = r0 - f0, rank(top + h_grid) - f1
+    spans = _Spans(e)
+    runs = None
+    for g in np.argsort(h_grid, kind="stable"):
+        if top[g] < lo:
+            continue
+        h = float(h_grid[g])
+        if sharp[g]:
+            band = spans.band(h, f[g])
+            if band is not None and spans.clear(h, f[g], *band):
+                out[g] = _span_extremes(spans, band, h, int(c_lo[g]), int(c_top[g]),
+                                        (int(r0[g]), r1), (f0, int(f1[g])))
+                continue
+        if runs is None:
+            runs = _runs(e, starts)
+        out[g] = _merge_extremes(e, runs, h, lo, top[g], fuzz[g])
+    return out
+
+
+class _Spans:
+    """The spans s_k = e[k:] - e[:-k] of k + 1 consecutive points, for
+    the band of k whose spans can lie within f of a length h.
+
+    min s_k and max s_k grow with k, so the band {k : min s_k <= h + f and
+    max s_k >= h - f} is a run of k, and for ascending h it only moves up:
+    a row is computed when the band reaches it and dropped once the band
+    has passed it.  Every span of a k below the band lies below h - f,
+    every span of a k above it above h + f.
+
+    The band skips the rows that s_{a+b}(i) = s_a(i) + s_b(i+a) puts
+    below it: max s_{a+b} <= max s_a + max s_b, for any row b computed
+    before, with 4 eps of room for the roundings of the three spans.
+    """
+
+    def __init__(self, e: np.ndarray):
+        self.e = e
+        self.first = 1  # the k of rows[0]; s_0 = 0 lies below h - f as h > f
+        self.below = 0.0  # an upper bound on max s_{first - 1}
+        self.rows = deque()  # (s_k, min s_k, max s_k) for k = first, first + 1, ...
+        self.ks, self.maxs = [], []  # every row computed so far and its max
+
+    def band(self, h: float, f: float) -> tuple[int, int] | None:
+        """First and last k of the band at h, last < first when it is
+        empty, or None when it holds more than ``_BAND_ROWS`` rows; h must
+        not fall below an earlier call's."""
+        e, rows = self.e, self.rows
+        while True:
+            if not rows:
+                self._skip(h - f)
+                if self.first >= e.size:
+                    return self.first, self.first - 1
+                self._append()
+            if rows[0][2] >= h - f:
+                break
+            _, _, self.below = rows.popleft()
+            self.first += 1
+        while rows[-1][1] <= h + f and self.first + len(rows) < e.size:
+            if len(rows) > _BAND_ROWS:
+                return None
+            self._append()
+        return self.first, self.first + len(rows) - 1 - int(rows[-1][1] > h + f)
+
+    def clear(self, h: float, f: float, first: int, last: int) -> bool:
+        """Whether no span of the band lies within f of h."""
+        return all(np.abs(self.row(k) - h).min() > f for k in range(first, last + 1))
+
+    def row(self, k: int) -> np.ndarray:
+        return self.rows[k - self.first][0]
+
+    def _skip(self, limit: float):
+        # rows first .. first - 1 + b lie below limit when below + max s_b does
+        j = bisect_left(self.maxs, limit - self.below)
+        while j > 0:
+            bound = (self.below + self.maxs[j - 1]) * (1.0 + 4.0 * np.finfo(float).eps)
+            if bound < limit:
+                self.first += self.ks[j - 1]
+                self.below = bound
+                return
+            j -= 1
+
+    def _append(self):
+        k = self.first + len(self.rows)
+        s = self.e[k:] - self.e[:-k]
+        self.rows.append((s, s.min(), s.max()))
+        self.ks.append(k)
+        self.maxs.append(self.rows[-1][2])
+
+
+def _span_extremes(spans: _Spans, band, h: float, c_lo: int, c_top: int,
+                   rises, falls) -> tuple[int, int]:
+    """(max, min) of the count at a sharp length h with room, from the
+    counts at lo and hi - h and the spans; the points of index r0 <= i < r1
+    have their rise in the window, those of f0 <= j < f1 their fall.
+
+    After the rise a_i - h, the count is #A in (a_i - h, a_i], which is at
+    least k + 1 exactly when s_k = e_i - e_{i-k} < h (i the last index of
+    its point; a smaller index of the same point has no smaller span).
+    After the fall a_j it is #A in (a_j, a_j + h], at most k - 1 exactly
+    when s_k = e_{j+k} - e_j > h (j likewise; k never exceeds the count at
+    hi - h, at most n - f1, so e_{j+k} exists).  The count on a stretch
+    after a fall is at most the one before it, and after a rise at least,
+    so the max is the largest count at lo, at hi - h or after a rise, and
+    the min the smallest at lo, at hi - h or after a fall.  Each steps
+    from the counts at the window ends one k at a time inside the band,
+    and over the k below it (max) or above it (min) at once.
+    """
+    first, last = band
+    (r0, r1), (f0, f1) = rises, falls
+    top = max(c_lo, c_top)
+    if r0 < r1 and top < first:  # every span of these k lies below h
+        top = min(first, r1)
+    while top <= last and max(r0, top) < r1 and \
+            spans.row(top)[max(r0 - top, 0):r1 - top].min() < h:
+        top += 1
+    bottom = min(c_lo, c_top)
+    if f0 < f1:
+        bottom = min(bottom, last)  # every span of these k lies above h
+        while bottom >= first and spans.row(bottom)[f0:f1].max() > h:
+            bottom -= 1
+    return top, bottom
+
+
+def _runs(e: np.ndarray, starts: np.ndarray):
+    # the signed multiplicities of the events a - h and a of each distinct
+    # point, their buffer, reused for every length, and the running sums
+    mults = np.diff(starts, append=e.size)
+    events = np.empty(2 * starts.size)
+    events[starts.size:] = e[starts]
+    return np.concatenate([mults, -mults]), events, np.zeros(2 * starts.size + 1, np.int64)
+
+
+def _merge_extremes(e: np.ndarray, runs, h: float, lo: float, top: float,
+                    fuzz: float) -> tuple[int, int]:
+    """(max, min) of the count at one length h from one stable merge of
+    the events a - h and a, whose running sum of signed multiplicities is
+    the count on the stretch after each event.
+
+    An event is sharp when no other event, nor lo or top = hi - h, lies
+    within ``fuzz`` of it.  The probe offset is 1e-9, and each of the
+    three roundings between an event and a probe's ranks (a - h, b -+ 1e-9
+    and x + h) moves it by at most eps/2 * S, where S bounds |a|, |lo| and
     |hi| plus h.  So with fuzz >= 1e-9 + 1.5 eps S, the probes of a sharp
     event b count the stretches just before and just after b, and they
     lie in the window exactly when b does.  ``fuzz`` is 2e-9 + 8 eps S,
     which also covers the roundings of its own comparisons.  Once
     8 eps S reaches 1e-9 (S above about 5.6e5), the offset no longer
     decides which side of its event a probe lands on, so every event is
-    fuzzy.
+    fuzzy (fuzz = inf).
 
     The lower probe of a sharp event b counts the stretch after the
     event c before it.  The upper probe of c counts it too, as b lies
     more than fuzz above c, or, where that probe falls below the window,
     the probe at lo does.  So the probed counts are the running sums
     after the sharp events in the window, the probes of the fuzzy
-    events, counted by binary search, and the counts at lo and hi - h.
+    events, counted by binary search, and the counts at lo and top.
     With no fuzzy event these are one slice of running sums.
     """
-    starts = np.flatnonzero(np.diff(e, prepend=-np.inf))
-    mults = np.diff(starts, append=e.size)
-    n = starts.size
-    signed = np.concatenate([mults, -mults])
-    events = np.empty(2 * n)  # the runs a - h and a, reused for every length
-    events[n:] = e[starts]
-    level = np.zeros(2 * n + 1, np.int64)  # the count after the first k events
-    reach = max(abs(lo), abs(hi), float(np.max(np.abs(e), initial=0.0)))
-    ulps = 8.0 * np.finfo(float).eps
-    out = np.zeros((len(h_grid), 2), np.int64)
-    for k, h in enumerate(h_grid):
-        top = hi - h
-        if top < lo:
-            continue
-        rounding = ulps * (reach + h)
-        fuzz = 2e-9 + rounding if rounding < 1e-9 else np.inf
-        np.subtract(events[n:], h, out=events[:n])
-        order = np.argsort(events, kind="stable")
-        np.cumsum(signed[order], out=level[1:])
-        merged = events[order]
-        # the events whose probes can fall in the window
-        i0 = np.searchsorted(merged, lo - fuzz)
-        i1 = np.searchsorted(merged, top + fuzz, side="right")
-        w = merged[i0:i1]
-        gaps = np.diff(w)
-        if not w.size or (w[0] > lo + fuzz and w[-1] < top - fuzz
-                          and np.min(gaps, initial=np.inf) > fuzz):
-            c = level[i0:i1 + 1]
-            out[k] = c.max(), c.min()
-            continue
-        close = gaps <= fuzz
-        fuzzy = (w <= lo + fuzz) | (w >= top - fuzz)
-        fuzzy[1:] |= close
-        fuzzy[:-1] |= close
-        sharp = i0 + np.flatnonzero(~fuzzy)
-        x = w[fuzzy]
-        x = np.concatenate([x - 1e-9, x + 1e-9, [lo, top]])
-        x = x[(x >= lo) & (x <= top)]
-        c = np.concatenate([level[sharp + 1], _searched_counts(e, x, h)])
-        out[k] = c.max(), c.min()
-    return out
+    signed, events, level = runs
+    n = signed.size // 2
+    np.subtract(events[n:], h, out=events[:n])
+    order = np.argsort(events, kind="stable")
+    np.cumsum(signed[order], out=level[1:])
+    merged = events[order]
+    # the events whose probes can fall in the window
+    i0 = np.searchsorted(merged, lo - fuzz)
+    i1 = np.searchsorted(merged, top + fuzz, side="right")
+    w = merged[i0:i1]
+    gaps = np.diff(w)
+    if not w.size or (w[0] > lo + fuzz and w[-1] < top - fuzz
+                      and np.min(gaps, initial=np.inf) > fuzz):
+        c = level[i0:i1 + 1]
+        return c.max(), c.min()
+    close = gaps <= fuzz
+    fuzzy = (w <= lo + fuzz) | (w >= top - fuzz)
+    fuzzy[1:] |= close
+    fuzzy[:-1] |= close
+    sharp = i0 + np.flatnonzero(~fuzzy)
+    x = w[fuzzy]
+    x = np.concatenate([x - 1e-9, x + 1e-9, [lo, top]])
+    x = x[(x >= lo) & (x <= top)]
+    c = np.concatenate([level[sharp + 1], _searched_counts(e, x, h)])
+    return c.max(), c.min()
 
 
 def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
     """Empirical k1 (unit-window bound) and k2 (equal-length discrepancy).
 
-    k1 is the exact sliding maximum over half-open unit windows.  k2 is,
-    for each probed window length h, the exact spread max - min of the
-    sliding count, maximized over a grid of lengths; this dominates every
-    sampled pair of equal-length windows at those lengths.  The spreads
-    come from one merge of the events a - h and a per length, with binary
-    search only for the probes of events closer than a rounding margin to
-    another event or to the window ends (see ``_count_extremes``);
+    k1 is the exact sliding maximum over half-open unit windows
+    (``ZeroSet.k1``, computed once per set).  k2 is, for each probed
+    window length h, the exact spread max - min of the sliding count,
+    maximized over a grid of lengths; this dominates every sampled pair
+    of equal-length windows at those lengths.  A length that is sharp
+    with room reads its spread off the spans of consecutive points;
+    every other length merges the events a - h and a, with binary search
+    only for the probes of events closer than a rounding margin to
+    another event or to the window ends.  Either way the spread equals
+    that of a binary search at every probe (see ``_count_extremes``).
     ``density`` carries the result, so a run needs only one call.  An
     explicit ``h_grid`` must hold finite positive lengths.
     """
@@ -174,7 +327,6 @@ def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
         raise DomainError("counting constants need a nonempty set")
     e = A.expand()
     lo, hi = A.window
-    k1 = unit_window_max(e)
     length = hi - lo
     d_rough = max(A.count / length, 1e-12)
     h0 = min(0.5, 0.25 / d_rough)
@@ -198,7 +350,7 @@ def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
     ext = _count_extremes(e, h_grid, lo, hi)
     k2 = int(np.max(ext[:, 0] - ext[:, 1], initial=0))
     sampled = len(h_grid) * (2 * e.size + 2)
-    return CountingConstants(k1=k1, k2=int(k2), windows_sampled=sampled)
+    return CountingConstants(k1=A.k1, k2=int(k2), windows_sampled=sampled)
 
 
 def density(A: ZeroSet) -> DensityEstimate:
@@ -226,6 +378,16 @@ def almost_periods(A: ZeroSet, epsilon: float, tau_range) -> AlmostPeriodReport:
     makes both report invariants hold by construction.  A shift needs at
     least 32 index pairs inside the window.  ``max_gap`` is the largest
     gap between consecutive periods, None when fewer than two are found.
+
+    The scan stops at the first shift whose median of all differences
+    exceeds t1 + epsilon.  The median lies between the least and the
+    largest difference, so those two decide it unless they straddle
+    t1 + epsilon.  The pairs inside the widest band max(1, largest
+    difference) are inside the band of the shift, so differences there
+    spreading by more than 2 epsilon force sup_dev >= epsilon, whatever
+    the median: such a shift is skipped before either median is taken.
+    The 4 eps of room covers the roundings of the spread and of each
+    deviation.  The skipped shifts are exactly ones the full test rejects.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
@@ -234,18 +396,31 @@ def almost_periods(A: ZeroSet, epsilon: float, tau_range) -> AlmostPeriodReport:
     d = A.count / (hi - lo)  # the density estimate of ``density``
     t0, t1 = map(float, tau_range)
     h_cap = min(int(np.ceil(t1 * d)) + 2, e.size - _MIN_PAIRS)
+    stop = t1 + epsilon
+    spread = 2.0 * epsilon * (1.0 + 4.0 * np.finfo(float).eps)
+
+    def inside(h, band):  # the diffs of the pairs in [lo + band, hi - band]
+        return diffs[np.searchsorted(e, lo + band):np.searchsorted(e, hi - band, "right") - h]
+
     periods = []
     for h in range(1, max(h_cap, 0) + 1):
         diffs = e[h:] - e[:-h]
-        tau0 = float(np.median(diffs))
-        if tau0 > t1 + epsilon:
+        least, most = diffs.min(), diffs.max()
+        if least > stop:
             break
-        band = max(1.0, tau0)
-        inside = (e[:-h] >= lo + band) & (e[h:] <= hi - band)
-        if int(inside.sum()) < _MIN_PAIRS:
+        tau0 = float(np.median(diffs)) if most > stop else None
+        if tau0 is not None and tau0 > stop:
+            break
+        core = inside(h, max(1.0, most))
+        if core.size and core.max() - core.min() > spread:
             continue
-        tau = float(np.median(diffs[inside]))
-        sup_dev = float(np.max(np.abs(diffs[inside] - tau)))
+        if tau0 is None:
+            tau0 = float(np.median(diffs))
+        pairs = inside(h, max(1.0, tau0))
+        if pairs.size < _MIN_PAIRS:
+            continue
+        tau = float(np.median(pairs))
+        sup_dev = float(np.max(np.abs(pairs - tau)))
         if sup_dev < epsilon and abs(tau - h / d) <= epsilon and t0 <= tau <= t1:
             periods.append((tau, h, sup_dev))
     taus = sorted(p[0] for p in periods)

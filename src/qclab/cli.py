@@ -230,7 +230,7 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
     mu_bohr = _stage("diffraction/bohr", lambda: bohr(0))
 
     agreement = None
-    if mu_log is not None and len(mu_log):
+    if mu_log is not None and len(mu_log) and len(mu_bohr):
         diffs = np.abs(means[0][np.searchsorted(gammas, mu_log.gammas)] - mu_log.masses)
         agreement = {
             "atoms_compared": int(diffs.size),

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apset import unit_window_max
 from .errors import DomainError, InsufficientDataError, InvalidInputError
 from .wiener import (
     FREQ_TOL,
@@ -289,7 +288,7 @@ def _screen_bound(n: int, step: float, K: int, T: float) -> float:
 
 def bohr_error_heuristic(A: ZeroSet, T: float) -> float:
     """O(k1/T) edge-effect estimate for a Bohr mean at half-length T."""
-    return unit_window_max(A.expand()) / float(T)
+    return A.k1 / float(T)
 
 
 def bohr_stable(full, half, threshold: float, slack: float = 0.0) -> np.ndarray:
@@ -408,7 +407,7 @@ def poisson_residual(A: ZeroSet, mu_hat: PointMeasure) -> PoissonReport:
 
     alpha_hat = math.pi * sigma * sigma
     zero_side = float(sigma * np.sum(np.exp(-alpha_hat * sel ** 2)))
-    k1 = max(unit_window_max(e), 1)
+    k1 = max(A.k1, 1)
     zero_tail = 2.0 * k1 * sigma * _gaussian_comb_tail(T, alpha_hat)
 
     alpha = math.pi / (sigma * sigma)

@@ -45,6 +45,7 @@ from __future__ import annotations
 import bisect
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +63,19 @@ _NUDGE = (1.0, 0.8311, 1.2137, 0.6473, 1.4159)
 _RESID_TOL = 1e-9  # largest |f| at a reported zero, relative to max(1, ||f||_W)
 _BOUNDARY_TOL = 1e-6  # least distance of a zero from the window edge
 _FINEST = 2.0 ** -12  # finest scan step, relative to the first one
+
+
+def unit_window_max(expanded: np.ndarray) -> int:
+    """Largest count over half-open unit windows [x, x+1) (the sliding
+    max is attained with the left end on a point).
+
+    The right edge carries a 1e-9 guard so that root-finding noise on a
+    point sitting exactly one unit away cannot flip the boundary tie.
+    """
+    if expanded.size == 0:
+        return 0
+    right = np.searchsorted(expanded, expanded + (1.0 - 1e-9), side="left")
+    return int(np.max(right - np.arange(expanded.size)))
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,12 @@ class ZeroSet:
     def expand(self) -> np.ndarray:
         """Sorted array with each point repeated by its multiplicity."""
         return np.repeat(self.points, self.mults)
+
+    @cached_property
+    def k1(self) -> int:
+        """The counting constant k1, ``unit_window_max`` of the expanded
+        points, computed once per set."""
+        return unit_window_max(self.expand())
 
 
 @dataclass(frozen=True)

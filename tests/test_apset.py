@@ -295,6 +295,119 @@ class TestSweepChecks:
             counting_constants(A, [2.0, h])
 
 
+@contextmanager
+def _merges():
+    """Records the lengths that apset._count_extremes sends to the merge
+    instead of the spans of the points."""
+    lengths = []
+    merge = apset._merge_extremes
+
+    def spy(e, runs, h, *args):
+        lengths.append(h)
+        return merge(e, runs, h, *args)
+
+    with mock.patch.object(apset, "_merge_extremes", spy):
+        yield lengths
+
+
+@st.composite
+def _regular_sets(draw):
+    """Lattices, jittered lattices, two-lattice unions and uniform random
+    sets of 20 to 300 points, some doubled, some spilling past the window
+    or leaving a stretch of it empty: sets whose lengths mostly take the
+    spans, from counts at the window ends both near and far from the
+    counts inside."""
+    kind = draw(st.sampled_from(["lattice", "jittered", "union", "random"]))
+    n = draw(st.integers(20, 300))
+    spacing = draw(st.sampled_from([1.0, 0.5, 1.0 / 3.0, SQRT2 / 2.0]))
+    lo = draw(st.sampled_from([0.0, -7.25, -100.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    k = np.arange(n) + 0.5
+    if kind == "lattice":
+        pts = k * spacing
+    elif kind == "jittered":
+        pts = (k + draw(st.sampled_from([1e-3, 0.05, 0.3])) * rng.uniform(-1, 1, n)) * spacing
+    elif kind == "union":
+        pts = np.concatenate([k * spacing, np.arange(0.25, n, SQRT2) * spacing])
+    else:
+        pts = rng.uniform(0.0, n * spacing, n)
+    length = n * spacing * draw(st.sampled_from([1.0, 0.8, 1.5]))
+    # the window ends on the lattice of points or off it
+    lo += draw(st.sampled_from([0.0, 0.0625 * spacing, 0.123]))
+    pts = np.sort(lo + pts)
+    mults = np.where(rng.random(pts.size) < draw(st.sampled_from([0.0, 0.1])), 2, 1)
+    hs = np.concatenate([np.linspace(0.05, length / 2, draw(st.integers(1, 40))),
+                         spacing * np.array(draw(st.lists(st.integers(1, 20), max_size=3)))])
+    return np.repeat(pts, mults), hs, lo, lo + length
+
+
+class TestSpanPath:
+    """Which lengths take the spans of the points and which the merge."""
+
+    def test_span_path_on_the_benchmark_union(self):
+        A = union_zeroset(2100.18)
+        with _merges() as lengths:
+            counting_constants(A)
+        assert A.count == 10140
+        assert lengths == []
+
+    def test_span_path_on_a_4000_point_lattice_matches_oracle(self):
+        # the half-integers in a window off the lattice, as in the cos-zeros run
+        pts = lattice_points(0.5, 1.0, 2000)
+        A = ZeroSet((-2000.18, 2000.17), pts, np.ones(pts.size, np.int64))
+        with _merges() as lengths:
+            got = counting_constants(A)
+        assert A.count == 4000
+        assert lengths == []
+        with mock.patch.object(apset, "_count_extremes", _oracle_extremes):
+            assert got == counting_constants(A)
+
+    def test_clusters_take_the_merge(self):
+        A, hs = _clusters()
+        with _merges() as lengths:
+            apset._count_extremes(A.expand(), hs, *A.window)
+        assert lengths == list(hs)
+
+    def test_multiplicity_500_lattice_takes_the_merge(self):
+        pts = lattice_points(0.5, 1.0, 100)
+        mults = np.where(np.arange(pts.size) % 20 == 0, 500, 1)
+        A = ZeroSet((-100.0, 100.0), pts, mults)
+        hs = np.arange(1.0, 51.0)
+        with _merges() as lengths:
+            apset._count_extremes(A.expand(), hs, *A.window)
+        assert lengths == list(hs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_regular_sets())
+    def test_matches_oracle(self, case):
+        e, hs, lo, hi = case
+        got = apset._count_extremes(e, hs, lo, hi)
+        assert np.array_equal(got, _oracle_extremes(e, hs, lo, hi))
+        # in any order of the lengths, each row is the same
+        order = np.random.default_rng(hs.size).permutation(hs.size)
+        assert np.array_equal(apset._count_extremes(e, hs[order], lo, hi), got[order])
+
+    def test_counts_at_the_window_ends_far_below_the_band(self):
+        # the points fill only the middle of the window, so the counts at lo
+        # and at hi - h are 0 and the max steps past every k below the band
+        e = 45.0 + 0.05 * (np.arange(200) + 0.5)
+        hs = np.linspace(0.5, 25.0, 50) + 0.0123
+        with _merges() as lengths:
+            got = apset._count_extremes(e, hs, 0.0, 100.0)
+        assert lengths == []
+        assert np.array_equal(got, _oracle_extremes(e, hs, 0.0, 100.0))
+
+    def test_wide_band_takes_the_merge(self):
+        # a gap of 40 puts a span above every h in each row, so the band
+        # holds every k up to about h / 0.05; past _BAND_ROWS it takes the merge
+        e = np.concatenate([0.05 * (np.arange(600) + 0.5), 70.0 + 0.05 * (np.arange(600) + 0.5)])
+        hs = np.linspace(0.5, 25.0, 50) + 0.0123
+        with _merges() as lengths:
+            got = apset._count_extremes(e, hs, 0.0, 100.0)
+        assert lengths == [h for h in hs if h > 0.05 * apset._BAND_ROWS]
+        assert np.array_equal(got, _oracle_extremes(e, hs, 0.0, 100.0))
+
+
 class TestUnsortedZeroSet:
     def test_same_constants_and_means_as_sorted_copy(self):
         A = union_zeroset(60)
@@ -313,6 +426,60 @@ class TestUnsortedZeroSet:
         A = ZeroSet((0.0, 3.0), [2.0, 1.0, 1.0], [1, 2, 3])
         assert A.points.tolist() == [1.0, 1.0, 2.0]
         assert A.mults.tolist() == [2, 3, 1]
+
+
+def _reference_periods(A, epsilon, tau_range):
+    # Reference: the scan that takes both medians at every shift.
+    e = A.expand()
+    lo, hi = A.window
+    d = A.count / (hi - lo)
+    t0, t1 = map(float, tau_range)
+    h_cap = min(int(np.ceil(t1 * d)) + 2, e.size - apset._MIN_PAIRS)
+    periods = []
+    for h in range(1, max(h_cap, 0) + 1):
+        diffs = e[h:] - e[:-h]
+        tau0 = float(np.median(diffs))
+        if tau0 > t1 + epsilon:
+            break
+        band = max(1.0, tau0)
+        inside = (e[:-h] >= lo + band) & (e[h:] <= hi - band)
+        if int(inside.sum()) < apset._MIN_PAIRS:
+            continue
+        tau = float(np.median(diffs[inside]))
+        sup_dev = float(np.max(np.abs(diffs[inside] - tau)))
+        if sup_dev < epsilon and abs(tau - h / d) <= epsilon and t0 <= tau <= t1:
+            periods.append((tau, h, sup_dev))
+    return periods
+
+
+@st.composite
+def _period_sets(draw):
+    """Lattices, jittered lattices, lattices jittered only within 1 or 4 of
+    the window ends (outside the pairs the test of a shift looks at, for
+    all shifts or the longer ones), two-lattice unions and uniform random sets of 40 to 400 points, with
+    an epsilon and a tau range."""
+    kind = draw(st.sampled_from(["lattice", "jittered", "ragged", "union", "random"]))
+    n = draw(st.integers(40, 400))
+    spacing = draw(st.sampled_from([1.0, 0.5, SQRT2 / 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    k = np.arange(n) + 0.5
+    if kind == "lattice":
+        pts = k * spacing
+    elif kind == "jittered":
+        pts = (k + draw(st.sampled_from([1e-3, 0.01, 0.05, 0.3])) * rng.uniform(-1, 1, n)) * spacing
+    elif kind == "ragged":
+        reach = draw(st.sampled_from([1.0, 4.0]))
+        edge = (k * spacing < reach) | (k * spacing > n * spacing - reach)
+        pts = (k + np.where(edge, rng.uniform(-0.3, 0.3, n), 0.0)) * spacing
+    elif kind == "union":
+        pts = np.concatenate([k * spacing, np.arange(0.25, n, SQRT2) * spacing])
+    else:
+        pts = rng.uniform(0.0, n * spacing, n)
+    lo = draw(st.sampled_from([0.0, -50.3]))
+    A = ZeroSet((lo, lo + n * spacing), lo + pts, np.ones(pts.size, np.int64))
+    epsilon = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    tau_range = (draw(st.sampled_from([0.0, 1.0])), draw(st.sampled_from([5.0, 20.0, 50.0])))
+    return A, epsilon, tau_range
 
 
 class TestAlmostPeriods:
@@ -347,6 +514,30 @@ class TestAlmostPeriods:
         rep = almost_periods(lat500, 0.01, tau_range)
         assert [round(t) for t, _, _ in rep.periods] == taus
         assert rep.max_gap == max_gap
+
+    @settings(max_examples=150, deadline=None)
+    @given(_period_sets())
+    def test_matches_the_full_scan(self, case):
+        A, epsilon, tau_range = case
+        assert almost_periods(A, epsilon, tau_range).periods == _reference_periods(A, epsilon, tau_range)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2])
+    def test_spread_of_exactly_two_epsilon(self, eps):
+        # integers 1024.. with every other one moved up by eps', eps rounded
+        # to the grid of [1024, 2048), so every difference is exact: at shift
+        # 1 the pairs inside differ by 1 -+ eps', 98 of each, their median
+        # is 1 and their spread exactly 2 eps'.  At epsilon = eps' the
+        # sup deviation eps' fails the test; one ulp above, it passes
+        eps1 = (1025 + eps) - 1025
+        j = np.arange(199)
+        pts = 1024.0 + j + np.where(j % 2, eps1, 0.0)
+        A = ZeroSet((1023.75, 1222.75), pts, np.ones(199, np.int64))
+        inside = (pts[1:] - pts[:-1])[1:197]
+        assert inside.max() - inside.min() == 2 * eps1
+        for epsilon, first in ((eps1, []), (np.nextafter(eps1, 1.0), [(1.0, 1, eps1)])):
+            got = almost_periods(A, epsilon, (0.5, 3.5)).periods
+            assert got == _reference_periods(A, epsilon, (0.5, 3.5))
+            assert [p for p in got if p[1] == 1] == first
 
 
 class TestPhiRepresentation:

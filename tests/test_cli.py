@@ -216,6 +216,17 @@ class TestRunPipeline:
         assert stages["reconstruct"]["roundtrip"]["max_deviation"] < 1e-6
         assert stages["reconstruct"]["g"]["sup_bound"] == 0
 
+    def test_no_agreement_without_a_bohr_atom(self, cos_csv):
+        # the zeros +-22.5 sit on the edge of the T/2 window, so every atom
+        # drifts past threshold/4 and the Bohr route keeps none: there is
+        # nothing to compare the log atoms with
+        cfg = RunConfig(command="analyze", input_path=cos_csv,
+                        window=(-60.0, 60.0), T=45.0, cutoff=5.0)
+        dstage = run_pipeline(cfg).summary["stages"]["diffraction"]
+        assert dstage["logderiv"]["atom_count"] == 8
+        assert dstage["bohr"]["atom_count"] == 0
+        assert dstage["agreement"] is None
+
     def test_diffract_on_zeroset_is_bohr_only(self, tmp_path):
         A = lattice_zeroset(0.5, 1.0, 300)
         path = tmp_path / "zeros.csv"
