@@ -154,7 +154,7 @@ def bohr_means(A: ZeroSet, gammas, Ts) -> np.ndarray:
 
     One ``_exp_rows`` pass over the widest window, with points -gamma,
     gives every row, each the same sum bit for bit as a pass over its own
-    window, for every worker count.
+    window, for any budget and any blocks of the pass.
 
     The zeros are real, so the mean at -gamma is the conjugate of the
     mean at gamma, and bit for bit: the kernel's phase 2*pi*(gamma*a)

@@ -16,8 +16,6 @@ norm; sums and products drop only exact cancellations.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +26,7 @@ FREQ_TOL = 1e-9           # frequencies closer than this are one spectral point
 PRUNE_TOL = 1e-14         # relative to the Wiener norm
 MAX_TERMS = 200_000       # algebra capacity: terms of one product
 _WORK_CAP = 40_000_000    # pairwise-product workspace limit (complex entries)
-_EXP_BUDGET = 1_000_000   # _exp_rows workspace limit, all workers together (complex entries)
+_EXP_BUDGET = 1_000_000   # _exp_rows buffer, one block of rows (complex entries)
 
 
 @dataclass(frozen=True)
@@ -125,71 +123,30 @@ def constant(c) -> ExpSum:
     return canonicalize([(0.0, c)])
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _on_threads(work, shares) -> None:
-    """Run ``work(share)`` for every share: the first on the calling
-    thread, each other one on a thread of its own.  Once all have
-    finished, the first exception a share raised reaches the caller."""
-    errors = []
-
-    def guarded(share):
-        try:
-            work(share)
-        except BaseException as exc:  # re-raised on the calling thread below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(share,)) for share in shares[1:]]
-    for t in threads:
-        t.start()
-    try:
-        work(shares[0])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-
-
 def _exp_rows(points, freqs, reduce):
     """``reduce(E)`` joined along its last axis, the rows of
-    E = exp(2j*pi*outer(points, freqs)), formed in blocks of rows on one
-    thread per CPU; each of w workers reuses one buffer of
-    ``_EXP_BUDGET // w`` entries plus a row, which holds the phases and
-    then, in place, E, so ``reduce`` must return a new array, not a view
-    of E.  numpy's matrix-vector product rounds a lone row differently,
-    so a one-row last block joins the one before and a one-point call is
-    padded to two rows.  With a row-wise ``reduce`` a point's value is
-    then bit-identical whatever else is in the call, for any budget and
-    worker count.
-    ``np.errstate`` is thread-local, so each worker enters it.
+    E = exp(2j*pi*outer(points, freqs)), formed in blocks of rows on the
+    calling thread.  One buffer of ``_EXP_BUDGET`` entries plus a row
+    holds each block's phases and then, in place, its E, so ``reduce``
+    must return a new array, not a view of E.  numpy's matrix-vector
+    product rounds a lone row differently, so a one-row last block joins
+    the one before and a one-point call is padded to two rows.  With a
+    row-wise ``reduce`` a point's value is then bit-identical whatever
+    else is in the call, for any budget.
     """
     if len(points) == 1:
         return _exp_rows(np.repeat(points, 2), freqs, reduce)[..., :1]
-    workers = _cpu_count()
-    rows = max(2, _EXP_BUDGET // workers // max(len(freqs), 1))
+    rows = max(2, _EXP_BUDGET // max(len(freqs), 1))
     bounds = (list(range(0, len(points) - 1, rows)) or [0]) + [len(points)]
-    out = [None] * (len(bounds) - 1)
-
-    def run(share):
-        buf = np.empty((min(rows + 1, len(points)), len(freqs)), complex)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            for k in share:
-                x = buf[:bounds[k + 1] - bounds[k]]
-                np.multiply(points[bounds[k]:bounds[k + 1], None], freqs, out=x)  # np.outer
-                np.multiply(2j * np.pi, x, out=x)
-                out[k] = reduce(np.exp(x, out=x))
-
-    if len(out) == 1:  # the common small call: no thread machinery
-        run(range(1))
-        return out[0]
-    _on_threads(run, [range(w, len(out), workers) for w in range(min(workers, len(out)))])
-    return np.concatenate(out, axis=-1)
+    buf = np.empty((min(rows + 1, len(points)), len(freqs)), complex)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for lo, hi in zip(bounds, bounds[1:]):
+            x = buf[:hi - lo]
+            np.multiply(points[lo:hi, None], freqs, out=x)  # np.outer
+            np.multiply(2j * np.pi, x, out=x)
+            out.append(reduce(np.exp(x, out=x)))
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)  # no copy of one block
 
 
 def evaluate(f: ExpSum, z):

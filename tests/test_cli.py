@@ -655,3 +655,12 @@ class TestMainExitCodes:
         code = main(["zeros", "--input", cos_csv, "--window=-20,20",
                      "--out", str(ro / "sub")])
         assert code == 1
+
+    def test_output_under_a_file_exit_one(self, cos_csv, tmp_path, capsys):
+        # mkdir under a regular file fails for any user, root included
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["zeros", "--input", cos_csv, "--window=-20,20",
+                     "--out", str(blocker / "sub")])
+        assert code == 1
+        assert "cannot write outputs" in capsys.readouterr().err

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 import warnings
 
@@ -120,27 +119,13 @@ def _same_bits(a, b):
 
 class TestExpKernel:
     """One exp pass serves evaluate, the Bohr means, phi_fourier and sup|g|:
-    its values may not depend on the blocks, the budget or the threads."""
+    its values may not depend on the blocks or the budget."""
 
-    @pytest.fixture
-    def threaded(self, monkeypatch):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # many thread switches inside each pass
-
-        def setup(budget, workers):
-            monkeypatch.setattr(wiener, "_EXP_BUDGET", budget)
-            monkeypatch.setattr(wiener, "_cpu_count", lambda: workers)
-
-        yield setup
-        sys.setswitchinterval(interval)
-
-    # 5085 - 1 is a multiple of the 124, 62 and 41 rows per block that an
-    # 8-term sum gets at budget 997 on 1, 2 and 3 workers, so every one of
-    # those calls has a one-row last block to join
+    # 5085 - 1 is a multiple of the 124 rows per block that an 8-term sum
+    # gets at budget 997, so that call has a one-row last block to join
     @pytest.mark.parametrize("n_points", [1, 2, 3, 5085])
     @pytest.mark.parametrize("budget", [wiener._EXP_BUDGET, 997, 41])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_evaluate_equals_one_block(self, threaded, n_points, budget, workers):
+    def test_evaluate_equals_one_block(self, monkeypatch, n_points, budget):
         rng = np.random.default_rng(0)
         f = random_sum(rng, n_terms=8)
         assert len(f) == 8
@@ -151,55 +136,49 @@ class TestExpKernel:
         # the reason for the join and the pad: alone, a row rounds differently
         one_row = np.exp(2j * np.pi * np.outer(z[-1:], f.freqs)) @ f.coeffs
         assert one_row[0] != one_block[-1]
-        threaded(budget, workers)
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", budget)
         assert _same_bits(evaluate(f, z), one_block)
 
     @pytest.mark.parametrize("n_terms", [2, 8, 40])
     @pytest.mark.parametrize("complex_z", [False, True])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_value_does_not_depend_on_the_call(self, threaded, n_terms, complex_z, workers):
+    def test_value_does_not_depend_on_the_call(self, n_terms, complex_z):
         # the zero finder batches points of many pieces into one call; a
         # point must get the same bits alone, in a small call or in a batch
         rng = np.random.default_rng(n_terms)
         f = random_sum(rng, n_terms=n_terms)
         assert len(f) == n_terms
         z = rng.uniform(-50.0, 50.0, 257) + (1j * rng.uniform(-0.5, 0.5, 257) if complex_z else 0)
-        threaded(wiener._EXP_BUDGET, workers)
         batch = evaluate(f, z)
         for size in (1, 2, 3, 5):
             parts = [evaluate(f, z[i:i + size]) for i in range(0, z.size, size)]
             assert _same_bits(np.concatenate(parts), batch)
         assert all(evaluate(f, z[i]) == batch[i] for i in range(0, z.size, 16))
 
-    def test_phi_fourier_equals_one_block(self, threaded):
+    def test_phi_fourier_equals_one_block(self, monkeypatch):
         phi = phi_representation(union_zeroset(500), 1.0 + SQRT2)
         N = 400
         thetas = np.array([0.0, 0.1, SQRT2 - 1.0, 0.25, -0.3, 1.0 / 3.0, 0.5])
         mask = np.abs(phi.n) <= N
         one_block = (np.exp(-2j * np.pi * np.outer(thetas, phi.n[mask]))
                      @ phi.values[mask]) / (2.0 * N)
-        threaded(997, 2)
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", 997)
         coeffs, _ = phi_fourier(phi, thetas, N=N)
         assert _same_bits(coeffs, one_block)
 
-    def test_overflow_on_worker_threads_is_an_error_not_a_warning(self, threaded, cos):
-        threaded(997, 2)  # 249 rows per block: four blocks on two threads
+    def test_overflow_in_any_block_is_an_error_not_a_warning(self, monkeypatch, cos):
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", 997)  # 498 rows per block: three blocks
         z = np.linspace(-5.0, 5.0, 1000) + 1e3j
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OverflowError):
                 evaluate(cos, z)
 
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_bohr_means_peak_is_one_buffer_per_worker(self, monkeypatch, workers):
-        # the exp is formed in place, so a pass of several blocks per
-        # worker holds the workers' buffers, _EXP_BUDGET entries in all,
-        # and no second array of that size
-        monkeypatch.setattr(wiener, "_cpu_count", lambda: workers)
+    def test_bohr_means_peak_is_one_buffer(self):
+        # the exp is formed in place, so a pass of several blocks holds
+        # one buffer of _EXP_BUDGET entries and no second array of that size
         A = union_zeroset(500)
         gammas = 0.01 * np.arange(2000)
-        buffers = 16 * wiener._EXP_BUDGET
+        buffer = 16 * wiener._EXP_BUDGET
         assert gammas.size * A.count > 4 * wiener._EXP_BUDGET
         tracemalloc.start()
         try:
@@ -207,8 +186,7 @@ class TestExpKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the workers' buffers need not all be alive at once
-        assert buffers / workers < peak < 1.25 * buffers
+        assert buffer < peak < 1.25 * buffer
 
 
 class TestAlgebraOps:
