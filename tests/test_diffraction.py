@@ -48,7 +48,7 @@ class TestBohrMeans:
         sel = e[np.abs(e) < T]
         return np.exp(-2j * np.pi * np.outer(gammas, sel)).sum(axis=1) / (2.0 * T)
 
-    @pytest.mark.parametrize("block", [wiener._EXP_BUDGET, 997])
+    @pytest.mark.parametrize("block", [wiener._EXP_BUDGET, 997, 41])
     def test_rows_equal_single_window_sums(self, monkeypatch, block):
         monkeypatch.setattr(wiener, "_EXP_BUDGET", block)
         pts = np.sort(np.concatenate([np.arange(-40, 41) + 0.5,
@@ -69,8 +69,9 @@ class TestBohrMeans:
                                       (np.arange(-57, 57) + 0.5) / SQRT2]))
         return ZeroSet((-40.0, 40.0), pts, np.arange(pts.size) % 3 + 1)
 
-    def test_mirrored_columns_equal_single_window_sums(self, monkeypatch):
-        monkeypatch.setattr(wiener, "_EXP_BUDGET", 997)
+    @pytest.mark.parametrize("block", [wiener._EXP_BUDGET, 997, 41])
+    def test_mirrored_columns_equal_single_window_sums(self, monkeypatch, block):
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", block)
         A = self._mixed_set()
         paired = np.concatenate([np.arange(0.1, 3.0, 0.1), [SQRT2, 7.3]])
         # +- pairs, one unpaired negative, 0 and repeats, in no order
@@ -98,6 +99,26 @@ class TestBohrMeans:
         assert np.array_equal(np.sort(-seen[0]), grid[K:])
         bohr_means(A, np.append(grid, -0.013), [40.0])
         assert np.array_equal(np.sort(-seen[1]), np.append(-0.013, grid[K:]))
+
+    def test_exception_in_a_later_block_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", 997)
+        exp = np.exp
+        calls = []
+
+        def exp_failing_in_the_second_block(x, **kwargs):
+            calls.append(len(x))
+            if len(calls) == 2:
+                raise FloatingPointError("second block")
+            return exp(x, **kwargs)
+
+        pts = np.arange(-40, 41) + 0.5
+        A = ZeroSet((-40.0, 40.0), pts, np.ones(pts.size, np.int64))
+        errstate = np.geterr()
+        monkeypatch.setattr(np, "exp", exp_failing_in_the_second_block)
+        with pytest.raises(FloatingPointError, match="second block"):
+            bohr_means(A, np.arange(0.0, 3.0, 0.125), [40.0])
+        assert len(calls) == 2
+        assert np.geterr() == errstate  # the kernel's errstate is left on the way out
 
     def test_atoms_d_is_the_gamma_zero_mean_bit_for_bit(self):
         pts = np.sort(np.concatenate([np.arange(-40, 41) + 0.5,

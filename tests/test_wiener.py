@@ -122,10 +122,13 @@ class TestExpKernel:
     its values may not depend on the blocks or the budget."""
 
     # 5085 - 1 is a multiple of the 124 rows per block that an 8-term sum
-    # gets at budget 997, so that call has a one-row last block to join
+    # gets at budget 997, so that call has a one-row last block to join;
+    # a prefix of other points moves the block bounds over the points, and
+    # 123 of them put the first point last in a block of 124 rows
     @pytest.mark.parametrize("n_points", [1, 2, 3, 5085])
     @pytest.mark.parametrize("budget", [wiener._EXP_BUDGET, 997, 41])
-    def test_evaluate_equals_one_block(self, monkeypatch, n_points, budget):
+    @pytest.mark.parametrize("prefix", [0, 1, 123])
+    def test_evaluate_equals_one_block(self, monkeypatch, n_points, budget, prefix):
         rng = np.random.default_rng(0)
         f = random_sum(rng, n_terms=8)
         assert len(f) == 8
@@ -136,32 +139,36 @@ class TestExpKernel:
         # the reason for the join and the pad: alone, a row rounds differently
         one_row = np.exp(2j * np.pi * np.outer(z[-1:], f.freqs)) @ f.coeffs
         assert one_row[0] != one_block[-1]
+        before = rng.uniform(-50.0, 50.0, prefix) + 1j * rng.uniform(-0.5, 0.5, prefix)
         monkeypatch.setattr(wiener, "_EXP_BUDGET", budget)
-        assert _same_bits(evaluate(f, z), one_block)
+        assert _same_bits(evaluate(f, np.concatenate([before, z]))[prefix:], one_block)
 
     @pytest.mark.parametrize("n_terms", [2, 8, 40])
     @pytest.mark.parametrize("complex_z", [False, True])
-    def test_value_does_not_depend_on_the_call(self, n_terms, complex_z):
+    @pytest.mark.parametrize("budget", [wiener._EXP_BUDGET, 997, 41])
+    def test_value_does_not_depend_on_the_call(self, monkeypatch, n_terms, complex_z, budget):
         # the zero finder batches points of many pieces into one call; a
         # point must get the same bits alone, in a small call or in a batch
         rng = np.random.default_rng(n_terms)
         f = random_sum(rng, n_terms=n_terms)
         assert len(f) == n_terms
         z = rng.uniform(-50.0, 50.0, 257) + (1j * rng.uniform(-0.5, 0.5, 257) if complex_z else 0)
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", budget)
         batch = evaluate(f, z)
         for size in (1, 2, 3, 5):
             parts = [evaluate(f, z[i:i + size]) for i in range(0, z.size, size)]
             assert _same_bits(np.concatenate(parts), batch)
         assert all(evaluate(f, z[i]) == batch[i] for i in range(0, z.size, 16))
 
-    def test_phi_fourier_equals_one_block(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [wiener._EXP_BUDGET, 997, 41])
+    def test_phi_fourier_equals_one_block(self, monkeypatch, budget):
         phi = phi_representation(union_zeroset(500), 1.0 + SQRT2)
         N = 400
         thetas = np.array([0.0, 0.1, SQRT2 - 1.0, 0.25, -0.3, 1.0 / 3.0, 0.5])
         mask = np.abs(phi.n) <= N
         one_block = (np.exp(-2j * np.pi * np.outer(thetas, phi.n[mask]))
                      @ phi.values[mask]) / (2.0 * N)
-        monkeypatch.setattr(wiener, "_EXP_BUDGET", 997)
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", budget)
         coeffs, _ = phi_fourier(phi, thetas, N=N)
         assert _same_bits(coeffs, one_block)
 
@@ -173,13 +180,15 @@ class TestExpKernel:
             with pytest.raises(OverflowError):
                 evaluate(cos, z)
 
-    def test_bohr_means_peak_is_one_buffer(self):
+    @pytest.mark.parametrize("budget", [wiener._EXP_BUDGET, 500_000])
+    def test_bohr_means_peak_is_one_buffer(self, monkeypatch, budget):
         # the exp is formed in place, so a pass of several blocks holds
         # one buffer of _EXP_BUDGET entries and no second array of that size
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", budget)
         A = union_zeroset(500)
         gammas = 0.01 * np.arange(2000)
-        buffer = 16 * wiener._EXP_BUDGET
-        assert gammas.size * A.count > 4 * wiener._EXP_BUDGET
+        buffer = 16 * budget
+        assert gammas.size * A.count > 4 * budget
         tracemalloc.start()
         try:
             bohr_means(A, gammas, [400.0])
