@@ -38,6 +38,19 @@ call it is evaluated in, so the rounds find the same zeros, bit for
 bit, as pieces certified one at a time.  The nudged retries of a box,
 the sample budget of an edge and the finest step stay per box and per
 piece.
+
+Two proofs skip kernel work whose outcome is known, and leave every
+result bit for bit as it was.  A sum that is Hermitian, f(conj z) =
+conj f(z), up to a bound D below the contour's margin winds on a
+rectangle symmetric about the real line twice as much as along its
+lower half, so only that half is walked (``_count_rectangles``).  A
+sign-change bracket on which f is proven monotone, with f beyond its
+rounding at two points a < b on either side of the root, fixes the
+sign of every bisection midpoint outside (a, b), so only the
+midpoints in between are evaluated, and the plain 48-step loop is
+replayed exactly (``_bisect_real``).  Bisection and Newton stop a
+point once a step repeats, and f and f' at the same points come from
+one ``_exp_rows`` pass.
 """
 
 from __future__ import annotations
@@ -56,7 +69,7 @@ from .errors import (
     ConvergenceError,
     InvalidInputError,
 )
-from .wiener import ExpSum, derivative, evaluate, is_hermitian
+from .wiener import ExpSum, _exp_rows, derivative, evaluate, is_hermitian
 
 _EDGE_POINT_CAP = 4_000_000
 _NUDGE = (1.0, 0.8311, 1.2137, 0.6473, 1.4159)
@@ -171,27 +184,23 @@ def _split(values, sizes):
     return np.split(values, np.cumsum(sizes)[:-1])
 
 
-def _walk_edges(f: ExpSum, edges):
-    """Total argument increment of f along each segment z0 -> z1 of
-    ``edges``, whose edges 4r to 4r + 3 are the sides of rectangle r.
+def _walk_edges(f: ExpSum, edges, sides):
+    """Total argument increment of f along each segment (z0, z1, lbound,
+    margin) of ``edges``: rectangle r owns the next ``sides[r]`` of them,
+    lbound bounds |f'| along the segment and margin is its zero-free margin.
 
     Each edge is subdivided until every sub-segment is certified
-    zero-free (|f| above the rounding of ``evaluate``) and its phase step
-    is provably below pi/6; the principal-value phase sum is then the
-    exact argument variation.  All pending edges are refined together,
-    one ``evaluate`` call per round.  An edge that fails stops the other
-    sides of its rectangle.  Returns the increments and, per rectangle
-    with a failed side, its first ContourError.
+    zero-free (|f| above the margin) and its phase step is provably
+    below pi/6; the principal-value phase sum is then the exact argument
+    variation.  All pending edges are refined together, one ``evaluate``
+    call per round.  An edge that fails stops the other sides of its
+    rectangle.  Returns the increments and, per rectangle with a failed
+    side, its first ContourError.
     """
+    owner = np.repeat(np.arange(len(sides)), sides)
     inc = np.zeros(len(edges))
-    failed, bounds, ts, vals = {}, {}, {}, {}
-    for i, (z0, z1) in enumerate(edges):
-        try:
-            bounds[i] = _edge_bounds(f, min(z0.imag, z1.imag), max(z0.imag, z1.imag),
-                                     max(abs(z0), abs(z1)))
-        except ContourError as exc:
-            failed.setdefault(i // 4, exc)
-    todo = {i: np.linspace(0.0, 1.0, 1024) for i in bounds if i // 4 not in failed}
+    failed, ts, vals = {}, {}, {}
+    todo = {i: np.linspace(0.0, 1.0, 1024) for i in range(len(edges))}
     for rounds in range(65):
         if not todo:
             break
@@ -206,16 +215,16 @@ def _walk_edges(f: ExpSum, edges):
             ts[i], vals[i] = t, v
         if rounds == 64:
             for i in todo:
-                failed.setdefault(i // 4, ContourError(
+                failed.setdefault(owner[i], ContourError(
                     "contour refinement did not certify after 64 rounds"))
             break
         pending, todo = todo, {}
         for i in pending:
-            if i // 4 in failed:
+            if owner[i] in failed:
                 continue
-            lbound, margin = bounds[i]
+            z0, z1, lbound, margin = edges[i]
             absv = np.abs(vals[i])
-            seg = np.diff(ts[i]) * abs(edges[i][1] - edges[i][0])
+            seg = np.diff(ts[i]) * abs(z1 - z0)
             lo = np.minimum(absv[:-1], absv[1:])
             m_seg = 0.5 * (absv[:-1] + absv[1:] - lbound * seg)
             bad = (m_seg <= margin) | (lbound * seg > 0.5 * lo)
@@ -223,7 +232,7 @@ def _walk_edges(f: ExpSum, edges):
                 inc[i] = float(np.sum(np.angle(vals[i][1:] / vals[i][:-1])))
                 continue
             if (bad & (lbound * seg <= 0.2 * margin)).any():
-                failed[i // 4] = ContourError(
+                failed[owner[i]] = ContourError(
                     "contour passes within the edge margin of a zero; perturb the rectangle")
                 continue
             # a segment ends in pieces with lbound * piece <= |f| / 2; with |f|
@@ -232,35 +241,86 @@ def _walk_edges(f: ExpSum, edges):
             with np.errstate(divide="ignore"):
                 need = np.maximum(1.0, 2 * lbound * seg / np.maximum(absv[:-1], absv[1:]))
             if np.sum(need) > _EDGE_POINT_CAP:
-                failed[i // 4] = ContourError("edge refinement would exceed its sample budget")
+                failed[owner[i]] = ContourError("edge refinement would exceed its sample budget")
                 continue
             todo[i] = (0.5 * (ts[i][:-1] + ts[i][1:]))[bad]
-        todo = {i: t for i, t in todo.items() if i // 4 not in failed}
+        todo = {i: t for i, t in todo.items() if owner[i] not in failed}
     return inc, failed
+
+
+def _bounded(f, segments):
+    """Each segment (z0, z1) with its ``_edge_bounds``."""
+    return [(z0, z1, *_edge_bounds(f, min(z0.imag, z1.imag), max(z0.imag, z1.imag),
+                                   max(abs(z0), abs(z1)))) for z0, z1 in segments]
+
+
+def _hermitian_defect(f: ExpSum, h: float, zabs: float) -> float:
+    """D, a bound on |f - g| for g(z) = conj f(conj z) over |Im z| <= h,
+    |z| <= zabs.  Pairing term k with term n-1-k (the frequencies are
+    sorted), each pair differs by at most (|q_k - conj q_{n-1-k}| +
+    |q_{n-1-k}| 2 pi |w_k + w_{n-1-k}| zabs) exp(2 pi max(|w_k|,
+    |w_{n-1-k}|) h), by the mean value theorem in the frequency.  D is 0
+    for an exactly Hermitian sum."""
+    q, w = f.coeffs, f.freqs
+    k = np.abs(q - np.conj(q[::-1])) + 2 * np.pi * np.abs(q[::-1]) * np.abs(w + w[::-1]) * zabs
+    rate = 2 * np.pi * np.maximum(np.abs(w), np.abs(w[::-1]))
+    with np.errstate(over="ignore"):
+        return float(np.sum(k[k > 0] * np.exp(rate[k > 0] * h)))
 
 
 def _count_rectangles(f: ExpSum, rects):
     """Winding counts of f on the rectangles (x0, x1, y0, y1), all contours
     walked together: the counts (-1 where a contour failed) and, per
-    failed rectangle, its ContourError."""
+    failed rectangle, its ContourError.
+
+    A rectangle symmetric about the real line (y0 = -y1) is walked on its
+    lower half only, the bottom edge and the lower halves of the two
+    sides, when f is Hermitian up to D = ``_hermitian_defect`` no larger
+    than the margin of those edges; 2 D is added to each margin.  With
+    g(z) = conj f(conj z), the upper half of g is the mirror image of the
+    lower half of f traversed backwards, and arg g(z) = -arg f(conj z),
+    so g's increment along the upper half equals f's along the lower
+    half, I.  The walk certifies |f| > 2 D on the lower half, so on the
+    upper half |g| > 2 D >= 2 |f - g|: f/g stays within pi/6 of the
+    positive axis, and f's own increment there is I up to less than
+    pi/3.  The winding number 2 I / 2 pi is then within 1/6 of the
+    integer, exactly it when D = 0.  Boxes off the real line and sums
+    with a larger D walk all four edges.
+    """
     if len(f) == 0:
         raise InvalidInputError("cannot count zeros of the empty (identically zero) sum")
-    edges = []
-    for rect in rects:
+    edges, sides, mirrored, failed = [], [], [], {}
+    for r, rect in enumerate(rects):
         x0, x1, y0, y1 = map(float, rect)
         if not (x0 < x1 and y0 < y1):
             raise InvalidInputError("rectangle must satisfy x0 < x1 and y0 < y1")
         c = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
-        edges += [(c[e], c[(e + 1) % 4]) for e in range(4)]
-    inc, failed = _walk_edges(f, edges)
+        walk, half = [], False
+        try:
+            if y0 == -y1:
+                walk = _bounded(f, [(complex(x0, 0.0), c[0]), (c[0], c[1]),
+                                    (c[1], complex(x1, 0.0))])
+                d = _hermitian_defect(f, y1, max(map(abs, c)))
+                half = d <= min(margin for *_, margin in walk)
+                walk = [(z0, z1, lbound, margin + 2 * d) for z0, z1, lbound, margin in walk]
+            if not half:
+                walk = _bounded(f, [(c[e], c[(e + 1) % 4]) for e in range(4)])
+        except ContourError as exc:
+            failed[r], walk = exc, []
+        edges += walk
+        sides.append(len(walk))
+        mirrored.append(half)
+    inc, walk_failed = _walk_edges(f, edges, sides)
+    failed.update(walk_failed)
     counts = np.full(len(rects), -1, dtype=np.int64)
+    first = np.cumsum([0] + sides)
     for r in range(len(rects)):
         if r in failed:
             continue
         total = 0.0
-        for e in range(4):
-            total += float(inc[4 * r + e])
-        winding = total / (2 * np.pi)
+        for e in range(first[r], first[r + 1]):
+            total += float(inc[e])
+        winding = (2 * total if mirrored[r] else total) / (2 * np.pi)
         n = int(round(winding))
         if abs(winding - n) > 0.25 or n < 0:
             failed[r] = ContourError(f"winding number {winding:.3f} not certified as an integer")
@@ -292,27 +352,98 @@ def _real_values(f, x):
     return np.real(evaluate(f, np.asarray(x, dtype=float) + 0j))
 
 
-def _bisect_real(fn, lo, hi, flo, iters=48):
-    """Bisect the real function ``fn`` on brackets [lo, hi] with a sign
-    change; ``flo`` is fn at lo."""
+def _with_derivative(f, df, z):
+    """f and its derivative df at the points z from one ``_exp_rows`` pass
+    over the frequencies of f, bit-identical to ``evaluate(f, z)`` and
+    ``evaluate(df, z)``: the frequencies of df are a subset of those of
+    f, so its columns are the same exps, and a row's sum does not depend
+    on the other rows of its block.  The columns are taken in C order, as
+    ``evaluate`` lays them out: numpy's matrix-vector product rounds the
+    F-ordered result of ``E[:, cols]`` differently."""
+    z = np.asarray(z, dtype=complex)
+    cols = np.searchsorted(f.freqs, df.freqs)
+    every = cols.size == len(f)
+    out = _exp_rows(z.ravel(), f.freqs, lambda E: np.stack(
+        [E @ f.coeffs, (E if every else E.take(cols, axis=1)) @ df.coeffs]))
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("exponential sum overflowed; reduce |Im z|")
+    return out[0].reshape(z.shape), out[1].reshape(z.shape)
+
+
+def _real_with_derivative(f, df, x):
+    fx, dfx = _with_derivative(f, df, np.asarray(x, dtype=float) + 0j)
+    return fx.real, dfx.real
+
+
+def _bisect_real(fn, lo, hi, flo, a=None, b=None, iters=48):
+    """``iters`` halvings of the brackets [lo, hi] of the real function
+    ``fn`` with a sign change, ``flo`` being fn at lo: the midpoint
+    replaces lo when fn there times fn at lo is positive, else hi.
+    Returns the last midpoints, bit for bit those of that plain loop,
+    evaluating fn only at the midpoints whose sign is in doubt.
+
+    A bracket may carry a sign certificate a < b (nan for none): fn is
+    strictly monotone on an interval holding [lo, hi], a and b; fn(a)
+    has the sign of flo and fn(b) the other one, and both exceed twice
+    the rounding rho of fn by more than 2**-500.  The true fn(a) and fn(b)
+    then have those signs, so the one root lies in (a, b).  At a
+    midpoint m <= a the true |fn(m)| is at least |fn(a)| - rho, so the
+    computed fn(m) has the sign of fn(a), and of fn(lo), with |fn(m)| >=
+    |fn(a)| - 2 rho, as has fn(lo) when lo <= a; no product of two such
+    values underflows, so the plain loop moves lo to m.  At m >= b the
+    product with fn(lo) is negative, and hi moves to m.  Neither step
+    needs fn(m); after the first of them fn(lo) is unknown and is
+    evaluated with the next midpoint in doubt.  The steps are a function
+    of (lo, hi, fn(lo)), so a bracket stops once a step leaves those
+    unchanged.  Brackets without a certificate evaluate every step.
+    """
+    lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
+    if a is None:
+        a = b = np.full(lo.size, np.nan)
+    live = np.arange(lo.size)
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        go_right = flo * fm > 0
-        lo = np.where(go_right, mid, lo)
-        flo = np.where(go_right, fm, flo)
-        hi = np.where(go_right, hi, mid)
+        if not live.size:
+            break
+        l, h, fl = lo[live], hi[live], flo[live]
+        mid = 0.5 * (l + h)
+        below = mid <= a[live]
+        doubt = ~below & ~(mid >= b[live])
+        fetch = doubt & np.isnan(fl)
+        fm = np.full(mid.size, np.nan)  # nan: fn(mid) unknown
+        if doubt.any():
+            v = fn(np.concatenate([mid[doubt], l[fetch]]))
+            fm[doubt], fl[fetch] = np.split(v, [np.count_nonzero(doubt)])
+        go_right = below | (fl * fm > 0)
+        new_lo, new_hi = np.where(go_right, mid, l), np.where(go_right, h, mid)
+        new_flo = np.where(go_right, fm, fl)
+        lo[live], hi[live], flo[live] = new_lo, new_hi, new_flo
+        live = live[(new_lo != l) | (new_hi != h)
+                    | ((new_flo != fl) & ~(np.isnan(new_flo) & np.isnan(fl)))]
     return 0.5 * (lo + hi)
 
 
 def _newton_real(f, df, x, lo, hi, iters=10):
-    for _ in range(iters):
-        fx = _real_values(f, x)
-        dfx = _real_values(df, x)
+    """``iters`` Newton steps x -> x - f/f', a step that leaves [lo, hi]
+    not taken.  A step depends on x alone, so a point stops at a fixed
+    point, and on a 2-cycle at the member the remaining steps end on:
+    the result is the plain loop's, bit for bit."""
+    x, lo, hi = (np.array(v, dtype=float) for v in (x, lo, hi))
+    prev = np.full(x.size, np.nan)
+    live = np.arange(x.size)
+    for k in range(iters):
+        if not live.size:
+            break
+        xl = x[live]
+        fx, dfx = _real_with_derivative(f, df, xl)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(dfx != 0, fx / np.where(dfx == 0, 1.0, dfx), 0.0)
-        xn = x - step
-        x = np.where((xn >= lo) & (xn <= hi), xn, x)
+        xn = xl - step
+        xn = np.where((xn >= lo[live]) & (xn <= hi[live]), xn, xl)
+        fixed = xn == xl
+        cycle = ~fixed & (xn == prev[live])
+        x[live] = np.where(cycle & ((iters - k) % 2 == 0), xl, xn)
+        prev[live] = xl
+        live = live[~(fixed | cycle)]
     return x
 
 
@@ -324,8 +455,7 @@ def _newton_complex(f, df, z, iters=30, tol=1e-13):
     for _ in range(iters):
         if not live.size:
             break
-        fz = evaluate(f, z[live])
-        dfz = evaluate(df, z[live])
+        fz, dfz = _with_derivative(f, df, z[live])
         live = live[dfz != 0]
         zl = z[live]
         zn = zl - fz[dfz != 0] / dfz[dfz != 0]
@@ -353,7 +483,8 @@ def _refine_multiple(derivs, a, mult, halfwidth):
         va, vb = np.split(_real_values(g, np.concatenate([lo, hi])), 2)
         br = va * vb < 0
         if br.any():
-            root = _bisect_real(lambda x: _real_values(g, x), lo[br], hi[br], va[br])
+            root = _bisect_real(lambda x: _real_values(g, x), lo[br], hi[br], va[br],
+                                *_sign_certificates(g, dg, lo[br], hi[br], va[br]))
             out[br] = _newton_real(g, dg, root, lo[br], hi[br])
         newton = ~br
     if newton.any():
@@ -377,12 +508,11 @@ def _one_point(f, df, centers, ms, hws):
     about s^2 for a cluster of spread s; the residual |f| of a cluster
     point is only O(s^m), so the residual test alone would accept it.
     The moment is compared with its rounding floor.  All circles are
-    evaluated in one call for f and one for f'.
+    evaluated in one pass for f and f'.
     """
     ws = 0.5 * hws[:, None] * _CIRCLE
     zs = (centers[:, None] + ws).ravel()
-    fvs = evaluate(f, zs).reshape(ws.shape)
-    dvs = evaluate(df, zs).reshape(ws.shape)
+    fvs, dvs = (v.reshape(ws.shape) for v in _with_derivative(f, df, zs))
     out = np.zeros(centers.size, dtype=bool)
     for i, (center, m, hw, w, fv, dv) in enumerate(zip(centers, ms, hws, ws, fvs, dvs)):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -604,8 +734,9 @@ def _scan(f, df, herm, pieces):
         cell_lo = np.concatenate([c[0] for c in cells])
         if cell_lo.size:
             cell_hi = np.concatenate([c[1] for c in cells])
-            roots = _bisect_real(lambda x: _real_values(f, x), cell_lo, cell_hi,
-                                 np.concatenate(flo))
+            flo = np.concatenate(flo)
+            roots = _bisect_real(lambda x: _real_values(f, x), cell_lo, cell_hi, flo,
+                                 *_sign_certificates(f, df, cell_lo, cell_hi, flo))
             brackets = _split(_newton_real(f, df, roots, cell_lo, cell_hi),
                               [c[0].size for c in cells])
     else:
@@ -633,7 +764,8 @@ def _scan(f, df, herm, pieces):
     elif herm:
         def u(t):
             # sign of the derivative of f^2 / 2, for locating |f| minima
-            return _real_values(f, t) * _real_values(df, t)
+            ft, dft = _real_with_derivative(f, df, t)
+            return ft * dft
 
         lo, hi = x0 - steps, x0 + steps
         ua, ub = np.split(u(np.concatenate([lo, hi])), 2)
@@ -675,6 +807,40 @@ def _scan(f, df, herm, pieces):
         cell_lo, cell_hi = cells[len(out)]
         out.append(_Scan(xs, absv, roots, np.isin(roots, br), cell_lo, cell_hi))
     return out
+
+
+def _sign_certificates(f, df, lo, hi, flo):
+    """The certificates a < b of ``_bisect_real`` for the brackets [lo, hi]
+    of the real function f, ``flo`` being f at lo (nan where none holds).
+
+    With c the centre and w the width of a bracket, |f'| exceeds
+    |f'(c)| - rho' - t sup|f''| within t of c, rho' being the rounding
+    of f'.  Newton steps from c, kept within w of it, give r, and
+    a, b = r -+ 4 rho / slope, slope being that bound at t = w/2, so
+    that f(a) and f(b) lie about 2 rho beyond f's rounding rho.  The
+    bound must stay positive out to t = max(w/2, c - a, b - c) <= w,
+    which proves f strictly monotone on an interval holding the bracket,
+    a and b; f(a) must have the sign of flo, f(b) the other one, both
+    beyond 2 rho.  A root on a grid point, at a bracket's end, puts a or
+    b outside the bracket, and the certificate still holds.
+    """
+    c, w = 0.5 * (lo + hi), hi - lo
+    zabs = np.maximum(np.abs(lo), np.abs(hi)) + w
+    _, rho = _edge_bounds(f, 0.0, 0.0, zabs)
+    curv, rho_d = _edge_bounds(df, 0.0, 0.0, zabs)
+    steep = np.abs(_real_values(df, c)) - rho_d  # sup|f''| = curv on the line
+    a, b = np.full(lo.size, np.nan), np.full(lo.size, np.nan)
+    mono = np.flatnonzero(steep - 0.5 * w * curv > 0)
+    if mono.size:
+        r = _newton_real(f, df, c[mono], (c - w)[mono], (c + w)[mono], iters=4)
+        half = 4 * rho[mono] / (steep[mono] - 0.5 * w[mono] * curv)
+        fa, fb = np.split(_real_values(f, np.concatenate([r - half, r + half])), 2)
+        reach = np.maximum(0.5 * w[mono], np.abs(r - c[mono]) + half)
+        ok = ((reach <= w[mono]) & (steep[mono] - reach * curv > 0)
+              & (np.sign(fa) == np.sign(flo[mono])) & (np.sign(fb) == -np.sign(flo[mono]))
+              & (np.minimum(np.abs(fa), np.abs(fb)) - 2 * rho[mono] > 2.0 ** -500))
+        a[mono[ok]], b[mono[ok]] = (r - half)[ok], (r + half)[ok]
+    return a, b
 
 
 def _no_zero_off_the_line(f, pieces, owner, z):

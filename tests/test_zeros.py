@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclab import zeros
+from qclab import wiener, zeros
+from qclab.diffraction import logderiv_measure
 from qclab.errors import (
     BoundaryError,
     ContourError,
@@ -14,7 +15,8 @@ from qclab.errors import (
     InvalidInputError,
     QclabError,
 )
-from qclab.wiener import canonicalize, constant, evaluate, multiply
+from qclab.reconstruct import rebuild_dirichlet
+from qclab.wiener import canonicalize, constant, derivative, evaluate, multiply
 from qclab.zeros import (
     ZeroSet,
     _count_rectangles,
@@ -41,6 +43,43 @@ def _lattice_zeros(cs, lo, hi):
         p = (k + 0.5) / c
         pts.append(p[(p > lo) & (p < hi)])
     return np.sort(np.concatenate(pts))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _plain_bisect(fn, lo, hi, flo, iters=48):
+    # Reference: every halving evaluates every bracket.
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        go_right = flo * fm > 0
+        lo = np.where(go_right, mid, lo)
+        flo = np.where(go_right, fm, flo)
+        hi = np.where(go_right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _plain_newton(f, df, x, lo, hi, iters=10):
+    # Reference: every step evaluates f and f' at every point.
+    for _ in range(iters):
+        fx = zeros._real_values(f, x)
+        dfx = zeros._real_values(df, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(dfx != 0, fx / np.where(dfx == 0, 1.0, dfx), 0.0)
+        xn = x - step
+        x = np.where((xn >= lo) & (xn <= hi), xn, x)
+    return x
+
+
+def _sign_cells(f, lo, hi, step):
+    """The sign-change cells of f on the grid of ``step`` over (lo, hi), as
+    the scan forms them: their ends and f at their left ends."""
+    xs = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
+    v = zeros._real_values(f, xs)
+    c = np.flatnonzero(v[:-1] * v[1:] < 0)
+    return xs[c], xs[c + 1], v[c]
 
 
 @pytest.fixture
@@ -321,6 +360,206 @@ class TestNeverAWrongAnswer:
             return
         assert A.count == expect.size
         assert np.max(np.abs(A.expand() - expect)) < 1e-9
+
+
+class TestFusedPass:
+    """f and f' from one exp pass equal two ``evaluate`` calls bit for
+    bit, whatever the budget and the other points of the call."""
+
+    @pytest.mark.parametrize("n_points", [1, 5085])
+    @pytest.mark.parametrize("budget", [wiener._EXP_BUDGET, 997, 41])
+    @pytest.mark.parametrize("prefix", [0, 1, 123])
+    @pytest.mark.parametrize("zero_freq", [False, True])
+    def test_equals_two_evaluate_calls(self, monkeypatch, n_points, budget, prefix, zero_freq):
+        rng = np.random.default_rng(n_points + prefix)
+        freqs = rng.uniform(-3.0, 3.0, 8)
+        if zero_freq:
+            freqs[0] = 0.0  # f' drops that column
+        f = canonicalize(list(zip(freqs, rng.normal(size=8) + 1j * rng.normal(size=8))))
+        df = derivative(f)
+        assert len(f) == 8 and len(df) == (7 if zero_freq else 8)
+        z = rng.uniform(-50.0, 50.0, n_points) + 1j * rng.uniform(-0.5, 0.5, n_points)
+        before = rng.uniform(-50.0, 50.0, prefix) + 1j * rng.uniform(-0.5, 0.5, prefix)
+        monkeypatch.setattr(wiener, "_EXP_BUDGET", budget)
+        fz, dfz = zeros._with_derivative(f, df, np.concatenate([before, z]))
+        assert _same_bits(fz[prefix:], evaluate(f, z))
+        assert _same_bits(dfz[prefix:], evaluate(df, z))
+
+    def test_overflow_is_an_error(self, cos):
+        with pytest.raises(OverflowError):
+            zeros._with_derivative(cos, derivative(cos), np.array([0.0, 1e3j]))
+
+
+@st.composite
+def _bisection_cases(draw):
+    """A cosine product or its derivative with its sign-change cells on a
+    grid of a drawn step; or cos(pi z) on a grid through its zeros, which
+    puts every root at a cell end."""
+    if draw(st.integers(0, 3)) == 0:
+        f = cos_sum()
+        lo = -0.5 - draw(st.integers(0, 2000))
+        return f, _sign_cells(f, lo, lo + draw(st.integers(2, 100)),
+                              draw(st.sampled_from([0.25, 0.125, 0.0625])))
+    f = _cos_product([draw(st.floats(0.5, 3.0)) for _ in range(draw(st.integers(1, 3)))])
+    if draw(st.booleans()):
+        f = derivative(f)
+    lo = -draw(st.floats(1.0, 200.0))
+    step = draw(st.sampled_from([1.0, 0.5, 0.25, 1 / 3])) / (16.0 * f.max_abs_freq)
+    return f, _sign_cells(f, lo, lo + draw(st.floats(2.0, 40.0)), step)
+
+
+class TestSignCertifiedBisection:
+    """``_bisect_real`` with sign certificates, and ``_newton_real`` with
+    its fixed-point and 2-cycle stops, equal the plain loops bit for bit."""
+
+    def test_both_paths_on_the_three_factor_product(self):
+        f = _cos_product((1.0, math.sqrt(2.0), math.sqrt(3.0)))
+        lo, hi, flo = _sign_cells(f, -200.001, 200.001, 1.0 / (16.0 * f.max_abs_freq))
+        a, b = zeros._sign_certificates(f, derivative(f), lo, hi, flo)
+        certified = int(np.sum(~np.isnan(a)))
+        # 1124 of the first scan's 1534 brackets are certified
+        assert certified > 1000 and lo.size - certified > 300
+        fn = lambda x: zeros._real_values(f, x)  # noqa: E731
+        assert _same_bits(zeros._bisect_real(fn, lo, hi, flo, a, b),
+                          _plain_bisect(fn, lo, hi, flo))
+
+    def test_roots_on_grid_points_are_certified(self, cos):
+        # every root of cos(pi z) on (-2000.25, 2000.25) is a cell end
+        lo, hi, flo = _sign_cells(cos, -2000.25, 2000.25, 0.125)
+        assert lo.size == 4000
+        a, b = zeros._sign_certificates(cos, derivative(cos), lo, hi, flo)
+        assert not np.any(np.isnan(a)) and np.sum(a < lo) > 1000
+        fn = lambda x: zeros._real_values(cos, x)  # noqa: E731
+        assert _same_bits(zeros._bisect_real(fn, lo, hi, flo, a, b),
+                          _plain_bisect(fn, lo, hi, flo))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_bisection_cases())
+    def test_equals_the_plain_loop(self, case):
+        f, (lo, hi, flo) = case
+        fn = lambda x: zeros._real_values(f, x)  # noqa: E731
+        plain = _plain_bisect(fn, lo, hi, flo)
+        certs = zeros._sign_certificates(f, derivative(f), lo, hi, flo)
+        assert _same_bits(zeros._bisect_real(fn, lo, hi, flo, *certs), plain)
+        assert _same_bits(zeros._bisect_real(fn, lo, hi, flo), plain)
+
+    def test_no_certificate_where_the_derivative_vanishes(self, cos):
+        # cos(pi z) on [0.9, 1.6] has its minimum at 1 and its root at 1.5
+        lo, hi = np.array([0.9, 1.2]), np.array([1.6, 1.6])
+        a, _ = zeros._sign_certificates(cos, derivative(cos), lo, hi, zeros._real_values(cos, lo))
+        assert np.isnan(a[0]) and not np.isnan(a[1])
+
+    def test_tiny_sums_are_not_certified(self):
+        # at 1e-160 the plain loop's products underflow to 0 near the roots
+        f = canonicalize([(-0.5, 0.5e-160), (0.5, 0.5e-160)])
+        lo, hi, flo = _sign_cells(f, -20.2, 20.2, 0.125)
+        a, b = zeros._sign_certificates(f, derivative(f), lo, hi, flo)
+        assert np.all(np.isnan(a))
+        fn = lambda x: zeros._real_values(f, x)  # noqa: E731
+        assert _same_bits(zeros._bisect_real(fn, lo, hi, flo, a, b),
+                          _plain_bisect(fn, lo, hi, flo))
+
+    def test_newton_two_cycles(self, cos, monkeypatch):
+        lo, hi, flo = _sign_cells(cos, -2000.25, 2000.25, 0.125)
+        x = _plain_bisect(lambda t: zeros._real_values(cos, t), lo, hi, flo)
+        df = derivative(cos)
+        # the points whose plain iterates alternate between two values
+        x1 = _plain_newton(cos, df, x, lo, hi, iters=1)
+        x2 = _plain_newton(cos, df, x1, lo, hi, iters=1)
+        assert np.sum((x2 == x) & (x1 != x)) > 600  # 652 of the 4000
+        passes = []
+        real = zeros._exp_rows
+        monkeypatch.setattr(zeros, "_exp_rows", lambda *args: passes.append(1) or real(*args))
+        newton = zeros._newton_real(cos, df, x, lo, hi)
+        # the fixed points stop after one step, the 2-cycles after two
+        assert len(passes) == 2
+        assert _same_bits(newton, _plain_newton(cos, df, x, lo, hi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_bisection_cases(), st.integers(0, 2 ** 32 - 1), st.integers(1, 10))
+    def test_newton_equals_the_plain_loop(self, case, seed, iters):
+        f, (lo, hi, _) = case
+        rng = np.random.default_rng(seed)
+        # starts anywhere in the cells, and within a few ulps of a root
+        x = np.where(rng.random(lo.size) < 0.5, lo + rng.random(lo.size) * (hi - lo),
+                     _plain_bisect(lambda t: zeros._real_values(f, t), lo, hi,
+                                   zeros._real_values(f, lo)))
+        df = derivative(f)
+        assert _same_bits(zeros._newton_real(f, df, x, lo, hi, iters),
+                          _plain_newton(f, df, x, lo, hi, iters))
+
+
+@pytest.fixture
+def walked_sides(monkeypatch):
+    """The edges per rectangle of every contour walk."""
+    sides = []
+    real = zeros._walk_edges
+
+    def spy(f, edges, per_rect):
+        sides.extend(per_rect)
+        return real(f, edges, per_rect)
+
+    monkeypatch.setattr(zeros, "_walk_edges", spy)
+    return sides
+
+
+def _symmetric_rects(f):
+    """Rectangles symmetric about the real line: strips, realness strips
+    and boxes around the zeros."""
+    step = 1.0 / (16.0 * f.max_abs_freq)
+    A = find_real_zeros(f, (-20.2, 20.2))
+    hw = 0.4 * np.min(np.diff(A.points))
+    return ([(-20.2, 20.2, -step, step), (-20.2, 20.2, -0.5, 0.5), (-3.1, 7.05, -step, step)]
+            + [(x - hw, x + hw, -hw, hw) for x in A.points[::7]])
+
+
+class TestHalfContours:
+    """A Hermitian sum is counted on the lower half of each rectangle
+    symmetric about the real line; everything else walks four edges."""
+
+    @pytest.mark.parametrize("cs", [(1.0,), (1.0, 1.0), (1.0, math.sqrt(2.0)),
+                                    (1.0, math.sqrt(2.0), math.sqrt(3.0))])
+    def test_equals_the_full_contour_on_cosine_products(self, monkeypatch, walked_sides, cs):
+        self._check(monkeypatch, walked_sides, _cos_product(cs), exact=True)
+
+    def test_equals_the_full_contour_on_the_rebuilt_sum(self, monkeypatch, walked_sides):
+        # the rebuilt three-factor sum is Hermitian only up to about 1e-15
+        f = rebuild_dirichlet(logderiv_measure(
+            _cos_product((1.0, math.sqrt(2.0), math.sqrt(3.0))), "auto", 40.0))
+        assert 0 < np.max(np.abs(f.freqs + f.freqs[::-1])) < 1e-14
+        self._check(monkeypatch, walked_sides, f, exact=False)
+
+    def _check(self, monkeypatch, walked_sides, f, exact):
+        rects = _symmetric_rects(f)
+        assert (zeros._hermitian_defect(f, 0.5, 21.0) == 0) == exact
+        walked_sides.clear()
+        half, failed = _count_rectangles(f, rects)
+        assert not failed and walked_sides == [3] * len(rects)
+        monkeypatch.setattr(zeros, "_hermitian_defect", lambda f, h, zabs: np.inf)
+        walked_sides.clear()
+        full, failed = _count_rectangles(f, rects)
+        assert not failed and walked_sides == [4] * len(rects)
+        assert half.tolist() == full.tolist()
+        assert half[0] == find_real_zeros(f, (-20.2, 20.2)).count
+
+    @pytest.mark.parametrize("terms", [[(-0.5, 0.5), (0.5, 0.5 + 1e-9j)],
+                                       [(-0.5, 0.5), (0.5 + 1e-9, 0.5)]])
+    def test_larger_defect_walks_four_edges(self, walked_sides, terms):
+        f = canonicalize(terms)
+        assert zeros._hermitian_defect(f, 1.0, 1.0) > 1e-9
+        counts, failed = _count_rectangles(f, [(0.0, 1.0, -1.0, 1.0)])
+        assert counts.tolist() == [1] and not failed and walked_sides == [4]
+
+    def test_off_axis_boxes_walk_four_edges(self, cos, walked_sides):
+        counts, failed = _count_rectangles(cos, [(0.0, 1.0, -1.0, 1.0), (0.0, 1.0, 0.1, 0.5),
+                                                 (0.0, 1.0, -1.0, 0.9)])
+        assert counts.tolist() == [1, 0, 1] and not failed and walked_sides == [3, 4, 4]
+
+    def test_off_the_line_box_of_the_finder_walks_four_edges(self, walked_sides):
+        # the box that certifies the zero at k - 0.0168i sits clear of the line
+        with pytest.raises(ConvergenceError, match="off the real line"):
+            find_real_zeros(canonicalize([(0.0, 1.0), (1.0, -0.9)]), (-5.2, 5.2))
+        assert walked_sides[-1] == 4
 
 
 class TestRealnessCheck:
