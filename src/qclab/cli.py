@@ -2,16 +2,19 @@
 
 ``analyze`` runs the full forward and inverse chain on an exponential
 sum: real zeros, set analytics, both diffraction routes with the Poisson
-check, then reconstruction with the roundtrip audit.  The other commands
-expose the individual stages.  Reports embed the full config/tolerance
-snapshot, carry no timestamps, and are byte-identical across reruns with
-the same config and seed.
+check, then reconstruction, whose rebuilt sum is certified against the
+input by its coefficient distance and Rouché's theorem over the whole
+window (``_roundtrip``).  The other commands expose the individual
+stages.  Reports embed the full config/tolerance snapshot, carry no
+timestamps, and are byte-identical across reruns with the same config
+and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -20,11 +23,12 @@ import numpy as np
 
 from . import apset, diffraction, io, reconstruct, wiener, zeros
 from .diffraction import PointMeasure
-from .errors import DomainError, InvalidInputError, QclabError, StageError
+from .errors import ConvergenceError, DomainError, InvalidInputError, QclabError, StageError
 from .wiener import ExpSum
 from .zeros import ZeroSet
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+ROUNDTRIP_TOL = 1e-9  # largest coefficient distance of a round trip, relative to ||f_hat||_W
 COMMANDS = ("analyze", "zeros", "diffract", "poisson", "reconstruct", "apset")
 
 
@@ -281,31 +285,67 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
     return mu, profile, plot_poisson, info
 
 
-def _reconstruct_stage(mu, A, report):
-    """The stage's report entry; sets ``report.rebuilt`` and ``report.plot_g``."""
+def _roundtrip(f, A, rebuilt):
+    """The round-trip certificate of the rebuilt sum g against the input f,
+    over the strip that ``find_real_zeros`` counted A on.
+
+    The rebuild is normalized as f_hat = f e^{-2 pi i c z} / f(0), c the
+    centre of f's spectrum.  The strip's contour floor, rescaled to f_hat
+    by e^{-2 pi |c| h} / |f(0)|, bounds |f_hat| on the contour from below,
+    so a coefficient distance delta below it gives g the count of f in
+    the strip (Rouché).  ``rouche_radii`` then puts m zeros of g within r
+    of each point of order m; discs that are disjoint and inside the
+    strip hold every zero of g there, and ``max_deviation``, the largest
+    r, bounds the distance of each to its point.  delta must also be at
+    most ``ROUNDTRIP_TOL`` ||f_hat||_W: a rebuild that only keeps the
+    zeros near their points is not the input sum.  A failed test is a
+    ConvergenceError.
+    """
+    lo, hi = A.window
+    h = A.strip_height
+    centre = 0.5 * (float(f.freqs[0]) + float(f.freqs[-1]))
+    v0 = wiener.evaluate(f, 0.0)
+    if v0 == 0:
+        raise DomainError("the input sum vanishes at 0, where the rebuild is normalized")
+    f_hat = wiener.multiply(f, wiener.canonicalize([(-centre, 1.0 / v0)]))
+    floor = A.contour_floor * math.exp(-2 * math.pi * abs(centre) * h) / abs(v0)
+    delta = reconstruct.coefficient_distance(rebuilt, f_hat, h,
+                                             math.hypot(max(abs(lo), abs(hi)), h))
+    tol = ROUNDTRIP_TOL * f_hat.wiener_norm
+    if not (delta < floor and delta <= tol):
+        raise ConvergenceError(
+            f"the rebuilt sum ({len(rebuilt)} terms) lies delta = {delta:.3g} from the "
+            f"normalized input ({len(f_hat)} terms) over |Im z| <= {h:.3g}; the round trip "
+            f"needs delta below the contour floor {floor:.3g} and at most {tol:.3g}")
+    r = zeros.rouche_radii(f_hat, A, delta)
+    apart = r[:-1] + r[1:] < np.diff(A.points)
+    ok = (r < h) & (A.points - r > lo) & (A.points + r < hi)
+    ok[:-1] &= apart
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ConvergenceError(
+            f"the disc test fails at the zero {A.points[i]:.9g} (radius {r[i]:.3g}): no disc "
+            "inside the strip and clear of its neighbours holds its zeros of the rebuilt sum")
+    return {
+        "window": [lo, hi],
+        "coefficient_distance": delta,
+        "contour_floor": floor,
+        "tolerance": tol,
+        "original_count": A.count,
+        "rebuilt_count": A.count,
+        "max_deviation": float(np.max(r)) if r.size else None,
+    }
+
+
+def _reconstruct_stage(mu, f, A, report):
+    """The stage's report entry; sets ``report.rebuilt`` and ``report.plot_g``.
+    The round trip is certified against the input sum f, if there is one."""
     L = _stage("reconstruct/log_series", lambda: reconstruct.log_series_at_height_one(mu))
     rebuilt = _stage("reconstruct/rebuild",
                      lambda: reconstruct.rebuild_from_log_series(L, mu.d))
-
     roundtrip = None
-    if A is not None:
-        lo, hi = A.window
-        wlo, whi = max(lo, -20.0), min(hi, 20.0)
-        z_new = _stage("reconstruct/roundtrip",
-                       lambda: zeros.find_real_zeros(rebuilt, (wlo, whi)))
-        inside = (A.points > wlo) & (A.points < whi)
-        old = np.repeat(A.points[inside], A.mults[inside])
-        new = z_new.expand()
-        if old.size == new.size and old.size:
-            residual = float(np.max(np.abs(old - new)))
-        else:
-            residual = None
-        roundtrip = {
-            "window": [wlo, whi],
-            "original_count": int(old.size),
-            "rebuilt_count": int(new.size),
-            "max_deviation": residual,
-        }
+    if f is not None:
+        roundtrip = _stage("reconstruct/roundtrip", lambda: _roundtrip(f, A, rebuilt))
 
     greport = reconstruct.g_boundedness(mu, [5.0, 10.0, 20.0, 40.0])
     etype = reconstruct.exponential_type(rebuilt, [4.0, 6.0, 8.0, 10.0])
@@ -366,7 +406,8 @@ def _run_pipeline_inner(cfg: RunConfig, report: Report, stages: dict) -> Report:
     if cfg.command == "reconstruct":
         if mu is None:
             raise StageError("parse", InvalidInputError("reconstruct expects a measure input"))
-        stages["reconstruct"] = _stage("reconstruct", lambda: _reconstruct_stage(mu, None, report))
+        stages["reconstruct"] = _stage("reconstruct",
+                                       lambda: _reconstruct_stage(mu, None, None, report))
         report.measure = mu
         report.plot_m = diffraction.growth_profile(mu, np.linspace(0.5, cfg.cutoff, 20)).m_of_s
         return report
@@ -397,7 +438,7 @@ def _run_pipeline_inner(cfg: RunConfig, report: Report, stages: dict) -> Report:
     if cfg.command in ("diffract", "poisson"):
         return report
 
-    stages["reconstruct"] = _stage("reconstruct", lambda: _reconstruct_stage(mu, A, report))
+    stages["reconstruct"] = _stage("reconstruct", lambda: _reconstruct_stage(mu, f, A, report))
     return report
 
 

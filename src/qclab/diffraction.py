@@ -395,7 +395,9 @@ def poisson_residual(A: ZeroSet, mu_hat: PointMeasure) -> PoissonReport:
     The test function is the Gaussian g(x) = exp(-pi*x^2/sigma^2) at
     sigma = ``POISSON_SIGMA``; its transform is sigma*exp(-pi*sigma^2*t^2)
     under the phi_hat(t) = int phi e^{-2pi i xt} convention.  Both tails
-    must stay below 1e-8, else ``InsufficientDataError``.
+    must stay below 1e-8, else ``InsufficientDataError``, whose message
+    says how far to extend the window and the atom list, or that the
+    measure carries no atoms, which no extension mends.
     """
     sigma = POISSON_SIGMA
     lo, hi = A.window
@@ -421,6 +423,11 @@ def poisson_residual(A: ZeroSet, mu_hat: PointMeasure) -> PoissonReport:
         rho = max(mu_hat.d, 1.0)
     atom_tail = 2.0 * rho * _gaussian_comb_tail(gmax, alpha)
 
+    if max(zero_tail, atom_tail) > _POISSON_TAIL_TOL and not len(mu_hat):
+        raise InsufficientDataError(
+            f"truncation tails exceed {_POISSON_TAIL_TOL:.1g}: the measure carries no atoms, "
+            f"so its atom tail is {atom_tail:.3g} whatever the window, and no longer window "
+            "or atom list can mend that")
     if max(zero_tail, atom_tail) > _POISSON_TAIL_TOL:
         need = math.sqrt(max(math.log(max(2 * k1 * sigma, 2 * rho) / _POISSON_TAIL_TOL), 1.0)
                          / min(alpha_hat, alpha))

@@ -19,7 +19,15 @@ import numpy as np
 
 from .diffraction import PointMeasure
 from .errors import DomainError
-from .wiener import ExpSum, _exp_rows, canonicalize, evaluate, exp_series, scale
+from .wiener import (
+    ExpSum,
+    _exp_rows,
+    _merge_groups,
+    canonicalize,
+    evaluate,
+    exp_series,
+    scale,
+)
 from .zeros import ZeroSet
 
 T3_BUDGET = 1000.0  # largest sum |b|/gamma over 0 < gamma < 1 a rebuild accepts
@@ -194,6 +202,39 @@ def rebuild_from_log_series(L: ExpSum, d: float) -> ExpSum:
     if v0 == 0:
         raise DomainError("reconstructed sum vanishes at 0; cannot normalize")
     return scale(g, 1.0 / v0)
+
+
+def coefficient_distance(g: ExpSum, f: ExpSum, h: float, zabs: float) -> float:
+    """delta, a bound on |g - f| over the strip |Im z| <= h at |z| <= zabs.
+
+    The terms of both sums are paired by the frequency-merge rule of the
+    algebra: a chain of frequencies within ``FREQ_TOL`` of each other is
+    one group, with first frequency w0.  A term q e^{2 pi i w z} of a
+    group differs from q e^{2 pi i w0 z} by at most
+    2 pi |w - w0| zabs |q| e^{2 pi W h}, W the group's largest |w|, by the
+    mean value theorem in the frequency; so the group adds
+    (|sum of g's q - sum of f's q| + 2 pi zabs sum |w - w0| |q|) e^{2 pi W h}.
+    A term with no partner is a group of its own and counts at full size,
+    |q| e^{2 pi |w| h}.  On top, eps sum |q| (n + 4 + 2 pi |w| zabs)
+    e^{2 pi |w| h} over all n terms covers the rounding of the
+    coefficients and of this sum (n + 4) and of the frequencies (the
+    |w| zabs part).
+    """
+    w = np.concatenate([g.freqs, f.freqs])
+    q = np.concatenate([g.coeffs, -f.coeffs])
+    if not w.size:
+        return 0.0
+    order, new_group = _merge_groups(w)
+    w, q = w[order], q[order]
+    starts = np.flatnonzero(new_group)
+    w0 = w[starts][np.cumsum(new_group) - 1]
+    with np.errstate(over="ignore"):
+        growth = np.exp(2 * np.pi * h * np.maximum.reduceat(np.abs(w), starts))
+        pairs = (np.abs(np.add.reduceat(q, starts))
+                 + 2 * np.pi * zabs * np.add.reduceat(np.abs(w - w0) * np.abs(q), starts))
+        rounding = np.abs(q) * (w.size + 4 + 2 * np.pi * np.abs(w) * zabs) * np.exp(
+            2 * np.pi * np.abs(w) * h)
+        return float(np.sum(pairs * growth) + np.finfo(float).eps * np.sum(rounding))
 
 
 def _g_values(g: np.ndarray, b: np.ndarray, zs) -> np.ndarray:

@@ -78,18 +78,26 @@ def _representatives(mag, new_group, starts):
     return hit[first]
 
 
+def _merge_groups(freqs):
+    """The frequency-merge rule: the stable sort order of ``freqs``, and
+    which of the sorted frequencies start a spectral point (a chain of
+    consecutive gaps <= FREQ_TOL is one point)."""
+    order = np.argsort(freqs, kind="stable")
+    freqs = freqs[order]
+    new_group = np.empty(freqs.size, dtype=bool)
+    new_group[0] = True
+    np.greater(np.diff(freqs), FREQ_TOL, out=new_group[1:])
+    return order, new_group
+
+
 def _canonical_from_arrays(freqs, coeffs, prune_tol) -> ExpSum:
     """Merge and prune (frequency, coefficient) arrays into a canonical sum."""
     freqs, coeffs = np.asarray(freqs, float), np.asarray(coeffs, complex)
     if freqs.size == 0:
         return empty_sum()
-    order = np.argsort(freqs, kind="stable")
+    order, new_group = _merge_groups(freqs)
     freqs = freqs[order]
     coeffs = coeffs[order]
-    # chain-merge: consecutive gaps <= FREQ_TOL belong to one spectral point
-    new_group = np.empty(freqs.size, dtype=bool)
-    new_group[0] = True
-    np.greater(np.diff(freqs), FREQ_TOL, out=new_group[1:])
     starts = np.flatnonzero(new_group)
     merged = np.add.reduceat(coeffs, starts)
     rep_freqs = freqs if starts.size == freqs.size else freqs[_representatives(

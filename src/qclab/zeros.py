@@ -56,6 +56,7 @@ one ``_exp_rows`` pass.
 from __future__ import annotations
 
 import bisect
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,11 +98,16 @@ class ZeroSet:
 
     Points given out of order are sorted on construction, each keeping
     its multiplicity; Bohr means and counting constants rely on the order.
+    A set from ``find_real_zeros`` also carries its strip: f has ``count``
+    zeros in the rectangle (window) x [-strip_height, strip_height], and
+    |f| >= contour_floor on its contour.  Both are None otherwise.
     """
 
     window: tuple[float, float]
     points: np.ndarray
     mults: np.ndarray
+    strip_height: float | None = None
+    contour_floor: float | None = None
 
     def __post_init__(self):
         points = np.ascontiguousarray(self.points, dtype=float)
@@ -194,11 +200,14 @@ def _walk_edges(f: ExpSum, edges, sides):
     below pi/6; the principal-value phase sum is then the exact argument
     variation.  All pending edges are refined together, one ``evaluate``
     call per round.  An edge that fails stops the other sides of its
-    rectangle.  Returns the increments and, per rectangle with a failed
-    side, its first ContourError.
+    rectangle.  Returns the increments, per rectangle with a failed side
+    its first ContourError, and the least m_seg - margin of each certified
+    edge: a lower bound on |f| along it, since m_seg bounds the computed
+    |f| on a sub-segment and the margin covers its rounding.
     """
     owner = np.repeat(np.arange(len(sides)), sides)
     inc = np.zeros(len(edges))
+    low = np.full(len(edges), np.nan)
     failed, ts, vals = {}, {}, {}
     todo = {i: np.linspace(0.0, 1.0, 1024) for i in range(len(edges))}
     for rounds in range(65):
@@ -230,6 +239,7 @@ def _walk_edges(f: ExpSum, edges, sides):
             bad = (m_seg <= margin) | (lbound * seg > 0.5 * lo)
             if not bad.any():
                 inc[i] = float(np.sum(np.angle(vals[i][1:] / vals[i][:-1])))
+                low[i] = float(np.min(m_seg)) - margin
                 continue
             if (bad & (lbound * seg <= 0.2 * margin)).any():
                 failed[owner[i]] = ContourError(
@@ -245,7 +255,7 @@ def _walk_edges(f: ExpSum, edges, sides):
                 continue
             todo[i] = (0.5 * (ts[i][:-1] + ts[i][1:]))[bad]
         todo = {i: t for i, t in todo.items() if owner[i] not in failed}
-    return inc, failed
+    return inc, failed, low
 
 
 def _bounded(f, segments):
@@ -270,8 +280,9 @@ def _hermitian_defect(f: ExpSum, h: float, zabs: float) -> float:
 
 def _count_rectangles(f: ExpSum, rects):
     """Winding counts of f on the rectangles (x0, x1, y0, y1), all contours
-    walked together: the counts (-1 where a contour failed) and, per
-    failed rectangle, its ContourError.
+    walked together: the counts (-1 where a contour failed), per failed
+    rectangle its ContourError, and per rectangle the contour floor, a
+    lower bound on |f| along its whole contour (nan where it failed).
 
     A rectangle symmetric about the real line (y0 = -y1) is walked on its
     lower half only, the bottom edge and the lower halves of the two
@@ -285,17 +296,19 @@ def _count_rectangles(f: ExpSum, rects):
     positive axis, and f's own increment there is I up to less than
     pi/3.  The winding number 2 I / 2 pi is then within 1/6 of the
     integer, exactly it when D = 0.  Boxes off the real line and sums
-    with a larger D walk all four edges.
+    with a larger D walk all four edges.  The walked margins carry 2 D,
+    and |f| >= |g| - D on the upper half, so a mirrored contour's floor is
+    the least bound of its walk plus D: its lower-half bound minus D.
     """
     if len(f) == 0:
         raise InvalidInputError("cannot count zeros of the empty (identically zero) sum")
-    edges, sides, mirrored, failed = [], [], [], {}
+    edges, sides, mirrored, defects, failed = [], [], [], [], {}
     for r, rect in enumerate(rects):
         x0, x1, y0, y1 = map(float, rect)
         if not (x0 < x1 and y0 < y1):
             raise InvalidInputError("rectangle must satisfy x0 < x1 and y0 < y1")
         c = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
-        walk, half = [], False
+        walk, half, d = [], False, 0.0
         try:
             if y0 == -y1:
                 walk = _bounded(f, [(complex(x0, 0.0), c[0]), (c[0], c[1]),
@@ -310,9 +323,11 @@ def _count_rectangles(f: ExpSum, rects):
         edges += walk
         sides.append(len(walk))
         mirrored.append(half)
-    inc, walk_failed = _walk_edges(f, edges, sides)
+        defects.append(d if half else 0.0)
+    inc, walk_failed, low = _walk_edges(f, edges, sides)
     failed.update(walk_failed)
     counts = np.full(len(rects), -1, dtype=np.int64)
+    floors = np.full(len(rects), np.nan)
     first = np.cumsum([0] + sides)
     for r in range(len(rects)):
         if r in failed:
@@ -326,24 +341,26 @@ def _count_rectangles(f: ExpSum, rects):
             failed[r] = ContourError(f"winding number {winding:.3f} not certified as an integer")
         else:
             counts[r] = n
-    return counts, failed
+            floors[r] = float(np.min(low[first[r]:first[r + 1]])) + defects[r]
+    return counts, failed, floors
 
 
 def _count_boxes(f, rects):
     """Winding counts on ``rects``, all counted together.  A rectangle whose
     contour fails is retried with its height scaled by each nudge in turn;
-    returns the counts and the scale whose contour certified each."""
+    returns the counts, the scale whose contour certified each, and that
+    contour's floor."""
     counts = np.zeros(len(rects), dtype=np.int64)
-    scales = np.ones(len(rects))
+    scales, floors = np.ones(len(rects)), np.zeros(len(rects))
     todo = list(range(len(rects)))
     for k in _NUDGE:
-        got, failed = _count_rectangles(
+        got, failed, low = _count_rectangles(
             f, [(x0, x1, y0 * k, y1 * k) for x0, x1, y0, y1 in (rects[r] for r in todo)])
         for j, r in enumerate(todo):
             if j not in failed:
-                counts[r], scales[r] = got[j], k
+                counts[r], scales[r], floors[r] = got[j], k, low[j]
         if not failed:
-            return counts, scales
+            return counts, scales, floors
         todo = [todo[j] for j in sorted(failed)]
     raise failed[min(failed)]
 
@@ -547,6 +564,12 @@ def find_real_zeros(f: ExpSum, window) -> ZeroSet:
     of all brackets, one of all other candidates, one contour walk per
     batch of boxes.  The first step is 1/(16 B).
 
+    The set keeps the strip: the height h of the contour that counted
+    it (the first step, or a nudge of it) and that contour's floor, a
+    certified lower bound on |f| along the boundary of (window) x [-h, h]
+    (``_walk_edges``).  Any g with |g - f| below the floor there has the
+    same count in the strip, by Rouché's theorem.
+
     Raises ``ConvergenceError`` when a piece is still short at 2**-12 of
     the first step (its zeros are not real, or closer than that step) or
     a box clear of the real line counts a zero in a piece's strip, and
@@ -563,7 +586,7 @@ def find_real_zeros(f: ExpSum, window) -> ZeroSet:
     step = 1.0 / (16.0 * f.max_abs_freq)
 
     try:
-        counts, nudges = _count_boxes(f, [(lo, hi, -step, step)])
+        counts, nudges, floors = _count_boxes(f, [(lo, hi, -step, step)])
     except ContourError:
         edge_vals = np.abs(evaluate(f, np.array([lo, hi], dtype=complex)))
         if np.min(edge_vals) < 1e-3 * f.wiener_norm:
@@ -582,7 +605,7 @@ def find_real_zeros(f: ExpSum, window) -> ZeroSet:
             f"scan found {int(np.sum(mults))} zeros but the contour count is {expected}; "
             "zeros may be non-real or closer than the refined scan step"
         )
-    return ZeroSet((lo, hi), points, mults)
+    return ZeroSet((lo, hi), points, mults, step * float(nudges[0]), float(floors[0]))
 
 
 def _certify(f, pieces, finest):
@@ -608,8 +631,8 @@ def _certify(f, pieces, finest):
 
         def count_boxes(which):
             # one batch of boxes, around root j of piece i for each (i, j)
-            got, ks = _count_boxes(f, [(scans[i].roots[j] - hws[i][j], scans[i].roots[j]
-                                        + hws[i][j], -hws[i][j], hws[i][j]) for i, j in which])
+            got, ks, _ = _count_boxes(f, [(scans[i].roots[j] - hws[i][j], scans[i].roots[j]
+                                           + hws[i][j], -hws[i][j], hws[i][j]) for i, j in which])
             for (i, j), m, k in zip(which, got, ks):
                 mults[i][j], tops[i][j] = m, hws[i][j] * k
 
@@ -690,13 +713,13 @@ def _cut(f, pieces, scans):
         inside = np.flatnonzero(off < 0.25 * (b - a))
         cs.append(s.xs[1 + (inside[np.argmax(s.absv[1:-1][inside])] if inside.size
                             else np.argmin(off))])
-    left, kl = _count_boxes(f, [(p.lo, c, -p.h, p.h) for p, c in zip(pieces, cs)])
+    left, kl, _ = _count_boxes(f, [(p.lo, c, -p.h, p.h) for p, c in zip(pieces, cs)])
     # on the same height the right piece holds the rest of the count
     right = np.array([p.count for p in pieces]) - left
     kr = np.ones(len(pieces))
     again = np.flatnonzero(kl != 1.0)
     if again.size:
-        right[again], kr[again] = _count_boxes(
+        right[again], kr[again], _ = _count_boxes(
             f, [(cs[n], pieces[n].hi, -pieces[n].h, pieces[n].h) for n in again])
     out = []
     for n, (p, c) in enumerate(zip(pieces, cs)):
@@ -858,8 +881,8 @@ def _no_zero_off_the_line(f, pieces, owner, z):
     pick = np.flatnonzero(inside)[first]
     if not pick.size:
         return
-    counts, _ = _count_rectangles(f, [(z[i].real - r[i], z[i].real + r[i], y[i] - r[i], y[i] + r[i])
-                                      for i in pick])
+    counts, _, _ = _count_rectangles(f, [(z[i].real - r[i], z[i].real + r[i], y[i] - r[i],
+                                          y[i] + r[i]) for i in pick])
     if np.any(counts > 0):
         i = pick[np.argmax(counts > 0)]
         raise ConvergenceError(
@@ -903,3 +926,45 @@ def realness_check(f: ExpSum, A: ZeroSet) -> RealnessReport:
     lo, hi = A.window
     total = int(_count_boxes(f, [(lo, hi, -0.5, 0.5)])[0][0])
     return RealnessReport(real_count=A.count, total_count=total, all_real=A.count == total)
+
+
+def rouche_radii(f: ExpSum, A: ZeroSet, delta: float) -> np.ndarray:
+    """For each point a of A, of order m: a radius r such that every g
+    with |g - f| <= delta on the disc |z - a| <= r has exactly m zeros in
+    it (inf where the test fails).
+
+    By Rouché's theorem against the Taylor polynomial
+    p(z) = f^(m)(a) (z - a)^m / m!: on the circle |z - a| = r,
+    |g - p| <= delta + sum_{k<m} |f^(k)(a)| r^k / k! + M r^(m+1), with
+    M = sup |f^(m+1)| / (m+1)! over the disc, while |p| = |f^(m)(a)| r^m / m!.
+    Let e_k bound |f^(k)(a)| / k! from above (rounding added, and delta in
+    e_0) and c bound |f^(m)(a)| / m! from below.  Then
+    r = max_k ((m + 1) e_k / c)^(1 / (m - k)) makes each e_k r^k at most
+    c r^m / (m + 1), and |g - p| < |p| once M r < c / (m + 1).  For a simple
+    zero, r = 2 (|f(a)| + rounding + delta) / |f'(a)|.  f and its first m
+    derivatives at all the points come from one ``_exp_rows`` pass; the
+    rounding of the k-th is that of ``_edge_bounds`` on the real line.
+    """
+    radii = np.full(len(A), np.inf)
+    if not len(A):
+        return radii
+    top = int(np.max(A.mults))
+    omega = 2 * np.pi * f.freqs
+    cols = [f.coeffs * (1j * omega) ** k for k in range(top + 1)]
+    vals = np.abs(_exp_rows(A.points + 0j, f.freqs, lambda E: np.stack([E @ c for c in cols])))
+    size = [float(np.sum(np.abs(f.coeffs) * np.abs(omega) ** k)) for k in range(top + 2)]
+    eps = np.finfo(float).eps
+    for m in np.unique(A.mults):
+        at = np.flatnonzero(A.mults == m)
+        rho = [16 * eps * (len(f) * size[k] + np.abs(A.points[at]) * size[k + 1])
+               for k in range(m + 1)]
+        e = [(vals[k, at] + rho[k]) / math.factorial(k) for k in range(m)]
+        e[0] = e[0] + delta
+        c = (vals[m, at] - rho[m]) / math.factorial(m)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.max([((m + 1) * e[k] / c) ** (1.0 / (m - k)) for k in range(m)], axis=0)
+            sup = np.exp(np.multiply.outer(r, np.abs(omega))) @ (
+                np.abs(f.coeffs) * np.abs(omega) ** (m + 1))
+            ok = (c > 0) & (sup / math.factorial(m + 1) * r < c / (m + 1))
+        radii[at[ok]] = r[ok]
+    return radii

@@ -1,7 +1,9 @@
 import codecs
 import csv
 import io as stdio
+import itertools
 import json
+import math
 import os
 import re
 import stat
@@ -15,10 +17,11 @@ import pytest
 
 import qclab
 from qclab import io as qio
-from qclab import diffraction, wiener
+from qclab import diffraction, reconstruct, wiener, zeros
 from qclab.cli import (
     RunConfig,
     _counting_spot_check,
+    _roundtrip,
     build_parser,
     emit_outputs,
     main,
@@ -26,7 +29,7 @@ from qclab.cli import (
     run_pipeline,
 )
 from qclab.diffraction import PointMeasure
-from qclab.errors import ParseError, StageError
+from qclab.errors import ConvergenceError, ParseError, StageError
 from qclab.zeros import ZeroSet
 
 from conftest import cos_sum, lattice_measure, lattice_zeroset, union_zeroset
@@ -338,10 +341,138 @@ class TestPoissonVsTSkipped:
         assert len(rows) + len(skipped) == 4
 
 
+class TestEmptyBohrMeasure:
+    def test_poisson_skip_names_the_empty_measure(self, cos_csv):
+        # the Bohr scans at T = 45 and 11.25 keep no atom: extending the
+        # window or the atom list cannot mend the Poisson check of an empty list
+        cfg = RunConfig(command="analyze", input_path=cos_csv,
+                        window=(-60.0, 60.0), T=45.0, cutoff=5.0)
+        skipped = run_pipeline(cfg).summary["stages"]["diffraction"]["poisson_vs_T_skipped"]
+        assert [s["T"] for s in skipped] == [11.25, 45.0]
+        for s in skipped:
+            assert "carries no atoms" in s["message"]
+            assert "extend" not in s["message"]
+
+
+def lee_yang_rows(n, seed):
+    """The Lee-Yang sum det(I - U diag(e^{2 pi i a_j z})), a = (1, sqrt2,
+    sqrt3, sqrt5)[:n], U a unitary drawn from the seed: expanded by
+    principal minors, shifted by -sum(a)/2 and divided by
+    sqrt((-1)^n det U), so that it is Hermitian with only real zeros.
+    Rows (omega, re, im) as floats, the fields of the CSV input."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    U = q * (np.diag(r) / np.abs(np.diag(r)))
+    a = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])[:n]
+    norm = np.sqrt((-1) ** n * np.linalg.det(U))
+    rows = []
+    for chosen in itertools.product((0, 1), repeat=n):
+        idx = np.flatnonzero(chosen)
+        minor = np.linalg.det(U[np.ix_(idx, idx)]) if idx.size else 1.0
+        c = complex((-1) ** idx.size * minor / norm)
+        rows.append((float(np.sum(a[idx]) - np.sum(a) / 2), c.real, c.imag))
+    return sorted(rows)
+
+
+class TestRoundtripCertificate:
+    """analyze certifies the rebuilt sum against the normalized input over
+    the whole strip of the zero search, and searches zeros only once."""
+
+    CASES = {
+        "cos": (lambda: cos_sum(), (-60.0, 60.0), 50.0, 10.0),
+        "three-factor": (lambda: wiener.multiply(wiener.multiply(
+            cos_sum(0.5), cos_sum(np.sqrt(2.0) / 2.0)), cos_sum(np.sqrt(3.0) / 2.0)),
+            (-20.001, 20.001), 2000.0, 40.0),
+        "cos-squared": (lambda: wiener.multiply(cos_sum(), cos_sum()), (-20.2, 20.2), 50.0, 10.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_old_search_lies_within_max_deviation(self, case, tmp_path):
+        # the zero search of the rebuilt sum over +-20, which analyze no
+        # longer runs, as an oracle: each zero lies within the bound
+        make, window, T, cutoff = self.CASES[case]
+        qio.write_expsum(make(), tmp_path / "f.csv")
+        rep = run_pipeline(RunConfig(command="analyze", input_path=str(tmp_path / "f.csv"),
+                                     window=window, T=T, cutoff=cutoff))
+        rt = rep.summary["stages"]["reconstruct"]["roundtrip"]
+        A = rep.zeroset
+        assert rt["window"] == list(A.window)
+        assert rt["original_count"] == rt["rebuilt_count"] == A.count
+        assert rt["coefficient_distance"] < min(rt["contour_floor"], rt["tolerance"])
+        old = A.expand()
+        old = old[np.abs(old) < 20.0]
+        new = zeros.find_real_zeros(rep.rebuilt, (-20.0, 20.0)).expand()
+        assert new.size == old.size > 0
+        assert np.max(np.abs(new - old)) <= rt["max_deviation"]
+        assert rt["max_deviation"] < (1e-6 if case == "cos-squared" else 1e-9)
+
+    def test_analyze_searches_zeros_once(self, cos_csv, monkeypatch):
+        windows = []
+        real = zeros.find_real_zeros
+
+        def spy(f, window):
+            windows.append(window)
+            return real(f, window)
+
+        monkeypatch.setattr(zeros, "find_real_zeros", spy)
+        run_pipeline(RunConfig(command="analyze", input_path=cos_csv,
+                               window=(-60.0, 60.0), T=50.0))
+        assert windows == [(-60.0, 60.0)]
+
+    def test_a_perturbed_coefficient_fails(self, cos_csv, monkeypatch, tmp_path):
+        real = reconstruct.rebuild_from_log_series
+
+        def perturbed(L, d):
+            g = real(L, d)
+            return wiener.canonicalize([(g.freqs[0], g.coeffs[0] + 1e-6)] + g.terms()[1:])
+
+        monkeypatch.setattr(reconstruct, "rebuild_from_log_series", perturbed)
+        cfg = RunConfig(command="analyze", input_path=cos_csv, window=(-60.0, 60.0), T=50.0)
+        with pytest.raises(StageError) as exc:
+            run_pipeline(cfg)
+        assert exc.value.stage == "reconstruct/roundtrip"
+        assert isinstance(exc.value.cause, ConvergenceError)
+        # 1e-6 e^{2 pi h |omega|} at h = 1/8, omega = -1/2: over 1e-9, though below the floor
+        assert "delta = 1.48e-06" in str(exc.value.cause)
+        assert main(["analyze", "--input", cos_csv, "--window=-60,60", "--T", "50",
+                     "--out", str(tmp_path / "out")]) == 2
+
+    def test_a_failed_disc_test_is_a_convergence_error(self):
+        # simple zeros of cos(pi z) claimed double: f'' vanishes there, so
+        # no disc passes the test, however close the rebuilt sum
+        f = cos_sum()
+        A = zeros.find_real_zeros(f, (-3.2, 3.2))
+        assert _roundtrip(f, A, f)["max_deviation"] < 1e-13
+        double = ZeroSet(A.window, A.points, 2 * A.mults, A.strip_height, A.contour_floor)
+        with pytest.raises(ConvergenceError, match="disc test fails at the zero -2.5"):
+            _roundtrip(f, double, f)
+        # and discs that overlap: a second point 1e-14 beside -1.5
+        pts = np.sort(np.append(A.points, -1.5 + 1e-14))
+        twins = ZeroSet(A.window, pts, np.ones(pts.size, np.int64), A.strip_height,
+                        A.contour_floor)
+        with pytest.raises(ConvergenceError, match="disc test fails at the zero -1.5 "):
+            _roundtrip(f, twins, f)
+
+    def test_lee_yang_rebuild_fails_by_its_extra_terms(self, tmp_path):
+        # the rebuild truncates at the largest atom, not at the type: 10
+        # terms against the input's 8, which the coefficient distance names
+        path = tmp_path / "lee-yang.csv"
+        path.write_text("omega,re,im\n" + "".join(
+            f"{w!r},{re!r},{im!r}\n" for w, re, im in lee_yang_rows(3, 0)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--window=-100.05,100.05", "--T", "100",
+                     "--cutoff", "10", "--out", str(out)]) == 2
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["stage"] == "reconstruct/roundtrip"
+        assert error["type"] == "ConvergenceError"
+        assert re.search(r"\(10 terms\) lies delta = [0-9.e+-]+ from the normalized input "
+                         r"\(8 terms\)", error["message"])
+
+
 class TestReportSchema:
-    def test_schema_two_and_the_exact_type(self, three_factor_run):
+    def test_schema_three_and_the_exact_type(self, three_factor_run):
         doc, _ = three_factor_run
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         rec = doc["stages"]["reconstruct"]
         assert rec["exponential_type"]["exact"] == -2.0 * np.pi * rec["spectrum"]["min_freq"]
         assert set(rec["g"]) == {"windows", "sup_bound"}
@@ -479,7 +610,7 @@ class TestEmitOutputs:
                      "plot_g_sup.csv", "plot_m_of_s.csv", "plot_poisson_vs_T.csv"):
             assert (out / name).exists(), name
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert doc["config"]["tolerances"]["freq_tol"] == 1e-9
 
     def test_no_knob_outside_the_command_line(self, tmp_path):

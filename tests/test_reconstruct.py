@@ -10,6 +10,7 @@ from qclab.diffraction import PointMeasure, logderiv_measure
 from qclab.errors import DomainError
 from qclab.reconstruct import (
     canonical_product,
+    coefficient_distance,
     exponential_type,
     g_boundedness,
     g_function,
@@ -139,6 +140,43 @@ class TestRebuildDirichlet:
         assert rebuilt.freqs[-1] == pytest.approx(half_width, abs=1e-6)
         assert abs(rebuilt.coeffs[0]) > 0.01
         assert abs(rebuilt.coeffs[-1]) > 0.01
+
+
+class TestCoefficientDistance:
+    """delta bounds |g - f| over the strip, terms paired by the merge rule."""
+
+    F = [(-1.0, 0.3), (-0.2, 0.5j), (0.7, -0.4)]
+
+    def test_bounds_the_sampled_distance(self):
+        # a coefficient, a frequency within FREQ_TOL and an unmatched term moved
+        f = canonicalize(self.F)
+        g = canonicalize([(-1.0 + 3e-10, 0.3 + 1e-3), (-0.2, 0.5j), (0.7, -0.4 - 2e-3j),
+                          (1.5, 1e-3)])
+        h, zabs = 0.3, 25.0
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-24.0, 24.0, 4000) + 1j * rng.uniform(-h, h, 4000)
+        sampled = float(np.max(np.abs(evaluate(g, z) - evaluate(f, z))))
+        delta = coefficient_distance(g, f, h, zabs)
+        assert sampled <= delta < 2 * sampled
+
+    def test_a_frequency_within_the_merge_tolerance_is_bounded(self):
+        # paired with its partner, 5e-10 away: only the frequency term bounds it
+        f = canonicalize(self.F)
+        g = canonicalize([(-1.0 + 5e-10, 0.3)] + self.F[1:])
+        h, zabs = 0.3, 25.0
+        z = np.linspace(-24.99, 24.99, 2001) + 1j * h  # |z| <= zabs
+        sampled = float(np.max(np.abs(evaluate(g, z) - evaluate(f, z))))
+        assert 1e-8 < sampled <= coefficient_distance(g, f, h, zabs) < 2 * sampled
+
+    def test_a_sum_against_itself_is_rounding(self):
+        f = canonicalize(self.F)
+        assert 0 < coefficient_distance(f, f, 0.3, 25.0) < 1e-12
+
+    def test_an_unmatched_term_counts_at_full_size(self):
+        f = canonicalize(self.F)
+        g = canonicalize(self.F + [(1.5, 1e-3)])
+        delta = coefficient_distance(g, f, 0.3, 25.0)
+        assert delta == pytest.approx(1e-3 * math.exp(2 * math.pi * 1.5 * 0.3), rel=1e-9)
 
 
 class TestGFunction:

@@ -117,38 +117,38 @@ class TestCountZerosRectangle:
     where a contour fails."""
 
     def test_cos_single_zero(self, cos):
-        counts, failed = _count_rectangles(cos, [(0.0, 1.0, -1.0, 1.0)])
+        counts, failed, _ = _count_rectangles(cos, [(0.0, 1.0, -1.0, 1.0)])
         assert counts.tolist() == [1] and not failed
 
     def test_cos_empty_box(self, cos):
-        counts, failed = _count_rectangles(cos, [(0.6, 0.9, -1.0, 1.0)])
+        counts, failed, _ = _count_rectangles(cos, [(0.6, 0.9, -1.0, 1.0)])
         assert counts.tolist() == [0] and not failed
 
     def test_cos_squared_double_zero(self, cos):
         sq = multiply(cos, cos)
-        counts, failed = _count_rectangles(sq, [(0.0, 1.0, -1.0, 1.0)])
+        counts, failed, _ = _count_rectangles(sq, [(0.0, 1.0, -1.0, 1.0)])
         assert counts.tolist() == [2] and not failed
 
     def test_many_zeros(self, cos):
-        counts, failed = _count_rectangles(cos, [(-10.2, 10.2, -1.0, 1.0)])
+        counts, failed, _ = _count_rectangles(cos, [(-10.2, 10.2, -1.0, 1.0)])
         assert counts.tolist() == [20] and not failed
 
     def test_complex_zero_found(self):
         # zero where exp(2*pi*i*z) = 4, i.e. z = k - i*log(4)/(2*pi)
         f = canonicalize([(0.0, 1.0), (1.0, -0.25)])
         y = -math.log(4.0) / (2 * math.pi)
-        counts, failed = _count_rectangles(f, [(-0.5, 0.5, y - 0.2, y + 0.2),
+        counts, failed, _ = _count_rectangles(f, [(-0.5, 0.5, y - 0.2, y + 0.2),
                                                (-0.5, 0.5, -0.05, 0.05)])
         assert counts.tolist() == [1, 0] and not failed
 
     def test_contour_through_zero_errors(self, cos):
         # the failed contour stops only its own rectangle
-        counts, failed = _count_rectangles(cos, [(0.0, 1.0, -1.0, 1.0), (0.5, 1.0, -1.0, 1.0)])
+        counts, failed, _ = _count_rectangles(cos, [(0.0, 1.0, -1.0, 1.0), (0.5, 1.0, -1.0, 1.0)])
         assert counts.tolist() == [1, -1]
         assert list(failed) == [1] and isinstance(failed[1], ContourError)
 
     def test_constant_has_no_zeros(self):
-        counts, failed = _count_rectangles(constant(2.0), [(-3.0, 3.0, -1.0, 1.0)])
+        counts, failed, _ = _count_rectangles(constant(2.0), [(-3.0, 3.0, -1.0, 1.0)])
         assert counts.tolist() == [0] and not failed
 
     def test_empty_sum_rejected(self):
@@ -182,14 +182,14 @@ class TestFindRealZeros:
 
     def test_completeness_union(self, funion):
         A = find_real_zeros(funion, (-30.0, 30.0))
-        counts, _ = _count_rectangles(funion, [(-30.0, 30.0, -0.05, 0.05)])
+        counts, _, _ = _count_rectangles(funion, [(-30.0, 30.0, -0.05, 0.05)])
         assert A.count == counts[0]
 
     def test_refinement_stability(self, funion):
         # certifying the window from half the first step finds the same zeros
         A = find_real_zeros(funion, (-15.0, 15.0))
         half_step = 1.0 / (32.0 * funion.max_abs_freq)
-        counts, nudges = zeros._count_boxes(funion, [(-15.0, 15.0, -half_step, half_step)])
+        counts, nudges, _ = zeros._count_boxes(funion, [(-15.0, 15.0, -half_step, half_step)])
         piece = zeros._Piece(-15.0, 15.0, int(counts[0]), half_step * nudges[0], half_step)
         points, mults = zeros._certify(funion, [piece], half_step * zeros._FINEST)
         assert int(np.sum(mults)) == counts[0] == A.count
@@ -533,11 +533,11 @@ class TestHalfContours:
         rects = _symmetric_rects(f)
         assert (zeros._hermitian_defect(f, 0.5, 21.0) == 0) == exact
         walked_sides.clear()
-        half, failed = _count_rectangles(f, rects)
+        half, failed, _ = _count_rectangles(f, rects)
         assert not failed and walked_sides == [3] * len(rects)
         monkeypatch.setattr(zeros, "_hermitian_defect", lambda f, h, zabs: np.inf)
         walked_sides.clear()
-        full, failed = _count_rectangles(f, rects)
+        full, failed, _ = _count_rectangles(f, rects)
         assert not failed and walked_sides == [4] * len(rects)
         assert half.tolist() == full.tolist()
         assert half[0] == find_real_zeros(f, (-20.2, 20.2)).count
@@ -547,11 +547,11 @@ class TestHalfContours:
     def test_larger_defect_walks_four_edges(self, walked_sides, terms):
         f = canonicalize(terms)
         assert zeros._hermitian_defect(f, 1.0, 1.0) > 1e-9
-        counts, failed = _count_rectangles(f, [(0.0, 1.0, -1.0, 1.0)])
+        counts, failed, _ = _count_rectangles(f, [(0.0, 1.0, -1.0, 1.0)])
         assert counts.tolist() == [1] and not failed and walked_sides == [4]
 
     def test_off_axis_boxes_walk_four_edges(self, cos, walked_sides):
-        counts, failed = _count_rectangles(cos, [(0.0, 1.0, -1.0, 1.0), (0.0, 1.0, 0.1, 0.5),
+        counts, failed, _ = _count_rectangles(cos, [(0.0, 1.0, -1.0, 1.0), (0.0, 1.0, 0.1, 0.5),
                                                  (0.0, 1.0, -1.0, 0.9)])
         assert counts.tolist() == [1, 0, 1] and not failed and walked_sides == [3, 4, 4]
 
@@ -560,6 +560,55 @@ class TestHalfContours:
         with pytest.raises(ConvergenceError, match="off the real line"):
             find_real_zeros(canonicalize([(0.0, 1.0), (1.0, -0.9)]), (-5.2, 5.2))
         assert walked_sides[-1] == 4
+
+
+class TestContourFloor:
+    """find_real_zeros keeps its strip: the contour's height and a certified
+    lower bound on |f| along it, mirrored half included."""
+
+    @pytest.mark.parametrize("cs, window", [((1.0, math.sqrt(2.0), math.sqrt(3.0)), 20.001),
+                                            ((1.0, 1.0), 20.2)])
+    def test_floor_is_below_the_sampled_contour(self, cs, window):
+        f = _cos_product(cs)
+        A = find_real_zeros(f, (-window, window))
+        h = A.strip_height
+        x = np.linspace(-window, window, 49_000)
+        y = np.linspace(-h, h, 1_000)
+        contour = np.concatenate([x - 1j * h, x + 1j * h, window + 1j * y, -window + 1j * y])
+        sampled = float(np.min(np.abs(evaluate(f, contour))))
+        assert 0 < A.contour_floor <= sampled
+        assert A.contour_floor > 0.5 * sampled  # the walk refines until |f'| seg <= |f| / 2
+        assert h == pytest.approx(1.0 / (16.0 * f.max_abs_freq), rel=0.5)
+
+    def test_a_set_not_from_the_finder_has_no_strip(self):
+        A = ZeroSet((-1.0, 1.0), np.array([0.5]), np.array([1]))
+        assert A.strip_height is None and A.contour_floor is None
+
+
+class TestRoucheRadii:
+    """Each disc holds as many zeros of a nearby sum as its point's order."""
+
+    @pytest.mark.parametrize("eta", [1e-6, 1e-10])
+    def test_simple_zeros_of_cos_plus_a_constant(self, cos, eta):
+        # cos(pi z) + eta vanishes at k + 1/2 shifted by about eta / pi
+        A = find_real_zeros(cos, (-10.2, 10.2))
+        radii = zeros.rouche_radii(cos, A, eta)
+        shift = np.abs(np.arcsin(eta) / np.pi)
+        assert np.all(shift < radii) and np.all(radii < 3 * eta / np.pi + 1e-12)
+
+    def test_double_zeros_of_cos_squared_minus_a_constant(self, cos):
+        # cos^2(pi z) - eta splits each double zero into k + 1/2 -+ about sqrt(eta) / pi
+        eta = 1e-8
+        f = multiply(cos, cos)
+        A = find_real_zeros(f, (-5.2, 5.2))
+        assert np.all(A.mults == 2)
+        radii = zeros.rouche_radii(f, A, eta)
+        shift = np.arcsin(np.sqrt(eta)) / np.pi
+        assert np.all(shift < radii) and np.all(radii < 3 * shift)
+
+    def test_a_large_distance_fails_the_test(self, cos):
+        A = find_real_zeros(cos, (-3.2, 3.2))
+        assert np.all(np.isinf(zeros.rouche_radii(cos, A, 0.9)))
 
 
 class TestRealnessCheck:
