@@ -23,12 +23,15 @@ from .apset import (
     phi_representation,
 )
 from .diffraction import (
+    CertifiedMeasure,
     GrowthProfile,
+    LogderivCoefficients,
     PointMeasure,
     PoissonReport,
     bohr_atoms,
     bohr_means,
     growth_profile,
+    logderiv_coefficients,
     logderiv_measure,
     poisson_residual,
 )

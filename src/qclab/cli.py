@@ -27,7 +27,7 @@ from .errors import ConvergenceError, DomainError, InvalidInputError, QclabError
 from .wiener import ExpSum
 from .zeros import ZeroSet
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 ROUNDTRIP_TOL = 1e-9  # largest coefficient distance of a round trip, relative to ||f_hat||_W
 COMMANDS = ("analyze", "zeros", "diffract", "poisson", "reconstruct", "apset")
 
@@ -281,6 +281,9 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
             "atom_count": len(mu_log),
             "conjugate_defect": mu_log.conjugate_defect(),
             "d_vs_density": abs(mu_log.d - dens.d),
+            "noise_dropped": mu_log.noise_dropped,
+            "certified_cutoff": mu_log.certified_cutoff,
+            "max_error_bound": mu_log.max_error_bound,
         }
     return mu, profile, plot_poisson, info
 

@@ -26,6 +26,8 @@ from .wiener import (
     at_height,
     choose_height,
     derivative,
+    exp_units,
+    majorize,
     multiply,
     neumann_inverse,
 )
@@ -107,6 +109,52 @@ class PointMeasure:
     def drop_atom(self, gamma: float) -> "PointMeasure":
         keep = np.abs(self.gammas - gamma) > FREQ_TOL
         return PointMeasure(self.d, self.gammas[keep], self.masses[keep])
+
+
+@dataclass(frozen=True)
+class CertifiedMeasure(PointMeasure):
+    """A log-derivative measure and the record of its rounding floor:
+    how many atoms above ``_ATOM_TOL`` fell below their rounding bound,
+    the frequency below which none did (the cutoff if none did), and the
+    largest bound of a kept atom (None without one)."""
+
+    noise_dropped: int
+    certified_cutoff: float
+    max_error_bound: float | None
+
+
+@dataclass(frozen=True)
+class LogderivCoefficients:
+    """The coefficients of f'/f at height s read as atoms: d, and b_gamma
+    for FREQ_TOL < gamma < cutoff with a bound on the rounding error of
+    each (``logderiv_coefficients``).  Ghosts, whose float value is an
+    exact cancellation, have b = 0."""
+
+    d: float
+    gammas: np.ndarray
+    masses: np.ndarray
+    bounds: np.ndarray
+    cutoff: float
+
+    def kept(self) -> np.ndarray:
+        """The atoms: |b| above ``_ATOM_TOL`` and above its rounding bound."""
+        mod = np.abs(self.masses)
+        return (mod > _ATOM_TOL) & (mod > self.bounds)
+
+    def measure(self) -> CertifiedMeasure:
+        """The kept atoms with their conjugates at -gamma, and the record
+        of the atoms dropped as rounding noise."""
+        keep = self.kept()
+        noise = (np.abs(self.masses) > _ATOM_TOL) & ~keep
+        g, b = self.gammas[keep], self.masses[keep]
+        return CertifiedMeasure(
+            d=self.d,
+            gammas=np.concatenate([-g[::-1], g]),
+            masses=np.concatenate([np.conj(b[::-1]), b]),
+            noise_dropped=int(np.count_nonzero(noise)),
+            certified_cutoff=float(self.gammas[noise][0]) if noise.any() else float(self.cutoff),
+            max_error_bound=float(np.max(self.bounds[keep])) if keep.any() else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -333,12 +381,13 @@ def bohr_atoms(A: ZeroSet, gammas, full, half, T: float, threshold: float) -> Po
     return PointMeasure(d=d, gammas=gammas[keep], masses=full[keep])
 
 
-def logderiv_measure(
+def logderiv_coefficients(
     f: ExpSum,
     s: float | str = "auto",
     cutoff: float = 10.0,
-) -> PointMeasure:
-    """Diffraction atoms from the coefficients of f'/f at height s.
+) -> LogderivCoefficients:
+    """The coefficients of f'/f at height s as atoms, each with a proven
+    bound on its rounding error.
 
     The Neumann recursion is run pruning-free and truncated at the
     cutoff, because coefficients at frequency gamma get rescaled by
@@ -346,6 +395,30 @@ def logderiv_measure(
     they look at height s.  The truncation is exact below the cutoff:
     the spectrum of the Neumann remainder is strictly positive, so its
     powers only move up.
+
+    The bound.  f'/f = f'_s * (1/f_s) runs on ``Majorized`` sums (see
+    there): the inverse from ``neumann_inverse``, and f'_s with
+    5 + exp_units(2*pi*w*s) + 1 units per coefficient (fl(2*pi), its
+    product with w, the complex product, then at_height).  f' is
+    ``derivative``'s, which drops the terms below PRUNE_TOL of its Wiener
+    norm: exact zeros, and a term whose frequency is within about 1e-14
+    of 0 relative to the others.  The bound is a rounding bound for that
+    f', and such a term is not a rounding.  A coefficient p
+    of ld = f'_s * (1/f_s) with majorant M and count r is within
+    gamma_r*A <= gamma_{2r}*M of its exact value, and the exact |p| <= A
+    <= (1 + gamma_r)*M.  Its atom is b = 1j*p*E/2pi, with E the libm exp of
+    x~ = fl(fl(fl(2*pi)*gamma)*s) within gamma_e of exp(2*pi*gamma*s), e =
+    ``exp_units``, the product by E rounding once and the quotient by
+    fl(2*pi) (a product by fl(1/fl(2*pi))) within gamma_3; 1j*p is exact.
+    Then, for the exact b at the same gamma and s,
+
+        |b~ - b| <= E~/2pi * M * (gamma_{2r+4} + (1 + gamma_r) * gamma_{e+4}
+                    * (1 + gamma_{2e})) <= gamma_K * M * E~/2pi,
+
+    K = 3r + 3e + 8, by the same lemma (E <= E~/(1 - gamma_e) <= E~(1 +
+    gamma_{2e})).  The bound is that, raised by 1e-12 of itself for its
+    own rounding; it is infinite once K*u >= 1.  b itself is computed as
+    it always was, so every kept atom is the same bit for bit.
     """
     if len(f) < 2:
         raise DomainError(
@@ -357,22 +430,39 @@ def logderiv_measure(
     if s == "auto":
         s = choose_height(f)
     s = float(s)
-    inv = neumann_inverse(f, s, cutoff)
-    dfs = at_height(derivative(f), s)
+    inv = neumann_inverse(f, s, cutoff, majorized=True)
+    dfs = majorize(at_height(derivative(f), s),
+                   exp_units(2.0 * math.pi * f.max_abs_freq * s) + 6)
     ld = multiply(dfs, inv)
 
-    i0 = np.flatnonzero(np.abs(ld.freqs) <= FREQ_TOL)
+    live = ld.coeffs != 0
+    i0 = np.flatnonzero(live & (np.abs(ld.freqs) <= FREQ_TOL))
     p0 = complex(ld.coeffs[i0[0]]) if i0.size else 0j
     d_complex = 1j * p0 / math.pi
-    d = float(d_complex.real)
     sel = (ld.freqs > FREQ_TOL) & (ld.freqs < cutoff)
     g = ld.freqs[sel]
-    b = 1j * ld.coeffs[sel] * np.exp(2.0 * math.pi * g * s) / (2.0 * math.pi)
-    keep = np.abs(b) > _ATOM_TOL
-    g, b = g[keep], b[keep]
-    gammas = np.concatenate([-g[::-1], g])
-    masses = np.concatenate([np.conj(b[::-1]), b])
-    return PointMeasure(d=d, gammas=gammas, masses=masses)
+    x = 2.0 * math.pi * g * s
+    E = np.exp(x)
+    b = 1j * ld.coeffs[sel] * E / (2.0 * math.pi)
+    K = 3.0 * ld.rounds + 3.0 * exp_units(x) + 8.0
+    Ku = K * _U
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gamma_K = np.where(Ku < 1.0, Ku / (1.0 - Ku), np.inf)
+        bounds = gamma_K * ld.major[sel] * E / (2.0 * math.pi) * (1.0 + 1e-12)
+    return LogderivCoefficients(d=float(d_complex.real), gammas=g, masses=b, bounds=bounds,
+                                cutoff=float(cutoff))
+
+
+def logderiv_measure(
+    f: ExpSum,
+    s: float | str = "auto",
+    cutoff: float = 10.0,
+) -> CertifiedMeasure:
+    """Diffraction atoms from the coefficients of f'/f at height s
+    (``logderiv_coefficients``): every coefficient whose atom is above
+    ``_ATOM_TOL`` and above its rounding bound, with its conjugate at
+    -gamma; the others are rounding noise (``CertifiedMeasure``)."""
+    return logderiv_coefficients(f, s, cutoff).measure()
 
 
 def _gaussian_comb_tail(x0: float, alpha: float) -> float:

@@ -31,6 +31,7 @@ from .wiener import (
 from .zeros import ZeroSet
 
 T3_BUDGET = 1000.0  # largest sum |b|/gamma over 0 < gamma < 1 a rebuild accepts
+_TINY = 2.0 ** -1074  # the spacing of the subnormal floats
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,8 @@ def coefficient_distance(g: ExpSum, f: ExpSum, h: float, zabs: float) -> float:
     q = np.concatenate([g.coeffs, -f.coeffs])
     if not w.size:
         return 0.0
-    order, new_group = _merge_groups(w)
-    w, q = w[order], q[order]
+    order, w, new_group = _merge_groups(w)
+    q = q[order]
     starts = np.flatnonzero(new_group)
     w0 = w[starts][np.cumsum(new_group) - 1]
     with np.errstate(over="ignore"):
@@ -276,6 +277,16 @@ def g_boundedness(mu_hat: PointMeasure, X_grid) -> GReport:
     low-band mass sum of ``PointMeasure.low_band``.  A finite atom list
     therefore always gives a bounded g; the windows only show how much
     of the bound a sample attains.
+
+    Among subnormal numbers rounding is absolute: a product, quotient or
+    ``np.abs`` errs by up to 2**-1074 (additions are exact there).  t3
+    then falls short by up to 2**-1074 * (1/gamma + 1/2) per atom (the
+    modulus's error passes through the quotient by gamma), and a sample of
+    |g| runs over by up to 2*sqrt2 * 2**-1074 per atom (b/gamma, its
+    product with the kernel, and the subtracted sum) plus 2**-1074 for
+    the modulus.  ``sup_bound`` adds that allowance, 2**-1074 *
+    (sum of 2/gamma + 4 per atom + 1), which moves no bound larger than
+    2**53 times it.
     """
     Xs = sorted(float(x) for x in X_grid)
     sups = []
@@ -283,7 +294,9 @@ def g_boundedness(mu_hat: PointMeasure, X_grid) -> GReport:
     for X in Xs:
         running = max(running, _sup_abs_g(mu_hat, X))
         sups.append(running)
-    return GReport(windows=list(zip(Xs, sups)), sup_bound=2.0 * mu_hat.low_band()[2])
+    g, _, t3 = mu_hat.low_band()
+    allowance = (float(np.sum(2.0 / g)) + 4.0 * g.size + 1.0) * _TINY if g.size else 0.0
+    return GReport(windows=list(zip(Xs, sups)), sup_bound=2.0 * t3 + allowance)
 
 
 def _logabs_zeroset(A: ZeroSet, y: float) -> float:

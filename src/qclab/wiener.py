@@ -10,7 +10,9 @@ modules rely on.
 All operations return canonical sums: frequencies strictly increasing
 and frequencies closer than ``FREQ_TOL`` merged.  ``canonicalize`` and
 ``derivative`` drop coefficients below ``PRUNE_TOL`` times the Wiener
-norm; sums and products drop only exact cancellations.
+norm; sums and products drop only exact cancellations.  The one
+exception is the series engine's working form ``Majorized``, which keeps
+a rounding majorant per term and the exact cancellations as ghost terms.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ PRUNE_TOL = 1e-14         # relative to the Wiener norm
 MAX_TERMS = 200_000       # algebra capacity: terms of one product
 _WORK_CAP = 40_000_000    # pairwise-product workspace limit (complex entries)
 _EXP_BUDGET = 1_000_000   # _exp_rows buffer, one block of rows (complex entries)
+_SMALL_GROUP = 16         # groups this small find representatives by member offset
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,91 @@ def empty_sum() -> ExpSum:
     return _make(np.empty(0), np.empty(0, complex))
 
 
+@dataclass(frozen=True)
+class Majorized(ExpSum):
+    """An exponential sum in the series engine's working form: each term
+    carries a majorant ``major``, and ``rounds`` is a count r of rounding
+    units, such that every coefficient c~ lies within gamma_r * A of its
+    exact value c, and A <= (1 + gamma_r) * major.
+
+    Here gamma_k = k*u / (1 - k*u) with u = 2**-53, the exact value is the
+    same computation in exact arithmetic on the exact input data (the
+    frequencies, merges and truncations are the float run's), and A is
+    the path sum: the sum of |t| over the products t of input
+    coefficients along every path of the computation into the term.  IEEE
+    double arithmetic rounds to nearest and nothing underflows.
+
+    A term whose coefficient is exactly zero is a ghost: a group whose
+    members cancelled exactly.  A canonical sum drops it; here it stays,
+    so that its majorant reaches its descendants, whose float values lack
+    its exact (nonzero, at most gamma_r * A) value.  Ghost products are
+    ghosts.  The coefficients merge over the live terms alone, exactly as
+    ``_canonical_from_arrays`` merges them, so every live term is the
+    canonical sum's term bit for bit; ``canonical`` drops the ghosts.
+
+    The invariant holds by induction over the operations (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, Lemma 3.3:
+    (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}):
+
+    - Input data x~ within gamma_a of x (``majorize``): A = |x| and
+      major = fl|x~| with ``np.abs`` within one ulp, so r = 2a + 2 covers
+      1 / ((1 - gamma_a)(1 - 2u)) <= 1 + gamma_{2a+2}.
+    - A product of terms (c, A, r) and (d, B, q) rounds once, with
+      relative error at most sqrt5*u <= gamma_3 (Brent, Percival and
+      Zimmermann, Math. Comp. 76, 2007), and its group sum passes each
+      raw term through at most g - 1 additions, g the group size:
+      |c~d~ - cd| <= gamma_{r+q} A B, so each raw term errs by at most
+      gamma_{r+q+g+2} A B, and so does a ghost pair, whose float term is
+      0 and whose exact term is at most gamma_r A B.  The path sums of a
+      group add the raw products A B, and the float majorant sums the
+      products major_c * major_d in g roundings of nonnegative numbers,
+      each of relative error at most u.  Hence r' = r + q + g + 2.
+    - A sum rounds each term through at most g - 1 additions:
+      r' = max(r, q) + g - 1.  Scaling by a real w is exact for |w| = 1
+      (r' = r) and rounds once otherwise (r' = r + 1).
+
+    g is the largest group of the merge over all terms, ghosts included.
+    A ghost member joins the group of live terms it chains to by
+    ``FREQ_TOL`` gaps: each live group takes the majorant of the whole
+    chain over all terms that holds it, which bounds the path sum of the
+    live group with any of the chain's ghosts, and a chain without a live
+    member is one ghost at its lowest frequency.  The coefficients alone
+    merge as if no ghost were there, so a ghost between two live groups
+    never joins them.
+    """
+
+    major: np.ndarray
+    rounds: int
+
+    def canonical(self) -> ExpSum:
+        """The canonical sum: the live terms, bit for bit."""
+        live = self.coeffs != 0
+        return _make(self.freqs[live], self.coeffs[live])
+
+
+def _majorized(freqs, coeffs, major, rounds: int) -> Majorized:
+    f = _make(freqs, coeffs)
+    major = np.ascontiguousarray(major, dtype=float)
+    major.setflags(write=False)
+    return Majorized(f.freqs, f.coeffs, major, int(rounds))
+
+
+def majorize(f: ExpSum, units: int = 0) -> Majorized:
+    """f as input data of the series engine, each coefficient within
+    gamma_units (relative) of its exact value."""
+    return _majorized(f.freqs, f.coeffs, np.abs(f.coeffs), 2 * units + 2)
+
+
+def exp_units(x):
+    """k with |fl(exp(x~)) / exp(x) - 1| <= gamma_k, where x~ is
+    x = 2*pi*w*s computed with three roundings (fl(2*pi) and two products)
+    and libm's exp errs by at most 2u (assumed): |x~ - x| <= gamma_3 |x|,
+    and exp(y) <= 1 + gamma_j once j*u >= y, so j = 3|x| with room for
+    the rounding of x~, plus 2.  Scalars give an int."""
+    k = np.ceil(3.0 * np.abs(x) * (1.0 + 1e-12)) + 2.0
+    return int(k) if np.ndim(k) == 0 else k
+
+
 def _representatives(mag, new_group, starts):
     """Index of each group's representative: the member of largest
     ``mag``, ties going to the first (lowest frequency), with nan below
@@ -79,32 +167,113 @@ def _representatives(mag, new_group, starts):
 
 
 def _merge_groups(freqs):
-    """The frequency-merge rule: the stable sort order of ``freqs``, and
-    which of the sorted frequencies start a spectral point (a chain of
-    consecutive gaps <= FREQ_TOL is one point)."""
+    """The frequency-merge rule: the stable sort order of ``freqs``, the
+    sorted frequencies, and which of them start a spectral point (a chain
+    of consecutive gaps <= FREQ_TOL is one point)."""
     order = np.argsort(freqs, kind="stable")
     freqs = freqs[order]
     new_group = np.empty(freqs.size, dtype=bool)
     new_group[0] = True
     np.greater(np.diff(freqs), FREQ_TOL, out=new_group[1:])
-    return order, new_group
+    return order, freqs, new_group
 
 
-def _canonical_from_arrays(freqs, coeffs, prune_tol) -> ExpSum:
-    """Merge and prune (frequency, coefficient) arrays into a canonical sum."""
+def _merge_run(freqs, coeffs, new_group, starts):
+    """Representative frequency and merged coefficient of each group of
+    sorted terms, by the rule of ``_representatives``.
+
+    Only a group whose first and last frequency differ in their bits can
+    have a representative other than its first member.  When those groups
+    have at most ``_SMALL_GROUP`` members, a running first maximum over
+    member offsets finds the same member as ``_representatives`` (ties to
+    the lower offset, nan below every number) from those groups alone.
+    """
+    merged = np.add.reduceat(coeffs, starts)
+    if starts.size == freqs.size:
+        return freqs, merged
+    last = np.empty_like(starts)
+    last[:-1] = starts[1:] - 1
+    last[-1] = freqs.size - 1
+    bits = freqs.view(np.int64)
+    fuzzy = np.flatnonzero(bits[last] != bits[starts])
+    if fuzzy.size == 0:
+        return freqs[starts], merged
+    first, end = starts[fuzzy], last[fuzzy]
+    if np.max(end - first) >= _SMALL_GROUP:
+        return freqs[_representatives(np.abs(coeffs), new_group, starts)], merged
+
+    def key(i):
+        mag = np.abs(coeffs[i])
+        return np.where(np.isnan(mag), -1.0, mag)
+
+    best_at, best = first, key(first)
+    for t in range(1, int(np.max(end - first)) + 1):
+        at = np.minimum(first + t, end)
+        k = key(at)
+        up = k > best
+        best_at, best = np.where(up, at, best_at), np.where(up, k, best)
+    reps = freqs[starts]
+    reps[fuzzy] = freqs[best_at]
+    return reps, merged
+
+
+def _canonical_from_arrays(freqs, coeffs, prune_tol, track=None) -> ExpSum:
+    """Merge and prune (frequency, coefficient) arrays into a canonical sum.
+
+    With ``track = (major, live, rounds)`` (prune_tol 0) the result is a
+    ``Majorized`` sum instead: ghosts stay, ``major`` (per raw term) is
+    summed over the same sort order and groups, ``live`` marks the raw
+    terms that are not ghosts (None: all), and the result's count is
+    ``rounds`` plus the largest group size.
+    """
     freqs, coeffs = np.asarray(freqs, float), np.asarray(coeffs, complex)
     if freqs.size == 0:
-        return empty_sum()
-    order, new_group = _merge_groups(freqs)
-    freqs = freqs[order]
+        return empty_sum() if track is None else _majorized(
+            np.empty(0), np.empty(0, complex), np.empty(0), track[2])
+    order, freqs, new_group = _merge_groups(freqs)
     coeffs = coeffs[order]
     starts = np.flatnonzero(new_group)
-    merged = np.add.reduceat(coeffs, starts)
-    rep_freqs = freqs if starts.size == freqs.size else freqs[_representatives(
-        np.abs(coeffs), new_group, starts)]
+    if track is not None:
+        major, live, rounds = track
+        size = freqs.size - starts[-1]
+        if starts.size > 1:
+            size = max(size, int(np.max(np.diff(starts))))
+        return _merge_majorized(freqs, coeffs, np.add.reduceat(major[order], starts),
+                                None if live is None or live.all() else live[order],
+                                new_group, starts, rounds + size)
+    rep_freqs, merged = _merge_run(freqs, coeffs, new_group, starts)
     norm = float(np.sum(np.abs(merged)))
     keep = np.abs(merged) > prune_tol * norm
     return _make(rep_freqs[keep], merged[keep])
+
+
+def _merge_majorized(freqs, coeffs, major, live, new_group, starts, rounds) -> Majorized:
+    """The ``Majorized`` merge of sorted raw terms, given the majorant of
+    each chain over all terms (``major``): the coefficients merge over the
+    live terms alone, each live group takes its chain's majorant, and a
+    chain without a live member is a ghost at its lowest frequency."""
+    if live is None:
+        rep_freqs, merged = _merge_run(freqs, coeffs, new_group, starts)
+        return _majorized(rep_freqs, merged, major, rounds)
+    out_f, out_c, out_m = freqs.copy(), np.zeros(freqs.size, complex), np.empty(freqs.size)
+    slot = np.zeros(freqs.size, dtype=bool)
+    ghost = np.ones(starts.size, dtype=bool)
+    if live.any():
+        lf, lc = freqs[live], coeffs[live]
+        lnew = np.empty(lf.size, dtype=bool)
+        lnew[0] = True
+        np.greater(np.diff(lf), FREQ_TOL, out=lnew[1:])
+        lstarts = np.flatnonzero(lnew)
+        at = np.flatnonzero(live)[lstarts]  # sorted position of each live group
+        chain = (np.cumsum(new_group) - 1)[at]
+        ghost[chain] = False
+        out_f[at], out_c[at] = _merge_run(lf, lc, lnew, lstarts)
+        out_m[at] = major[chain]
+        slot[at] = True
+    out_m[starts[ghost]] = major[ghost]
+    slot[starts[ghost]] = True
+    keep = np.flatnonzero(slot)
+    return _majorized(out_f[keep], out_c[keep], out_m[keep], rounds)
 
 
 def canonicalize(terms, prune_tol: float = PRUNE_TOL) -> ExpSum:
@@ -169,15 +338,38 @@ def evaluate(f: ExpSum, z):
     return out.reshape(np.atleast_1d(zarr).shape)
 
 
+def _tracked(f: ExpSum, g: ExpSum) -> bool:
+    if isinstance(f, Majorized) != isinstance(g, Majorized):
+        raise TypeError("a Majorized sum combines only with a Majorized sum")
+    return isinstance(f, Majorized)
+
+
 def add(f: ExpSum, g: ExpSum) -> ExpSum:
-    return _canonical_from_arrays(
-        np.concatenate([f.freqs, g.freqs]), np.concatenate([f.coeffs, g.coeffs]), 0.0)
+    freqs = np.concatenate([f.freqs, g.freqs])
+    coeffs = np.concatenate([f.coeffs, g.coeffs])
+    if not _tracked(f, g):
+        return _canonical_from_arrays(freqs, coeffs, 0.0)
+    return _canonical_from_arrays(freqs, coeffs, 0.0, (
+        np.concatenate([f.major, g.major]), coeffs != 0, max(f.rounds, g.rounds) - 1))
 
 
 def scale(f: ExpSum, c) -> ExpSum:
+    if isinstance(f, Majorized):
+        return _majorized(f.freqs, f.coeffs * complex(c), f.major * abs(c),
+                          f.rounds + (abs(c) != 1))
     if c == 0 or len(f) == 0:
         return empty_sum()
     return _make(f.freqs, f.coeffs * complex(c))
+
+
+def _runs_apart(f: ExpSum, g: ExpSum) -> bool:
+    """True if both spectra increase by more than 4 ulps of
+    max|f| + max|g| at every step.  Two pairwise sums f_i + g_j and
+    f_k + g_l, each rounded by at most half an ulp of that bound, can then
+    round to the same float only if i < k and j > l or the reverse: any
+    other pair of pairs differs by at least one gap before rounding."""
+    room = 4.0 * float(np.spacing(f.max_abs_freq + g.max_abs_freq))
+    return all(len(x) < 2 or float(np.min(np.diff(x.freqs))) > room for x in (f, g))
 
 
 def multiply(f: ExpSum, g: ExpSum, *, keep_freqs_up_to: float | None = None) -> ExpSum:
@@ -187,20 +379,47 @@ def multiply(f: ExpSum, g: ExpSum, *, keep_freqs_up_to: float | None = None) -> 
     exceeds the product of the inputs' norms.  ``keep_freqs_up_to``
     drops the pairwise terms above that frequency (by more than
     ``FREQ_TOL``) before they are merged.
+
+    The pairwise terms are laid out row by row of f, or, when
+    ``_runs_apart``, column by column of g from its highest frequency
+    down.  Each column is then a sorted run, which the stable sort merges
+    fast, and it orders the terms as in the row layout: equal sums tie by
+    ascending i in the row layout, and by descending j in the columns,
+    which is the same order since ``_runs_apart`` leaves only ties with i
+    and j in opposite order.  So the merge, and the product, do not depend
+    on the layout.
     """
     n, m = len(f), len(g)
+    tracked = _tracked(f, g)
+    rounds = f.rounds + g.rounds + 2 if tracked else 0
     if n == 0 or m == 0:
-        return empty_sum()
+        return _majorized(np.empty(0), np.empty(0, complex), np.empty(0),
+                          rounds) if tracked else empty_sum()
     if n * m > _WORK_CAP:
         raise CapacityError(
             f"product would create {n * m} raw terms, above the workspace cap {_WORK_CAP}"
         )
-    freqs = (f.freqs[:, None] + g.freqs[None, :]).ravel()
-    coeffs = (f.coeffs[:, None] * g.coeffs[None, :]).ravel()
+    if _runs_apart(f, g):
+        def pairs(op, a, b):
+            return op(a[None, :], b[::-1, None]).ravel()
+    else:
+        def pairs(op, a, b):
+            return op(a[:, None], b[None, :]).ravel()
+    freqs = pairs(np.add, f.freqs, g.freqs)
+    coeffs = pairs(np.multiply, f.coeffs, g.coeffs)
+    major = live = None
+    if tracked:
+        major = pairs(np.multiply, f.major, g.major)
+        live_f, live_g = f.coeffs != 0, g.coeffs != 0
+        if not (live_f.all() and live_g.all()):
+            live = pairs(np.logical_and, live_f, live_g)
     if keep_freqs_up_to is not None:
         low = freqs <= keep_freqs_up_to + FREQ_TOL
         freqs, coeffs = freqs[low], coeffs[low]
-    out = _canonical_from_arrays(freqs, coeffs, 0.0)
+        if tracked:
+            major = major[low]
+            live = None if live is None else live[low]
+    out = _canonical_from_arrays(freqs, coeffs, 0.0, (major, live, rounds) if tracked else None)
     if len(out) > MAX_TERMS:
         raise CapacityError(f"product has {len(out)} terms, above the capacity {MAX_TERMS}")
     return out
@@ -266,13 +485,17 @@ def _power_series(x: ExpSum, weight, cutoff: float) -> ExpSum:
     up, so a dropped term can never feed a kept one: the terms at or
     below the cutoff are exact, and the truncated power is empty once k
     times the smallest frequency passes the cutoff.
+
+    A ``Majorized`` x gives a ``Majorized`` series: its ghosts ride along
+    until the truncation empties the power.
     """
     if len(x) and x.freqs[0] <= 0:
         raise InvalidInputError("a truncated power series needs strictly positive frequencies")
     if not math.isfinite(cutoff):
         raise InvalidInputError("the series cutoff must be finite")
-    series = constant(1.0)
-    power = constant(1.0)
+    series = power = constant(1.0)
+    if isinstance(x, Majorized):
+        series = power = majorize(series)
     k = 0
     while len(power):
         k += 1
@@ -281,7 +504,7 @@ def _power_series(x: ExpSum, weight, cutoff: float) -> ExpSum:
     return series
 
 
-def neumann_inverse(f: ExpSum, s: float, cutoff: float) -> ExpSum:
+def neumann_inverse(f: ExpSum, s: float, cutoff: float, *, majorized: bool = False) -> ExpSum:
     """Inverse of ``x -> f(x + 1j*s)`` as an exponential sum in x, exact
     at the frequencies up to ``cutoff - w1``.
 
@@ -290,6 +513,16 @@ def neumann_inverse(f: ExpSum, s: float, cutoff: float) -> ExpSum:
     series ``sum (-H)^j`` truncated at ``cutoff``.  Every term up to the
     cutoff is kept however small: the diffraction extraction rescales
     high-frequency coefficients by large exponentials afterwards.
+
+    The series runs on ``Majorized`` sums; ``majorized=True`` returns
+    that form, ghosts and majorant included, and otherwise its canonical
+    sum.  Its exact values are those of the exact f: at_height puts
+    exp_units(2*pi*w*s) + 1 units on each coefficient, the quotient by q1
+    (Smith's algorithm, within 2*gamma_3 + gamma_4 <= gamma_10 of the
+    exact quotient's modulus) 10 more, and the error of q1 enters twice
+    (|1/(1 + t) - 1| <= gamma_{2k} for |t| <= gamma_k): H has
+    e_max + 2*e_1 + 13 units and 1/q1 has 2*e_1 + 12, with e_max and e_1
+    the units of the largest |w| and of w1.
     """
     if len(f) == 0:
         raise InvalidInputError("cannot invert the empty sum")
@@ -297,17 +530,20 @@ def neumann_inverse(f: ExpSum, s: float, cutoff: float) -> ExpSum:
     fs = at_height(f, s)
     w1 = float(fs.freqs[0])
     q1 = complex(fs.coeffs[0])
+    e_1 = exp_units(2.0 * math.pi * w1 * s)
+    shift = majorize(canonicalize([(-w1, 1.0 / q1)]), 2 * e_1 + 12)
     if len(fs) == 1:
-        return canonicalize([(-w1, 1.0 / q1)])
+        return shift if majorized else shift.canonical()
     H = _make(fs.freqs[1:] - w1, fs.coeffs[1:] / q1)
     hnorm = H.wiener_norm
     if hnorm >= 1.0:
         raise DivergenceError(
             f"||H||_W = {hnorm:.6g} >= 1 at height s = {s:.6g}; use a larger height"
         )
-    series = _power_series(H, lambda j: -1.0, cutoff)
-    shift = canonicalize([(-w1, 1.0 / q1)])
-    return multiply(series, shift)
+    e_max = exp_units(2.0 * math.pi * f.max_abs_freq * s)
+    series = _power_series(majorize(H, e_max + 2 * e_1 + 13), lambda j: -1.0, cutoff)
+    inv = multiply(series, shift)
+    return inv if majorized else inv.canonical()
 
 
 def exp_series(g: ExpSum, cutoff: float) -> ExpSum:

@@ -246,5 +246,5 @@ def test_criterion_8_determinism(tmp_path):
     a = (tmp_path / "a" / "report.json").read_bytes()
     b = (tmp_path / "b" / "report.json").read_bytes()
     doc = json.loads(a)
-    ok = code_a == code_b == 0 and a == b and doc["schema"] == 3
+    ok = code_a == code_b == 0 and a == b and doc["schema"] == 4
     _report(8, ok, f"{len(a)} byte reports, identical {a == b}")

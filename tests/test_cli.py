@@ -470,9 +470,15 @@ class TestRoundtripCertificate:
 
 
 class TestReportSchema:
-    def test_schema_three_and_the_exact_type(self, three_factor_run):
+    def test_schema_four_and_the_exact_type(self, three_factor_run):
         doc, _ = three_factor_run
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
+        log = doc["stages"]["diffraction"]["logderiv"]
+        assert log["atom_count"] == 2 * 90
+        assert log["noise_dropped"] == 2977
+        # the lowest mixed frequency whose noise passes _ATOM_TOL: 4 + 5 sqrt2 + 5 sqrt3
+        assert log["certified_cutoff"] == pytest.approx(4 + 5 * np.sqrt(2) + 5 * np.sqrt(3), abs=1e-9)
+        assert 0.0 < log["max_error_bound"] < 1e-10
         rec = doc["stages"]["reconstruct"]
         assert rec["exponential_type"]["exact"] == -2.0 * np.pi * rec["spectrum"]["min_freq"]
         assert set(rec["g"]) == {"windows", "sup_bound"}
@@ -610,7 +616,7 @@ class TestEmitOutputs:
                      "plot_g_sup.csv", "plot_m_of_s.csv", "plot_poisson_vs_T.csv"):
             assert (out / name).exists(), name
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
         assert doc["config"]["tolerances"]["freq_tol"] == 1e-9
 
     def test_no_knob_outside_the_command_line(self, tmp_path):

@@ -2,9 +2,10 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qclab import wiener
@@ -67,10 +68,11 @@ class TestCanonicalize:
         f = canonicalize([(0.0, 1.0), (1.0, 1e-20)])
         assert len(f) == 1
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from([0.0, 1e-10, 5e-10, 1.0]),
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.0, 1e-10, 5e-10, 1.0]),
                               st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf, np.nan])),
                     min_size=1, max_size=40))
+    @example(members=[(1e-10, 0.5)] * 19 + [(1e-10, 2.0)])  # one group of 20, largest last
     def test_representative_is_the_lexsort_pick(self, members):
         # gaps of 1e-10 and 5e-10 chain members into one group, 1.0 starts
         # a new one; magnitudes repeat (ties) and include inf and nan
@@ -83,6 +85,11 @@ class TestCanonicalize:
         group = np.cumsum(new_group) - 1
         want = np.lexsort((-mag, group))[starts]
         assert np.array_equal(wiener._representatives(mag, new_group, starts), want)
+        # the merge takes the same pick: by member offset in groups of up to
+        # _SMALL_GROUP members, else by _representatives, and the first
+        # member where the group's frequencies are one float
+        reps, merged = wiener._merge_run(freqs, mag.astype(complex), new_group, starts)
+        assert np.array_equal(reps, freqs[want])
 
 
 class TestEvaluate:
@@ -430,3 +437,191 @@ class TestTruncatedSeries:
             sel = high.freqs <= X
             assert np.array_equal(low.freqs, high.freqs[sel])
             assert np.array_equal(low.coeffs, high.coeffs[sel])
+
+
+def _bits(f):
+    return (np.ascontiguousarray(f.freqs).view(np.uint64).tolist(),
+            np.ascontiguousarray(f.coeffs).view(np.uint64).tolist())
+
+
+@st.composite
+def _tied_sum(draw, step):
+    # frequencies on a lattice of `step` (pairwise sums tie exactly and often),
+    # some moved by a few ulps or by 1.5 FREQ_TOL, complex coefficients
+    ks = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True))
+    terms = []
+    for k in ks:
+        w = k * step + draw(st.sampled_from([0.0, 0.0, 1e-15, -2e-15, 1.5e-9]))
+        terms.append((w, complex(draw(_small)) or 1.0))
+    return canonicalize(terms, prune_tol=0.0)
+
+
+class TestProductLayout:
+    """``multiply`` lays the pairwise terms out by columns of g when the
+    spectra are apart; the product is bit for bit the row layout's."""
+
+    @staticmethod
+    def _rows(monkeypatch, f, g, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(wiener, "_runs_apart", lambda f, g: False)
+            return multiply(f, g, **kw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tied_sum(0.25), _tied_sum(0.5), st.sampled_from([None, 2.0, 30.0]))
+    def test_columns_equal_rows(self, f, g, cutoff):
+        mp = pytest.MonkeyPatch()
+        try:
+            rows = self._rows(mp, f, g, keep_freqs_up_to=cutoff)
+        finally:
+            mp.undo()
+        assert wiener._runs_apart(f, g)
+        assert _bits(multiply(f, g, keep_freqs_up_to=cutoff)) == _bits(rows)
+
+    def test_close_frequencies_keep_the_row_layout(self, monkeypatch):
+        # frequencies 1 ulp apart (not canonical): their pairwise sums tie
+        # with i and j in the same order, which only the row layout orders
+        w = np.array([1.0, np.nextafter(1.0, 2.0)])
+        f = wiener._make(w, np.array([1.0, 3.0 + 1j]))
+        g = wiener._make(w, np.array([2.0, 1j]))
+        assert not wiener._runs_apart(f, g)
+        assert _bits(multiply(f, g)) == _bits(self._rows(monkeypatch, f, g))
+
+
+def _with_ghosts(f, ghosts):
+    """f as a Majorized sum with extra zero terms at ``ghosts``."""
+    freqs = np.concatenate([f.freqs, ghosts])
+    order = np.argsort(freqs, kind="stable")
+    coeffs = np.concatenate([f.coeffs, np.zeros(len(ghosts), complex)])
+    return wiener._majorized(freqs[order], coeffs[order], np.abs(coeffs[order]) + 1.0, 2)
+
+
+class TestMajorizedGhosts:
+    """Ghost terms carry a majorant but never enter the coefficients: the
+    live terms of a Majorized result are the canonical result bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tied_sum(0.25), _tied_sum(0.5),
+           st.lists(st.sampled_from([0.1, 0.25 + 0.75e-9, 0.5 + 0.75e-9, 7.3]), max_size=3,
+                    unique=True))
+    def test_live_terms_are_the_canonical_result(self, f, g, ghosts):
+        # ghosts 0.75 FREQ_TOL above a lattice point chain to a term 1.5
+        # FREQ_TOL above it: the majorant's chain joins what the coefficients keep apart
+        ghosts = [x for x in ghosts if np.min(np.abs(f.freqs - x)) > 0]
+        F, G = _with_ghosts(f, ghosts), _with_ghosts(g, [])
+        for plain, tracked in ((multiply(f, g), multiply(F, G)),
+                               (multiply(f, g, keep_freqs_up_to=3.0),
+                                multiply(F, G, keep_freqs_up_to=3.0)),
+                               (add(f, g), add(F, G))):
+            assert isinstance(tracked, wiener.Majorized)
+            assert _bits(tracked.canonical()) == _bits(plain)
+            assert np.all(np.diff(tracked.freqs) > 0)
+            assert np.all(tracked.major >= np.abs(tracked.coeffs))
+
+    def test_a_ghost_between_two_groups_gives_both_its_majorant(self):
+        f = wiener._majorized(np.array([1.0, 1.0 + 1.5e-9]), np.array([1.0, 2.0 + 0j]),
+                              np.array([1.0, 2.0]), 2)
+        g = wiener._majorized(np.array([1.0 + 0.75e-9]), np.array([0j]), np.array([4.0]), 2)
+        out = add(f, g)
+        assert out.freqs.tolist() == [1.0, 1.0 + 1.5e-9]
+        assert out.coeffs.tolist() == [1.0, 2.0]
+        assert out.major.tolist() == [7.0, 7.0]
+
+    def test_exact_cancellation_stays_a_ghost(self, cos):
+        out = add(wiener.majorize(cos), scale(wiener.majorize(cos), -1.0))
+        assert len(out.canonical()) == 0
+        assert out.freqs.tolist() == [-0.5, 0.5]
+        assert np.all(out.major == 1.0)
+
+    def test_mixed_operands_rejected(self, cos):
+        with pytest.raises(TypeError):
+            multiply(wiener.majorize(cos), cos)
+
+
+def _gamma(k):
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
+
+
+class _Shadow:
+    """The engine in 50-digit arithmetic on integer frequencies: for each
+    frequency the exact value c and the path sum A of |products|."""
+
+    def __init__(self, f):
+        self.terms = {int(round(w)): (mpmath.mpc(complex(q)), abs(mpmath.mpc(complex(q))))
+                      for w, q in zip(f.freqs, f.coeffs)}
+
+    @classmethod
+    def of(cls, terms):
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    def add(self, other):
+        terms = dict(self.terms)
+        for k, (c, a) in other.terms.items():
+            c0, a0 = terms.get(k, (0, 0))
+            terms[k] = (c0 + c, a0 + a)
+        return _Shadow.of(terms)
+
+    def mul(self, other, cutoff=None):
+        terms = {}
+        for k1, (c1, a1) in self.terms.items():
+            for k2, (c2, a2) in other.terms.items():
+                if cutoff is None or k1 + k2 <= cutoff:
+                    c0, a0 = terms.get(k1 + k2, (0, 0))
+                    terms[k1 + k2] = (c0 + c1 * c2, a0 + a1 * a2)
+        return _Shadow.of(terms)
+
+    def scale(self, w):
+        return _Shadow.of({k: (c * w, a * abs(w)) for k, (c, a) in self.terms.items()})
+
+    def check(self, m):
+        """The Majorized invariant of ``m``, ghosts included."""
+        assert sorted(self.terms) == [int(round(w)) for w in m.freqs]
+        g = _gamma(m.rounds)
+        for w, q, major in zip(m.freqs, m.coeffs, m.major):
+            c, a = self.terms[int(round(w))]
+            assert abs(mpmath.mpc(complex(q)) - c) <= g * a
+            assert a <= (1 + g) * major
+
+
+class TestMajorantInvariant:
+    """Every coefficient lies within gamma_r * A of its exact value, and the
+    path sum A is at most (1 + gamma_r) * major, against 50-digit sums."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_scaled_coeffs(0.9), st.integers(1, 12), st.booleans())
+    def test_power_series(self, x, N, neumann):
+        # the proof assumes no underflow: products of up to 12 factors
+        # above 1e-20 stay far from it
+        assume(all(c == 0 or abs(c) > 1e-20 for c in x))
+        f = _integer_sum(x)
+        weight = (lambda k: -1.0) if neumann else (lambda k: 1.0 / k)
+        with mpmath.workdps(50):
+            got = wiener._power_series(wiener.majorize(f), weight, N)
+            sx = _Shadow(f)
+            series = power = _Shadow(constant(1.0))
+            k = 0
+            while power.terms:
+                k += 1
+                power = power.mul(sx, N).scale(weight(k))
+                series = series.add(power)
+            series.check(got)
+
+    def test_ghost_with_an_exact_value(self):
+        # 1 + 2**-60 - 1 cancels to 0 in floats but not exactly: the ghost at
+        # frequency 1 passes 2**-61 and 2**-62 to its children, which join a
+        # live term at 2
+        parts = [canonicalize([(1.0, c)], prune_tol=0.0) for c in (1.0, 2.0 ** -60, -1.0)]
+        d = canonicalize([(1.0, 0.5), (2.0, 0.25)])
+        e = canonicalize([(2.0, 1e-3)])
+        with mpmath.workdps(50):
+            m = add(add(wiener.majorize(parts[0]), wiener.majorize(parts[1])),
+                    wiener.majorize(parts[2]))
+            s = _Shadow(parts[0]).add(_Shadow(parts[1])).add(_Shadow(parts[2]))
+            assert m.coeffs.tolist() == [0j] and s.terms[1][0] == mpmath.mpf(2) ** -60
+            s.check(m)
+            m = add(multiply(m, wiener.majorize(d)), wiener.majorize(e))
+            s = s.mul(_Shadow(d)).add(_Shadow(e))
+            s.check(m)
+            assert m.freqs.tolist() == [2.0, 3.0] and m.coeffs.tolist() == [1e-3, 0j]
