@@ -23,13 +23,13 @@ from .wiener import (
     FREQ_TOL,
     ExpSum,
     _exp_rows,
+    _neumann_series,
     at_height,
     choose_height,
     derivative,
     exp_units,
     majorize,
     multiply,
-    neumann_inverse,
 )
 from .zeros import ZeroSet
 
@@ -397,7 +397,7 @@ def logderiv_coefficients(
     powers only move up.
 
     The bound.  f'/f = f'_s * (1/f_s) runs on ``Majorized`` sums (see
-    there): the inverse from ``neumann_inverse``, and f'_s with
+    there): the inverse from ``_neumann_series``, and f'_s with
     5 + exp_units(2*pi*w*s) + 1 units per coefficient (fl(2*pi), its
     product with w, the complex product, then at_height).  f' is
     ``derivative``'s, which drops the terms below PRUNE_TOL of its Wiener
@@ -406,7 +406,7 @@ def logderiv_coefficients(
     f', and such a term is not a rounding.  A coefficient p
     of ld = f'_s * (1/f_s) with majorant M and count r is within
     gamma_r*A <= gamma_{2r}*M of its exact value, and the exact |p| <= A
-    <= (1 + gamma_r)*M.  Its atom is b = 1j*p*E/2pi, with E the libm exp of
+    <= (1 + gamma_r)*M.  Its atom is b = 1j*p*E/2pi, with E numpy's exp of
     x~ = fl(fl(fl(2*pi)*gamma)*s) within gamma_e of exp(2*pi*gamma*s), e =
     ``exp_units``, the product by E rounding once and the quotient by
     fl(2*pi) (a product by fl(1/fl(2*pi))) within gamma_3; 1j*p is exact.
@@ -430,7 +430,7 @@ def logderiv_coefficients(
     if s == "auto":
         s = choose_height(f)
     s = float(s)
-    inv = neumann_inverse(f, s, cutoff, majorized=True)
+    inv = _neumann_series(f, s, cutoff)
     dfs = majorize(at_height(derivative(f), s),
                    exp_units(2.0 * math.pi * f.max_abs_freq * s) + 6)
     ld = multiply(dfs, inv)
