@@ -5,8 +5,8 @@ zeros yields a zero counting measure whose Fourier transform is pure
 point; the toolkit extracts the atoms by two independent routes and
 verifies the Poisson summation identity.  Inverse direction: a pure
 point measure is exponentiated back into a Dirichlet series whose zeros
-reproduce the original set, with the bounded-g criterion and an
-exponential-type estimate as evidence.
+reproduce the original set, with the bounded-g criterion and the exact
+exponential type of the rebuilt sum as evidence.
 """
 
 from .apset import (
@@ -19,7 +19,6 @@ from .apset import (
     density,
     krein_levin_diagnostic,
     lindelof_sum,
-    phi_fourier,
     phi_representation,
 )
 from .diffraction import (
@@ -50,8 +49,6 @@ from .errors import (
 )
 from .reconstruct import (
     GReport,
-    ProductValue,
-    canonical_product,
     exponential_type,
     g_boundedness,
     g_function,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .wiener import _exp_rows
 from .zeros import ZeroSet
 
 _MIN_PAIRS = 32  # fewest index pairs inside the window that test a shift h
@@ -34,7 +33,6 @@ class CountingConstants:
 @dataclass(frozen=True)
 class DensityEstimate:
     d: float
-    window_length: float
     error_bound: float
     counting: CountingConstants
 
@@ -56,15 +54,10 @@ class PhiRepresentation:
     def reconstruct(self) -> np.ndarray:
         return self.n / self.d + self.values
 
-    def items(self) -> list[tuple[int, float]]:
-        return [(int(k), float(v)) for k, v in zip(self.n, self.values)]
-
 
 @dataclass(frozen=True)
 class AlmostPeriodReport:
-    epsilon: float
     periods: list[tuple[float, int, float]]  # (tau, shift h, sup deviation)
-    search_range: tuple[float, float]
     max_gap: float | None  # largest gap between found periods; None below two
 
 
@@ -365,8 +358,7 @@ def density(A: ZeroSet) -> DensityEstimate:
         raise DomainError("window too short for a density estimate (needs >= 10 points)")
     cc = counting_constants(A)
     d = A.count / length
-    return DensityEstimate(d=d, window_length=length,
-                           error_bound=(2.0 * cc.k2 + 2.0 * cc.k1) / length, counting=cc)
+    return DensityEstimate(d=d, error_bound=(2.0 * cc.k2 + 2.0 * cc.k1) / length, counting=cc)
 
 
 def almost_periods(A: ZeroSet, epsilon: float, tau_range) -> AlmostPeriodReport:
@@ -425,8 +417,7 @@ def almost_periods(A: ZeroSet, epsilon: float, tau_range) -> AlmostPeriodReport:
             periods.append((tau, h, sup_dev))
     taus = sorted(p[0] for p in periods)
     max_gap = float(np.max(np.diff(taus))) if len(taus) >= 2 else None
-    return AlmostPeriodReport(epsilon=float(epsilon), periods=periods,
-                              search_range=(t0, t1), max_gap=max_gap)
+    return AlmostPeriodReport(periods=periods, max_gap=max_gap)
 
 
 def phi_representation(A: ZeroSet, d: float) -> PhiRepresentation:
@@ -441,26 +432,6 @@ def phi_representation(A: ZeroSet, d: float) -> PhiRepresentation:
     i0 = min(i0, e.size - 1)
     n = np.arange(e.size, dtype=np.int64) - i0
     return PhiRepresentation(d=float(d), index_offset=i0, n=n, values=e - n / d)
-
-
-def phi_fourier(phi: PhiRepresentation, freqs, N: int | None = None):
-    """Bohr means (1/2N) * sum_{|n|<=N} phi(n) exp(-2j*pi*theta*n).
-
-    Returns (coefficients, error_bound) with the O(1/N) boundary
-    heuristic 4*sup|phi|/N.  N <= min(-n_min, n_max), the default.
-    """
-    n = phi.n
-    n_sym = int(min(-n.min(), n.max()))
-    N = n_sym if N is None else N
-    if not 1 <= N <= n_sym:
-        raise DomainError(f"N = {N} is outside 1..{n_sym}, the symmetric index range of phi")
-    mask = np.abs(n) <= N
-    ns = n[mask]
-    vs = phi.values[mask]
-    thetas = np.atleast_1d(np.asarray(freqs, dtype=float))
-    coeffs = _exp_rows(-thetas, ns, lambda E: E @ vs) / (2.0 * N)
-    err = 4.0 * phi.sup_abs / N
-    return coeffs, err
 
 
 def lindelof_sum(A: ZeroSet, N_list):

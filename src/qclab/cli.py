@@ -351,7 +351,7 @@ def _reconstruct_stage(mu, f, A, report):
         roundtrip = _stage("reconstruct/roundtrip", lambda: _roundtrip(f, A, rebuilt))
 
     greport = reconstruct.g_boundedness(mu, [5.0, 10.0, 20.0, 40.0])
-    etype = reconstruct.exponential_type(rebuilt, [4.0, 6.0, 8.0, 10.0])
+    etype = reconstruct.exponential_type(rebuilt)
     info = {
         "log_series_norm": L.wiener_norm,
         "rebuilt_terms": len(rebuilt),

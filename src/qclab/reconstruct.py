@@ -1,12 +1,11 @@
-"""The inverse direction: canonical products from zeros, Dirichlet-series
-reconstruction from the diffraction measure, and the bounded-g criterion.
+"""The inverse direction: Dirichlet-series reconstruction from the
+diffraction measure, its exponential type, and the bounded-g criterion.
 
 Reconstruction path: the atoms define the log of the target at height 1,
 ``log f(x+1j) + 1j*d*pi*x = -sum (b/gamma) exp(-2*pi*gamma) e^{2pi i gamma x}``
 up to a constant; exponentiating in the algebra and mapping
 ``omega -> omega - d/2``, ``p -> p*exp(2*pi*omega - d*pi)`` lands back on
-the real axis.  The unknown constant is fixed by normalizing f(0) = 1,
-which the canonical product forces anyway.
+the real axis.  The unknown constant is fixed by normalizing f(0) = 1.
 """
 
 from __future__ import annotations
@@ -28,121 +27,15 @@ from .wiener import (
     exp_series,
     scale,
 )
-from .zeros import ZeroSet
 
 T3_BUDGET = 1000.0  # largest sum |b|/gamma over 0 < gamma < 1 a rebuild accepts
 _TINY = 2.0 ** -1074  # the spacing of the subnormal floats
 
 
 @dataclass(frozen=True)
-class ProductValue:
-    """Canonical product value with its truncation estimate.
-
-    ``hit_multiplicity`` is nonzero when z landed on a zero of the set;
-    ``shift`` records the translation applied when 0 was in the set.
-    """
-
-    value: complex
-    error_bound: float
-    hit_multiplicity: int = 0
-    shift: float = 0.0
-
-
-@dataclass(frozen=True)
 class GReport:
     windows: list[tuple[float, float]]  # (half-width X, sampled sup |g| over [-X, X])
     sup_bound: float  # bound on |g| over the real line: 2 * sum |b|/gamma over 0 < gamma < 1
-
-
-def _translated_points(A: ZeroSet):
-    e = A.expand()
-    if e.size == 0:
-        raise DomainError("empty zero set")
-    near = np.abs(e) < 1e-12
-    if not near.any():
-        return e, 0.0
-    gaps = np.diff(np.unique(e))
-    delta = 0.5 * float(np.min(gaps)) if gaps.size else 0.5
-    return e - delta, delta
-
-
-def _pairing(e: np.ndarray):
-    # symmetric core around the smallest nonnegative point; points beyond
-    # the shorter side stay unpaired and are dropped (a stray factor
-    # 1 - z/a would bias the symmetric limit by O(z/a))
-    i0 = int(np.searchsorted(e, 0.0, side="left"))
-    i0 = min(i0, e.size - 1)
-    n_pairs = min(i0, e.size - 1 - i0)
-    a0 = e[i0]
-    right = e[i0 + 1:i0 + 1 + n_pairs]
-    left = e[i0 - n_pairs:i0][::-1]
-    dropped = e.size - 1 - 2 * n_pairs
-    return a0, right, left, dropped, n_pairs
-
-
-def _tail_s(n: int) -> float:
-    # sum_{k>n} 1/k^2 by Euler-Maclaurin
-    if n < 1:
-        return 2.0
-    return 1.0 / n - 1.0 / (2.0 * n * n) + 1.0 / (6.0 * n ** 3)
-
-
-def _product_log(e: np.ndarray, z: complex):
-    """(log of the paired canonical product, tail corrections, bound)."""
-    a0, right, left, dropped, n_pairs = _pairing(e)
-    if dropped > max(16, 0.05 * e.size):
-        warnings.warn(
-            f"{dropped} unpaired points beyond the symmetric core were dropped; "
-            "the window is strongly one-sided"
-        )
-    terms = [complex(np.log(1.0 - z / a0))] if a0 != 0 else [0j]
-    if n_pairs:
-        pair_vals = (1.0 - z / right) * (1.0 - z / left)
-        logs = np.log(pair_vals.astype(complex))
-        terms.extend(logs.tolist())
-    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-
-    # tail of the pairing beyond the window, extrapolated from the last
-    # in-window decade: sum(1/a_n + 1/a_-n) ~ cbar * S, sum 1/(a_n a_-n) ~ t2bar * S
-    correction = 0j
-    bound = 0.0
-    if n_pairs >= 20:
-        nn = np.arange(1, n_pairs + 1, dtype=float)
-        lo_idx = max(int(0.8 * n_pairs), 10)
-        seg = slice(lo_idx, n_pairs)
-        csum = 1.0 / right + 1.0 / left
-        cbar = float(np.mean(csum[seg] * nn[seg] ** 2))
-        t2bar = float(np.mean((nn[seg] ** 2) / (right[seg] * left[seg])))
-        S = _tail_s(n_pairs)
-        correction = (-z * cbar + z * z * t2bar) * S
-        d_rough = 2.0 * n_pairs / (right[-1] - left[-1])
-        sup_phi = float(max(np.max(np.abs(right - nn / d_rough)),
-                            np.max(np.abs(left + nn / d_rough))))
-        C = d_rough ** 2 * (2.0 * abs(z) * sup_phi + abs(z) ** 2) * 1.5
-        bound = abs(np.exp(total + correction)) * math.expm1(min(C * S, 50.0))
-    return total, correction, bound
-
-
-def canonical_product(A: ZeroSet, z: complex) -> ProductValue:
-    """Hadamard-style product over the windowed zero set, symmetric
-    pairing, normalized to 1 at the origin.
-
-    Values are assembled in the log domain with compensated summation,
-    tail-corrected by extrapolating the pairing sums past the window.
-    """
-    e, shift = _translated_points(A)
-    z = complex(z)
-    dist = np.abs(e - z.real) + abs(z.imag)
-    hit = int(np.argmin(dist))
-    if dist[hit] < 1e-12 * max(1.0, abs(e[hit])):
-        mult = int(np.sum(np.abs(e - e[hit]) < 1e-12))
-        _, _, bound = _product_log(e, z + 1e-6)
-        return ProductValue(value=0j, error_bound=bound, hit_multiplicity=mult, shift=shift)
-    total, correction, bound = _product_log(e, z)
-    if z == 0:
-        return ProductValue(value=1.0 + 0j, error_bound=0.0, shift=shift)
-    return ProductValue(value=complex(np.exp(total + correction)),
-                        error_bound=bound, shift=shift)
 
 
 def log_series_at_height_one(mu_hat: PointMeasure) -> ExpSum:
@@ -174,7 +67,8 @@ def log_series_at_height_one(mu_hat: PointMeasure) -> ExpSum:
 
 def rebuild_dirichlet(mu_hat: PointMeasure) -> ExpSum:
     """Dirichlet series with the measure's zero set, normalized to 1 at 0:
-    ``rebuild_from_log_series`` of ``log_series_at_height_one``."""
+    ``rebuild_from_log_series`` of ``log_series_at_height_one`` in one
+    call (the CLI runs the two as separate stages)."""
     return rebuild_from_log_series(log_series_at_height_one(mu_hat), mu_hat.d)
 
 
@@ -244,7 +138,9 @@ def _g_values(g: np.ndarray, b: np.ndarray, zs) -> np.ndarray:
 
 
 def g_function(mu_hat: PointMeasure, z: complex) -> complex:
-    """g(z) = sum over atoms with 0 < gamma < 1 of b*(exp(2j*pi*gamma*z)-1)/gamma."""
+    """g(z) = sum over atoms with 0 < gamma < 1 of b*(exp(2j*pi*gamma*z)-1)/gamma,
+    the function of the bounded-g criterion at one point z, real or not;
+    ``g_boundedness`` samples the same values over real windows."""
     g, b, _ = mu_hat.low_band()
     return complex(_g_values(g, b, np.array([complex(z)]))[0])
 
@@ -299,34 +195,15 @@ def g_boundedness(mu_hat: PointMeasure, X_grid) -> GReport:
     return GReport(windows=list(zip(Xs, sups)), sup_bound=2.0 * t3 + allowance)
 
 
-def _logabs_zeroset(A: ZeroSet, y: float) -> float:
-    e, _ = _translated_points(A)
-    return 0.5 * float(np.sum(np.log1p((y / e) ** 2)))
+def exponential_type(f: ExpSum) -> float:
+    """lim y^{-1} log |f(1j*y)| of an exponential sum, exactly.
 
-
-def exponential_type(obj, y_grid) -> float:
-    """lim y^{-1} log |f(1j*y)|: exact for an ExpSum, an estimate for a
-    ZeroSet.
-
-    On an ExpSum the term c*exp(2j*pi*omega*z) has modulus
-    |c|*exp(-2*pi*omega*y) at z = 1j*y, and a canonical sum has no zero
-    coefficient, so the lowest frequency dominates as y -> +inf and the
-    type is -2*pi*freqs[0], whatever the (nonempty) ``y_grid``.  On a
-    ZeroSet the canonical product is evaluated in the log domain over
-    ``y_grid``, and the type is the difference quotient of the two
-    largest heights (the constant term cancels), or the plain ratio for
-    one height.
+    The term c*exp(2j*pi*omega*z) has modulus |c|*exp(-2*pi*omega*y) at
+    z = 1j*y, and a canonical sum has no zero coefficient, so the lowest
+    frequency dominates as y -> +inf and the type is -2*pi*freqs[0].
     """
-    ys = sorted(float(y) for y in y_grid)
-    if not ys:
-        raise DomainError("y_grid must be nonempty")
-    if isinstance(obj, ExpSum):
-        if len(obj) == 0:
-            raise DomainError("the empty sum has no exponential type")
-        return -2.0 * math.pi * float(obj.freqs[0])
-    if not isinstance(obj, ZeroSet):
-        raise DomainError("exponential_type expects an ExpSum or a ZeroSet")
-    logs = [_logabs_zeroset(obj, y) for y in ys]
-    if len(ys) >= 2:
-        return (logs[-1] - logs[-2]) / (ys[-1] - ys[-2])
-    return logs[-1] / ys[-1]
+    if not isinstance(f, ExpSum):
+        raise DomainError(f"exponential_type expects an ExpSum, not {type(f).__name__}")
+    if len(f) == 0:
+        raise DomainError("the empty sum has no exponential type")
+    return -2.0 * math.pi * float(f.freqs[0])

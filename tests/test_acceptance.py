@@ -146,9 +146,9 @@ def test_criterion_5_g_criterion_and_type():
     for f, d_ref in ((cos, 1.0), (union_sum(), 1 + SQRT2)):
         mu = logderiv_measure(f, "auto", 10.0)
         rebuilt = rebuild_dirichlet(mu)
-        est = exponential_type(rebuilt, [6.0, 8.0])
+        est = exponential_type(rebuilt)
         type_errs.append(abs(est - math.pi * d_ref) / (math.pi * d_ref))
-    type_errs.append(abs(exponential_type(cos, [15.0, 20.0]) - math.pi) / math.pi)
+    type_errs.append(abs(exponential_type(cos) - math.pi) / math.pi)
     # the bound 2 * sum |b|/gamma is attained by the sampled sup of the 0.6 atom
     ok = (
         lat_rep.sup_bound == 0.0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qclab.diffraction import PointMeasure, logderiv_measure
 from qclab.errors import DomainError
 from qclab.reconstruct import (
-    canonical_product,
     coefficient_distance,
     exponential_type,
     g_boundedness,
@@ -18,41 +17,50 @@ from qclab.reconstruct import (
     rebuild_dirichlet,
 )
 from qclab.wiener import canonicalize, evaluate
-from qclab.zeros import ZeroSet, find_real_zeros
+from qclab.zeros import find_real_zeros
 
 from conftest import SQRT2, lattice_measure, lattice_zeroset
 
 
-@pytest.fixture(scope="module")
-def lat1e4():
-    return lattice_zeroset(0.5, 1.0, 10 ** 4)
-
-
 class TestCanonicalProduct:
-    def test_normalized_at_origin(self, lat1e4):
-        pv = canonical_product(lat1e4, 0.0)
-        assert pv.value == 1.0
-        assert pv.error_bound == 0.0
+    """The rebuild of a zero set's measure is its canonical product,
+    normalized to 1 at the origin: for Z + 1/2 that is cos(pi z)."""
 
-    def test_matches_cos_at_one(self, lat1e4):
-        pv = canonical_product(lat1e4, 1.0)
-        assert abs(pv.value - (-1.0)) < 1e-4
+    @pytest.fixture(scope="class")
+    def rebuilt(self):
+        return rebuild_dirichlet(lattice_measure(K=10))
 
-    def test_matches_cosh_at_i(self, lat1e4):
-        pv = canonical_product(lat1e4, 1j)
-        assert abs(pv.value - math.cosh(math.pi)) < 1e-3
+    def test_normalized_at_origin(self, rebuilt):
+        assert evaluate(rebuilt, 0.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_zero_hit_annotated(self, lat1e4):
-        pv = canonical_product(lat1e4, 2.5)
-        assert pv.value == 0
-        assert pv.hit_multiplicity == 1
+    def test_matches_cos_at_one(self, rebuilt):
+        assert abs(evaluate(rebuilt, 1.0) - (-1.0)) < 1e-4
+
+    def test_matches_cosh_at_i(self, rebuilt):
+        assert abs(evaluate(rebuilt, 1j) - math.cosh(math.pi)) < 1e-3
+
+    def test_zero_hit_annotated(self, rebuilt):
+        Z = find_real_zeros(rebuilt, (-3.2, 3.2))
+        assert Z.count == 6
+        k = int(np.argmin(np.abs(Z.points - 2.5)))
+        assert Z.points[k] == pytest.approx(2.5, abs=1e-9)
+        assert Z.mults[k] == 1
 
     def test_translation_recorded(self):
-        A = ZeroSet((-10.0, 10.0), np.arange(-9.0, 10.0), np.ones(19, np.int64))
-        pv = canonical_product(A, 0.25)
-        assert pv.shift != 0.0
+        # the zero set Z + 3/4 of cos(pi (z - 1/4)): the shift is carried by
+        # the phases of the rebuilt coefficients, and the zeros move with it
+        s = 0.25
+        f = canonicalize([(-0.5, 0.5 * complex(math.cos(math.pi * s), math.sin(math.pi * s))),
+                          (0.5, 0.5 * complex(math.cos(math.pi * s), -math.sin(math.pi * s)))])
+        rebuilt = rebuild_dirichlet(logderiv_measure(f, "auto", 10.0))
+        assert np.abs(np.angle(rebuilt.coeffs)) == pytest.approx(np.pi * s, abs=1e-12)
+        Z = find_real_zeros(rebuilt, (-3.2, 3.2))
+        assert np.allclose(Z.points, np.arange(-3, 3) + 0.75, atol=1e-9)
+        for z in (0.3, 1.7, 0.4 + 0.5j):
+            want = np.cos(np.pi * (z - s)) / np.cos(np.pi * s)
+            assert abs(evaluate(rebuilt, z) - want) <= 1e-12 * max(1.0, abs(want))
 
-    def test_agrees_with_expsum(self, cos, lat1e4):
+    def test_agrees_with_expsum(self, cos, rebuilt):
         rng = np.random.default_rng(9)
         zs = np.concatenate([
             rng.uniform(-8, 8, 25),
@@ -60,10 +68,8 @@ class TestCanonicalProduct:
         ])
         f0 = evaluate(cos, 0.0)
         for z in zs:
-            pv = canonical_product(lat1e4, complex(z))
             want = evaluate(cos, complex(z)) / f0
-            tol = max(5 * pv.error_bound, 1e-3 * abs(want), 1e-6)
-            assert abs(pv.value - want) <= tol
+            assert abs(evaluate(rebuilt, complex(z)) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestLogSeries:
@@ -259,34 +265,38 @@ class TestExponentialType:
         freqs = [w0] + [w0 + 0.5 + k / 1000.0 for k in offsets]
         f = canonicalize([(w, r * complex(math.cos(t), math.sin(t)))
                           for w, (r, t) in zip(freqs, polar)])
-        exact = exponential_type(f, [15.0, 20.0])
+        exact = exponential_type(f)
         assert exact == -2.0 * math.pi * float(f.freqs[0])
         assert exact == pytest.approx(_log_quotient(f, 15.0, 20.0), abs=1e-9)
 
     def test_empty_sum_rejected(self):
         with pytest.raises(DomainError):
-            exponential_type(canonicalize([]), [1.0])
+            exponential_type(canonicalize([]))
 
     def test_cos_single_height(self, cos):
-        est = exponential_type(cos, [20.0])
-        assert est == math.pi
-        assert abs(est - math.pi) < 0.05
+        assert exponential_type(cos) == math.pi
 
     def test_cos_difference_quotient(self, cos):
-        est = exponential_type(cos, [10.0, 15.0, 20.0])
-        assert est == pytest.approx(math.pi, abs=1e-9)
+        # the exact type is the limit that the difference quotient of log|f| approaches
+        for y1, y2 in ((10.0, 15.0), (15.0, 20.0)):
+            assert _log_quotient(cos, y1, y2) == pytest.approx(exponential_type(cos), abs=1e-9)
 
     def test_single_exponential_exact(self):
         f = canonicalize([(0.7, 2.0)])
-        est = exponential_type(f, [5.0, 10.0])
+        est = exponential_type(f)
         assert est == pytest.approx(-2 * math.pi * 0.7, rel=1e-12)
 
     def test_union_rebuilt_type(self, funion):
         mu = logderiv_measure(funion, "auto", 10.0)
         rebuilt = rebuild_dirichlet(mu)
-        est = exponential_type(rebuilt, [6.0, 8.0])
+        est = exponential_type(rebuilt)
         assert est == pytest.approx(math.pi * (1 + SQRT2), rel=0.02)
 
-    def test_zeroset_input(self, lat1e4):
-        est = exponential_type(lat1e4, [15.0, 20.0])
-        assert est == pytest.approx(math.pi, rel=0.01)
+    def test_zeroset_input(self):
+        # only a sum has an exact type; a zero set is a typed error
+        with pytest.raises(DomainError, match="expects an ExpSum"):
+            exponential_type(lattice_zeroset(0.5, 1.0, 10))
+
+    def test_term_list_input(self):
+        with pytest.raises(DomainError, match="expects an ExpSum"):
+            exponential_type([(0.5, 1.0)])

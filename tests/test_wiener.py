@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qclab import wiener
-from qclab.apset import phi_fourier, phi_representation
+from qclab.apset import phi_representation
 from qclab.diffraction import bohr_means
 from qclab.errors import CapacityError, DivergenceError, InvalidInputError
 from qclab.wiener import (
@@ -119,7 +119,7 @@ def _same_bits(a, b):
 
 
 class TestExpKernel:
-    """One exp pass serves evaluate, the Bohr means, phi_fourier and sup|g|:
+    """One exp pass serves evaluate, the Bohr means and sup|g|:
     its values may not depend on the blocks or the budget."""
 
     # 5085 - 1 is a multiple of the 124 rows per block that an 8-term sum
@@ -162,16 +162,17 @@ class TestExpKernel:
         assert all(evaluate(f, z[i]) == batch[i] for i in range(0, z.size, 16))
 
     @pytest.mark.parametrize("budget", [wiener._EXP_BUDGET, 997, 41])
-    def test_phi_fourier_equals_one_block(self, monkeypatch, budget):
+    def test_integer_frequency_rows_equal_one_block(self, monkeypatch, budget):
+        # the Bohr means of phi's displacements: 801 integer frequencies
+        # against seven points, which the budgets 997 and 41 split into
+        # blocks of two rows
         phi = phi_representation(union_zeroset(500), 1.0 + SQRT2)
-        N = 400
+        mask = np.abs(phi.n) <= 400
         thetas = np.array([0.0, 0.1, SQRT2 - 1.0, 0.25, -0.3, 1.0 / 3.0, 0.5])
-        mask = np.abs(phi.n) <= N
-        one_block = (np.exp(-2j * np.pi * np.outer(thetas, phi.n[mask]))
-                     @ phi.values[mask]) / (2.0 * N)
+        one_block = np.exp(-2j * np.pi * np.outer(thetas, phi.n[mask])) @ phi.values[mask]
         monkeypatch.setattr(wiener, "_EXP_BUDGET", budget)
-        coeffs, _ = phi_fourier(phi, thetas, N=N)
-        assert _same_bits(coeffs, one_block)
+        rows = wiener._exp_rows(-thetas, phi.n[mask], lambda E: E @ phi.values[mask])
+        assert _same_bits(rows, one_block)
 
     def test_overflow_in_any_block_is_an_error_not_a_warning(self, monkeypatch, cos):
         monkeypatch.setattr(wiener, "_EXP_BUDGET", 997)  # 498 rows per block: three blocks
