@@ -18,8 +18,8 @@ from .errors import DomainError
 from .zeros import ZeroSet
 
 _MIN_PAIRS = 32  # fewest index pairs inside the window that test a shift h
-# most rows of spans a window length checks before it takes the merge; on
-# 10^4 points that many rows cost about as much as one or two merges
+# most rows of spans a window length checks before it counts the probes;
+# on 10^4 points that many rows cost about a third of one count of the probes
 _BAND_ROWS = 32
 
 
@@ -61,8 +61,9 @@ class AlmostPeriodReport:
     max_gap: float | None  # largest gap between found periods; None below two
 
 
-def _searched_counts(e: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    # #A in [x, x+h) at each probe x, one binary search per end
+def _searched_counts(e: np.ndarray, x: np.ndarray, h) -> np.ndarray:
+    # #A in [x, x+h) at each probe x, one binary search per end; h a length
+    # or an array of them that broadcasts against x
     return np.searchsorted(e, x + h) - np.searchsorted(e, x)
 
 
@@ -71,27 +72,38 @@ def _count_extremes(e: np.ndarray, h_grid, lo: float, hi: float) -> np.ndarray:
     (max, min) per window length h of h_grid; (0, 0) where hi - h < lo.
 
     Exact means equal to the counts at every probe where the count can
-    change, a -+ 1e-9 and (a - h) -+ 1e-9 for each point a, plus lo and
-    hi - h, each probe in [lo, hi-h] counted by binary search.
+    change, a -+ 1e-9 and (a - h) -+ 1e-9 for each distinct point a, plus
+    lo and hi - h, each probe in [lo, hi-h] counted by binary search.  A
+    length that is not sharp with room, or whose band holds more than
+    ``_BAND_ROWS`` rows (a set with a gap wider than h puts every k up to
+    the count of a window in it), counts exactly these probes.
 
     The count rises just after an event a - h and falls just after an
-    event a.  A length is sharp with room when, with f = 2*fuzz + 4 eps S
-    (``fuzz`` and S as in ``_merge_extremes``), h > f, no two distinct
-    points lie within f of each other, no point lies within f of lo,
-    hi - h, lo + h or hi, and no span of k + 1 consecutive points,
-    s_k = e[i+k] - e[i], lies within f of h; only the k of the band of
-    ``_Spans`` need a look.  Every gap between two events is then a gap
-    between points or a span minus h, and every gap between an event
-    and a window end a gap between a point and lo, hi - h, lo + h or hi,
-    so each is at least f up to roundings below 2 eps S, and the merge
-    would take its one-slice path: no event fuzzy, none near the window
-    ends.  Its result is then the max and min of the counts at lo and
-    hi - h and on the stretches just after the events in the window, and
-    ``_span_extremes`` reads the same numbers off the spans.
+    event a.  Let S bound |a|, |lo| and |hi| plus h.  Each of the three
+    roundings between an event and a probe's ranks (a - h, b -+ 1e-9 and
+    x + h) moves it by at most eps/2 * S, so with fuzz >= 1e-9 + 1.5 eps S
+    the probes of an event b with no other event, nor lo or hi - h,
+    within fuzz of it count the stretches just before and just after b,
+    and they lie in the window exactly when b does.  ``fuzz`` is
+    2e-9 + 8 eps S, which also covers the roundings of its own
+    comparisons.  Once 8 eps S reaches 1e-9 (S above about 5.6e5), the
+    offset no longer decides which side of its event a probe lands on,
+    so fuzz = inf and no length is sharp.
 
-    Every other length runs ``_merge_extremes``, and so does a length
-    whose band holds more than ``_BAND_ROWS`` rows (a set with a gap wider
-    than h puts every k up to the count of a window in it).
+    A length is sharp with room when, with f = 2*fuzz + 4 eps S, h > f,
+    no two distinct points lie within f of each other, no point lies
+    within f of lo, hi - h, lo + h or hi, and no span of k + 1
+    consecutive points, s_k = e[i+k] - e[i], lies within f of h; only the
+    k of the band of ``_Spans`` need a look.  Every gap between two
+    events is then a gap between points or a span minus h, and every gap
+    between an event and a window end a gap between a point and lo,
+    hi - h, lo + h or hi, so each is at least f up to roundings below
+    2 eps S, more than fuzz.  The probes then count lo, hi - h and the
+    stretches just before and just after each event in the window.  The
+    stretch before an event is the one after the event before it, or
+    holds lo, so the probed counts are those at lo and hi - h and just
+    after the events in the window, and ``_span_extremes`` reads the same
+    numbers off the spans.
     """
     h_grid = np.asarray(h_grid, dtype=float)
     out = np.zeros((h_grid.size, 2), np.int64)
@@ -101,8 +113,8 @@ def _count_extremes(e: np.ndarray, h_grid, lo: float, hi: float) -> np.ndarray:
     rounding = 8.0 * eps * (reach + h_grid)
     fuzz = np.where(rounding < 1e-9, 2e-9 + rounding, np.inf)
     f = 2.0 * fuzz + 4.0 * eps * (reach + h_grid)
-    starts = np.flatnonzero(np.diff(e, prepend=-np.inf))
-    gap = np.min(np.diff(e[starts]), initial=np.inf)
+    points = e[np.flatnonzero(np.diff(e, prepend=-np.inf))]
+    gap = np.min(np.diff(points), initial=np.inf)
 
     def rank(x, side="left"):
         return np.searchsorted(e, x, side)
@@ -118,7 +130,6 @@ def _count_extremes(e: np.ndarray, h_grid, lo: float, hi: float) -> np.ndarray:
     r1, f0 = int(rank(hi, "right")), int(rank(lo))
     c_lo, c_top = r0 - f0, rank(top + h_grid) - f1
     spans = _Spans(e)
-    runs = None
     for g in np.argsort(h_grid, kind="stable"):
         if top[g] < lo:
             continue
@@ -129,9 +140,10 @@ def _count_extremes(e: np.ndarray, h_grid, lo: float, hi: float) -> np.ndarray:
                 out[g] = _span_extremes(spans, band, h, int(c_lo[g]), int(c_top[g]),
                                         (int(r0[g]), r1), (f0, int(f1[g])))
                 continue
-        if runs is None:
-            runs = _runs(e, starts)
-        out[g] = _merge_extremes(e, runs, h, lo, top[g], fuzz[g])
+        x = np.concatenate([points, points - h])
+        x = np.concatenate([x - 1e-9, x + 1e-9, [lo, top[g]]])
+        c = _searched_counts(e, x[(x >= lo) & (x <= top[g])], h)
+        out[g] = c.max(), c.min()
     return out
 
 
@@ -238,68 +250,6 @@ def _span_extremes(spans: _Spans, band, h: float, c_lo: int, c_top: int,
     return top, bottom
 
 
-def _runs(e: np.ndarray, starts: np.ndarray):
-    # the signed multiplicities of the events a - h and a of each distinct
-    # point, their buffer, reused for every length, and the running sums
-    mults = np.diff(starts, append=e.size)
-    events = np.empty(2 * starts.size)
-    events[starts.size:] = e[starts]
-    return np.concatenate([mults, -mults]), events, np.zeros(2 * starts.size + 1, np.int64)
-
-
-def _merge_extremes(e: np.ndarray, runs, h: float, lo: float, top: float,
-                    fuzz: float) -> tuple[int, int]:
-    """(max, min) of the count at one length h from one stable merge of
-    the events a - h and a, whose running sum of signed multiplicities is
-    the count on the stretch after each event.
-
-    An event is sharp when no other event, nor lo or top = hi - h, lies
-    within ``fuzz`` of it.  The probe offset is 1e-9, and each of the
-    three roundings between an event and a probe's ranks (a - h, b -+ 1e-9
-    and x + h) moves it by at most eps/2 * S, where S bounds |a|, |lo| and
-    |hi| plus h.  So with fuzz >= 1e-9 + 1.5 eps S, the probes of a sharp
-    event b count the stretches just before and just after b, and they
-    lie in the window exactly when b does.  ``fuzz`` is 2e-9 + 8 eps S,
-    which also covers the roundings of its own comparisons.  Once
-    8 eps S reaches 1e-9 (S above about 5.6e5), the offset no longer
-    decides which side of its event a probe lands on, so every event is
-    fuzzy (fuzz = inf).
-
-    The lower probe of a sharp event b counts the stretch after the
-    event c before it.  The upper probe of c counts it too, as b lies
-    more than fuzz above c, or, where that probe falls below the window,
-    the probe at lo does.  So the probed counts are the running sums
-    after the sharp events in the window, the probes of the fuzzy
-    events, counted by binary search, and the counts at lo and top.
-    With no fuzzy event these are one slice of running sums.
-    """
-    signed, events, level = runs
-    n = signed.size // 2
-    np.subtract(events[n:], h, out=events[:n])
-    order = np.argsort(events, kind="stable")
-    np.cumsum(signed[order], out=level[1:])
-    merged = events[order]
-    # the events whose probes can fall in the window
-    i0 = np.searchsorted(merged, lo - fuzz)
-    i1 = np.searchsorted(merged, top + fuzz, side="right")
-    w = merged[i0:i1]
-    gaps = np.diff(w)
-    if not w.size or (w[0] > lo + fuzz and w[-1] < top - fuzz
-                      and np.min(gaps, initial=np.inf) > fuzz):
-        c = level[i0:i1 + 1]
-        return c.max(), c.min()
-    close = gaps <= fuzz
-    fuzzy = (w <= lo + fuzz) | (w >= top - fuzz)
-    fuzzy[1:] |= close
-    fuzzy[:-1] |= close
-    sharp = i0 + np.flatnonzero(~fuzzy)
-    x = w[fuzzy]
-    x = np.concatenate([x - 1e-9, x + 1e-9, [lo, top]])
-    x = x[(x >= lo) & (x <= top)]
-    c = np.concatenate([level[sharp + 1], _searched_counts(e, x, h)])
-    return c.max(), c.min()
-
-
 def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
     """Empirical k1 (unit-window bound) and k2 (equal-length discrepancy).
 
@@ -309,10 +259,9 @@ def counting_constants(A: ZeroSet, h_grid=None) -> CountingConstants:
     maximized over a grid of lengths; this dominates every sampled pair
     of equal-length windows at those lengths.  A length that is sharp
     with room reads its spread off the spans of consecutive points;
-    every other length merges the events a - h and a, with binary search
-    only for the probes of events closer than a rounding margin to
-    another event or to the window ends.  Either way the spread equals
-    that of a binary search at every probe (see ``_count_extremes``).
+    every other length counts, by binary search, every probe where the
+    count can change.  Either way the spread equals that of the probes
+    (see ``_count_extremes``).
     ``density`` carries the result, so a run needs only one call.  An
     explicit ``h_grid`` must hold finite positive lengths.
     """

@@ -139,7 +139,7 @@ def _counting_spot_check(A, k2, rng, trials):
     u = rng.random(3 * trials).reshape(trials, 3)
     h = 0.01 + ((hi - lo) / 4.0 - 0.01) * u[:, 0]
     x = lo + ((hi - h) - lo)[:, None] * u[:, 1:]
-    c = np.searchsorted(e, x + h[:, None]) - np.searchsorted(e, x)
+    c = apset._searched_counts(e, x, h[:, None])
     return int(np.sum(np.abs(c[:, 0] - c[:, 1]) > k2))
 
 

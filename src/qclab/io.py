@@ -113,8 +113,8 @@ def read_zeroset(path) -> ZeroSet:
     else:
         pts, mults = [], []
         for line, (p, m) in _read_rows(path, ZEROSET_HEADER):
-            if m != int(m) or m < 1:
-                raise ParseError(f"multiplicity must be a positive integer, got {m}",
+            if not (m.is_integer() and 1 <= m < 2.0**53):
+                raise ParseError(f"multiplicity must be an integer in [1, 2**53), got {m}",
                                  path=path, line=line)
             pts.append(p)
             mults.append(int(m))

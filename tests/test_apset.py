@@ -148,8 +148,8 @@ class TestCountingSweep:
         e = A.expand()
         got = apset._count_extremes(e, hs, lo, hi)
         assert np.array_equal(got, _oracle_extremes(e, hs, lo, hi))
-        # one length at a time, longest first: the reused event buffer
-        # carries nothing from one length to the next
+        # one length at a time, longest first: no length carries anything
+        # into the row of the next
         for k in reversed(range(len(hs))):
             assert np.array_equal(apset._count_extremes(e, hs[k:k + 1], lo, hi), got[k:k + 1])
 
@@ -210,7 +210,7 @@ class TestSweepChecks:
 
     def test_every_check_fails_matches_oracle(self):
         # every length has events within the fuzz of each other, so the
-        # sharpness check fails and the fuzzy probes are searched
+        # sharpness check fails and every probe is searched
         A, hs = _clusters()
         lo, hi = A.window
         e = A.expand()
@@ -236,22 +236,12 @@ class TestSweepChecks:
         # a window gains a 500-fold point where another loses a simple one
         assert np.max(got[:, 0] - got[:, 1]) == 499
 
-    def test_no_search_on_the_benchmark_union(self):
-        # the zeroset-diffract set, a window off the lattice spacings: no
-        # event is fuzzy at any length, so every length is one slice of
-        # running sums
-        A = union_zeroset(2100.18)
-        with _searches() as lengths:
-            counting_constants(A)
-        assert A.count == 10140
-        assert lengths == []
-
     @pytest.mark.parametrize("flip", [False, True])
     def test_event_within_the_fuzz_of_a_window_end_matches_oracle(self, flip):
         # a point 5e-10 below lo + h has its event a - h 5e-10 below lo
         # (flipped: a point, so an event a, 5e-10 above hi - h), just
         # outside the window; the count at that end is the window's
-        # minimum, and the running sum outside that event is one less
+        # minimum, and the count just past that event is one less
         dense = 2.5 + 0.1 * SQRT2 * np.arange(53)
         pts = np.append(dense, 2.0 - 5e-10)
         if flip:
@@ -294,21 +284,6 @@ class TestSweepChecks:
             counting_constants(A, [2.0, h])
 
 
-@contextmanager
-def _merges():
-    """Records the lengths that apset._count_extremes sends to the merge
-    instead of the spans of the points."""
-    lengths = []
-    merge = apset._merge_extremes
-
-    def spy(e, runs, h, *args):
-        lengths.append(h)
-        return merge(e, runs, h, *args)
-
-    with mock.patch.object(apset, "_merge_extremes", spy):
-        yield lengths
-
-
 @st.composite
 def _regular_sets(draw):
     """Lattices, jittered lattices, two-lattice unions and uniform random
@@ -341,11 +316,12 @@ def _regular_sets(draw):
 
 
 class TestSpanPath:
-    """Which lengths take the spans of the points and which the merge."""
+    """Which lengths take the spans of the points and which the probes."""
 
     def test_span_path_on_the_benchmark_union(self):
+        # the zeroset-diffract set, a window off the lattice spacings
         A = union_zeroset(2100.18)
-        with _merges() as lengths:
+        with _searches() as lengths:
             counting_constants(A)
         assert A.count == 10140
         assert lengths == []
@@ -354,27 +330,25 @@ class TestSpanPath:
         # the half-integers in a window off the lattice, as in the cos-zeros run
         pts = lattice_points(0.5, 1.0, 2000)
         A = ZeroSet((-2000.18, 2000.17), pts, np.ones(pts.size, np.int64))
-        with _merges() as lengths:
+        with _searches() as lengths:
             got = counting_constants(A)
         assert A.count == 4000
         assert lengths == []
         with mock.patch.object(apset, "_count_extremes", _oracle_extremes):
             assert got == counting_constants(A)
 
-    def test_clusters_take_the_merge(self):
-        A, hs = _clusters()
-        with _merges() as lengths:
-            apset._count_extremes(A.expand(), hs, *A.window)
-        assert lengths == list(hs)
-
-    def test_multiplicity_500_lattice_takes_the_merge(self):
-        pts = lattice_points(0.5, 1.0, 100)
-        mults = np.where(np.arange(pts.size) % 20 == 0, 500, 1)
-        A = ZeroSet((-100.0, 100.0), pts, mults)
-        hs = np.arange(1.0, 51.0)
-        with _merges() as lengths:
-            apset._count_extremes(A.expand(), hs, *A.window)
-        assert lengths == list(hs)
+    def test_far_lattice_takes_the_probes_and_matches_oracle(self):
+        # 3000 half-integers past 1e6, where 8 eps S passes the 1e-9 probe
+        # offset: no length is sharp, so every one counts the probes
+        pts = 1e6 + lattice_points(0.5, 1.0, 1500)
+        A = ZeroSet((1e6 - 1500.18, 1e6 + 1500.17), pts, np.ones(pts.size, np.int64))
+        with _searches() as lengths:
+            got = counting_constants(A)
+        assert A.count == 3000
+        # one search per length of the default grid
+        assert lengths and len(lengths) == got.windows_sampled // (2 * A.count + 2)
+        with mock.patch.object(apset, "_count_extremes", _oracle_extremes):
+            assert got == counting_constants(A)
 
     @settings(max_examples=80, deadline=None)
     @given(_regular_sets())
@@ -391,17 +365,17 @@ class TestSpanPath:
         # and at hi - h are 0 and the max steps past every k below the band
         e = 45.0 + 0.05 * (np.arange(200) + 0.5)
         hs = np.linspace(0.5, 25.0, 50) + 0.0123
-        with _merges() as lengths:
+        with _searches() as lengths:
             got = apset._count_extremes(e, hs, 0.0, 100.0)
         assert lengths == []
         assert np.array_equal(got, _oracle_extremes(e, hs, 0.0, 100.0))
 
-    def test_wide_band_takes_the_merge(self):
+    def test_wide_band_takes_the_probes(self):
         # a gap of 40 puts a span above every h in each row, so the band
-        # holds every k up to about h / 0.05; past _BAND_ROWS it takes the merge
+        # holds every k up to about h / 0.05; past _BAND_ROWS it takes the probes
         e = np.concatenate([0.05 * (np.arange(600) + 0.5), 70.0 + 0.05 * (np.arange(600) + 0.5)])
         hs = np.linspace(0.5, 25.0, 50) + 0.0123
-        with _merges() as lengths:
+        with _searches() as lengths:
             got = apset._count_extremes(e, hs, 0.0, 100.0)
         assert lengths == [h for h in hs if h > 0.05 * apset._BAND_ROWS]
         assert np.array_equal(got, _oracle_extremes(e, hs, 0.0, 100.0))

@@ -178,6 +178,8 @@ class TestParseInputs:
         ("0.5,1\n1.0,1\n1.5,2.5\n", 4),
         ("0.5,1\nnan,1\n1.5,1\n", 3),
         ("0.5,1\n1e400,1\n", 3),
+        ("0.5,1\n1.0,1e17\n", 3),  # an integer, but at or past 2**53
+        ("0.5,1\n1.0,1e19\n", 3),  # past the int64 range
     ])
     def test_zeroset_parse_error_line(self, tmp_path, body, line):
         path = tmp_path / "zeros.csv"
