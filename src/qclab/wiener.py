@@ -7,16 +7,18 @@ a normed algebra: sums, products, Neumann inverses and exponentials stay
 inside the class, which is what the zero-counting and reconstruction
 modules rely on.
 
-All operations return canonical sums: frequencies strictly increasing
-and frequencies closer than ``FREQ_TOL`` merged.  ``canonicalize`` and
-``derivative`` drop coefficients below ``PRUNE_TOL`` times the Wiener
-norm; sums and products drop only exact cancellations.  The one
-exception is the series engine's working form ``Majorized``, which keeps
-a rounding majorant per term and the exact cancellations as ghost terms.
+Every sum, product and series runs in one form, ``Majorized``, which
+keeps a rounding majorant per term and the exact cancellations as ghost
+terms, through one frequency merge (``_merge``): frequencies strictly
+increasing, and frequencies closer than ``FREQ_TOL`` merged.  A call on
+plain sums returns the canonical sum, which drops the ghosts.
+``canonicalize`` and ``derivative`` also drop coefficients below
+``PRUNE_TOL`` times the Wiener norm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,9 +86,10 @@ class Majorized(ExpSum):
     members cancelled exactly.  A canonical sum drops it; here it stays,
     so that its majorant reaches its descendants, whose float values lack
     its exact (nonzero, at most gamma_r * A) value.  Ghost products are
-    ghosts.  The coefficients merge over the live terms alone, exactly as
-    ``_canonical_from_arrays`` merges them, so every live term is the
-    canonical sum's term bit for bit; ``canonical`` drops the ghosts.
+    ghosts.  The coefficients merge over the live terms alone, as they
+    would with every exact cancellation dropped at each step, so every
+    live term is the canonical sum's term bit for bit; ``canonical`` drops
+    the ghosts.
 
     The invariant holds by induction over the operations (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2002, Lemma 3.3:
@@ -168,16 +171,20 @@ def _representatives(mag, new_group, starts):
     return hit[first]
 
 
-def _merge_groups(freqs):
-    """The frequency-merge rule: the stable sort order of ``freqs``, the
-    sorted frequencies, and which of them start a spectral point (a chain
-    of consecutive gaps <= FREQ_TOL is one point)."""
-    order = np.argsort(freqs, kind="stable")
-    freqs = freqs[order]
+def _group_starts(freqs):
+    """The frequency-merge rule: which of the sorted ``freqs`` start a
+    spectral point (a chain of consecutive gaps <= FREQ_TOL is one point)."""
     new_group = np.empty(freqs.size, dtype=bool)
     new_group[0] = True
     np.greater(np.diff(freqs), FREQ_TOL, out=new_group[1:])
-    return order, freqs, new_group
+    return new_group
+
+
+def _merge_groups(freqs):
+    """The stable sort order of ``freqs``, the sorted frequencies, and ``_group_starts``."""
+    order = np.argsort(freqs, kind="stable")
+    freqs = freqs[order]
+    return order, freqs, _group_starts(freqs)
 
 
 def _merge_run(freqs, coeffs, new_group, starts):
@@ -189,52 +196,31 @@ def _merge_run(freqs, coeffs, new_group, starts):
     return freqs[_representatives(np.abs(coeffs), new_group, starts)], merged
 
 
-def _canonical_from_arrays(freqs, coeffs, prune_tol, track=None) -> ExpSum:
-    """Merge and prune (frequency, coefficient) arrays into a canonical sum.
+def _merge(freqs, coeffs, major, live, rounds) -> Majorized:
+    """The ``Majorized`` merge of raw (frequency, coefficient) terms.
 
-    With ``track = (major, live, rounds)`` (prune_tol 0) the result is a
-    ``Majorized`` sum instead: ghosts stay, ``major`` (per raw term) is
-    summed over the same sort order and groups, ``live`` marks the raw
-    terms that are not ghosts (None: all), and the result's count is
-    ``rounds`` plus the largest group size.
+    ``major`` (per raw term) is summed over each chain of the merge rule
+    over all terms, and the coefficients over the ``live`` terms alone
+    (None: all): each live group takes the majorant of its chain, and a
+    chain without a live member is a ghost at its lowest frequency.  The
+    result's count is ``rounds`` plus the largest chain.
     """
-    freqs, coeffs = np.asarray(freqs, float), np.asarray(coeffs, complex)
     if freqs.size == 0:
-        return empty_sum() if track is None else _majorized(
-            np.empty(0), np.empty(0, complex), np.empty(0), track[2])
+        return _majorized(np.empty(0), np.empty(0, complex), np.empty(0), rounds)
     order, freqs, new_group = _merge_groups(freqs)
     coeffs = coeffs[order]
     starts = np.flatnonzero(new_group)
-    if track is not None:
-        major, live, rounds = track
-        size = freqs.size - starts[-1]
-        if starts.size > 1:
-            size = max(size, int(np.max(np.diff(starts))))
-        return _merge_majorized(freqs, coeffs, np.add.reduceat(major[order], starts),
-                                None if live is None or live.all() else live[order],
-                                new_group, starts, rounds + size)
-    rep_freqs, merged = _merge_run(freqs, coeffs, new_group, starts)
-    norm = float(np.sum(np.abs(merged)))
-    keep = np.abs(merged) > prune_tol * norm
-    return _make(rep_freqs[keep], merged[keep])
-
-
-def _merge_majorized(freqs, coeffs, major, live, new_group, starts, rounds) -> Majorized:
-    """The ``Majorized`` merge of sorted raw terms, given the majorant of
-    each chain over all terms (``major``): the coefficients merge over the
-    live terms alone, each live group takes its chain's majorant, and a
-    chain without a live member is a ghost at its lowest frequency."""
-    if live is None:
-        rep_freqs, merged = _merge_run(freqs, coeffs, new_group, starts)
-        return _majorized(rep_freqs, merged, major, rounds)
+    rounds += int(np.max(np.diff(starts, append=freqs.size)))
+    major = np.add.reduceat(major[order], starts)
+    if live is None or live.all():
+        return _majorized(*_merge_run(freqs, coeffs, new_group, starts), major, rounds)
+    live = live[order]
     out_f, out_c, out_m = freqs.copy(), np.zeros(freqs.size, complex), np.empty(freqs.size)
     slot = np.zeros(freqs.size, dtype=bool)
     ghost = np.ones(starts.size, dtype=bool)
     if live.any():
         lf, lc = freqs[live], coeffs[live]
-        lnew = np.empty(lf.size, dtype=bool)
-        lnew[0] = True
-        np.greater(np.diff(lf), FREQ_TOL, out=lnew[1:])
+        lnew = _group_starts(lf)
         lstarts = np.flatnonzero(lnew)
         at = np.flatnonzero(live)[lstarts]  # sorted position of each live group
         chain = (np.cumsum(new_group) - 1)[at]
@@ -248,6 +234,16 @@ def _merge_majorized(freqs, coeffs, major, live, new_group, starts, rounds) -> M
     return _majorized(out_f[keep], out_c[keep], out_m[keep], rounds)
 
 
+def _canonical_from_arrays(freqs, coeffs, prune_tol) -> ExpSum:
+    """The canonical sum of (frequency, coefficient) arrays: ``_merge``
+    with every term live, then the coefficients at most ``prune_tol``
+    times the Wiener norm dropped."""
+    merged = _merge(freqs, coeffs, np.abs(coeffs), None, 0)
+    mag = np.abs(merged.coeffs)
+    keep = mag > prune_tol * float(np.sum(mag))
+    return _make(merged.freqs[keep], merged.coeffs[keep])
+
+
 def canonicalize(terms, prune_tol: float = PRUNE_TOL) -> ExpSum:
     """Build a canonical ExpSum from (frequency, coefficient) pairs.
 
@@ -259,8 +255,6 @@ def canonicalize(terms, prune_tol: float = PRUNE_TOL) -> ExpSum:
         freqs, coeffs = np.asarray(terms.freqs, float), np.asarray(terms.coeffs, complex)
     else:
         pairs = list(terms)
-        if not pairs:
-            return empty_sum()
         freqs = np.array([p[0] for p in pairs], dtype=float)
         coeffs = np.array([p[1] for p in pairs], dtype=complex)
     if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(coeffs))):
@@ -310,34 +304,36 @@ def evaluate(f: ExpSum, z):
     return out.reshape(np.atleast_1d(zarr).shape)
 
 
-def _tracked(f: ExpSum, g: ExpSum) -> bool:
-    if isinstance(f, Majorized) != isinstance(g, Majorized):
-        raise TypeError("a Majorized sum combines only with a Majorized sum")
-    return isinstance(f, Majorized)
+def _plain_or_majorized(op):
+    """``op``, written for ``Majorized`` sums, on plain sums too: each
+    plain operand enters as ``majorize`` of it, and the result leaves as
+    its canonical sum, the live terms bit for bit.  A plain and a
+    ``Majorized`` operand do not mix."""
+    @functools.wraps(op)
+    def run(*args, **kwargs):
+        sums = [a for a in (*args, *kwargs.values()) if isinstance(a, ExpSum)]
+        tracked = {isinstance(a, Majorized) for a in sums}
+        if tracked == {True}:
+            return op(*args, **kwargs)
+        if True in tracked:
+            raise TypeError("a Majorized sum combines only with a Majorized sum")
+        args = [majorize(a) if isinstance(a, ExpSum) else a for a in args]
+        kwargs = {k: majorize(a) if isinstance(a, ExpSum) else a for k, a in kwargs.items()}
+        return op(*args, **kwargs).canonical()
+    return run
 
 
+@_plain_or_majorized
 def add(f: ExpSum, g: ExpSum) -> ExpSum:
-    freqs = np.concatenate([f.freqs, g.freqs])
     coeffs = np.concatenate([f.coeffs, g.coeffs])
-    if not _tracked(f, g):
-        return _canonical_from_arrays(freqs, coeffs, 0.0)
-    return _canonical_from_arrays(freqs, coeffs, 0.0, (
-        np.concatenate([f.major, g.major]), coeffs != 0, max(f.rounds, g.rounds) - 1))
+    return _merge(np.concatenate([f.freqs, g.freqs]), coeffs,
+                  np.concatenate([f.major, g.major]), coeffs != 0, max(f.rounds, g.rounds) - 1)
 
 
+@_plain_or_majorized
 def scale(f: ExpSum, c) -> ExpSum:
-    if isinstance(f, Majorized):
-        return _majorized(f.freqs, f.coeffs * complex(c), f.major * abs(c),
-                          f.rounds + (abs(c) != 1))
-    if c == 0 or len(f) == 0:
-        return empty_sum()
-    return _make(f.freqs, f.coeffs * complex(c))
-
-
-def _live(f: ExpSum) -> int:
-    """The number of terms of f that are not ghosts, which the capacity
-    limits count: those of its canonical sum."""
-    return int(np.count_nonzero(f.coeffs)) if isinstance(f, Majorized) else len(f)
+    return _majorized(f.freqs, f.coeffs * complex(c), f.major * abs(c),
+                      f.rounds + (abs(c) != 1))
 
 
 def _runs_apart(f: ExpSum, g: ExpSum) -> bool:
@@ -350,13 +346,15 @@ def _runs_apart(f: ExpSum, g: ExpSum) -> bool:
     return all(len(x) < 2 or float(np.min(np.diff(x.freqs))) > room for x in (f, g))
 
 
+@_plain_or_majorized
 def multiply(f: ExpSum, g: ExpSum, *, keep_freqs_up_to: float | None = None) -> ExpSum:
-    """Product in the algebra: all pairwise frequency sums, then canonicalize.
+    """Product in the algebra: all pairwise frequency sums, then merged.
 
     The Wiener norm is submultiplicative, so the result's norm never
     exceeds the product of the inputs' norms.  ``keep_freqs_up_to``
     drops the pairwise terms above that frequency (by more than
-    ``FREQ_TOL``) before they are merged.
+    ``FREQ_TOL``) before they are merged.  Ghosts count toward neither
+    capacity limit.
 
     The pairwise terms are laid out row by row of f, or, when
     ``_runs_apart``, column by column of g from its highest frequency
@@ -367,13 +365,8 @@ def multiply(f: ExpSum, g: ExpSum, *, keep_freqs_up_to: float | None = None) -> 
     and j in opposite order.  So the merge, and the product, do not depend
     on the layout.
     """
-    n, m = len(f), len(g)
-    tracked = _tracked(f, g)
-    rounds = f.rounds + g.rounds + 2 if tracked else 0
-    if n == 0 or m == 0:
-        return _majorized(np.empty(0), np.empty(0, complex), np.empty(0),
-                          rounds) if tracked else empty_sum()
-    raw = _live(f) * _live(g)
+    live_f, live_g = f.coeffs != 0, g.coeffs != 0
+    raw = int(np.count_nonzero(live_f)) * int(np.count_nonzero(live_g))
     if raw > _WORK_CAP:
         raise CapacityError(
             f"product would create {raw} raw terms, above the workspace cap {_WORK_CAP}"
@@ -384,22 +377,13 @@ def multiply(f: ExpSum, g: ExpSum, *, keep_freqs_up_to: float | None = None) -> 
     else:
         def pairs(op, a, b):
             return op(a[:, None], b[None, :]).ravel()
-    freqs = pairs(np.add, f.freqs, g.freqs)
-    coeffs = pairs(np.multiply, f.coeffs, g.coeffs)
-    major = live = None
-    if tracked:
-        major = pairs(np.multiply, f.major, g.major)
-        live_f, live_g = f.coeffs != 0, g.coeffs != 0
-        if not (live_f.all() and live_g.all()):
-            live = pairs(np.logical_and, live_f, live_g)
+    terms = [pairs(np.add, f.freqs, g.freqs), pairs(np.multiply, f.coeffs, g.coeffs),
+             pairs(np.multiply, f.major, g.major), pairs(np.logical_and, live_f, live_g)]
     if keep_freqs_up_to is not None:
-        low = freqs <= keep_freqs_up_to + FREQ_TOL
-        freqs, coeffs = freqs[low], coeffs[low]
-        if tracked:
-            major = major[low]
-            live = None if live is None else live[low]
-    out = _canonical_from_arrays(freqs, coeffs, 0.0, (major, live, rounds) if tracked else None)
-    kept = _live(out)
+        low = terms[0] <= keep_freqs_up_to + FREQ_TOL
+        terms = [x[low] for x in terms]
+    out = _merge(*terms, f.rounds + g.rounds + 2)
+    kept = int(np.count_nonzero(out.coeffs))
     if kept > MAX_TERMS:
         raise CapacityError(f"product has {kept} terms, above the capacity {MAX_TERMS}")
     return out
@@ -407,8 +391,6 @@ def multiply(f: ExpSum, g: ExpSum, *, keep_freqs_up_to: float | None = None) -> 
 
 def derivative(f: ExpSum) -> ExpSum:
     """Term-wise derivative ``q -> 2j*pi*omega*q``."""
-    if len(f) == 0:
-        return empty_sum()
     return _canonical_from_arrays(f.freqs, f.coeffs * (2j * np.pi * f.freqs), PRUNE_TOL)
 
 
@@ -457,25 +439,22 @@ def choose_height(f: ExpSum) -> float:
     return s * (1.0 + 1e-9) + 1e-12
 
 
-def _power_series(x: ExpSum, weight, cutoff: float) -> ExpSum:
+def _power_series(x: Majorized, weight, cutoff: float) -> Majorized:
     """``sum_k c_k * x^k`` with ``c_0 = 1`` and ``c_k = weight(k) * c_{k-1}``,
-    pruning-free and truncated at the frequency ``cutoff``.
+    pruning-free and truncated at the frequency ``cutoff``, in the series
+    engine's working form: the ghosts of x and of the powers ride along
+    until the truncation empties the power.
 
     The spectrum of x must be strictly positive.  Powers then only move
     up, so a dropped term can never feed a kept one: the terms at or
     below the cutoff are exact, and the truncated power is empty once k
     times the smallest frequency passes the cutoff.
-
-    A ``Majorized`` x gives a ``Majorized`` series: its ghosts ride along
-    until the truncation empties the power.
     """
     if len(x) and x.freqs[0] <= 0:
         raise InvalidInputError("a truncated power series needs strictly positive frequencies")
     if not math.isfinite(cutoff):
         raise InvalidInputError("the series cutoff must be finite")
-    series = power = constant(1.0)
-    if isinstance(x, Majorized):
-        series = power = majorize(series)
+    series = power = majorize(constant(1.0))
     k = 0
     while len(power):
         k += 1
@@ -531,10 +510,11 @@ def _neumann_series(f: ExpSum, s: float, cutoff: float) -> Majorized:
     return multiply(series, shift)
 
 
+@_plain_or_majorized
 def exp_series(g: ExpSum, cutoff: float) -> ExpSum:
     """Exponential via the power series ``sum g^k / k!`` in the algebra,
     truncated at the frequency ``cutoff``; g needs a strictly positive
-    spectrum.
+    spectrum.  A plain g gives the canonical sum of ``_power_series``.
 
     Every coefficient up to the cutoff receives all of its power-series
     contributions, however small.  Callers that rescale coefficients by

@@ -440,14 +440,16 @@ def _bits(f):
 
 
 @st.composite
-def _tied_sum(draw, step):
+def _tied_sum(draw, step, floor=0.0):
     # frequencies on a lattice of `step` (pairwise sums tie exactly and often),
-    # some moved by a few ulps or by 1.5 FREQ_TOL, complex coefficients
+    # some moved by a few ulps or by 1.5 FREQ_TOL, complex coefficients above
+    # `floor` in modulus (1.0 in place of one that is not)
     ks = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True))
     terms = []
     for k in ks:
         w = k * step + draw(st.sampled_from([0.0, 0.0, 1e-15, -2e-15, 1.5e-9]))
-        terms.append((w, complex(draw(_small)) or 1.0))
+        c = complex(draw(_small))
+        terms.append((w, c if abs(c) > floor else 1.0))
     return canonicalize(terms, prune_tol=0.0)
 
 
@@ -480,6 +482,106 @@ class TestProductLayout:
         g = wiener._make(w, np.array([2.0, 1j]))
         assert not wiener._runs_apart(f, g)
         assert _bits(multiply(f, g)) == _bits(self._rows(monkeypatch, f, g))
+
+
+# The untracked algebra that plain sums ran on before every operation went
+# through the majorized merge, kept as a reference: plain sums merged by the
+# same rule, every exact cancellation dropped, no majorant and no ghosts.
+
+def _ref_merge(freqs, coeffs):
+    if freqs.size == 0:
+        return empty_sum()
+    order = np.argsort(freqs, kind="stable")
+    freqs, coeffs = freqs[order], coeffs[order]
+    new_group = np.empty(freqs.size, dtype=bool)
+    new_group[0] = True
+    np.greater(np.diff(freqs), wiener.FREQ_TOL, out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    merged = np.add.reduceat(coeffs, starts)
+    reps = freqs if starts.size == freqs.size else freqs[wiener._representatives(
+        np.abs(coeffs), new_group, starts)]
+    keep = np.abs(merged) > 0.0
+    return wiener._make(reps[keep], merged[keep])
+
+
+def _ref_add(f, g):
+    return _ref_merge(np.concatenate([f.freqs, g.freqs]), np.concatenate([f.coeffs, g.coeffs]))
+
+
+def _ref_scale(f, c):
+    if c == 0 or len(f) == 0:
+        return empty_sum()
+    return wiener._make(f.freqs, f.coeffs * complex(c))
+
+
+def _ref_multiply(f, g, keep_freqs_up_to=None):
+    # the row layout, which TestProductLayout shows the column layout equals
+    if len(f) == 0 or len(g) == 0:
+        return empty_sum()
+    freqs = (f.freqs[:, None] + g.freqs[None, :]).ravel()
+    coeffs = (f.coeffs[:, None] * g.coeffs[None, :]).ravel()
+    if keep_freqs_up_to is not None:
+        low = freqs <= keep_freqs_up_to + wiener.FREQ_TOL
+        freqs, coeffs = freqs[low], coeffs[low]
+    return _ref_merge(freqs, coeffs)
+
+
+def _ref_power_series(x, weight, cutoff):
+    series = power = constant(1.0)
+    k = 0
+    while len(power):
+        k += 1
+        power = _ref_scale(_ref_multiply(power, x, cutoff), weight(k))
+        series = _ref_add(series, power)
+    return series
+
+
+def _ref_neumann_inverse(f, s, cutoff):
+    fs = at_height(f, s)
+    w1, q1 = float(fs.freqs[0]), complex(fs.coeffs[0])
+    H = wiener._make(fs.freqs[1:] - w1, fs.coeffs[1:] / q1)
+    return _ref_multiply(_ref_power_series(H, lambda j: -1.0, cutoff),
+                         canonicalize([(-w1, 1.0 / q1)]))
+
+
+class TestPlainReference:
+    """Plain sums enter the majorized merge and leave as canonical sums:
+    bit for bit the untracked reference's results."""
+
+    # Coefficients of modulus above 1e-3 and at most 12 factors in a series
+    # power keep every product far from underflow.  An underflow to 0 in
+    # ``scale`` is where the two differ: the reference keeps the zero term,
+    # which then joins merges; the engine drops it from the canonical sum
+    # and carries it as a ghost.
+    @settings(max_examples=150, deadline=None)
+    @given(_tied_sum(0.25, 1e-3), _tied_sum(0.5, 1e-3),
+           st.sampled_from([0.0, -1.0, 1.0, 0.3, 2.5 - 1j]), st.sampled_from([None, 2.0, 30.0]),
+           st.sampled_from([0.0, 0.1]), st.sampled_from([1.0, 3.0]))
+    def test_results_are_the_reference(self, f, g, c, keep, s, cutoff):
+        # h = f + g - f: exact cancellations and rounded remainders
+        h = add(add(f, g), scale(f, -1.0))
+        ref_h = _ref_add(_ref_add(f, g), _ref_scale(f, -1.0))
+        # a strictly positive spectrum from 0.25 for the exponential, and 1 + H
+        # with ||H||_W = 0.9 and H from 0.5 for the Neumann inverse
+        x = wiener._make(h.freqs - h.freqs[0] + 0.25, h.coeffs)
+        one_plus_h = wiener._make(np.insert(h.freqs, 0, h.freqs[0] - 0.5),
+                                  np.insert(h.coeffs * (0.9 / h.wiener_norm), 0, 1.0))
+        for got, want in (
+                (add(f, g), _ref_add(f, g)),
+                (add(f, scale(f, -1.0)), _ref_add(f, _ref_scale(f, -1.0))),
+                (h, ref_h),
+                (scale(f, c), _ref_scale(f, c)),
+                (multiply(f, g, keep_freqs_up_to=keep), _ref_multiply(f, g, keep)),
+                (multiply(h, g, keep_freqs_up_to=keep), _ref_multiply(ref_h, g, keep)),
+                (exp_series(x, cutoff), _ref_power_series(x, lambda k: 1.0 / k, cutoff)),
+                (neumann_inverse(one_plus_h, s, cutoff),
+                 _ref_neumann_inverse(one_plus_h, s, cutoff))):
+            assert type(got) is wiener.ExpSum
+            assert _bits(got) == _bits(want)
+
+    def test_an_underflow_in_scale_leaves_the_canonical_sum(self):
+        f = canonicalize([(0.0, 1e-300), (1.0, 1.0)])
+        assert scale(f, 1e-30).terms() == [(1.0, 1e-30 + 0j)]
 
 
 def _with_ghosts(f, ghosts):
