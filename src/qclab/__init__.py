@@ -52,7 +52,7 @@ from .reconstruct import (
     exponential_type,
     g_boundedness,
     g_function,
-    log_series_at_height_one,
+    log_series,
     rebuild_dirichlet,
     rebuild_from_log_series,
 )

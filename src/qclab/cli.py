@@ -27,7 +27,7 @@ from .errors import ConvergenceError, DomainError, InvalidInputError, QclabError
 from .wiener import ExpSum
 from .zeros import ZeroSet
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 ROUNDTRIP_TOL = 1e-9  # largest coefficient distance of a round trip, relative to ||f_hat||_W
 COMMANDS = ("analyze", "zeros", "diffract", "poisson", "reconstruct", "apset")
 
@@ -41,7 +41,6 @@ class RunConfig:
     command: str
     input_path: str
     window: tuple[float, float] = (-100.0, 100.0)
-    height: float | str = "auto"
     cutoff: float = 10.0
     grid_step: float = 0.25
     T: float = 2000.0
@@ -194,9 +193,8 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
                 f"the zero set is not real: {realness.real_count} real of "
                 f"{realness.total_count} zeros in the strip; the log-derivative route "
                 "needs real zeros"))
-        s = cfg.height
         mu_log = _stage("diffraction/logderiv",
-                        lambda: diffraction.logderiv_measure(f, s, cfg.cutoff))
+                        lambda: diffraction.logderiv_measure(f, cfg.cutoff))
     else:
         mu_log = None
 
@@ -275,7 +273,6 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
     }
     if mu_log is not None:
         info["logderiv"] = {
-            "height": cfg.height,
             "cutoff": cfg.cutoff,
             "d": mu_log.d,
             "atom_count": len(mu_log),
@@ -343,7 +340,7 @@ def _roundtrip(f, A, rebuilt):
 def _reconstruct_stage(mu, f, A, report):
     """The stage's report entry; sets ``report.rebuilt`` and ``report.plot_g``.
     The round trip is certified against the input sum f, if there is one."""
-    L = _stage("reconstruct/log_series", lambda: reconstruct.log_series_at_height_one(mu))
+    L = _stage("reconstruct/log_series", lambda: reconstruct.log_series(mu))
     rebuilt = _stage("reconstruct/rebuild",
                      lambda: reconstruct.rebuild_from_log_series(L, mu.d))
     roundtrip = None
@@ -496,18 +493,6 @@ def _window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _height(text: str) -> float | str:
-    if text == "auto":
-        return text
-    try:
-        height = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects a number or 'auto', got {text!r}") from None
-    if not np.isfinite(height):
-        raise argparse.ArgumentTypeError(f"expects a finite number or 'auto', got {text!r}")
-    return height
-
-
 def _positive(text: str) -> float:
     try:
         value = float(text)
@@ -536,7 +521,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, dest="input_path",
                    help="input CSV (kind sniffed from header)")
     p.add_argument("--window", type=_window, help="A,B real window")
-    p.add_argument("--height", type=_height, help="height s for the log-derivative route")
     p.add_argument("--cutoff", type=_positive, help="atom frequency cutoff")
     p.add_argument("--grid", type=_positive, dest="grid_step", help="Bohr scan grid step")
     p.add_argument("--T", type=_positive, help="Bohr averaging half-length")

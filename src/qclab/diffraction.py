@@ -1,11 +1,15 @@
 """Pure point diffraction of a zero counting measure, by two routes.
 
 Route one averages exp(-2j*pi*gamma*a_n) over the window (Bohr means).
-Route two computes f'/f at a height s in the exponential-sum algebra and
-reads the atom masses off its coefficients: with
-``f'/f (x+1j*s) = sum p_gamma exp(2j*pi*gamma*x)`` the mass at zero is
-``d = 1j*p_0/pi`` and ``b_gamma = 1j*p_gamma*exp(2*pi*gamma*s)/(2*pi)``
-for gamma > 0, negative atoms following by conjugate symmetry.
+Route two computes f'/f in the exponential-sum algebra and reads the
+atom masses off its coefficients: with the formal expansion
+``f'/f = sum p_gamma exp(2j*pi*gamma*x)`` (the Neumann series of 1/f,
+truncated at the cutoff) the mass at zero is ``d = 1j*p_0/pi`` and
+``b_gamma = 1j*p_gamma/(2*pi)`` for gamma > 0, negative atoms following
+by conjugate symmetry.  The paper expands f'/f at a height s > 0, where
+the untruncated series converges; there the coefficient at gamma is
+exp(-2*pi*gamma*s) times the formal one, exactly, so the truncated
+series needs no height (``logderiv_coefficients``).
 
 The two routes are independent, which is what the cross-validation
 tests lean on.
@@ -24,10 +28,7 @@ from .wiener import (
     ExpSum,
     _exp_rows,
     _neumann_series,
-    at_height,
-    choose_height,
     derivative,
-    exp_units,
     majorize,
     multiply,
 )
@@ -125,7 +126,7 @@ class CertifiedMeasure(PointMeasure):
 
 @dataclass(frozen=True)
 class LogderivCoefficients:
-    """The coefficients of f'/f at height s read as atoms: d, and b_gamma
+    """The coefficients of f'/f read as atoms: d, and b_gamma
     for FREQ_TOL < gamma < cutoff with a bound on the rounding error of
     each (``logderiv_coefficients``).  Ghosts, whose float value is an
     exact cancellation, have b = 0."""
@@ -381,44 +382,38 @@ def bohr_atoms(A: ZeroSet, gammas, full, half, T: float, threshold: float) -> Po
     return PointMeasure(d=d, gammas=gammas[keep], masses=full[keep])
 
 
-def logderiv_coefficients(
-    f: ExpSum,
-    s: float | str = "auto",
-    cutoff: float = 10.0,
-) -> LogderivCoefficients:
-    """The coefficients of f'/f at height s as atoms, each with a proven
-    bound on its rounding error.
+def logderiv_coefficients(f: ExpSum, cutoff: float = 10.0) -> LogderivCoefficients:
+    """The coefficients of f'/f as atoms, each with a proven bound on its
+    rounding error.
 
-    The Neumann recursion is run pruning-free and truncated at the
-    cutoff, because coefficients at frequency gamma get rescaled by
-    exp(2*pi*gamma*s) afterwards and may not be dropped however small
-    they look at height s.  The truncation is exact below the cutoff:
-    the spectrum of the Neumann remainder is strictly positive, so its
-    powers only move up.
+    f'/f = f' * (1/f) is taken at height 0, as the formal series: the
+    inverse is ``_neumann_series``, truncated at the cutoff and exact
+    below it, because the spectrum of the Neumann remainder is strictly
+    positive and its powers only move up.  No height is needed.  At a
+    height s the same recursion runs on the coefficients
+    q*exp(-2*pi*w*s), and along every path into gamma the frequencies add
+    up to gamma, so each of its coefficients is exp(-2*pi*gamma*s) times
+    the formal one: the rescale by exp(2*pi*gamma*s) that a height needs
+    returns exactly the coefficient computed here.
 
-    The bound.  f'/f = f'_s * (1/f_s) runs on ``Majorized`` sums (see
-    there): the inverse from ``_neumann_series``, and f'_s with
-    5 + exp_units(2*pi*w*s) + 1 units per coefficient (fl(2*pi), its
-    product with w, the complex product, then at_height).  f' is
+    The bound.  f'/f runs on ``Majorized`` sums (see there): the inverse
+    from ``_neumann_series``, and f' with 5 units per coefficient
+    (fl(2*pi), its product with w, the complex product).  f' is
     ``derivative``'s, which drops the terms below PRUNE_TOL of its Wiener
     norm: exact zeros, and a term whose frequency is within about 1e-14
     of 0 relative to the others.  The bound is a rounding bound for that
-    f', and such a term is not a rounding.  A coefficient p
-    of ld = f'_s * (1/f_s) with majorant M and count r is within
-    gamma_r*A <= gamma_{2r}*M of its exact value, and the exact |p| <= A
-    <= (1 + gamma_r)*M.  Its atom is b = 1j*p*E/2pi, with E numpy's exp of
-    x~ = fl(fl(fl(2*pi)*gamma)*s) within gamma_e of exp(2*pi*gamma*s), e =
-    ``exp_units``, the product by E rounding once and the quotient by
-    fl(2*pi) (a product by fl(1/fl(2*pi))) within gamma_3; 1j*p is exact.
-    Then, for the exact b at the same gamma and s,
+    f', and such a term is not a rounding.  A coefficient p~ of f'/f with
+    majorant M and count r is within gamma_r*A <= gamma_{2r}*M of its
+    exact value p, and |p~| <= (1 + gamma_r)*A <= (1 + gamma_{2r})*M.
+    Its atom is b = 1j*p/2pi: 1j*p~ is exact, and the quotient by
+    fl(2*pi) (a product by fl(1/fl(2*pi))) is within gamma_3.  So
 
-        |b~ - b| <= E~/2pi * M * (gamma_{2r+4} + (1 + gamma_r) * gamma_{e+4}
-                    * (1 + gamma_{2e})) <= gamma_K * M * E~/2pi,
+        |b~ - b| <= M/2pi * (gamma_{2r} + gamma_3 * (1 + gamma_{2r}))
+                 <= gamma_{2r+3} * M/2pi,
 
-    K = 3r + 3e + 8, by the same lemma (E <= E~/(1 - gamma_e) <= E~(1 +
-    gamma_{2e})).  The bound is that, raised by 1e-12 of itself for its
-    own rounding; it is infinite once K*u >= 1.  b itself is computed as
-    it always was, so every kept atom is the same bit for bit.
+    by (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}: K = 2r + 3.  The
+    bound is gamma_K * M / fl(2*pi), raised by 1e-12 of itself for its own
+    rounding; it is infinite once K*u >= 1.
     """
     if len(f) < 2:
         raise DomainError(
@@ -427,42 +422,27 @@ def logderiv_coefficients(
         )
     if cutoff <= 0:
         raise DomainError("cutoff must be positive")
-    if s == "auto":
-        s = choose_height(f)
-    s = float(s)
-    inv = _neumann_series(f, s, cutoff)
-    dfs = majorize(at_height(derivative(f), s),
-                   exp_units(2.0 * math.pi * f.max_abs_freq * s) + 6)
-    ld = multiply(dfs, inv)
+    ld = multiply(majorize(derivative(f), 5), _neumann_series(f, cutoff))
 
     live = ld.coeffs != 0
     i0 = np.flatnonzero(live & (np.abs(ld.freqs) <= FREQ_TOL))
     p0 = complex(ld.coeffs[i0[0]]) if i0.size else 0j
     d_complex = 1j * p0 / math.pi
     sel = (ld.freqs > FREQ_TOL) & (ld.freqs < cutoff)
-    g = ld.freqs[sel]
-    x = 2.0 * math.pi * g * s
-    E = np.exp(x)
-    b = 1j * ld.coeffs[sel] * E / (2.0 * math.pi)
-    K = 3.0 * ld.rounds + 3.0 * exp_units(x) + 8.0
-    Ku = K * _U
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gamma_K = np.where(Ku < 1.0, Ku / (1.0 - Ku), np.inf)
-        bounds = gamma_K * ld.major[sel] * E / (2.0 * math.pi) * (1.0 + 1e-12)
-    return LogderivCoefficients(d=float(d_complex.real), gammas=g, masses=b, bounds=bounds,
-                                cutoff=float(cutoff))
+    b = 1j * ld.coeffs[sel] / (2.0 * math.pi)
+    Ku = (2.0 * ld.rounds + 3.0) * _U
+    gamma_K = Ku / (1.0 - Ku) if Ku < 1.0 else math.inf
+    bounds = gamma_K * ld.major[sel] / (2.0 * math.pi) * (1.0 + 1e-12)
+    return LogderivCoefficients(d=float(d_complex.real), gammas=ld.freqs[sel], masses=b,
+                                bounds=bounds, cutoff=float(cutoff))
 
 
-def logderiv_measure(
-    f: ExpSum,
-    s: float | str = "auto",
-    cutoff: float = 10.0,
-) -> CertifiedMeasure:
-    """Diffraction atoms from the coefficients of f'/f at height s
+def logderiv_measure(f: ExpSum, cutoff: float = 10.0) -> CertifiedMeasure:
+    """Diffraction atoms from the coefficients of f'/f
     (``logderiv_coefficients``): every coefficient whose atom is above
     ``_ATOM_TOL`` and above its rounding bound, with its conjugate at
     -gamma; the others are rounding noise (``CertifiedMeasure``)."""
-    return logderiv_coefficients(f, s, cutoff).measure()
+    return logderiv_coefficients(f, cutoff).measure()
 
 
 def _gaussian_comb_tail(x0: float, alpha: float) -> float:

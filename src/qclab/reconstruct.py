@@ -1,11 +1,26 @@
 """The inverse direction: Dirichlet-series reconstruction from the
 diffraction measure, its exponential type, and the bounded-g criterion.
 
-Reconstruction path: the atoms define the log of the target at height 1,
-``log f(x+1j) + 1j*d*pi*x = -sum (b/gamma) exp(-2*pi*gamma) e^{2pi i gamma x}``
-up to a constant; exponentiating in the algebra and mapping
-``omega -> omega - d/2``, ``p -> p*exp(2*pi*omega - d*pi)`` lands back on
-the real axis.  The unknown constant is fixed by normalizing f(0) = 1.
+Reconstruction path: the atoms define the log of the target as a formal
+series, ``log f(x) + 1j*d*pi*x = -sum (b/gamma) e^{2pi i gamma x}`` up to
+a constant (``log_series``); exponentiating it in the algebra and
+shifting every frequency by -d/2 gives f.  The unknown constant is fixed
+by normalizing f(0) = 1.
+
+The series converges in the upper half-plane, where the paper takes it:
+at a height s its coefficient at gamma is exp(-2*pi*gamma*s) times the
+formal one, and so is every coefficient of its exponential, since the
+frequencies along every path into omega add up to omega.  The truncated
+series computes the same coefficients at height 0 with no rescale.
+
+The exponential is truncated at d, and the truncation loses nothing.
+f * e^{1j*pi*d*z} has its spectrum in [0, d], and it is exp(L) times a
+constant, so every formal coefficient of exp(L) above d is 0: the
+rebuild keeps the coefficients at or below d (within ``FREQ_TOL``, so a
+top frequency that carries the rounding of d stays), each exact because
+L has a strictly positive spectrum and its powers only move up.  The
+coefficient at omega takes the atoms up to omega, so a measure cut off
+below d rebuilds only the terms below its cutoff exactly.
 """
 
 from __future__ import annotations
@@ -38,10 +53,10 @@ class GReport:
     sup_bound: float  # bound on |g| over the real line: 2 * sum |b|/gamma over 0 < gamma < 1
 
 
-def log_series_at_height_one(mu_hat: PointMeasure) -> ExpSum:
-    """Exponential sum with coefficient -(b/gamma)*exp(-2*pi*gamma) at each
-    positive atom frequency; represents log f(x+1j) + 1j*d*pi*x, with d
-    the measure's density, up to a constant.  An atom of the band
+def log_series(mu_hat: PointMeasure) -> ExpSum:
+    """Exponential sum with coefficient -b/gamma at each positive atom
+    frequency; represents log f(x) + 1j*d*pi*x, with d the measure's
+    density, up to a constant, as a formal series.  An atom of the band
     0 < gamma < 1 with |b|/gamma > 100 warns; a measure whose sum
     |b|/gamma over that band exceeds ``T3_BUDGET`` is a DomainError."""
     if mu_hat.d <= 0:
@@ -61,38 +76,24 @@ def log_series_at_height_one(mu_hat: PointMeasure) -> ExpSum:
         raise DomainError(
             f"low-frequency mass sum |b|/gamma = {t3:.3g} exceeds the budget {T3_BUDGET:.3g}"
         )
-    coeffs = -(b / g) * np.exp(-2.0 * math.pi * g)
-    return canonicalize(list(zip(g.tolist(), coeffs.tolist())))
+    return canonicalize(list(zip(g.tolist(), (-(b / g)).tolist())))
 
 
 def rebuild_dirichlet(mu_hat: PointMeasure) -> ExpSum:
     """Dirichlet series with the measure's zero set, normalized to 1 at 0:
-    ``rebuild_from_log_series`` of ``log_series_at_height_one`` in one
-    call (the CLI runs the two as separate stages)."""
-    return rebuild_from_log_series(log_series_at_height_one(mu_hat), mu_hat.d)
+    ``rebuild_from_log_series`` of ``log_series`` in one call (the CLI
+    runs the two as separate stages)."""
+    return rebuild_from_log_series(log_series(mu_hat), mu_hat.d)
 
 
 def rebuild_from_log_series(L: ExpSum, d: float) -> ExpSum:
-    """Dirichlet series of density d whose log at height 1 is L,
-    normalized to 1 at 0.
-
-    The exponential of the log series is taken pruning-free and truncated
-    at the largest atom frequency.  Frequencies above it depend on atoms
-    the measure does not carry, and the rescale by exp(2*pi*omega) below
-    would blow up their incomplete cancellations; the terms at or below
-    it are exact, because the log series has a strictly positive
-    spectrum and its powers only move up.
-    """
+    """Dirichlet series of density d whose formal log is L, normalized to
+    1 at 0: ``exp_series`` of L truncated at d (exact, see the module
+    docstring), every frequency shifted by -d/2."""
     if len(L) == 0:
         warnings.warn("no positive atoms: reconstruction degenerates to a single exponential")
-    gmax = float(L.freqs[-1]) if len(L) else 0.0
-    F = exp_series(L, gmax)
-    freqs = F.freqs - d / 2.0
-    with np.errstate(over="ignore"):
-        coeffs = F.coeffs * np.exp(2.0 * math.pi * F.freqs - d * math.pi)
-    if not np.all(np.isfinite(coeffs)):
-        raise OverflowError("reconstruction overflowed; lower the atom cutoff")
-    g = canonicalize(list(zip(freqs.tolist(), coeffs.tolist())))
+    F = exp_series(L, d)
+    g = canonicalize(list(zip((F.freqs - d / 2.0).tolist(), F.coeffs.tolist())))
     v0 = evaluate(g, 0.0)
     if v0 == 0:
         raise DomainError("reconstructed sum vanishes at 0; cannot normalize")

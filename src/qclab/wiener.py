@@ -144,19 +144,6 @@ def majorize(f: ExpSum, units: int = 0) -> Majorized:
     return _majorized(f.freqs, f.coeffs, np.abs(f.coeffs), 2 * units + 2)
 
 
-def exp_units(x):
-    """k with |fl(exp(x~)) / exp(x) - 1| <= gamma_k, where x~ is
-    x = 2*pi*w*s computed with three roundings (fl(2*pi) and two products):
-    |x~ - x| <= gamma_3 |x|, and exp(y) <= 1 + gamma_j once j*u >= y, so
-    j = 3|x| with room for the rounding of x~.  The exp itself is allowed
-    10 units: numpy's accuracy test of float64 exp
-    (umath-validation-set-exp.csv) holds it to 1 ulp, 2 units, on its test
-    points, and 8 more are a margin for its other inputs and kernels,
-    which are not proven.  Scalars give an int."""
-    k = np.ceil(3.0 * np.abs(x) * (1.0 + 1e-12)) + 10.0
-    return int(k) if np.ndim(k) == 0 else k
-
-
 def _representatives(mag, new_group, starts):
     """Index of each group's representative: the member of largest
     ``mag``, ties going to the first (lowest frequency), with nan below
@@ -465,48 +452,45 @@ def _power_series(x: Majorized, weight, cutoff: float) -> Majorized:
 
 def neumann_inverse(f: ExpSum, s: float, cutoff: float) -> ExpSum:
     """Inverse of ``x -> f(x + 1j*s)`` as an exponential sum in x, exact
-    at the frequencies up to ``cutoff - w1``.
-
-    Writes ``f(x+1j*s) = q1 * exp(2j*pi*w1*x) * (1 + H(x))`` with
-    ``w1 = inf`` of the spectrum and expands ``(1+H)^{-1}`` as the Neumann
-    series ``sum (-H)^j`` truncated at ``cutoff``.  Every term up to the
-    cutoff is kept however small: the diffraction extraction rescales
-    high-frequency coefficients by large exponentials afterwards.  This
-    is the canonical sum of ``_neumann_series``.
-    """
-    return _neumann_series(f, s, cutoff).canonical()
-
-
-def _neumann_series(f: ExpSum, s: float, cutoff: float) -> Majorized:
-    """``neumann_inverse`` in the series engine's working form, ghosts
-    and majorant included.
-
-    Its exact values are those of the exact f: at_height puts
-    exp_units(2*pi*w*s) + 1 units on each coefficient, the quotient by q1
-    (Smith's algorithm, within 2*gamma_3 + gamma_4 <= gamma_10 of the
-    exact quotient's modulus) 10 more, and the error of q1 enters twice
-    (|1/(1 + t) - 1| <= gamma_{2k} for |t| <= gamma_k): H has
-    e_max + 2*e_1 + 13 units and 1/q1 has 2*e_1 + 12, with e_max and e_1
-    the units of the largest |w| and of w1.
+    at the frequencies up to ``cutoff - w1``: the canonical sum of
+    ``_neumann_series`` of ``at_height(f, s)``.  The height must make
+    ``||H||_W < 1`` (``choose_height``), so that the untruncated series
+    converges too.
     """
     if len(f) == 0:
         raise InvalidInputError("cannot invert the empty sum")
-    s = float(s)
     fs = at_height(f, s)
-    w1 = float(fs.freqs[0])
-    q1 = complex(fs.coeffs[0])
-    e_1 = exp_units(2.0 * math.pi * w1 * s)
-    shift = majorize(canonicalize([(-w1, 1.0 / q1)]), 2 * e_1 + 12)
-    if len(fs) == 1:
-        return shift
-    H = _make(fs.freqs[1:] - w1, fs.coeffs[1:] / q1)
-    hnorm = H.wiener_norm
+    hnorm = float(np.sum(np.abs(fs.coeffs[1:] / complex(fs.coeffs[0]))))
     if hnorm >= 1.0:
         raise DivergenceError(
-            f"||H||_W = {hnorm:.6g} >= 1 at height s = {s:.6g}; use a larger height"
+            f"||H||_W = {hnorm:.6g} >= 1 at height s = {float(s):.6g}; use a larger height"
         )
-    e_max = exp_units(2.0 * math.pi * f.max_abs_freq * s)
-    series = _power_series(majorize(H, e_max + 2 * e_1 + 13), lambda j: -1.0, cutoff)
+    return _neumann_series(fs, cutoff).canonical()
+
+
+def _neumann_series(f: ExpSum, cutoff: float) -> Majorized:
+    """The inverse of f, truncated at the frequencies up to ``cutoff - w1``,
+    in the series engine's working form, ghosts and majorant included.
+
+    Writes ``f = q1 * exp(2j*pi*w1*x) * (1 + H)`` with ``w1`` the lowest
+    frequency and expands ``(1 + H)^{-1}`` as the Neumann series
+    ``sum (-H)^j`` truncated at ``cutoff``.  The spectrum of H is strictly
+    positive, so the series ends at depth cutoff / (w2 - w1) whatever
+    ||H||_W is, and every term up to the cutoff is the formal (exact)
+    coefficient however small.
+
+    Its exact values are those of the exact f, whose coefficients are
+    input data: the quotients by q1 (Smith's algorithm, within 2*gamma_3 +
+    gamma_4 <= gamma_10 of the exact quotient's modulus) put 10 units on H
+    and on 1/q1.  f must not be empty.
+    """
+    w1 = float(f.freqs[0])
+    q1 = complex(f.coeffs[0])
+    shift = majorize(canonicalize([(-w1, 1.0 / q1)]), 10)
+    if len(f) == 1:
+        return shift
+    H = _make(f.freqs[1:] - w1, f.coeffs[1:] / q1)
+    series = _power_series(majorize(H, 10), lambda j: -1.0, cutoff)
     return multiply(series, shift)
 
 
@@ -517,8 +501,6 @@ def exp_series(g: ExpSum, cutoff: float) -> ExpSum:
     spectrum.  A plain g gives the canonical sum of ``_power_series``.
 
     Every coefficient up to the cutoff receives all of its power-series
-    contributions, however small.  Callers that rescale coefficients by
-    growing exponentials need the cancellations below the cutoff to be
-    complete.
+    contributions, however small, so each is the formal coefficient.
     """
     return _power_series(g, lambda k: 1.0 / k, cutoff)

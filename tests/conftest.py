@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,26 @@ def lattice_measure(K=10, d=1.0):
     b = (-1.0 + 0j) ** ks
     return PointMeasure(d=d, gammas=np.concatenate([-ks[::-1], ks]),
                         masses=np.concatenate([np.conj(b[::-1]), b]))
+
+
+def lee_yang_rows(n, seed):
+    """The Lee-Yang sum det(I - U diag(e^{2 pi i a_j z})), a = (1, sqrt2,
+    sqrt3, sqrt5)[:n], U a unitary drawn from the seed: expanded by
+    principal minors, shifted by -sum(a)/2 and divided by
+    sqrt((-1)^n det U), so that it is Hermitian with only real zeros.
+    Rows (omega, re, im) as floats, the fields of the CSV input."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    U = q * (np.diag(r) / np.abs(np.diag(r)))
+    a = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])[:n]
+    norm = np.sqrt((-1) ** n * np.linalg.det(U))
+    rows = []
+    for chosen in itertools.product((0, 1), repeat=n):
+        idx = np.flatnonzero(chosen)
+        minor = np.linalg.det(U[np.ix_(idx, idx)]) if idx.size else 1.0
+        c = complex((-1) ** idx.size * minor / norm)
+        rows.append((float(np.sum(a[idx]) - np.sum(a) / 2), c.real, c.imag))
+    return sorted(rows)
 
 
 @pytest.fixture(scope="session")

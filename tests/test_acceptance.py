@@ -64,7 +64,7 @@ def test_criterion_1_lattice_pipeline():
     expect = np.arange(-1000, 1000) + 0.5
     zero_err = float(np.max(np.abs(A.points - expect)))
     d_est = density(A).d
-    mu = logderiv_measure(f, 1.0, 10.5)
+    mu = logderiv_measure(f, 10.5)
     atom_err = max(abs(mu.mass_at(float(k)) - (-1.0) ** k) for k in range(1, 11))
     elapsed = time.perf_counter() - t0
     ok = (
@@ -87,7 +87,7 @@ def test_criterion_2_route_agreement():
     uni = union_zeroset(2100)
     worst = 0.0
     for f, A in ((cos_sum(), lat), (union_sum(), uni)):
-        mu = logderiv_measure(f, "auto", 10.0)
+        mu = logderiv_measure(f, 10.0)
         means = bohr_means(A, np.append(mu.gammas, 0.0), [2000.0])[0]
         worst = max(worst, float(np.max(np.abs(means[:-1] - mu.masses))),
                     abs(means[-1].real - mu.d))
@@ -116,12 +116,12 @@ def test_criterion_3_poisson_identity():
 def test_criterion_4_reconstruction_roundtrip():
     """zeros -> measure -> Dirichlet series reproduces both fixtures."""
     cos = cos_sum()
-    mu = logderiv_measure(cos, 1.0, 10.0)
+    mu = logderiv_measure(cos, 10.0)
     rebuilt = rebuild_dirichlet(mu)
     coeff_err = max(abs(q1 - q2) for (_, q1), (_, q2)
                     in zip(rebuilt.terms(), cos.terms()))
     funion = union_sum()
-    mu_u = logderiv_measure(funion, "auto", 10.0)
+    mu_u = logderiv_measure(funion, 10.0)
     rebuilt_u = rebuild_dirichlet(mu_u)
     z_new = find_real_zeros(rebuilt_u, (-20.0, 20.0))
     z_old = find_real_zeros(funion, (-20.0, 20.0))
@@ -144,7 +144,7 @@ def test_criterion_5_g_criterion_and_type():
     funion = union_sum()
     type_errs = []
     for f, d_ref in ((cos, 1.0), (union_sum(), 1 + SQRT2)):
-        mu = logderiv_measure(f, "auto", 10.0)
+        mu = logderiv_measure(f, 10.0)
         rebuilt = rebuild_dirichlet(mu)
         est = exponential_type(rebuilt)
         type_errs.append(abs(est - math.pi * d_ref) / (math.pi * d_ref))
@@ -246,5 +246,5 @@ def test_criterion_8_determinism(tmp_path):
     a = (tmp_path / "a" / "report.json").read_bytes()
     b = (tmp_path / "b" / "report.json").read_bytes()
     doc = json.loads(a)
-    ok = code_a == code_b == 0 and a == b and doc["schema"] == 4
+    ok = code_a == code_b == 0 and a == b and doc["schema"] == 5
     _report(8, ok, f"{len(a)} byte reports, identical {a == b}")

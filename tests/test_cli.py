@@ -1,9 +1,7 @@
 import codecs
 import csv
 import io as stdio
-import itertools
 import json
-import math
 import os
 import re
 import stat
@@ -32,7 +30,7 @@ from qclab.diffraction import PointMeasure
 from qclab.errors import ConvergenceError, ParseError, StageError
 from qclab.zeros import ZeroSet
 
-from conftest import cos_sum, lattice_measure, lattice_zeroset, union_zeroset
+from conftest import cos_sum, lattice_measure, lattice_zeroset, lee_yang_rows, union_zeroset
 
 
 @pytest.fixture()
@@ -196,10 +194,10 @@ class TestRunConfig:
 
     def test_flags_set_the_fields_of_their_name(self):
         args = build_parser().parse_args([
-            "zeros", "--input", "x", "--window=-3,4.5", "--height", "2", "--cutoff", "7",
+            "zeros", "--input", "x", "--window=-3,4.5", "--cutoff", "7",
             "--grid", "0.5", "--T", "30", "--eps", "0.1", "--out", "o", "--seed", "4"])
         assert RunConfig(**vars(args)) == RunConfig(
-            "zeros", "x", window=(-3.0, 4.5), height=2.0, cutoff=7.0, grid_step=0.5,
+            "zeros", "x", window=(-3.0, 4.5), cutoff=7.0, grid_step=0.5,
             T=30.0, eps=0.1, out_dir="o", seed=4)
 
     def test_snapshot_keys_are_the_fields(self):
@@ -356,26 +354,6 @@ class TestEmptyBohrMeasure:
             assert "extend" not in s["message"]
 
 
-def lee_yang_rows(n, seed):
-    """The Lee-Yang sum det(I - U diag(e^{2 pi i a_j z})), a = (1, sqrt2,
-    sqrt3, sqrt5)[:n], U a unitary drawn from the seed: expanded by
-    principal minors, shifted by -sum(a)/2 and divided by
-    sqrt((-1)^n det U), so that it is Hermitian with only real zeros.
-    Rows (omega, re, im) as floats, the fields of the CSV input."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    U = q * (np.diag(r) / np.abs(np.diag(r)))
-    a = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])[:n]
-    norm = np.sqrt((-1) ** n * np.linalg.det(U))
-    rows = []
-    for chosen in itertools.product((0, 1), repeat=n):
-        idx = np.flatnonzero(chosen)
-        minor = np.linalg.det(U[np.ix_(idx, idx)]) if idx.size else 1.0
-        c = complex((-1) ** idx.size * minor / norm)
-        rows.append((float(np.sum(a[idx]) - np.sum(a) / 2), c.real, c.imag))
-    return sorted(rows)
-
-
 class TestRoundtripCertificate:
     """analyze certifies the rebuilt sum against the normalized input over
     the whole strip of the zero search, and searches zeros only once."""
@@ -455,33 +433,42 @@ class TestRoundtripCertificate:
         with pytest.raises(ConvergenceError, match="disc test fails at the zero -1.5 "):
             _roundtrip(f, twins, f)
 
-    def test_lee_yang_rebuild_fails_by_its_extra_terms(self, tmp_path):
-        # the rebuild truncates at the largest atom, not at the type: 10
-        # terms against the input's 8, which the coefficient distance names
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (3, 4) for seed in range(5)])
+    def test_lee_yang_round_trip(self, tmp_path, n, seed):
+        # a sum whose frequencies lie off a lattice: the rebuild, truncated at
+        # the density d, has the input's 2**n terms and passes the certificate
         path = tmp_path / "lee-yang.csv"
         path.write_text("omega,re,im\n" + "".join(
-            f"{w!r},{re!r},{im!r}\n" for w, re, im in lee_yang_rows(3, 0)), encoding="utf-8")
+            f"{w!r},{re!r},{im!r}\n" for w, re, im in lee_yang_rows(n, seed)), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["analyze", "--input", str(path), "--window=-100.05,100.05", "--T", "100",
-                     "--cutoff", "10", "--out", str(out)]) == 2
-        error = json.loads((out / "report.json").read_text())["error"]
-        assert error["stage"] == "reconstruct/roundtrip"
-        assert error["type"] == "ConvergenceError"
-        assert re.search(r"\(10 terms\) lies delta = [0-9.e+-]+ from the normalized input "
-                         r"\(8 terms\)", error["message"])
+                     "--cutoff", "10", "--out", str(out)]) == 0
+        rec = json.loads((out / "report.json").read_text())["stages"]["reconstruct"]
+        assert rec["rebuilt_terms"] == 2 ** n
+        rt = rec["roundtrip"]
+        assert rt["original_count"] == rt["rebuilt_count"] > 0
+        assert rt["coefficient_distance"] < min(rt["contour_floor"], rt["tolerance"])
+        assert rt["max_deviation"] < 1e-9
 
 
 class TestReportSchema:
-    def test_schema_four_and_the_exact_type(self, three_factor_run):
+    def test_schema_five_and_the_exact_type(self, three_factor_run):
         doc, _ = three_factor_run
-        assert doc["schema"] == 4
+        assert doc["schema"] == 5
+        assert "height" not in doc["config"]
         log = doc["stages"]["diffraction"]["logderiv"]
+        assert "height" not in log
         assert log["atom_count"] == 2 * 90
-        assert log["noise_dropped"] == 2977
-        # the lowest mixed frequency whose noise passes _ATOM_TOL: 4 + 5 sqrt2 + 5 sqrt3
-        assert log["certified_cutoff"] == pytest.approx(4 + 5 * np.sqrt(2) + 5 * np.sqrt(3), abs=1e-9)
-        assert 0.0 < log["max_error_bound"] < 1e-10
+        # the formal series at height 0 leaves no coefficient in the noise below 40
+        assert log["noise_dropped"] == 0
+        assert log["certified_cutoff"] == 40.0
+        assert 0.0 < log["max_error_bound"] < 1e-12
         rec = doc["stages"]["reconstruct"]
+        # ||L||_W = sum |b|/gamma, and the atom c(-1)^k at k c gives 1/k
+        want = sum(sum(1.0 / k for k in range(1, int(40.0 / c) + 1) if k * c < 40.0)
+                   for c in (1.0, np.sqrt(2.0), np.sqrt(3.0)))
+        assert rec["log_series_norm"] == pytest.approx(want, rel=1e-12)
+        assert rec["rebuilt_terms"] == 8
         assert rec["exponential_type"]["exact"] == -2.0 * np.pi * rec["spectrum"]["min_freq"]
         assert set(rec["g"]) == {"windows", "sup_bound"}
         assert doc["stages"]["apset"]["periods_max_gap"] is None
@@ -618,7 +605,7 @@ class TestEmitOutputs:
                      "plot_g_sup.csv", "plot_m_of_s.csv", "plot_poisson_vs_T.csv"):
             assert (out / name).exists(), name
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 4
+        assert doc["schema"] == 5
         assert doc["config"]["tolerances"]["freq_tol"] == 1e-9
 
     def test_no_knob_outside_the_command_line(self, tmp_path):
@@ -658,7 +645,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("flag, value", [
         ("--T", "nan"), ("--T", "0"), ("--grid", "0"), ("--grid", "-1"),
         ("--cutoff", "nan"), ("--cutoff", "inf"), ("--eps", "nan"),
-        ("--height", "nan"), ("--height", "-inf"), ("--seed", "-1"), ("--window", "-inf,inf"),
+        ("--seed", "-1"), ("--window", "-inf,inf"),
     ])
     def test_usage_error_bad_number(self, cos_csv, tmp_path, flag, value):
         out = tmp_path / "out"
@@ -670,7 +657,7 @@ class TestMainExitCodes:
         ("--T", "0", "argument --T: expects a finite number > 0, got '0'"),
         ("--seed", "1.5", "argument --seed: expects an integer >= 0, got '1.5'"),
         ("--window", "1,2,3", "argument --window: expects A,B; got '1,2,3'"),
-        ("--height", "high", "argument --height: expects a number or 'auto', got 'high'"),
+        ("--height", "1", "unrecognized arguments: --height=1"),  # the series need no height
     ], ids=["T", "seed", "window", "height"])
     def test_usage_error_names_the_flag(self, cos_csv, capsys, flag, value, message):
         assert main(["analyze", "--input", cos_csv, f"{flag}={value}"]) == 1
@@ -776,14 +763,6 @@ class TestMainExitCodes:
         assert code == 2
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["error"]["stage"] == "reconstruct/log_series"
-
-    def test_overflow_is_a_stage_error(self, cos_csv, tmp_path):
-        code = main(["analyze", "--input", cos_csv, "--window=-10,10", "--T", "10",
-                     "--height", "300", "--out", str(tmp_path / "out")])
-        assert code == 2
-        doc = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert doc["error"]["stage"] == "diffraction/logderiv"
-        assert doc["error"]["type"] == "OverflowError"
 
     def test_readonly_output_exit_one(self, cos_csv, tmp_path):
         ro = tmp_path / "ro"

@@ -13,6 +13,7 @@ from qclab.diffraction import (
     bohr_means,
     bohr_stable,
     growth_profile,
+    logderiv_coefficients,
     logderiv_measure,
     poisson_residual,
 )
@@ -20,7 +21,7 @@ from qclab.errors import DomainError, InsufficientDataError, InvalidInputError
 from qclab.wiener import canonicalize, multiply
 from qclab.zeros import ZeroSet
 
-from conftest import SQRT2, lattice_measure, lattice_points, lattice_zeroset
+from conftest import SQRT2, lattice_measure, lattice_points, lattice_zeroset, lee_yang_rows
 
 
 class TestBohrCoefficient:
@@ -337,7 +338,7 @@ class TestConjugateDefect:
         f = multiply(multiply(canonicalize([(-0.5, 0.5), (0.5, 0.5)]),
                               canonicalize([(-SQRT2 / 2, 0.5), (SQRT2 / 2, 0.5)])),
                      canonicalize([(-np.sqrt(3.0) / 2, 0.5), (np.sqrt(3.0) / 2, 0.5)]))
-        mu = logderiv_measure(f, "auto", 20.0)
+        mu = logderiv_measure(f, 20.0)
         assert len(mu) > 40
         assert mu.conjugate_defect() == self._loop(mu)
         g, b = mu.positive()
@@ -397,46 +398,40 @@ class TestAtomIndex:
 
 class TestLogderivMeasure:
     def test_cos_exact_atoms(self, cos):
-        mu = logderiv_measure(cos, 1.0, 10.0)
+        mu = logderiv_measure(cos, 10.0)
         assert mu.d == pytest.approx(1.0, abs=1e-10)
         for k in range(1, 10):
             assert mu.mass_at(float(k)) == pytest.approx((-1.0) ** k, abs=1e-10)
             assert mu.mass_at(float(-k)) == pytest.approx((-1.0) ** k, abs=1e-10)
 
     def test_cutoff_strict(self, cos):
-        mu = logderiv_measure(cos, 1.0, 10.0)
+        mu = logderiv_measure(cos, 10.0)
         assert float(np.max(mu.gammas)) < 10.0
 
     def test_single_exponential_rejected(self):
         with pytest.raises(DomainError):
-            logderiv_measure(canonicalize([(0.7, 2.0)]), 1.0, 10.0)
-
-    def test_height_independence(self, cos):
-        mu1 = logderiv_measure(cos, 0.6, 8.0)
-        mu2 = logderiv_measure(cos, 1.3, 8.0)
-        for k in range(1, 8):
-            assert abs(mu1.mass_at(float(k)) - mu2.mass_at(float(k))) < 1e-9
+            logderiv_measure(canonicalize([(0.7, 2.0)]), 10.0)
 
     def test_conjugate_symmetry(self, funion):
-        mu = logderiv_measure(funion, "auto", 8.0)
+        mu = logderiv_measure(funion, 8.0)
         assert mu.conjugate_defect() < 1e-9
 
     def test_logderivative_norm_bound(self, cos, funion):
-        # the coefficient-sum of f'/f at height s stays below
-        # 6*pi*max(|w_n| e^{2pi(w_n-w_1)s}) * sum|q_n/q_1|
-        from qclab.wiener import at_height, choose_height, derivative, multiply, neumann_inverse
+        # the truncated series sum_{j <= J} (-H)^j, J = cutoff/(w2 - w1), has
+        # norm at most sum_{j <= J} ||H||^j, and ||f'||_W <= 2 pi max|w| ||f||_W
+        # and ||1/q1|| = 1/|q1|, whatever ||H||_W is
+        from qclab.wiener import _neumann_series, derivative
         for f in (cos, funion):
-            s = choose_height(f)
-            ld = multiply(at_height(derivative(f), s), neumann_inverse(f, s, 10.0))
-            w1 = f.freqs[0]
+            ld = multiply(derivative(f), _neumann_series(f, 10.0).canonical())
             q1 = abs(f.coeffs[0])
-            cf = (6 * np.pi
-                  * float(np.max(np.abs(f.freqs) * np.exp(2 * np.pi * (f.freqs - w1) * s)))
-                  * float(np.sum(np.abs(f.coeffs))) / q1)
-            assert ld.wiener_norm <= cf
+            h = float(np.sum(np.abs(f.coeffs[1:]))) / q1
+            depth = math.ceil(10.0 / (f.freqs[1] - f.freqs[0]))
+            cf = (2 * np.pi * f.max_abs_freq * f.wiener_norm / q1
+                  * sum(h ** j for j in range(depth + 1)))
+            assert ld.wiener_norm <= cf * (1 + 1e-12)
 
     def test_union_atoms_on_both_combs(self, funion):
-        mu = logderiv_measure(funion, "auto", 10.0)
+        mu = logderiv_measure(funion, 10.0)
         assert mu.d == pytest.approx(1.0 + SQRT2, abs=1e-9)
         assert mu.mass_at(1.0) == pytest.approx(-1.0, abs=1e-9)
         assert mu.mass_at(3.0) == pytest.approx(-1.0, abs=1e-9)
@@ -449,20 +444,81 @@ class TestLogderivMeasure:
             assert on_int or on_r2
 
 
+def _masses_at_height(f, s, cutoff):
+    """The atoms of f'/f read at a height s > 0 from the kept algebra,
+    at_height(f', s) * neumann_inverse(f, s, cutoff) * exp(2 pi gamma s)/2pi,
+    as (gammas, masses, bounds) over FREQ_TOL < gamma < cutoff.
+
+    The bound is the rounding bound the route had at a height, from the
+    same product run on ``Majorized`` sums: at_height puts 3|x| + 11 units
+    on a coefficient, x = 2 pi w s (numpy's exp is allowed 10 units: 1 ulp
+    on its own test points, and a margin), q1's error enters H and 1/q1
+    twice, and an atom is within gamma_K of M exp(2 pi gamma s)/2pi with
+    K = 3r + 3e + 8, e the units of its exp."""
+    def units(x):
+        return np.ceil(3.0 * np.abs(x) * (1.0 + 1e-12)) + 10.0
+
+    fs, dfs = wiener.at_height(f, s), wiener.at_height(wiener.derivative(f), s)
+    plain = multiply(dfs, wiener.neumann_inverse(f, s, cutoff))
+    w1, q1 = float(fs.freqs[0]), complex(fs.coeffs[0])
+    e1, emax = int(units(2 * np.pi * w1 * s)), int(units(2 * np.pi * f.max_abs_freq * s))
+    H = wiener.majorize(wiener.ExpSum(fs.freqs[1:] - w1, fs.coeffs[1:] / q1), emax + 2 * e1 + 13)
+    shift = wiener.majorize(canonicalize([(-w1, 1.0 / q1)]), 2 * e1 + 12)
+    inv = multiply(wiener._power_series(H, lambda j: -1.0, cutoff), shift)
+    ld = multiply(wiener.majorize(dfs, emax + 6), inv)
+    # the kept algebra's product is the live part of the majorized one, bit for bit
+    assert ld.canonical().terms() == plain.terms()
+    sel = (ld.freqs > wiener.FREQ_TOL) & (ld.freqs < cutoff)
+    g = ld.freqs[sel]
+    E = np.exp(2.0 * math.pi * g * s)
+    Ku = (3.0 * ld.rounds + 3.0 * units(2.0 * math.pi * g * s) + 8.0) * 2.0 ** -53
+    assert np.all(Ku < 0.5)
+    bounds = Ku / (1.0 - Ku) * ld.major[sel] * E / (2.0 * math.pi) * (1.0 + 1e-12)
+    return g, 1j * ld.coeffs[sel] * E / (2.0 * math.pi), bounds
+
+
+class TestHeightIdentity:
+    """At a height s the coefficient of f'/f at gamma is exp(-2 pi gamma s)
+    times the formal one, exactly: the route at height 0 and the kept
+    algebra at a height give the same atoms within their two bounds."""
+
+    @pytest.mark.parametrize("make, cutoff", [
+        (lambda: multiply(multiply(canonicalize([(-0.5, 0.5), (0.5, 0.5)]),
+                                   canonicalize([(-SQRT2 / 2, 0.5), (SQRT2 / 2, 0.5)])),
+                          canonicalize([(-math.sqrt(3.0) / 2, 0.5), (math.sqrt(3.0) / 2, 0.5)])),
+         20.0),
+        (lambda: canonicalize([(w, complex(re, im)) for w, re, im in lee_yang_rows(3, 0)]), 10.0),
+    ], ids=["three-factor", "lee-yang"])
+    def test_height_zero_equals_the_rescaled_height(self, make, cutoff):
+        f = make()
+        c = logderiv_coefficients(f, cutoff)
+        kept = c.kept()
+        assert kept.sum() > 10
+        for s in (wiener.choose_height(f), 0.6):
+            g, b, bounds = _masses_at_height(f, s, cutoff)
+            # the same merge groups; a group's representative, its largest
+            # member, can differ by ulps off the atoms
+            assert np.max(np.abs(g - c.gammas)) <= wiener.FREQ_TOL
+            assert np.array_equal(g[kept], c.gammas[kept])
+            assert np.all(np.abs(b - c.masses) <= bounds + c.bounds)
+            # the kept atoms agree far inside the masses themselves
+            assert np.max(np.abs(b - c.masses)[kept]) < 1e-9
+
+
 class TestRouteAgreement:
     def test_cos_routes_agree(self, cos, lat2100):
-        mu_log = logderiv_measure(cos, 1.0, 10.0)
+        mu_log = logderiv_measure(cos, 10.0)
         est = bohr_means(lat2100, mu_log.gammas, [2000.0])[0]
         assert np.max(np.abs(est - mu_log.masses)) < 0.01
 
     def test_union_routes_agree(self, funion, uni2100):
-        mu_log = logderiv_measure(funion, "auto", 10.0)
+        mu_log = logderiv_measure(funion, 10.0)
         est = bohr_means(uni2100, mu_log.gammas, [2000.0])[0]
         assert np.max(np.abs(est - mu_log.masses)) < 0.01
 
     def test_d_matches_density(self, funion, uni2100):
         from qclab.apset import density
-        mu_log = logderiv_measure(funion, "auto", 10.0)
+        mu_log = logderiv_measure(funion, 10.0)
         est = density(uni2100)
         assert abs(mu_log.d - est.d) <= est.error_bound
 
@@ -521,7 +577,7 @@ class TestGrowthProfile:
         assert prof.kappa_fit == pytest.approx(1.0, abs=0.2)
 
     def test_union_no_atoms_below_one(self, funion):
-        mu = logderiv_measure(funion, "auto", 10.0)
+        mu = logderiv_measure(funion, 10.0)
         prof = growth_profile(mu, np.linspace(0.5, 10, 20))
         assert prof.t3_value == 0.0
 
@@ -538,6 +594,6 @@ class TestGrowthProfile:
         assert prof.kappa_fit is None
 
     def test_m_nondecreasing(self, funion):
-        mu = logderiv_measure(funion, "auto", 10.0)
+        mu = logderiv_measure(funion, 10.0)
         ms = [m for _, m in growth_profile(mu, np.linspace(0.3, 9.5, 30)).m_of_s]
         assert all(a <= b for a, b in zip(ms, ms[1:]))

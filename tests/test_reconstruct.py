@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import warnings
 
@@ -13,7 +15,7 @@ from qclab.reconstruct import (
     exponential_type,
     g_boundedness,
     g_function,
-    log_series_at_height_one,
+    log_series,
     rebuild_dirichlet,
 )
 from qclab.wiener import canonicalize, evaluate
@@ -52,7 +54,7 @@ class TestCanonicalProduct:
         s = 0.25
         f = canonicalize([(-0.5, 0.5 * complex(math.cos(math.pi * s), math.sin(math.pi * s))),
                           (0.5, 0.5 * complex(math.cos(math.pi * s), -math.sin(math.pi * s)))])
-        rebuilt = rebuild_dirichlet(logderiv_measure(f, "auto", 10.0))
+        rebuilt = rebuild_dirichlet(logderiv_measure(f, 10.0))
         assert np.abs(np.angle(rebuilt.coeffs)) == pytest.approx(np.pi * s, abs=1e-12)
         Z = find_real_zeros(rebuilt, (-3.2, 3.2))
         assert np.allclose(Z.points, np.arange(-3, 3) + 0.75, atol=1e-9)
@@ -74,20 +76,21 @@ class TestCanonicalProduct:
 
 class TestLogSeries:
     def test_lattice_first_term(self):
-        L = log_series_at_height_one(lattice_measure(K=10))
+        # -b/gamma of the atom -1 at 1, the formal coefficient with no height factor
+        L = log_series(lattice_measure(K=10))
         w, q = L.terms()[0]
         assert w == 1.0
-        assert q == pytest.approx(math.exp(-2 * math.pi), rel=1e-12)
+        assert q == 1.0
 
     def test_empty_atoms_empty_series(self):
         mu = PointMeasure(1.0, np.empty(0), np.empty(0, complex))
-        assert len(log_series_at_height_one(mu)) == 0
+        assert len(log_series(mu)) == 0
 
     def test_tiny_gamma_flagged(self):
         # |b|/gamma = 200 warns, and stays within the budget of 1000
         mu = PointMeasure(1.0, np.array([0.005]), np.array([1.0 + 0j]))
         with pytest.warns(UserWarning, match="mass budget"):
-            log_series_at_height_one(mu)
+            log_series(mu)
 
     def test_atom_above_the_low_band_not_flagged(self):
         # |b|/gamma = 200 at gamma = 59.9 is no part of the low-frequency
@@ -95,18 +98,64 @@ class TestLogSeries:
         mu = PointMeasure(1.0, np.array([59.9]), np.array([200.0 * 59.9 + 0j]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert len(log_series_at_height_one(mu)) == 1
+            assert len(log_series(mu)) == 1
 
     def test_t3_budget_enforced(self):
         mu = PointMeasure(1.0, np.array([1e-6]), np.array([1.0 + 0j]))
-        for rebuild in (log_series_at_height_one, rebuild_dirichlet):
+        for rebuild in (log_series, rebuild_dirichlet):
             with pytest.warns(UserWarning):
                 with pytest.raises(DomainError, match="exceeds the budget 1e"):
                     rebuild(mu)
 
     def test_nonpositive_density_rejected(self):
         with pytest.raises(DomainError):
-            log_series_at_height_one(lattice_measure(K=3, d=0.0))
+            log_series(lattice_measure(K=3, d=0.0))
+
+
+class TestTruncationAtD:
+    """The rebuild truncates its exponential at the density d: the top term
+    of f e^{1j*pi*d*z} sits at d, whatever rounding d carries."""
+
+    SCALES = (1.0, SQRT2, math.sqrt(3.0))
+
+    @staticmethod
+    def _dual_measure(d, scales, cutoff):
+        # the atoms c(-1)^k at k c of prod cos(pi c z), with density d
+        atoms = sorted((k * c, c * (-1.0) ** k) for c in scales
+                       for k in range(1, int(cutoff / c) + 1) if k * c < cutoff)
+        g = np.array([x for x, _ in atoms])
+        b = np.array([m for _, m in atoms], dtype=complex)
+        return PointMeasure(d, np.concatenate([-g[::-1], g]), np.concatenate([b[::-1], b]))
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_keeps_the_top_term(self, ulps):
+        d = math.sqrt(3.0) + SQRT2 + 1.0  # another order than the lattice sums
+        d = float(np.nextafter(d, np.inf * ulps)) if ulps else d
+        g = rebuild_dirichlet(self._dual_measure(d, self.SCALES, 12.0))
+        # prod cos(pi c z) = 2**-3 sum exp(pi i (+-1 +-sqrt2 +-sqrt3) z)
+        assert len(g) == 8
+        assert g.freqs[-1] == pytest.approx(d / 2.0, abs=1e-9)
+        assert np.max(np.abs(g.coeffs - 0.125)) < 1e-12
+
+    def test_atoms_above_d_do_not_enter(self):
+        # an atom at gamma > d moves only the coefficients above gamma
+        d = 1.0 + SQRT2 + math.sqrt(3.0)
+        mu = self._dual_measure(d, self.SCALES, 12.0)
+        extra = PointMeasure(d, np.concatenate([[-d - 0.5], mu.gammas, [d + 0.5]]),
+                             np.concatenate([[0.01], mu.masses, [0.01]]))
+        assert rebuild_dirichlet(extra).terms() == rebuild_dirichlet(mu).terms()
+
+    def test_reconstruct_of_the_three_factor_measure(self, tmp_path):
+        from qclab import io as qio
+        from qclab.cli import main
+        f = canonicalize([(sum(e * c for e, c in zip(signs, self.SCALES)) / 2.0, 0.125)
+                          for signs in itertools.product((-1.0, 1.0), repeat=3)])
+        qio.write_measure(logderiv_measure(f, 40.0), tmp_path / "measure.csv")
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--input", str(tmp_path / "measure.csv"),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["stages"]["reconstruct"][
+            "rebuilt_terms"] == 8
 
 
 class TestRebuildDirichlet:
@@ -118,7 +167,7 @@ class TestRebuildDirichlet:
             assert abs(q1 - q2) < 1e-8
 
     def test_roundtrip_via_logderiv(self, cos):
-        mu = logderiv_measure(cos, 1.0, 10.0)
+        mu = logderiv_measure(cos, 10.0)
         f = rebuild_dirichlet(mu)
         for (w1, q1), (w2, q2) in zip(f.terms(), cos.terms()):
             assert abs(q1 - q2) < 1e-8
@@ -131,7 +180,7 @@ class TestRebuildDirichlet:
         assert f.freqs[0] == pytest.approx(-0.5)
 
     def test_union_roundtrip_zeros(self, funion):
-        mu = logderiv_measure(funion, "auto", 10.0)
+        mu = logderiv_measure(funion, 10.0)
         rebuilt = rebuild_dirichlet(mu)
         z_new = find_real_zeros(rebuilt, (-20.0, 20.0))
         z_old = find_real_zeros(funion, (-20.0, 20.0))
@@ -139,7 +188,7 @@ class TestRebuildDirichlet:
         assert np.max(np.abs(z_new.expand() - z_old.expand())) < 1e-4
 
     def test_spectrum_extremes_attained(self, funion):
-        mu = logderiv_measure(funion, "auto", 10.0)
+        mu = logderiv_measure(funion, 10.0)
         rebuilt = rebuild_dirichlet(mu)
         half_width = (1.0 + SQRT2) / 2.0
         assert rebuilt.freqs[0] == pytest.approx(-half_width, abs=1e-6)
@@ -287,7 +336,7 @@ class TestExponentialType:
         assert est == pytest.approx(-2 * math.pi * 0.7, rel=1e-12)
 
     def test_union_rebuilt_type(self, funion):
-        mu = logderiv_measure(funion, "auto", 10.0)
+        mu = logderiv_measure(funion, 10.0)
         rebuilt = rebuild_dirichlet(mu)
         est = exponential_type(rebuilt)
         assert est == pytest.approx(math.pi * (1 + SQRT2), rel=0.02)

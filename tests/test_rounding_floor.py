@@ -3,11 +3,12 @@ carries a proven bound on its rounding error, and an atom whose mass is
 not above its bound is dropped as noise.
 
 Three oracles stand behind it: the closed-form atoms of a cosine product
-(k*c with mass c*(-1)^k for every scale c), the parent's log-derivative
-path kept below as ``_parent_atoms`` (every kept atom must be its atom bit
-for bit), and the truncated Neumann recursion rerun in 50-digit mpmath
-arithmetic on the same float input (every coefficient, kept or dropped,
-must lie within its bound of the exact one).
+(k*c with mass c*(-1)^k for every scale c), the earlier log-derivative
+path kept below as ``_parent_atoms`` and run at height 0, where its
+at_height and exp factors are exact 1s (every kept atom must be its atom
+bit for bit), and the truncated Neumann recursion rerun in 50-digit
+mpmath arithmetic on the same float input (every coefficient, kept or
+dropped, must lie within its bound of the exact one).
 """
 
 import itertools
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from qclab import wiener
 from qclab.diffraction import logderiv_coefficients, logderiv_measure
-from qclab.wiener import FREQ_TOL, at_height, canonicalize, choose_height, derivative
+from qclab.wiener import FREQ_TOL, at_height, canonicalize, derivative
 
 SCALES3 = (1.0, math.sqrt(2.0), math.sqrt(3.0))
 
@@ -103,11 +104,11 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def assert_parent_atoms_or_noise(f, s, cutoff, scales):
-    """The kept atoms are the parent's atoms on the lattice, bit for bit,
-    and each parent atom that is gone is off the lattice."""
-    d, g0, b0 = _parent_atoms(f, s, cutoff)
-    mu = logderiv_measure(f, s, cutoff)
+def assert_parent_atoms_or_noise(f, cutoff, scales):
+    """The kept atoms are the parent's atoms at height 0 on the lattice, bit
+    for bit, and each parent atom that is gone is off the lattice."""
+    d, g0, b0 = _parent_atoms(f, 0.0, cutoff)
+    mu = logderiv_measure(f, cutoff)
     g, b = mu.positive()
     assert mu.d == d
     i = np.searchsorted(g0, g)
@@ -118,38 +119,40 @@ def assert_parent_atoms_or_noise(f, s, cutoff, scales):
 
 
 class TestThreeFactorFloor:
-    @pytest.mark.parametrize("cutoff, atoms", [(40.0, 90), (60.0, 135)])
-    def test_keeps_exactly_the_lattice_atoms(self, cutoff, atoms):
-        mu = logderiv_measure(cosine_product(SCALES3), "auto", cutoff)
+    # at cutoff 40 no coefficient is noise; at 60 the lowest noise, 4,169
+    # coefficients in all, sits at 15 + 10 sqrt2 + 8 sqrt3
+    @pytest.mark.parametrize("cutoff, atoms, noise, certified", [
+        (40.0, 90, 0, 40.0),
+        (60.0, 135, 4169, 15 + 10 * math.sqrt(2) + 8 * math.sqrt(3))])
+    def test_keeps_exactly_the_lattice_atoms(self, cutoff, atoms, noise, certified):
+        mu = logderiv_measure(cosine_product(SCALES3), cutoff)
         g, b = mu.positive()
         want = dual_atoms(SCALES3, cutoff)
         assert g.size == len(want) == atoms
         assert np.max(np.abs(g - [w for w, _ in want])) < 1e-9
         assert np.max(np.abs(b - [m for _, m in want])) < 1e-9
-        assert mu.noise_dropped > 0
-        assert mu.certified_cutoff == pytest.approx(4 + 5 * math.sqrt(2) + 5 * math.sqrt(3),
-                                                    abs=1e-9)
+        assert mu.noise_dropped == noise
+        assert mu.certified_cutoff == pytest.approx(certified, abs=1e-9)
         assert 0.0 < mu.max_error_bound < 1e-10
 
     def test_true_and_spurious_atoms_lie_far_from_the_bound(self):
-        c = logderiv_coefficients(cosine_product(SCALES3), "auto", 40.0)
+        c = logderiv_coefficients(cosine_product(SCALES3), 60.0)
         kept = c.kept()
         noise = (np.abs(c.masses) > 1e-9) & ~kept
         assert np.min(np.abs(c.masses[kept]) / c.bounds[kept]) > 1e9
         assert np.max(np.abs(c.masses[noise]) / c.bounds[noise]) < 1e-3
 
-    def test_kept_atoms_are_the_parent_atoms(self):
-        f = cosine_product(SCALES3)
-        assert_parent_atoms_or_noise(f, choose_height(f), 40.0, SCALES3)
+    @pytest.mark.parametrize("cutoff", [40.0, 60.0])
+    def test_kept_atoms_are_the_parent_atoms(self, cutoff):
+        assert_parent_atoms_or_noise(cosine_product(SCALES3), cutoff, SCALES3)
 
-    @pytest.mark.parametrize("scales, s", [((1.0,), 1.0), ((1.0, math.sqrt(2.0)), "auto")])
-    def test_nothing_dropped_without_noise(self, scales, s):
+    @pytest.mark.parametrize("scales", [(1.0,), (1.0, math.sqrt(2.0))])
+    def test_nothing_dropped_without_noise(self, scales):
         f = cosine_product(scales)
-        s = choose_height(f) if s == "auto" else s
-        mu = logderiv_measure(f, s, 10.0)
+        mu = logderiv_measure(f, 10.0)
         assert mu.noise_dropped == 0
         assert mu.certified_cutoff == 10.0
-        assert_parent_atoms_or_noise(f, s, 10.0, scales)
+        assert_parent_atoms_or_noise(f, 10.0, scales)
 
 
 class TestCosineProperty:
@@ -159,34 +162,32 @@ class TestCosineProperty:
     def test_no_lattice_atom_dropped_none_off_the_lattice(self, scales, cutoff):
         scales = tuple(scales)
         f = cosine_product(scales)
-        # frequencies apart (a tiny gap asks for a height whose exp(2 pi gamma s)
-        # leaves no atom above its rounding), lattices that meet only exactly,
+        # frequencies apart (a tiny gap makes the series cutoff/gap powers deep,
+        # and its rounding grows with them), lattices that meet only exactly,
         # and no lattice point at the cutoff
         assume(len(f) == 2 ** len(scales) and np.min(np.diff(f.freqs)) > 0.1)
         want = dual_atoms(scales, cutoff + 1.0)
         assume(np.min(np.diff([w for w, _ in want])) > 1e-6)
         assume(min(abs(w - cutoff) for w, _ in want) > 1e-6)
         want = dual_atoms(scales, cutoff)
-        mu = logderiv_measure(f, "auto", cutoff)
+        mu = logderiv_measure(f, cutoff)
         g, b = mu.positive()
         assert all(on_lattice(x, scales) for x in g)
         assert g.size == len(want)
         assert np.max(np.abs(b - [m for _, m in want])) < 1e-8
-        assert_parent_atoms_or_noise(f, choose_height(f), cutoff, scales)
+        assert_parent_atoms_or_noise(f, cutoff, scales)
 
 
-def _mp_coefficients(f, s, cutoff, keys):
-    """The truncated Neumann recursion and f'/f at height s in 50-digit
-    arithmetic on the float input f, as {key: (frequency, b)} for the
-    frequencies 0 < gamma < cutoff.  ``keys[j]`` is an integer tuple for
-    the frequency of f's term j above f's lowest: path frequencies add as
-    keys, which groups them without rounding."""
+def _mp_coefficients(f, cutoff, keys):
+    """The truncated Neumann recursion and f'/f in 50-digit arithmetic on
+    the float input f, the formal series at height 0, as {key: (frequency,
+    b)} for the frequencies 0 < gamma < cutoff.  ``keys[j]`` is an integer
+    tuple for the frequency of f's term j above f's lowest: path
+    frequencies add as keys, which groups them without rounding."""
     with mpmath.workdps(50):
-        s_mp = mpmath.mpf(s)
         w = [mpmath.mpf(float(x)) for x in f.freqs]
         q = [mpmath.mpc(complex(c)) for c in f.coeffs]
-        fs = [qj * mpmath.exp(-2 * mpmath.pi * wj * s_mp) for qj, wj in zip(q, w)]
-        H = [(keys[j], w[j] - w[0], fs[j] / fs[0]) for j in range(1, len(w))]
+        H = [(keys[j], w[j] - w[0], q[j] / q[0]) for j in range(1, len(w))]
 
         def add(table, key, freq, value):
             table[key] = (freq, table[key][1] + value) if key in table else (freq, value)
@@ -204,17 +205,17 @@ def _mp_coefficients(f, s, cutoff, keys):
                 add(series, key, fr, c)
         ld = {}
         for j in range(len(w)):
-            dfs = q[j] * 2j * mpmath.pi * w[j] * mpmath.exp(-2 * mpmath.pi * w[j] * s_mp)
+            df = q[j] * 2j * mpmath.pi * w[j]
             for key, (fr, c) in series.items():
                 add(ld, tuple(a + b for a, b in zip(key, keys[j])), w[j] + fr - w[0],
-                    dfs * c / fs[0])
-        return {key: (float(fr), value) for key, (fr, value) in ld.items()
+                    df * c / q[0])
+        return {key: (float(fr), 1j * value / (2 * mpmath.pi)) for key, (fr, value) in ld.items()
                 if FREQ_TOL < fr < cutoff}
 
 
-def assert_bounds_hold(f, s, cutoff, keys):
-    exact = _mp_coefficients(f, s, cutoff, keys)
-    c = logderiv_coefficients(f, s, cutoff)
+def assert_bounds_hold(f, cutoff, keys):
+    exact = _mp_coefficients(f, cutoff, keys)
+    c = logderiv_coefficients(f, cutoff)
     table = sorted(exact.values(), key=lambda t: t[0])
     freqs = np.array([fr for fr, _ in table])
     assert c.gammas.size == freqs.size  # every exact coefficient has a float one
@@ -222,15 +223,14 @@ def assert_bounds_hold(f, s, cutoff, keys):
         for gamma, b, bound in zip(c.gammas, c.masses, c.bounds):
             i = int(np.argmin(np.abs(freqs - gamma)))
             assert abs(freqs[i] - gamma) < 1e-12
-            b_mp = 1j * table[i][1] * mpmath.exp(2 * mpmath.pi * mpmath.mpf(float(gamma))
-                                                   * mpmath.mpf(s)) / (2 * mpmath.pi)
-            err = float(abs(mpmath.mpc(complex(b)) - b_mp))
+            err = float(abs(mpmath.mpc(complex(b)) - table[i][1]))
             assert err <= bound, (gamma, complex(b), err, bound)
     return c
 
 
 class TestBoundAgainstMpmath:
-    def test_three_factor_product(self):
+    @pytest.mark.parametrize("cutoff", [12.3, 20.3])
+    def test_three_factor_product(self, cutoff):
         f = cosine_product(SCALES3)
         # f's frequencies above the lowest are a + b sqrt2 + c sqrt3, a, b, c in {0, 1}
         base = np.array(SCALES3)
@@ -238,9 +238,9 @@ class TestBoundAgainstMpmath:
         for w in f.freqs - f.freqs[0]:
             key = min(itertools.product((0, 1), repeat=3), key=lambda k: abs(base @ k - w))
             keys.append(key)
-        c = assert_bounds_hold(f, choose_height(f), 12.3, keys)
+        c = assert_bounds_hold(f, cutoff, keys)
         kept = c.kept()
-        assert kept.sum() == len(dual_atoms(SCALES3, 12.3))
+        assert kept.sum() == len(dual_atoms(SCALES3, cutoff))
         assert (~kept & (np.abs(c.masses) > 0)).any()  # noise is checked too
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -251,6 +251,6 @@ class TestBoundAgainstMpmath:
         coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
         f = canonicalize(list(zip(np.arange(5) - 1.75, coeffs)))
         keys = [(k,) for k in range(5)]
-        c = assert_bounds_hold(f, choose_height(f), 9.5, keys)
+        c = assert_bounds_hold(f, 9.5, keys)
         assert c.kept().any()
         assert not ((np.abs(c.masses) > 1e-9) & ~c.kept()).any()

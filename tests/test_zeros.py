@@ -525,7 +525,7 @@ class TestHalfContours:
     def test_equals_the_full_contour_on_the_rebuilt_sum(self, monkeypatch, walked_sides):
         # the rebuilt three-factor sum is Hermitian only up to about 1e-15
         f = rebuild_dirichlet(logderiv_measure(
-            _cos_product((1.0, math.sqrt(2.0), math.sqrt(3.0))), "auto", 40.0))
+            _cos_product((1.0, math.sqrt(2.0), math.sqrt(3.0))), 40.0))
         assert 0 < np.max(np.abs(f.freqs + f.freqs[::-1])) < 1e-14
         self._check(monkeypatch, walked_sides, f, exact=False)
 
