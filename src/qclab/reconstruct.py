@@ -18,9 +18,19 @@ f * e^{1j*pi*d*z} has its spectrum in [0, d], and it is exp(L) times a
 constant, so every formal coefficient of exp(L) above d is 0: the
 rebuild keeps the coefficients at or below d (within ``FREQ_TOL``, so a
 top frequency that carries the rounding of d stays), each exact because
-L has a strictly positive spectrum and its powers only move up.  The
-coefficient at omega takes the atoms up to omega, so a measure cut off
-below d rebuilds only the terms below its cutoff exactly.
+L has a strictly positive spectrum and its powers only move up.
+
+The truncation at d needs what a measure does not certify: d exact to
+within ``FREQ_TOL``, and every atom up to d.  The log-derivative route's
+d = 1j*p0/pi is exact to rounding; a Bohr mean's count over 2T is off by
+about 1/T.  The top frequency of exp(L) is d and a sum of atom
+frequencies, so where exp(L) has no term at d, d is inexact: the rebuild
+warns and truncates at the largest atom, which keeps the target's top
+frequency when the atoms reach it.  A measure whose largest atom lies
+below d may be cut off below d (it does not record its cutoff), and its
+coefficients above that atom would be wrong: the rebuild warns and
+truncates there too.  The coefficient at omega takes only the atoms up
+to omega, so every term kept is exact, up to the errors of the atoms.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ import numpy as np
 from .diffraction import PointMeasure
 from .errors import DomainError
 from .wiener import (
+    FREQ_TOL,
     ExpSum,
     _exp_rows,
     _merge_groups,
@@ -88,11 +99,22 @@ def rebuild_dirichlet(mu_hat: PointMeasure) -> ExpSum:
 
 def rebuild_from_log_series(L: ExpSum, d: float) -> ExpSum:
     """Dirichlet series of density d whose formal log is L, normalized to
-    1 at 0: ``exp_series`` of L truncated at d (exact, see the module
-    docstring), every frequency shifted by -d/2."""
+    1 at 0: ``exp_series`` of L truncated at d, every frequency shifted
+    by -d/2.  Where the atoms stop below d, or exp(L) has no term at d,
+    it warns and truncates at the largest atom instead (see the module
+    docstring)."""
+    top = float(L.freqs[-1]) if len(L) else d
     if len(L) == 0:
         warnings.warn("no positive atoms: reconstruction degenerates to a single exponential")
-    F = exp_series(L, d)
+    elif top < d - FREQ_TOL:
+        warnings.warn(f"the atoms stop at {top:.9g}, below the density d = {d:.9g}: the "
+                      "rebuild keeps the terms up to the largest atom only")
+    F = exp_series(L, min(top, d))
+    if abs(float(F.freqs[-1]) - d) > FREQ_TOL and top > d:
+        warnings.warn(f"no sum of atom frequencies lies at the density d = {d:.9g}, so d is "
+                      "inexact (a count, not the log-derivative's): the rebuild truncates "
+                      f"at the largest atom {top:.9g}")
+        F = exp_series(L, top)
     g = canonicalize(list(zip((F.freqs - d / 2.0).tolist(), F.coeffs.tolist())))
     v0 = evaluate(g, 0.0)
     if v0 == 0:

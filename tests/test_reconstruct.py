@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qclab.diffraction import PointMeasure, logderiv_measure
+from qclab.diffraction import PointMeasure, bohr_atoms, bohr_means, logderiv_measure
 from qclab.errors import DomainError
 from qclab.reconstruct import (
     coefficient_distance,
@@ -21,7 +21,7 @@ from qclab.reconstruct import (
 from qclab.wiener import canonicalize, evaluate
 from qclab.zeros import find_real_zeros
 
-from conftest import SQRT2, lattice_measure, lattice_zeroset
+from conftest import SQRT2, lattice_measure, lattice_zeroset, union_sum, union_zeroset
 
 
 class TestCanonicalProduct:
@@ -144,6 +144,38 @@ class TestTruncationAtD:
         extra = PointMeasure(d, np.concatenate([[-d - 0.5], mu.gammas, [d + 0.5]]),
                              np.concatenate([[0.01], mu.masses, [0.01]]))
         assert rebuild_dirichlet(extra).terms() == rebuild_dirichlet(mu).terms()
+
+    def test_a_counted_density_keeps_the_top_term(self):
+        # Bohr masses at the log atoms of cos(pi z) cos(sqrt2 pi z): d is the
+        # count 9656 / 4000 = 2.414, below the top frequency 1 + sqrt2 of exp(L)
+        A = union_zeroset(2100)
+        gammas = logderiv_measure(union_sum(), 10.0).gammas
+        means = bohr_means(A, gammas, [2000.0, 1000.0])
+        mu = bohr_atoms(A, gammas, means[0], means[1], 2000.0, 0.05)
+        assert mu.d == 2.414
+        with pytest.warns(UserWarning, match="inexact"):
+            g = rebuild_dirichlet(mu)
+        shift = (1.0 + SQRT2 - mu.d) / 2.0
+        want = [(e1 * 0.5 + e2 * SQRT2 / 2.0) + shift
+                for e1, e2 in itertools.product((-1.0, 1.0), repeat=2)]
+        j = [int(np.argmin(np.abs(g.freqs - w))) for w in want]
+        assert np.max(np.abs(g.freqs[j] - want)) < 1e-9
+        assert g.freqs[j[-1]] == pytest.approx((1.0 + SQRT2) / 2.0, abs=1e-3)
+        assert np.max(np.abs(g.coeffs[j] - 0.25)) < 1e-3
+        # the other terms come from the masses' errors of about 1/T
+        assert np.max(np.abs(np.delete(g.coeffs, j))) < 1e-3
+
+    def test_a_measure_cut_below_d_keeps_only_exact_terms(self):
+        # the three-factor product at cutoff 3 < d: the largest atom is 2 sqrt2,
+        # and the rebuild stops there, each kept term in the input's ratio 1
+        f = canonicalize([(sum(e * c for e, c in zip(signs, self.SCALES)) / 2.0, 0.125)
+                          for signs in itertools.product((-1.0, 1.0), repeat=3)])
+        mu = logderiv_measure(f, 3.0)
+        with pytest.warns(UserWarning, match="below the density"):
+            g = rebuild_dirichlet(mu)
+        assert len(g) == 6
+        assert np.max(np.abs(g.freqs - f.freqs[:6])) < 1e-12
+        assert np.max(np.abs(g.coeffs / g.coeffs[0] - 1.0)) < 1e-12
 
     def test_reconstruct_of_the_three_factor_measure(self, tmp_path):
         from qclab import io as qio
