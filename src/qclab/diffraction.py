@@ -3,8 +3,9 @@
 Route one averages exp(-2j*pi*gamma*a_n) over the window (Bohr means).
 Route two computes f'/f in the exponential-sum algebra and reads the
 atom masses off its coefficients: with the formal expansion
-``f'/f = sum p_gamma exp(2j*pi*gamma*x)`` (the Neumann series of 1/f,
-truncated at the cutoff) the mass at zero is ``d = 1j*p_0/pi`` and
+``f'/f = sum p_gamma exp(2j*pi*gamma*x)`` (f * (f'/f) = f', solved for
+f'/f in increasing frequency and truncated at the cutoff) the mass at
+zero is ``d = 1j*p_0/pi`` and
 ``b_gamma = 1j*p_gamma/(2*pi)`` for gamma > 0, negative atoms following
 by conjugate symmetry.  The paper expands f'/f at a height s > 0, where
 the untruncated series converges; there the coefficient at gamma is
@@ -27,7 +28,8 @@ from .wiener import (
     FREQ_TOL,
     ExpSum,
     _exp_rows,
-    _neumann_series,
+    _monic,
+    _solve,
     derivative,
     majorize,
     multiply,
@@ -101,9 +103,10 @@ class PointMeasure:
 
     def low_band(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The atoms with 0 < gamma < 1, their masses, and the low-frequency
-        mass sum |b|/gamma over them."""
+        mass sum |b|/gamma over them.  Both ends are spectral points: an
+        atom within ``FREQ_TOL`` of 0 or of 1 is not in the band."""
         g, b = self.positive()
-        band = g < 1.0
+        band = g < 1.0 - FREQ_TOL
         g, b = g[band], b[band]
         return g, b, float(np.sum(np.abs(b) / g))
 
@@ -386,19 +389,25 @@ def logderiv_coefficients(f: ExpSum, cutoff: float = 10.0) -> LogderivCoefficien
     """The coefficients of f'/f as atoms, each with a proven bound on its
     rounding error.
 
-    f'/f = f' * (1/f) is taken at height 0, as the formal series: the
-    inverse is ``_neumann_series``, truncated at the cutoff and exact
-    below it, because the spectrum of the Neumann remainder is strictly
-    positive and its powers only move up.  No height is needed.  At a
-    height s the same recursion runs on the coefficients
+    f'/f is taken at height 0, as the formal series.  Writing
+    f = q1 * exp(2j*pi*w1*x) * (1 + H) (``_monic``), y = f'/f solves
+    (1 + H) * y = r with r = f' * exp(-2j*pi*w1*x) / q1, and ``_solve``
+    finds it by the recursion y_gamma = r_gamma - sum_j h_j *
+    y_(gamma - eta_j) over H's terms (eta_j, h_j), truncated at the
+    cutoff and exact below it: H's spectrum is strictly positive, so no
+    coefficient depends on one above it.  This is the coefficient of
+    f' * (1/f) with 1/f the Neumann series, formed without the inverse,
+    whose large coefficients cancel in that product.  No height is
+    needed.  At a height s the same recursion runs on the coefficients
     q*exp(-2*pi*w*s), and along every path into gamma the frequencies add
     up to gamma, so each of its coefficients is exp(-2*pi*gamma*s) times
     the formal one: the rescale by exp(2*pi*gamma*s) that a height needs
     returns exactly the coefficient computed here.
 
-    The bound.  f'/f runs on ``Majorized`` sums (see there): the inverse
-    from ``_neumann_series``, and f' with 5 units per coefficient
-    (fl(2*pi), its product with w, the complex product).  f' is
+    The bound.  f'/f runs on ``Majorized`` sums (see there): H and
+    1/q1 with 10 units per coefficient (``_monic``), f' with 5
+    (fl(2*pi), its product with w, the complex product), r their
+    product, and y the count and majorant of ``_solve``.  f' is
     ``derivative``'s, which drops the terms below PRUNE_TOL of its Wiener
     norm: exact zeros, and a term whose frequency is within about 1e-14
     of 0 relative to the others.  The bound is a rounding bound for that
@@ -422,7 +431,8 @@ def logderiv_coefficients(f: ExpSum, cutoff: float = 10.0) -> LogderivCoefficien
         )
     if cutoff <= 0:
         raise DomainError("cutoff must be positive")
-    ld = multiply(majorize(derivative(f), 5), _neumann_series(f, cutoff))
+    H, shift = _monic(f)
+    ld = _solve(H, multiply(majorize(derivative(f), 5), shift), cutoff)
 
     live = ld.coeffs != 0
     i0 = np.flatnonzero(live & (np.abs(ld.freqs) <= FREQ_TOL))

@@ -14,6 +14,12 @@ increasing, and frequencies closer than ``FREQ_TOL`` merged.  A call on
 plain sums returns the canonical sum, which drops the ghosts.
 ``canonicalize`` and ``derivative`` also drop coefficients below
 ``PRUNE_TOL`` times the Wiener norm.
+
+Division by ``f = q1 * exp(2j*pi*w1*x) * (1 + H)`` is one triangular
+solve (``_solve``): H's spectrum is strictly positive, so the
+coefficients of y with (1 + H) * y = r follow band by band in
+increasing frequency, each from the bands already solved.  The
+exponential is the power series ``_power_series``.
 """
 
 from __future__ import annotations
@@ -435,7 +441,10 @@ def _power_series(x: Majorized, weight, cutoff: float) -> Majorized:
     The spectrum of x must be strictly positive.  Powers then only move
     up, so a dropped term can never feed a kept one: the terms at or
     below the cutoff are exact, and the truncated power is empty once k
-    times the smallest frequency passes the cutoff.
+    times the smallest frequency passes the cutoff.  ``exp_series`` runs
+    it: its weights 1/k follow the length of a path, not its frequency,
+    so ``_solve``'s recursion, which took the powers' place for the
+    Neumann series, does not carry them.
     """
     if len(x) and x.freqs[0] <= 0:
         raise InvalidInputError("a truncated power series needs strictly positive frequencies")
@@ -468,30 +477,120 @@ def neumann_inverse(f: ExpSum, s: float, cutoff: float) -> ExpSum:
     return _neumann_series(fs, cutoff).canonical()
 
 
-def _neumann_series(f: ExpSum, cutoff: float) -> Majorized:
-    """The inverse of f, truncated at the frequencies up to ``cutoff - w1``,
-    in the series engine's working form, ghosts and majorant included.
+def _monic(f: ExpSum) -> tuple[Majorized, Majorized]:
+    """H and exp(-2j*pi*w1*x)/q1 with ``f = q1 * exp(2j*pi*w1*x) * (1 + H)``,
+    w1 the lowest frequency of f, in the series engine's working form.
 
-    Writes ``f = q1 * exp(2j*pi*w1*x) * (1 + H)`` with ``w1`` the lowest
-    frequency and expands ``(1 + H)^{-1}`` as the Neumann series
-    ``sum (-H)^j`` truncated at ``cutoff``.  The spectrum of H is strictly
-    positive, so the series ends at depth cutoff / (w2 - w1) whatever
-    ||H||_W is, and every term up to the cutoff is the formal (exact)
-    coefficient however small.
-
-    Its exact values are those of the exact f, whose coefficients are
+    Their exact values are those of the exact f, whose coefficients are
     input data: the quotients by q1 (Smith's algorithm, within 2*gamma_3 +
     gamma_4 <= gamma_10 of the exact quotient's modulus) put 10 units on H
     and on 1/q1.  f must not be empty.
     """
-    w1 = float(f.freqs[0])
-    q1 = complex(f.coeffs[0])
-    shift = majorize(canonicalize([(-w1, 1.0 / q1)]), 10)
-    if len(f) == 1:
-        return shift
+    w1, q1 = float(f.freqs[0]), complex(f.coeffs[0])
     H = _make(f.freqs[1:] - w1, f.coeffs[1:] / q1)
-    series = _power_series(majorize(H, 10), lambda j: -1.0, cutoff)
-    return multiply(series, shift)
+    return majorize(H, 10), majorize(canonicalize([(-w1, 1.0 / q1)]), 10)
+
+
+def _neumann_series(f: ExpSum, cutoff: float) -> Majorized:
+    """The inverse of f, truncated at the frequencies up to ``cutoff - w1``,
+    in the series engine's working form, ghosts and majorant included:
+    ``_solve`` of (1 + H) * y = 1 (``_monic``), shifted by
+    exp(-2j*pi*w1*x)/q1.  The spectrum of H is strictly positive, so
+    every term up to the cutoff is the formal (exact) coefficient of the
+    Neumann series ``sum (-H)^j``, however small, whatever ||H||_W is.
+    f must not be empty.
+    """
+    H, shift = _monic(f)
+    return multiply(_solve(H, majorize(constant(1.0)), cutoff), shift)
+
+
+def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
+    """The y with (1 + H) * y = r at the frequencies up to ``cutoff``, in
+    the series engine's working form: y_gamma = r_gamma - sum_j h_j *
+    y_(gamma - eta_j), with (eta_j, h_j) the terms of H.
+
+    The spectrum of H must be strictly positive, from eta = H's lowest
+    frequency.  The recursion then runs in bands of width at most eta:
+    every raw term h_j * y_a of a band comes from a y_a of a band already
+    solved.  Each band takes the pending raw terms (r's, and the products
+    of the bands before it) below ``lo + eta``, lo the lowest pending
+    frequency, which are all that will ever reach there, and ends at the
+    last ``FREQ_TOL`` chain that stays 2 ``FREQ_TOL`` below that edge,
+    so no chain is split across a band edge.  ``_merge`` merges the band,
+    with live flags and ghosts; its products with H, those at most
+    ``cutoff`` (by up to ``FREQ_TOL``), join the pending terms.  The
+    ``_solve`` of r is the formal (1 + H)^-1 * r up to the cutoff: the
+    truncation drops only terms above it, whose products lie higher.
+
+    The bound, by induction over the bands, with the ``Majorized``
+    invariant and Higham's (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}.
+    Let R be the largest count of the bands solved so far and q H's.  A
+    raw product -h_j * y_a rounds once, within sqrt5*u <= gamma_3, and
+    negation is exact, so it is within gamma_{q+R+3} of h_j * y_a's exact
+    value times the path sum |h_j| * A_a, and so is a ghost product,
+    whose float term is 0.  A term of r is within gamma_{r.rounds} of its
+    own.  The group sum passes each raw term through at most g - 1
+    additions, g the band's largest chain, and the path sum A_gamma =
+    A(r_gamma) + sum |h_j| * A_a adds the raw path sums, while the float
+    majorant major = |r| + sum |h_j| * major_a sums the product majorants
+    (one rounding each) in at most g roundings of nonnegative numbers.
+    So the band's count is max(r.rounds - 1, q + R + 2) + g, and the
+    result carries the last band's, the largest.  Capacity: a band whose
+    live products with the live terms of H exceed ``_WORK_CAP``, or a
+    result above ``MAX_TERMS`` live terms, raises ``CapacityError``;
+    ghosts count toward neither.
+    """
+    if len(H) and H.freqs[0] <= 0:
+        raise InvalidInputError("a triangular solve needs H with a strictly positive spectrum")
+    if not math.isfinite(cutoff):
+        raise InvalidInputError("the series cutoff must be finite")
+    top = cutoff + FREQ_TOL
+    low = r.freqs <= top
+    pending = [r.freqs[low], r.coeffs[low], r.major[low], r.coeffs[low] != 0]
+    eta = float(H.freqs[0]) if len(H) else math.inf
+    live_h = H.coeffs != 0
+    n_live_h = int(np.count_nonzero(live_h))
+    bands, rounds, kept = [], None, 0
+    while pending[0].size:
+        reach = float(np.min(pending[0])) + eta
+        ready = np.flatnonzero(pending[0] < reach)
+        order = ready[np.argsort(pending[0][ready], kind="stable")]
+        sorted_f = pending[0][order]
+        new_group = _group_starts(sorted_f)
+        cut = int(np.searchsorted(sorted_f, reach - 2.0 * FREQ_TOL))
+        if cut < sorted_f.size:
+            cut = int(np.flatnonzero(new_group[:cut + 1])[-1])
+        if cut == 0:
+            raise InvalidInputError(
+                f"a FREQ_TOL chain spans H's lowest frequency {eta:.6g}; "
+                "the recursion has no band to solve")
+        band = order[:cut]
+        base = r.rounds - 1 if rounds is None else max(r.rounds - 1, H.rounds + rounds + 2)
+        y = _merge(*(x[band] for x in pending), base)
+        rest = np.ones(pending[0].size, dtype=bool)
+        rest[band] = False
+        pending = [x[rest] for x in pending]
+        rounds = y.rounds
+        bands.append(y)
+        live_y = y.coeffs != 0
+        n_live_y = int(np.count_nonzero(live_y))
+        kept += n_live_y
+        if kept > MAX_TERMS:
+            raise CapacityError(f"the solve has {kept} terms, above the capacity {MAX_TERMS}")
+        if n_live_y * n_live_h > _WORK_CAP:
+            raise CapacityError(
+                f"a band would create {n_live_y * n_live_h} raw terms, "
+                f"above the workspace cap {_WORK_CAP}")
+        prods = [np.add.outer(y.freqs, H.freqs).ravel(),
+                 np.multiply.outer(y.coeffs, -H.coeffs).ravel(),
+                 np.multiply.outer(y.major, H.major).ravel(),
+                 np.logical_and.outer(live_y, live_h).ravel()]
+        low = prods[0] <= top
+        pending = [np.concatenate([x, p[low]]) for x, p in zip(pending, prods)]
+    if not bands:
+        return _merge(*pending, r.rounds - 1)
+    return _majorized(*(np.concatenate([getattr(y, k) for y in bands])
+                        for k in ("freqs", "coeffs", "major")), rounds)
 
 
 @_plain_or_majorized

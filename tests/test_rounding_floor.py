@@ -4,11 +4,12 @@ not above its bound is dropped as noise.
 
 Three oracles stand behind it: the closed-form atoms of a cosine product
 (k*c with mass c*(-1)^k for every scale c), the earlier log-derivative
-path kept below as ``_parent_atoms`` and run at height 0, where its
-at_height and exp factors are exact 1s (every kept atom must be its atom
-bit for bit), and the truncated Neumann recursion rerun in 50-digit
-mpmath arithmetic on the same float input (every coefficient, kept or
-dropped, must lie within its bound of the exact one).
+path kept below as ``_product_path``, f' times the sum of the powers of
+-H, with its own bound (every coefficient must lie within the two bounds
+of its coefficient, and every atom it keeps must be kept), and the
+truncated Neumann recursion rerun in 50-digit mpmath arithmetic on the
+same float input (every coefficient, kept or dropped, must lie within
+its bound of the exact one).
 """
 
 import itertools
@@ -21,8 +22,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qclab import wiener
-from qclab.diffraction import logderiv_coefficients, logderiv_measure
-from qclab.wiener import FREQ_TOL, at_height, canonicalize, derivative
+from qclab.diffraction import LogderivCoefficients, logderiv_coefficients, logderiv_measure
+from qclab.errors import CapacityError
+from qclab.wiener import FREQ_TOL, canonicalize, derivative, multiply
+
+from conftest import lee_yang_rows
 
 SCALES3 = (1.0, math.sqrt(2.0), math.sqrt(3.0))
 
@@ -49,81 +53,56 @@ def on_lattice(gamma, scales):
                for c in scales)
 
 
-# the parent's path: the same series, products and sums, merged by the same
-# rule, with every exact cancellation dropped and no bound
+# the parent's path: the inverse of f as the sum of the powers of -H, one
+# product at a time, then f' times it, on Majorized sums, with the bound
+# logderiv_coefficients puts on its own coefficients
 
-def _parent_merge(freqs, coeffs):
-    order = np.argsort(freqs, kind="stable")
-    freqs, coeffs = freqs[order], coeffs[order]
-    new_group = np.empty(freqs.size, dtype=bool)
-    new_group[0] = True
-    np.greater(np.diff(freqs), FREQ_TOL, out=new_group[1:])
-    starts = np.flatnonzero(new_group)
-    merged = np.add.reduceat(coeffs, starts)
-    reps = freqs if starts.size == freqs.size else freqs[wiener._representatives(
-        np.abs(coeffs), new_group, starts)]
-    keep = np.abs(merged) > 0.0
-    return reps[keep], merged[keep]
-
-
-def _parent_product(f, g, cutoff=None):
-    freqs = (f[0][:, None] + g[0][None, :]).ravel()
-    coeffs = (f[1][:, None] * g[1][None, :]).ravel()
-    if cutoff is not None:
-        low = freqs <= cutoff + FREQ_TOL
-        freqs, coeffs = freqs[low], coeffs[low]
-    if freqs.size == 0:
-        return np.empty(0), np.empty(0, complex)
-    return _parent_merge(freqs, coeffs)
+def _product_path(f, cutoff):
+    H, shift = wiener._monic(f)
+    inverse = multiply(wiener._power_series(H, lambda j: -1.0, cutoff), shift)
+    ld = multiply(wiener.majorize(derivative(f), 5), inverse)
+    i0 = np.flatnonzero((ld.coeffs != 0) & (np.abs(ld.freqs) <= FREQ_TOL))
+    p0 = complex(ld.coeffs[i0[0]]) if i0.size else 0j
+    sel = (ld.freqs > FREQ_TOL) & (ld.freqs < cutoff)
+    Ku = (2.0 * ld.rounds + 3.0) * 2.0 ** -53
+    bounds = Ku / (1.0 - Ku) * ld.major[sel] / (2.0 * math.pi) * (1.0 + 1e-12)
+    return LogderivCoefficients(d=float((1j * p0 / math.pi).real), gammas=ld.freqs[sel],
+                                masses=1j * ld.coeffs[sel] / (2.0 * math.pi), bounds=bounds,
+                                cutoff=float(cutoff))
 
 
-def _parent_atoms(f, s, cutoff):
-    """d and the positive atoms above 1e-9, as the parent computed them."""
-    fs = at_height(f, s)
-    w1, q1 = float(fs.freqs[0]), complex(fs.coeffs[0])
-    H = (fs.freqs[1:] - w1, fs.coeffs[1:] / q1)
-    series = power = (np.zeros(1), np.ones(1, complex))
-    while power[0].size:
-        power = _parent_product(power, H, cutoff)
-        power = (power[0], power[1] * complex(-1.0))
-        series = _parent_merge(np.concatenate([series[0], power[0]]),
-                               np.concatenate([series[1], power[1]]))
-    inv = _parent_product(series, (np.array([-w1]), np.array([1.0 / q1])))
-    dfs = at_height(derivative(f), s)
-    ldf, ldc = _parent_product((dfs.freqs, dfs.coeffs), inv)
-    i0 = np.flatnonzero(np.abs(ldf) <= FREQ_TOL)
-    p0 = complex(ldc[i0[0]]) if i0.size else 0j
-    sel = (ldf > FREQ_TOL) & (ldf < cutoff)
-    g = ldf[sel]
-    b = 1j * ldc[sel] * np.exp(2.0 * math.pi * g * s) / (2.0 * math.pi)
-    keep = np.abs(b) > 1e-9
-    return float((1j * p0 / math.pi).real), g[keep], b[keep]
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+def assert_product_path_atoms(f, cutoff):
+    """The coefficients of f'/f are the parent's: the same d, every
+    frequency within FREQ_TOL, ghosts included, and every mass within the
+    sum of the two bounds; every atom the parent keeps is kept.  Returns
+    both."""
+    ref, c = _product_path(f, cutoff), logderiv_coefficients(f, cutoff)
+    assert c.d == ref.d
+    assert c.gammas.size == ref.gammas.size
+    assert np.max(np.abs(c.gammas - ref.gammas), initial=0.0) <= FREQ_TOL
+    assert np.all(np.abs(c.masses - ref.masses) <= c.bounds + ref.bounds)
+    assert np.all(c.kept()[ref.kept()])
+    return c, ref
 
 
 def assert_parent_atoms_or_noise(f, cutoff, scales):
-    """The kept atoms are the parent's atoms at height 0 on the lattice, bit
-    for bit, and each parent atom that is gone is off the lattice."""
-    d, g0, b0 = _parent_atoms(f, 0.0, cutoff)
-    mu = logderiv_measure(f, cutoff)
-    g, b = mu.positive()
-    assert mu.d == d
-    i = np.searchsorted(g0, g)
-    assert np.array_equal(_bits(g0[i]), _bits(g)) and np.array_equal(_bits(b0[i]), _bits(b))
-    gone = np.setdiff1d(np.arange(g0.size), i)
-    assert not any(on_lattice(x, scales) for x in g0[gone])
-    assert mu.noise_dropped == gone.size
+    """The kept atoms are the parent's atoms within both bounds, and every
+    coefficient above 1e-9 that is not kept, here or by the parent, is off
+    the lattice."""
+    c, ref = assert_product_path_atoms(f, cutoff)
+    for x in (c, ref):
+        noise = (np.abs(x.masses) > 1e-9) & ~c.kept()
+        assert not any(on_lattice(g, scales) for g in x.gammas[noise])
 
 
 class TestThreeFactorFloor:
-    # at cutoff 40 no coefficient is noise; at 60 the lowest noise, 4,169
-    # coefficients in all, sits at 15 + 10 sqrt2 + 8 sqrt3
+    # no coefficient is noise at cutoffs 40 and 60: f'/f solved directly
+    # never forms the inverse's large cancelling coefficients, whose
+    # product with f' left 4,169 noise coefficients at 60 from
+    # 15 + 10 sqrt2 + 8 sqrt3 up (the parent's path, below)
     @pytest.mark.parametrize("cutoff, atoms, noise, certified", [
         (40.0, 90, 0, 40.0),
-        (60.0, 135, 4169, 15 + 10 * math.sqrt(2) + 8 * math.sqrt(3))])
+        (60.0, 135, 0, 60.0)])
     def test_keeps_exactly_the_lattice_atoms(self, cutoff, atoms, noise, certified):
         mu = logderiv_measure(cosine_product(SCALES3), cutoff)
         g, b = mu.positive()
@@ -136,11 +115,18 @@ class TestThreeFactorFloor:
         assert 0.0 < mu.max_error_bound < 1e-10
 
     def test_true_and_spurious_atoms_lie_far_from_the_bound(self):
-        c = logderiv_coefficients(cosine_product(SCALES3), 60.0)
+        f = cosine_product(SCALES3)
+        c = logderiv_coefficients(f, 60.0)
         kept = c.kept()
-        noise = (np.abs(c.masses) > 1e-9) & ~kept
         assert np.min(np.abs(c.masses[kept]) / c.bounds[kept]) > 1e9
-        assert np.max(np.abs(c.masses[noise]) / c.bounds[noise]) < 1e-3
+        # the other coefficients, exactly 0 off the lattice, lie far below the floor
+        assert np.max(np.abs(c.masses[~kept])) < 1e-12
+        # the parent's noise lies far below its bound
+        ref = _product_path(f, 60.0)
+        noise = (np.abs(ref.masses) > 1e-9) & ~ref.kept()
+        assert np.count_nonzero(noise) == 4169
+        assert ref.gammas[noise][0] == pytest.approx(15 + 10 * math.sqrt(2) + 8 * math.sqrt(3))
+        assert np.max(np.abs(ref.masses[noise]) / ref.bounds[noise]) < 1e-3
 
     @pytest.mark.parametrize("cutoff", [40.0, 60.0])
     def test_kept_atoms_are_the_parent_atoms(self, cutoff):
@@ -176,6 +162,31 @@ class TestCosineProperty:
         assert g.size == len(want)
         assert np.max(np.abs(b - [m for _, m in want])) < 1e-8
         assert_parent_atoms_or_noise(f, cutoff, scales)
+
+
+class TestLeeYangAgainstTheParent:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(0, 2 ** 16), st.sampled_from([8.3, 12.3]))
+    def test_the_parent_coefficients_within_both_bounds(self, n, seed, cutoff):
+        f = canonicalize([(w, complex(re, im)) for w, re, im in lee_yang_rows(n, seed)])
+        c, _ = assert_product_path_atoms(f, cutoff)
+        assert c.kept().sum() > 10
+
+
+class TestCapacity:
+    def test_the_solve_raises_above_max_terms(self, monkeypatch):
+        f = cosine_product(SCALES3)
+        assert logderiv_coefficients(f, 20.0).gammas.size > 200
+        monkeypatch.setattr(wiener, "MAX_TERMS", 200)
+        with pytest.raises(CapacityError, match="above the capacity 200"):
+            logderiv_coefficients(f, 20.0)
+
+    def test_the_solve_raises_above_the_workspace_cap(self, monkeypatch):
+        # a band of the three-factor product has at least 2 live terms, each
+        # with 7 products
+        monkeypatch.setattr(wiener, "_WORK_CAP", 13)
+        with pytest.raises(CapacityError, match="above the workspace cap 13"):
+            logderiv_coefficients(cosine_product(SCALES3), 20.0)
 
 
 def _mp_coefficients(f, cutoff, keys):

@@ -334,6 +334,13 @@ class TestNeumannInverse:
         with pytest.raises(DivergenceError):
             neumann_inverse(f, 0.0, 10.0)
 
+    def test_a_gap_inside_a_chain_has_no_band(self):
+        # H's lowest frequency 1.5 FREQ_TOL: y_0 and y_eta are one spectral
+        # point, which the recursion would need before itself
+        f = canonicalize([(0.0, 1.0), (1.5e-9, 0.5)])
+        with pytest.raises(InvalidInputError, match="no band to solve"):
+            neumann_inverse(f, 0.0, 1.0)
+
 
 class TestExpSeries:
     def test_empty_gives_one(self):
@@ -544,9 +551,43 @@ def _ref_neumann_inverse(f, s, cutoff):
                          canonicalize([(-w1, 1.0 / q1)]))
 
 
+def _product_neumann_series(f, cutoff):
+    """The Neumann inverse as the series engine formed it before the
+    triangular solve: the powers of -H one product at a time, summed, and
+    shifted, on ``Majorized`` sums.  Its canonical sum is the reference's
+    bit for bit."""
+    H, shift = wiener._monic(f)
+    return multiply(wiener._power_series(H, lambda j: -1.0, cutoff), shift)
+
+
+def _bound(m):
+    # |c~ - c| <= gamma_r * A <= gamma_r * (1 + gamma_r) * major <= gamma_2r * major
+    return _gamma(2 * m.rounds) * m.major
+
+
+def assert_within_both_bounds(got, want):
+    """Two Majorized sums of the same exact series agree: every FREQ_TOL
+    chain of their terms together, ghosts included, holds a term of each,
+    and the two sides' coefficients over it differ by at most the sum of
+    their bounds."""
+    freqs = np.concatenate([got.freqs, want.freqs])
+    order = np.argsort(freqs, kind="stable")
+    starts = np.flatnonzero(wiener._group_starts(freqs[order]))
+
+    def per_chain(a, b):
+        return np.add.reduceat(np.concatenate([a, b])[order], starts)
+
+    assert np.all(per_chain(np.ones(len(got)), np.zeros(len(want))) > 0)
+    assert np.all(per_chain(np.zeros(len(got)), np.ones(len(want))) > 0)
+    gap = np.abs(per_chain(got.coeffs, -want.coeffs))
+    assert np.all(gap <= per_chain(_bound(got), _bound(want)) * (1 + 1e-12))
+
+
 class TestPlainReference:
     """Plain sums enter the majorized merge and leave as canonical sums:
-    bit for bit the untracked reference's results."""
+    bit for bit the untracked reference's results.  The Neumann inverse,
+    a triangular solve, sums its terms in another order than the
+    reference's powers: it agrees with them within both bounds."""
 
     # Coefficients of modulus above 1e-3 and at most 12 factors in a series
     # power keep every product far from underflow.  An underflow to 0 in
@@ -573,11 +614,14 @@ class TestPlainReference:
                 (scale(f, c), _ref_scale(f, c)),
                 (multiply(f, g, keep_freqs_up_to=keep), _ref_multiply(f, g, keep)),
                 (multiply(h, g, keep_freqs_up_to=keep), _ref_multiply(ref_h, g, keep)),
-                (exp_series(x, cutoff), _ref_power_series(x, lambda k: 1.0 / k, cutoff)),
-                (neumann_inverse(one_plus_h, s, cutoff),
-                 _ref_neumann_inverse(one_plus_h, s, cutoff))):
+                (exp_series(x, cutoff), _ref_power_series(x, lambda k: 1.0 / k, cutoff))):
             assert type(got) is wiener.ExpSum
             assert _bits(got) == _bits(want)
+        fs = at_height(one_plus_h, s)
+        solved, powers = wiener._neumann_series(fs, cutoff), _product_neumann_series(fs, cutoff)
+        assert _bits(neumann_inverse(one_plus_h, s, cutoff)) == _bits(solved.canonical())
+        assert _bits(powers.canonical()) == _bits(_ref_neumann_inverse(one_plus_h, s, cutoff))
+        assert_within_both_bounds(solved, powers)
 
     def test_an_underflow_in_scale_leaves_the_canonical_sum(self):
         f = canonicalize([(0.0, 1e-300), (1.0, 1.0)])
@@ -690,6 +734,18 @@ class _Shadow:
     def scale(self, w):
         return _Shadow.of({k: (c * w, a * abs(w)) for k, (c, a) in self.terms.items()})
 
+    def solve(self, h, cutoff):
+        """y with (1 + h) * y = self at the keys up to the cutoff:
+        y_n = self_n - sum_k h_k * y_(n-k), path sums alike."""
+        terms = {}
+        for n in range(min(self.terms, default=cutoff + 1), cutoff + 1):
+            raw = [self.terms[n]] if n in self.terms else []
+            raw += [(-hc * terms[n - k][0], ha * terms[n - k][1])
+                    for k, (hc, ha) in h.terms.items() if n - k in terms]
+            if raw:
+                terms[n] = (sum(c for c, _ in raw), sum(a for _, a in raw))
+        return _Shadow.of(terms)
+
     def check(self, m):
         """The Majorized invariant of ``m``, ghosts included."""
         assert sorted(self.terms) == [int(round(w)) for w in m.freqs]
@@ -722,6 +778,51 @@ class TestMajorantInvariant:
                 power = power.mul(sx, N).scale(weight(k))
                 series = series.add(power)
             series.check(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_scaled_coeffs(0.9), st.integers(1, 12), st.booleans())
+    def test_solve(self, x, N, derivative_rhs):
+        # r = 1 (the Neumann inverse) or r = f' with f = 1 + H (f'/f); the
+        # same underflow margin as above
+        assume(all(c == 0 or abs(c) > 1e-20 for c in x))
+        h = _integer_sum(x)
+        r = derivative(_integer_sum(x, 1.0)) if derivative_rhs else constant(1.0)
+        with mpmath.workdps(50):
+            got = wiener._solve(wiener.majorize(h), wiener.majorize(r), N)
+            _Shadow(r).solve(_Shadow(h), N).check(got)
+
+    def test_a_chain_across_a_band_edge_stays_one_point(self):
+        # r's terms 0.9 FREQ_TOL apart below 1 chain to the product at 1 of
+        # the band from 0, and the first reaches below that band's last
+        # 2 FREQ_TOL: the band ends before the chain, which is one point
+        freqs = np.array([0.0, 1.0 - 2.7e-9, 1.0 - 1.8e-9, 1.0 - 0.9e-9])
+        coeffs = np.array([1.0, 0.25, 0.25, 0.25], complex)
+        r = wiener._majorized(freqs, coeffs, np.abs(coeffs), 2)
+        H = wiener.majorize(canonicalize([(1.0, 0.5)]))
+        got = wiener._solve(H, r, 3.0)
+        assert got.freqs.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert got.coeffs.tolist() == [1.0, 0.25, -0.125, 0.0625]
+        # the count of each band: max(r's - 1, H's + the last band's + 2) plus
+        # its largest chain, from r's 2 and H's 2: 1 + 1, 6 + 4, 14 + 1, 19 + 1
+        assert got.rounds == 20
+        powers = wiener._power_series(H, lambda j: -1.0, 3.0)
+        assert_within_both_bounds(got, multiply(r, powers, keep_freqs_up_to=3.0))
+
+    def test_a_ghost_feeds_a_later_band(self):
+        # y_1 = r_1 - h * y_0 with h = y_0 = 1 + 2**-52 and r_1 = 1 + 2**-51:
+        # the product rounds to r_1, so y_1 is 0 in floats and -2**-104
+        # exactly, a ghost, whose exact value and path sum reach y_2 through
+        # its ghost product: y_2 = 2**-100 errs by a sixteenth
+        e = 2.0 ** -52
+        r = canonicalize([(0.0, 1.0 + e), (1.0, 1.0 + 2 * e), (2.0, 2.0 ** -100)], prune_tol=0.0)
+        h = canonicalize([(1.0, 1.0 + e)])
+        with mpmath.workdps(50):
+            got = wiener._solve(wiener.majorize(h), wiener.majorize(r), 2.0)
+            shadow = _Shadow(r).solve(_Shadow(h), 2)
+            assert got.freqs.tolist() == [0.0, 1.0, 2.0]
+            assert got.coeffs.tolist() == [1.0 + e, 0j, 2.0 ** -100]
+            assert shadow.terms[1][0] == -mpmath.mpf(2) ** -104
+            shadow.check(got)
 
     def test_ghost_with_an_exact_value(self):
         # 1 + 2**-60 - 1 cancels to 0 in floats but not exactly: the ghost at
