@@ -524,12 +524,13 @@ def poisson_residual(A: ZeroSet, mu_hat: PointMeasure) -> PoissonReport:
 def growth_profile(mu_hat: PointMeasure, s_grid) -> GrowthProfile:
     """Cumulative mass m(s) over 0 < gamma <= s, the sum |b|/gamma below 1,
     and a log-log slope over the top decade of the grid, None unless two
-    grid points of distinct s there carry mass."""
+    grid points of distinct s there carry mass.  Each s is a spectral
+    point: an atom within ``FREQ_TOL`` above s counts at s."""
     g, b = mu_hat.positive()
     mass = np.abs(b)
     table = []
     for s in sorted(float(x) for x in s_grid):
-        table.append((s, float(np.sum(mass[g <= s]))))
+        table.append((s, float(np.sum(mass[g <= s + FREQ_TOL]))))
     ss = np.array([s for s, _ in table])
     ms = np.array([m for _, m in table])
     top = (ss >= ss[-1] / 10.0) & (ms > 0) if ss.size else np.zeros(0, bool)

@@ -10,8 +10,9 @@ modules rely on.
 Every sum, product and series runs in one form, ``Majorized``, which
 keeps a rounding majorant per term and the exact cancellations as ghost
 terms, through one frequency merge (``_merge``): frequencies strictly
-increasing, and frequencies closer than ``FREQ_TOL`` merged.  A call on
-plain sums returns the canonical sum, which drops the ghosts.
+increasing, and each chain of frequencies closer than ``FREQ_TOL``,
+ghosts included, merged into one term.  A call on plain sums returns
+the canonical sum, which drops the ghosts.
 ``canonicalize`` and ``derivative`` also drop coefficients below
 ``PRUNE_TOL`` times the Wiener norm.
 
@@ -92,10 +93,7 @@ class Majorized(ExpSum):
     members cancelled exactly.  A canonical sum drops it; here it stays,
     so that its majorant reaches its descendants, whose float values lack
     its exact (nonzero, at most gamma_r * A) value.  Ghost products are
-    ghosts.  The coefficients merge over the live terms alone, as they
-    would with every exact cancellation dropped at each step, so every
-    live term is the canonical sum's term bit for bit; ``canonical`` drops
-    the ghosts.
+    ghosts; ``canonical`` drops the ghosts.
 
     The invariant holds by induction over the operations (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2002, Lemma 3.3:
@@ -118,23 +116,20 @@ class Majorized(ExpSum):
       r' = max(r, q) + g - 1.  Scaling by a real w is exact for |w| = 1
       (r' = r) and rounds once otherwise (r' = r + 1).
 
-    g is the largest group of the merge over all terms, ghosts included.
-    A ghost member joins the group of live terms it chains to by
-    ``FREQ_TOL`` gaps: each live group takes the majorant of the whole
-    chain over all terms that holds it, which bounds the path sum of the
-    live group with any of the chain's ghosts, and a chain without a live
-    member is one ghost at its lowest frequency.  The coefficients alone
-    merge as if no ghost were there, so a ghost between two live groups
-    never joins them.
+    g is the largest group of the merge, ghosts included.  A ghost
+    merges as a term of coefficient 0: it adds an exact 0 to its group's
+    coefficient and its majorant to the group's.  So the float run merges
+    the same groups as the exact computation, whose ghosts are nonzero,
+    and a group of ghosts alone is a ghost.
     """
 
     major: np.ndarray
     rounds: int
 
     def canonical(self) -> ExpSum:
-        """The canonical sum: the live terms, bit for bit."""
-        live = self.coeffs != 0
-        return _make(self.freqs[live], self.coeffs[live])
+        """The canonical sum: the terms that are not ghosts."""
+        kept = self.coeffs != 0
+        return _make(self.freqs[kept], self.coeffs[kept])
 
 
 def _majorized(freqs, coeffs, major, rounds: int) -> Majorized:
@@ -180,23 +175,13 @@ def _merge_groups(freqs):
     return order, freqs, _group_starts(freqs)
 
 
-def _merge_run(freqs, coeffs, new_group, starts):
-    """Representative frequency (``_representatives``) and merged
-    coefficient of each group of sorted terms."""
-    merged = np.add.reduceat(coeffs, starts)
-    if starts.size == freqs.size:
-        return freqs, merged
-    return freqs[_representatives(np.abs(coeffs), new_group, starts)], merged
-
-
-def _merge(freqs, coeffs, major, live, rounds) -> Majorized:
-    """The ``Majorized`` merge of raw (frequency, coefficient) terms.
-
-    ``major`` (per raw term) is summed over each chain of the merge rule
-    over all terms, and the coefficients over the ``live`` terms alone
-    (None: all): each live group takes the majorant of its chain, and a
-    chain without a live member is a ghost at its lowest frequency.  The
-    result's count is ``rounds`` plus the largest chain.
+def _merge(freqs, coeffs, major, rounds) -> Majorized:
+    """The ``Majorized`` merge of raw (frequency, coefficient) terms: each
+    chain of the merge rule (``_group_starts``), ghosts included, is one
+    term at its ``_representatives`` pick, with the sum of its members'
+    coefficients (a ghost adds an exact 0) and of their majorants
+    ``major``.  A chain of ghosts alone is a ghost at its lowest
+    frequency.  The result's count is ``rounds`` plus the largest chain.
     """
     if freqs.size == 0:
         return _majorized(np.empty(0), np.empty(0, complex), np.empty(0), rounds)
@@ -204,34 +189,17 @@ def _merge(freqs, coeffs, major, live, rounds) -> Majorized:
     coeffs = coeffs[order]
     starts = np.flatnonzero(new_group)
     rounds += int(np.max(np.diff(starts, append=freqs.size)))
-    major = np.add.reduceat(major[order], starts)
-    if live is None or live.all():
-        return _majorized(*_merge_run(freqs, coeffs, new_group, starts), major, rounds)
-    live = live[order]
-    out_f, out_c, out_m = freqs.copy(), np.zeros(freqs.size, complex), np.empty(freqs.size)
-    slot = np.zeros(freqs.size, dtype=bool)
-    ghost = np.ones(starts.size, dtype=bool)
-    if live.any():
-        lf, lc = freqs[live], coeffs[live]
-        lnew = _group_starts(lf)
-        lstarts = np.flatnonzero(lnew)
-        at = np.flatnonzero(live)[lstarts]  # sorted position of each live group
-        chain = (np.cumsum(new_group) - 1)[at]
-        ghost[chain] = False
-        out_f[at], out_c[at] = _merge_run(lf, lc, lnew, lstarts)
-        out_m[at] = major[chain]
-        slot[at] = True
-    out_m[starts[ghost]] = major[ghost]
-    slot[starts[ghost]] = True
-    keep = np.flatnonzero(slot)
-    return _majorized(out_f[keep], out_c[keep], out_m[keep], rounds)
+    if starts.size < freqs.size:
+        freqs = freqs[_representatives(np.abs(coeffs), new_group, starts)]
+    return _majorized(freqs, np.add.reduceat(coeffs, starts),
+                      np.add.reduceat(major[order], starts), rounds)
 
 
 def _canonical_from_arrays(freqs, coeffs, prune_tol) -> ExpSum:
-    """The canonical sum of (frequency, coefficient) arrays: ``_merge``
-    with every term live, then the coefficients at most ``prune_tol``
-    times the Wiener norm dropped."""
-    merged = _merge(freqs, coeffs, np.abs(coeffs), None, 0)
+    """The canonical sum of (frequency, coefficient) arrays: ``_merge``,
+    then the coefficients at most ``prune_tol`` times the Wiener norm
+    dropped."""
+    merged = _merge(freqs, coeffs, np.abs(coeffs), 0)
     mag = np.abs(merged.coeffs)
     keep = mag > prune_tol * float(np.sum(mag))
     return _make(merged.freqs[keep], merged.coeffs[keep])
@@ -300,8 +268,7 @@ def evaluate(f: ExpSum, z):
 def _plain_or_majorized(op):
     """``op``, written for ``Majorized`` sums, on plain sums too: each
     plain operand enters as ``majorize`` of it, and the result leaves as
-    its canonical sum, the live terms bit for bit.  A plain and a
-    ``Majorized`` operand do not mix."""
+    its canonical sum.  A plain and a ``Majorized`` operand do not mix."""
     @functools.wraps(op)
     def run(*args, **kwargs):
         sums = [a for a in (*args, *kwargs.values()) if isinstance(a, ExpSum)]
@@ -318,25 +285,14 @@ def _plain_or_majorized(op):
 
 @_plain_or_majorized
 def add(f: ExpSum, g: ExpSum) -> ExpSum:
-    coeffs = np.concatenate([f.coeffs, g.coeffs])
-    return _merge(np.concatenate([f.freqs, g.freqs]), coeffs,
-                  np.concatenate([f.major, g.major]), coeffs != 0, max(f.rounds, g.rounds) - 1)
+    return _merge(np.concatenate([f.freqs, g.freqs]), np.concatenate([f.coeffs, g.coeffs]),
+                  np.concatenate([f.major, g.major]), max(f.rounds, g.rounds) - 1)
 
 
 @_plain_or_majorized
 def scale(f: ExpSum, c) -> ExpSum:
     return _majorized(f.freqs, f.coeffs * complex(c), f.major * abs(c),
                       f.rounds + (abs(c) != 1))
-
-
-def _runs_apart(f: ExpSum, g: ExpSum) -> bool:
-    """True if both spectra increase by more than 4 ulps of
-    max|f| + max|g| at every step.  Two pairwise sums f_i + g_j and
-    f_k + g_l, each rounded by at most half an ulp of that bound, can then
-    round to the same float only if i < k and j > l or the reverse: any
-    other pair of pairs differs by at least one gap before rounding."""
-    room = 4.0 * float(np.spacing(f.max_abs_freq + g.max_abs_freq))
-    return all(len(x) < 2 or float(np.min(np.diff(x.freqs))) > room for x in (f, g))
 
 
 @_plain_or_majorized
@@ -348,30 +304,17 @@ def multiply(f: ExpSum, g: ExpSum, *, keep_freqs_up_to: float | None = None) -> 
     drops the pairwise terms above that frequency (by more than
     ``FREQ_TOL``) before they are merged.  Ghosts count toward neither
     capacity limit.
-
-    The pairwise terms are laid out row by row of f, or, when
-    ``_runs_apart``, column by column of g from its highest frequency
-    down.  Each column is then a sorted run, which the stable sort merges
-    fast, and it orders the terms as in the row layout: equal sums tie by
-    ascending i in the row layout, and by descending j in the columns,
-    which is the same order since ``_runs_apart`` leaves only ties with i
-    and j in opposite order.  So the merge, and the product, do not depend
-    on the layout.
     """
-    live_f, live_g = f.coeffs != 0, g.coeffs != 0
-    raw = int(np.count_nonzero(live_f)) * int(np.count_nonzero(live_g))
+    raw = int(np.count_nonzero(f.coeffs)) * int(np.count_nonzero(g.coeffs))
     if raw > _WORK_CAP:
         raise CapacityError(
             f"product would create {raw} raw terms, above the workspace cap {_WORK_CAP}"
         )
-    if _runs_apart(f, g):
-        def pairs(op, a, b):
-            return op(a[None, :], b[::-1, None]).ravel()
-    else:
-        def pairs(op, a, b):
-            return op(a[:, None], b[None, :]).ravel()
-    terms = [pairs(np.add, f.freqs, g.freqs), pairs(np.multiply, f.coeffs, g.coeffs),
-             pairs(np.multiply, f.major, g.major), pairs(np.logical_and, live_f, live_g)]
+    # broadcast rows, not np.multiply.outer, which rounds a 1-by-1 complex
+    # product in another loop, an ulp apart
+    terms = [op(x[:, None], y[None, :]).ravel() for op, x, y in (
+        (np.add, f.freqs, g.freqs), (np.multiply, f.coeffs, g.coeffs),
+        (np.multiply, f.major, g.major))]
     if keep_freqs_up_to is not None:
         low = terms[0] <= keep_freqs_up_to + FREQ_TOL
         terms = [x[low] for x in terms]
@@ -517,7 +460,7 @@ def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
     frequency, which are all that will ever reach there, and ends at the
     last ``FREQ_TOL`` chain that stays 2 ``FREQ_TOL`` below that edge,
     so no chain is split across a band edge.  ``_merge`` merges the band,
-    with live flags and ghosts; its products with H, those at most
+    ghosts included; its products with H, those at most
     ``cutoff`` (by up to ``FREQ_TOL``), join the pending terms.  The
     ``_solve`` of r is the formal (1 + H)^-1 * r up to the cutoff: the
     truncation drops only terms above it, whose products lie higher.
@@ -546,10 +489,9 @@ def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
         raise InvalidInputError("the series cutoff must be finite")
     top = cutoff + FREQ_TOL
     low = r.freqs <= top
-    pending = [r.freqs[low], r.coeffs[low], r.major[low], r.coeffs[low] != 0]
+    pending = [r.freqs[low], r.coeffs[low], r.major[low]]
     eta = float(H.freqs[0]) if len(H) else math.inf
-    live_h = H.coeffs != 0
-    n_live_h = int(np.count_nonzero(live_h))
+    n_live_h = int(np.count_nonzero(H.coeffs))
     bands, rounds, kept = [], None, 0
     while pending[0].size:
         reach = float(np.min(pending[0])) + eta
@@ -572,8 +514,7 @@ def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
         pending = [x[rest] for x in pending]
         rounds = y.rounds
         bands.append(y)
-        live_y = y.coeffs != 0
-        n_live_y = int(np.count_nonzero(live_y))
+        n_live_y = int(np.count_nonzero(y.coeffs))
         kept += n_live_y
         if kept > MAX_TERMS:
             raise CapacityError(f"the solve has {kept} terms, above the capacity {MAX_TERMS}")
@@ -583,8 +524,7 @@ def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
                 f"above the workspace cap {_WORK_CAP}")
         prods = [np.add.outer(y.freqs, H.freqs).ravel(),
                  np.multiply.outer(y.coeffs, -H.coeffs).ravel(),
-                 np.multiply.outer(y.major, H.major).ravel(),
-                 np.logical_and.outer(live_y, live_h).ravel()]
+                 np.multiply.outer(y.major, H.major).ravel()]
         low = prods[0] <= top
         pending = [np.concatenate([x, p[low]]) for x, p in zip(pending, prods)]
     if not bands:

@@ -592,6 +592,13 @@ class TestGrowthProfile:
         mu = PointMeasure(1.0, np.array([-below, below]), np.array([-1.0 + 0j, -1.0 + 0j]))
         assert mu.low_band()[0].tolist() == [below]
 
+    def test_an_atom_just_above_a_grid_point_counts_there(self):
+        # the atom at 2 rounded one ulp up, as a sum of frequencies can give
+        # it, is the spectral point 2; one 2 FREQ_TOL above it is not
+        for gamma, m_at_2 in ((np.nextafter(2.0, np.inf), 1.0), (2.0 + 2e-9, 0.0)):
+            mu = PointMeasure(1.0, np.array([-gamma, gamma]), np.array([1.0 + 0j, 1.0 + 0j]))
+            assert growth_profile(mu, [2.0, 3.0]).m_of_s == [(2.0, m_at_2), (3.0, 1.0)]
+
     def test_compressed_lattice_atom(self):
         mu = PointMeasure(0.6, np.array([-0.6, 0.6]), np.array([-0.6 + 0j, -0.6 + 0j]))
         prof = growth_profile(mu, [0.5, 1.0, 2.0])

@@ -460,37 +460,6 @@ def _tied_sum(draw, step, floor=0.0):
     return canonicalize(terms, prune_tol=0.0)
 
 
-class TestProductLayout:
-    """``multiply`` lays the pairwise terms out by columns of g when the
-    spectra are apart; the product is bit for bit the row layout's."""
-
-    @staticmethod
-    def _rows(monkeypatch, f, g, **kw):
-        with monkeypatch.context() as m:
-            m.setattr(wiener, "_runs_apart", lambda f, g: False)
-            return multiply(f, g, **kw)
-
-    @settings(max_examples=150, deadline=None)
-    @given(_tied_sum(0.25), _tied_sum(0.5), st.sampled_from([None, 2.0, 30.0]))
-    def test_columns_equal_rows(self, f, g, cutoff):
-        mp = pytest.MonkeyPatch()
-        try:
-            rows = self._rows(mp, f, g, keep_freqs_up_to=cutoff)
-        finally:
-            mp.undo()
-        assert wiener._runs_apart(f, g)
-        assert _bits(multiply(f, g, keep_freqs_up_to=cutoff)) == _bits(rows)
-
-    def test_close_frequencies_keep_the_row_layout(self, monkeypatch):
-        # frequencies 1 ulp apart (not canonical): their pairwise sums tie
-        # with i and j in the same order, which only the row layout orders
-        w = np.array([1.0, np.nextafter(1.0, 2.0)])
-        f = wiener._make(w, np.array([1.0, 3.0 + 1j]))
-        g = wiener._make(w, np.array([2.0, 1j]))
-        assert not wiener._runs_apart(f, g)
-        assert _bits(multiply(f, g)) == _bits(self._rows(monkeypatch, f, g))
-
-
 # The untracked algebra that plain sums ran on before every operation went
 # through the majorized merge, kept as a reference: plain sums merged by the
 # same rule, every exact cancellation dropped, no majorant and no ghosts.
@@ -522,7 +491,6 @@ def _ref_scale(f, c):
 
 
 def _ref_multiply(f, g, keep_freqs_up_to=None):
-    # the row layout, which TestProductLayout shows the column layout equals
     if len(f) == 0 or len(g) == 0:
         return empty_sum()
     freqs = (f.freqs[:, None] + g.freqs[None, :]).ravel()
@@ -636,9 +604,29 @@ def _with_ghosts(f, ghosts):
     return wiener._majorized(freqs[order], coeffs[order], np.abs(coeffs[order]) + 1.0, 2)
 
 
+def _ghosts_change_nothing(freqs, coeffs):
+    """True if the merge of these raw terms, ghosts included, has the live
+    terms' merge for its live terms bit for bit, up to the sign of a zero
+    part (a ghost's +0 turns -0.0 into +0.0): no ghost chains two groups
+    of live terms, and no chain that holds a ghost holds more than two
+    live terms, whose sum numpy's pairwise summation could then associate
+    otherwise."""
+    order = np.argsort(freqs, kind="stable")
+    freqs, live = freqs[order], coeffs[order] != 0
+    if not live.any():
+        return True
+    chain = np.cumsum(wiener._group_starts(freqs))
+    live_groups = chain[live][wiener._group_starts(freqs[live])]
+    members = np.bincount(chain[live], minlength=chain[-1] + 1)
+    return (np.unique(live_groups).size == live_groups.size
+            and bool(np.all(members[chain[~live]] <= 2)))
+
+
 class TestMajorizedGhosts:
-    """Ghost terms carry a majorant but never enter the coefficients: the
-    live terms of a Majorized result are the canonical result bit for bit."""
+    """A ghost term merges as a term of coefficient 0: it adds its
+    majorant to its chain and nothing to the coefficient.  Where
+    ``_ghosts_change_nothing`` holds, the live terms of a Majorized result
+    are the canonical result bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(_tied_sum(0.25), _tied_sum(0.5),
@@ -646,26 +634,35 @@ class TestMajorizedGhosts:
                     unique=True))
     def test_live_terms_are_the_canonical_result(self, f, g, ghosts):
         # ghosts 0.75 FREQ_TOL above a lattice point chain to a term 1.5
-        # FREQ_TOL above it: the majorant's chain joins what the coefficients keep apart
+        # FREQ_TOL above it, and to one at the point: such a ghost joins them
         ghosts = [x for x in ghosts if np.min(np.abs(f.freqs - x)) > 0]
         F, G = _with_ghosts(f, ghosts), _with_ghosts(g, [])
-        for plain, tracked in ((multiply(f, g), multiply(F, G)),
-                               (multiply(f, g, keep_freqs_up_to=3.0),
-                                multiply(F, G, keep_freqs_up_to=3.0)),
-                               (add(f, g), add(F, G))):
+        pairs = (np.add.outer(F.freqs, G.freqs).ravel(),
+                 np.multiply.outer(F.coeffs, G.coeffs).ravel())
+        low = pairs[0] <= 3.0 + wiener.FREQ_TOL
+        for plain, tracked, raw in (
+                (multiply(f, g), multiply(F, G), pairs),
+                (multiply(f, g, keep_freqs_up_to=3.0), multiply(F, G, keep_freqs_up_to=3.0),
+                 (pairs[0][low], pairs[1][low])),
+                (add(f, g), add(F, G), (np.concatenate([F.freqs, G.freqs]),
+                                        np.concatenate([F.coeffs, G.coeffs])))):
             assert isinstance(tracked, wiener.Majorized)
-            assert _bits(tracked.canonical()) == _bits(plain)
+            if _ghosts_change_nothing(*raw):
+                got, want = (wiener._make(x.freqs, x.coeffs + 0.0)  # +0.0 for -0.0
+                             for x in (tracked.canonical(), plain))
+                assert _bits(got) == _bits(want)
             assert np.all(np.diff(tracked.freqs) > 0)
             assert np.all(tracked.major >= np.abs(tracked.coeffs))
 
-    def test_a_ghost_between_two_groups_gives_both_its_majorant(self):
+    def test_a_ghost_between_two_groups_joins_them(self):
+        # one chain, at the representative of the largest coefficient
         f = wiener._majorized(np.array([1.0, 1.0 + 1.5e-9]), np.array([1.0, 2.0 + 0j]),
                               np.array([1.0, 2.0]), 2)
         g = wiener._majorized(np.array([1.0 + 0.75e-9]), np.array([0j]), np.array([4.0]), 2)
         out = add(f, g)
-        assert out.freqs.tolist() == [1.0, 1.0 + 1.5e-9]
-        assert out.coeffs.tolist() == [1.0, 2.0]
-        assert out.major.tolist() == [7.0, 7.0]
+        assert out.freqs.tolist() == [1.0 + 1.5e-9]
+        assert out.coeffs.tolist() == [3.0]
+        assert out.major.tolist() == [7.0]
 
     def test_exact_cancellation_stays_a_ghost(self, cos):
         out = add(wiener.majorize(cos), scale(wiener.majorize(cos), -1.0))
@@ -753,7 +750,7 @@ class _Shadow:
         for w, q, major in zip(m.freqs, m.coeffs, m.major):
             c, a = self.terms[int(round(w))]
             assert abs(mpmath.mpc(complex(q)) - c) <= g * a
-            assert a <= (1 + g) * major
+            assert a <= (1 + mpmath.mpf(g)) * mpmath.mpf(float(major))  # not rounded in floats
 
 
 class TestMajorantInvariant:
@@ -841,3 +838,23 @@ class TestMajorantInvariant:
             s = s.mul(_Shadow(d)).add(_Shadow(e))
             s.check(m)
             assert m.freqs.tolist() == [2.0, 3.0] and m.coeffs.tolist() == [1e-3, 0j]
+
+    def test_a_ghost_bridges_two_groups(self):
+        # the ghost 1 + 2**-60 - 1 at 1 + 0.75 FREQ_TOL chains the live terms
+        # at 1 and at 1 + 1.5 FREQ_TOL, which the exact run holds as one point
+        # with the ghost's 2**-60 in it, and so does the float run
+        w = 1.0 + 0.75e-9
+        parts = [canonicalize([(w, c)], prune_tol=0.0) for c in (1.0, 2.0 ** -60, -1.0)]
+        live = canonicalize([(1.0, 0.5), (1.0 + 1.5e-9, 0.25)])
+        d = canonicalize([(1.0, 0.5), (2.0, 0.25)])
+        with mpmath.workdps(50):
+            m, s = wiener.majorize(parts[0]), _Shadow(parts[0])
+            for x in parts[1:]:
+                m, s = add(m, wiener.majorize(x)), s.add(_Shadow(x))
+            m = add(m, wiener.majorize(live))
+            for w, c in live.terms():  # _Shadow keys by the rounded frequency
+                s = s.add(_Shadow(canonicalize([(w, c)])))
+            assert m.freqs.tolist() == [1.0] and m.coeffs.tolist() == [0.75]
+            assert s.terms[1][0] == mpmath.mpf(0.75) + mpmath.mpf(2) ** -60
+            s.check(m)
+            s.mul(_Shadow(d)).check(multiply(m, wiener.majorize(d)))
