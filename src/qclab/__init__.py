@@ -39,7 +39,6 @@ from .errors import (
     CapacityError,
     ContourError,
     ConvergenceError,
-    DivergenceError,
     DomainError,
     InsufficientDataError,
     InvalidInputError,
@@ -59,9 +58,7 @@ from .reconstruct import (
 from .wiener import (
     ExpSum,
     add,
-    at_height,
     canonicalize,
-    choose_height,
     derivative,
     evaluate,
     exp_series,

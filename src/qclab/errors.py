@@ -28,10 +28,6 @@ class CapacityError(QclabError):
     the workspace cap, or more terms after merging than ``MAX_TERMS``."""
 
 
-class DivergenceError(QclabError):
-    """Neumann series does not converge at the requested height."""
-
-
 class ConvergenceError(QclabError):
     """An iterative procedure hit its cap before reaching tolerance."""
 

@@ -20,7 +20,9 @@ Division by ``f = q1 * exp(2j*pi*w1*x) * (1 + H)`` is one triangular
 solve (``_solve``): H's spectrum is strictly positive, so the
 coefficients of y with (1 + H) * y = r follow band by band in
 increasing frequency, each from the bands already solved.  The
-exponential is the power series ``_power_series``.
+exponential of a sum G of strictly positive spectrum is the same solve
+from 1, with the weights of E' = G' * E: one series engine runs the
+Neumann inverse, f'/f and exp.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DivergenceError, InvalidInputError
+from .errors import CapacityError, InvalidInputError
 
 FREQ_TOL = 1e-9           # frequencies closer than this are one spectral point
 PRUNE_TOL = 1e-14         # relative to the Wiener norm
@@ -330,20 +332,6 @@ def derivative(f: ExpSum) -> ExpSum:
     return _canonical_from_arrays(f.freqs, f.coeffs * (2j * np.pi * f.freqs), PRUNE_TOL)
 
 
-def at_height(f: ExpSum, s: float) -> ExpSum:
-    """The sum representing ``x -> f(x + 1j*s)``: ``q -> q * exp(-2*pi*omega*s)``.
-
-    Exact term map, no pruning, so heights compose exactly.
-    """
-    if len(f) == 0:
-        return empty_sum()
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        coeffs = f.coeffs * np.exp(-2.0 * np.pi * f.freqs * float(s))
-    if not np.all(np.isfinite(coeffs)):
-        raise OverflowError("at_height overflowed; height times frequency too large")
-    return _make(f.freqs, coeffs)
-
-
 def is_hermitian(f: ExpSum) -> bool:
     """True if terms pair omega <-> -omega with conjugate coefficients, to
     1e-12 of max(1, ||f||_W)."""
@@ -355,69 +343,12 @@ def is_hermitian(f: ExpSum) -> bool:
     return bool(defect <= 1e-12 * max(1.0, f.wiener_norm))
 
 
-def choose_height(f: ExpSum) -> float:
-    """Height selection for the Neumann inverse.
-
-    The smallest height s >= 0 with
-    ``exp(-2*pi*(w2-w1)*s) * sum_{n>=2} |q_n/q_1| < 1/3``, frequencies
-    sorted.  Every gap from w1 is at least w2 - w1, so this forces
-    ``||H||_W < 1/3``.
-    """
-    if len(f) == 0:
-        raise InvalidInputError("cannot choose a height for the empty sum")
-    if len(f) == 1:
-        return 0.0
-    R = float(np.sum(np.abs(f.coeffs[1:]) / abs(f.coeffs[0])))
-    if R < 1.0 / 3.0:
-        return 0.0
-    delta = float(f.freqs[1] - f.freqs[0])
-    s = math.log(3.0 * R) / (2.0 * math.pi * delta)
-    return s * (1.0 + 1e-9) + 1e-12
-
-
-def _power_series(x: Majorized, weight, cutoff: float) -> Majorized:
-    """``sum_k c_k * x^k`` with ``c_0 = 1`` and ``c_k = weight(k) * c_{k-1}``,
-    pruning-free and truncated at the frequency ``cutoff``, in the series
-    engine's working form: the ghosts of x and of the powers ride along
-    until the truncation empties the power.
-
-    The spectrum of x must be strictly positive.  Powers then only move
-    up, so a dropped term can never feed a kept one: the terms at or
-    below the cutoff are exact, and the truncated power is empty once k
-    times the smallest frequency passes the cutoff.  ``exp_series`` runs
-    it: its weights 1/k follow the length of a path, not its frequency,
-    so ``_solve``'s recursion, which took the powers' place for the
-    Neumann series, does not carry them.
-    """
-    if len(x) and x.freqs[0] <= 0:
-        raise InvalidInputError("a truncated power series needs strictly positive frequencies")
-    if not math.isfinite(cutoff):
-        raise InvalidInputError("the series cutoff must be finite")
-    series = power = majorize(constant(1.0))
-    k = 0
-    while len(power):
-        k += 1
-        power = scale(multiply(power, x, keep_freqs_up_to=cutoff), weight(k))
-        series = add(series, power)
-    return series
-
-
-def neumann_inverse(f: ExpSum, s: float, cutoff: float) -> ExpSum:
-    """Inverse of ``x -> f(x + 1j*s)`` as an exponential sum in x, exact
-    at the frequencies up to ``cutoff - w1``: the canonical sum of
-    ``_neumann_series`` of ``at_height(f, s)``.  The height must make
-    ``||H||_W < 1`` (``choose_height``), so that the untruncated series
-    converges too.
-    """
+def neumann_inverse(f: ExpSum, cutoff: float) -> ExpSum:
+    """Inverse of f as an exponential sum, exact at the frequencies up to
+    ``cutoff - w1``: the canonical sum of ``_neumann_series``."""
     if len(f) == 0:
         raise InvalidInputError("cannot invert the empty sum")
-    fs = at_height(f, s)
-    hnorm = float(np.sum(np.abs(fs.coeffs[1:] / complex(fs.coeffs[0]))))
-    if hnorm >= 1.0:
-        raise DivergenceError(
-            f"||H||_W = {hnorm:.6g} >= 1 at height s = {float(s):.6g}; use a larger height"
-        )
-    return _neumann_series(fs, cutoff).canonical()
+    return _neumann_series(f, cutoff).canonical()
 
 
 def _monic(f: ExpSum) -> tuple[Majorized, Majorized]:
@@ -447,10 +378,15 @@ def _neumann_series(f: ExpSum, cutoff: float) -> Majorized:
     return multiply(_solve(H, majorize(constant(1.0)), cutoff), shift)
 
 
-def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
+def _solve(H: Majorized, r: Majorized, cutoff: float, *, exp: bool = False) -> Majorized:
     """The y with (1 + H) * y = r at the frequencies up to ``cutoff``, in
     the series engine's working form: y_gamma = r_gamma - sum_j h_j *
-    y_(gamma - eta_j), with (eta_j, h_j) the terms of H.
+    y_(gamma - eta_j), with (eta_j, h_j) the terms of H.  With ``exp``, H
+    is a sum G of terms (eta_j, g_j), r is 1 and y is exp(G): E' = G' * E
+    gives gamma * y_gamma = sum_j eta_j * g_j * y_(gamma - eta_j) (Brent
+    and Kung, J. ACM 25, 1978), the same recursion with the weight
+    eta_j * g_j in place of -h_j, and each merged term of a band above 0
+    divided by its frequency.
 
     The spectrum of H must be strictly positive, from eta = H's lowest
     frequency.  The recursion then runs in bands of width at most eta:
@@ -467,21 +403,38 @@ def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
 
     The bound, by induction over the bands, with the ``Majorized``
     invariant and Higham's (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}.
-    Let R be the largest count of the bands solved so far and q H's.  A
-    raw product -h_j * y_a rounds once, within sqrt5*u <= gamma_3, and
-    negation is exact, so it is within gamma_{q+R+3} of h_j * y_a's exact
-    value times the path sum |h_j| * A_a, and so is a ghost product,
-    whose float term is 0.  A term of r is within gamma_{r.rounds} of its
-    own.  The group sum passes each raw term through at most g - 1
-    additions, g the band's largest chain, and the path sum A_gamma =
-    A(r_gamma) + sum |h_j| * A_a adds the raw path sums, while the float
-    majorant major = |r| + sum |h_j| * major_a sums the product majorants
-    (one rounding each) in at most g roundings of nonnegative numbers.
-    So the band's count is max(r.rounds - 1, q + R + 2) + g, and the
-    result carries the last band's, the largest.  Capacity: a band whose
-    live products with the live terms of H exceed ``_WORK_CAP``, or a
-    result above ``MAX_TERMS`` live terms, raises ``CapacityError``;
-    ghosts count toward neither.
+    Let R be the largest count of the bands solved so far and q the
+    count of the weights w_j: H's for w_j = -h_j, as negation is exact,
+    and G's + 1 for w_j = eta_j * g_j, a product by the real eta_j that
+    rounds each part once, as does its majorant eta_j * major_j.  A raw
+    product w_j * y_a rounds once, within sqrt5*u <= gamma_3, so it is
+    within gamma_{q+R+3} of w_j * y_a's exact value times the path sum
+    |w_j| * A_a, and so is a ghost product, whose float term is 0.  A
+    term of r is within gamma_{r.rounds} of its own.  The group sum
+    passes each raw term through at most g - 1 additions, g the band's
+    largest chain, and the path sum A_gamma = A(r_gamma) + sum |w_j| *
+    A_a adds the raw path sums, while the float majorant major = |r| +
+    sum |w_j| * major_a sums the product majorants (one rounding each)
+    in at most g roundings of nonnegative numbers.  So the band's count
+    is max(r.rounds - 1, q + R + 2) + g.  The exponential divides a band
+    term above 0 by fl(gamma), its float frequency: numpy divides a
+    complex number by a real one as the product by fl(1 / fl(gamma)),
+    within gamma_2, and the majorant's quotient rounds once, so the
+    quotient, whose path sum is A_gamma / fl(gamma), adds 2 to the
+    count.  The result carries the last band's count, the largest.
+
+    The exact value that the bound covers divides by fl(gamma), as the
+    frequencies are the float run's (``Majorized``).  The formal
+    exponential divides by the exact frequency, the sum of the exact
+    eta_j along a path; fl(gamma) is a float sum of at most cutoff / eta
+    + 1 positive frequencies, within gamma_(cutoff/eta) of it, and a
+    ``FREQ_TOL`` chain that merges distinct exact frequencies divides
+    their sum by one of them.  That is an error of the frequency model,
+    as the merge itself is, and the bound leaves it out.
+
+    Capacity: a band whose live products with the live terms of H exceed
+    ``_WORK_CAP``, or a result above ``MAX_TERMS`` live terms, raises
+    ``CapacityError``; ghosts count toward neither.
     """
     if len(H) and H.freqs[0] <= 0:
         raise InvalidInputError("a triangular solve needs H with a strictly positive spectrum")
@@ -492,6 +445,10 @@ def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
     pending = [r.freqs[low], r.coeffs[low], r.major[low]]
     eta = float(H.freqs[0]) if len(H) else math.inf
     n_live_h = int(np.count_nonzero(H.coeffs))
+    if exp:
+        w, w_major, q = H.freqs * H.coeffs, H.freqs * H.major, H.rounds + 1
+    else:
+        w, w_major, q = -H.coeffs, H.major, H.rounds
     bands, rounds, kept = [], None, 0
     while pending[0].size:
         reach = float(np.min(pending[0])) + eta
@@ -507,8 +464,10 @@ def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
                 f"a FREQ_TOL chain spans H's lowest frequency {eta:.6g}; "
                 "the recursion has no band to solve")
         band = order[:cut]
-        base = r.rounds - 1 if rounds is None else max(r.rounds - 1, H.rounds + rounds + 2)
+        base = r.rounds - 1 if rounds is None else max(r.rounds - 1, q + rounds + 2)
         y = _merge(*(x[band] for x in pending), base)
+        if exp and bands:
+            y = _majorized(y.freqs, y.coeffs / y.freqs, y.major / y.freqs, y.rounds + 2)
         rest = np.ones(pending[0].size, dtype=bool)
         rest[band] = False
         pending = [x[rest] for x in pending]
@@ -523,8 +482,8 @@ def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
                 f"a band would create {n_live_y * n_live_h} raw terms, "
                 f"above the workspace cap {_WORK_CAP}")
         prods = [np.add.outer(y.freqs, H.freqs).ravel(),
-                 np.multiply.outer(y.coeffs, -H.coeffs).ravel(),
-                 np.multiply.outer(y.major, H.major).ravel()]
+                 np.multiply.outer(y.coeffs, w).ravel(),
+                 np.multiply.outer(y.major, w_major).ravel()]
         low = prods[0] <= top
         pending = [np.concatenate([x, p[low]]) for x, p in zip(pending, prods)]
     if not bands:
@@ -535,11 +494,10 @@ def _solve(H: Majorized, r: Majorized, cutoff: float) -> Majorized:
 
 @_plain_or_majorized
 def exp_series(g: ExpSum, cutoff: float) -> ExpSum:
-    """Exponential via the power series ``sum g^k / k!`` in the algebra,
-    truncated at the frequency ``cutoff``; g needs a strictly positive
-    spectrum.  A plain g gives the canonical sum of ``_power_series``.
+    """Exponential of g, truncated at the frequency ``cutoff``: ``_solve``'s
+    recursion of exp(g) from 1; g needs a strictly positive spectrum.
 
-    Every coefficient up to the cutoff receives all of its power-series
-    contributions, however small, so each is the formal coefficient.
+    Every coefficient up to the cutoff receives all of its contributions,
+    however small, so each is the formal coefficient of ``sum g^k / k!``.
     """
-    return _power_series(g, lambda k: 1.0 / k, cutoff)
+    return _solve(g, majorize(constant(1.0)), cutoff, exp=True)

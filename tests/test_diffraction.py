@@ -444,22 +444,28 @@ class TestLogderivMeasure:
             assert on_int or on_r2
 
 
+def _at_height(f, s):
+    """The sum of x -> f(x + 1j*s): the term map q -> q * exp(-2 pi w s)."""
+    return wiener._make(f.freqs, f.coeffs * np.exp(-2.0 * np.pi * f.freqs * s))
+
+
 def _masses_at_height(f, s, cutoff):
     """The atoms of f'/f read at a height s > 0 from the kept algebra,
-    at_height(f', s) * neumann_inverse(f, s, cutoff) * exp(2 pi gamma s)/2pi,
-    as (gammas, masses, bounds) over FREQ_TOL < gamma < cutoff.
+    f'_s * neumann_inverse(f_s, cutoff) * exp(2 pi gamma s)/2pi, with f_s
+    and f'_s the sums at the height (``_at_height``), as (gammas, masses,
+    bounds) over FREQ_TOL < gamma < cutoff.
 
     The bound is the rounding bound the route had at a height, from the
-    same product run on ``Majorized`` sums: at_height puts 3|x| + 11 units
-    on a coefficient, x = 2 pi w s (numpy's exp is allowed 10 units: 1 ulp
-    on its own test points, and a margin), q1's error enters H and 1/q1
-    twice, and an atom is within gamma_K of M exp(2 pi gamma s)/2pi with
-    K = 3r + 3e + 8, e the units of its exp."""
+    same product run on ``Majorized`` sums: the term map puts 3|x| + 11
+    units on a coefficient, x = 2 pi w s (numpy's exp is allowed 10
+    units: 1 ulp on its own test points, and a margin), q1's error enters
+    H and 1/q1 twice, and an atom is within gamma_K of M exp(2 pi gamma
+    s)/2pi with K = 3r + 3e + 8, e the units of its exp."""
     def units(x):
         return np.ceil(3.0 * np.abs(x) * (1.0 + 1e-12)) + 10.0
 
-    fs, dfs = wiener.at_height(f, s), wiener.at_height(wiener.derivative(f), s)
-    plain = multiply(dfs, wiener.neumann_inverse(f, s, cutoff))
+    fs, dfs = _at_height(f, s), _at_height(wiener.derivative(f), s)
+    plain = multiply(dfs, wiener.neumann_inverse(fs, cutoff))
     w1, q1 = float(fs.freqs[0]), complex(fs.coeffs[0])
     e1, emax = int(units(2 * np.pi * w1 * s)), int(units(2 * np.pi * f.max_abs_freq * s))
     H = wiener.majorize(wiener.ExpSum(fs.freqs[1:] - w1, fs.coeffs[1:] / q1), emax + 2 * e1 + 13)
@@ -494,7 +500,7 @@ class TestHeightIdentity:
         c = logderiv_coefficients(f, cutoff)
         kept = c.kept()
         assert kept.sum() > 10
-        for s in (wiener.choose_height(f), 0.6):
+        for s in (0.4, 0.6):
             g, b, bounds = _masses_at_height(f, s, cutoff)
             # the same merge groups; f'/f solved directly and f' times the
             # inverse add the frequencies in another order, so a group's

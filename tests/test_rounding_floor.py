@@ -27,6 +27,7 @@ from qclab.errors import CapacityError
 from qclab.wiener import FREQ_TOL, canonicalize, derivative, multiply
 
 from conftest import lee_yang_rows
+from test_wiener import _product_power_series
 
 SCALES3 = (1.0, math.sqrt(2.0), math.sqrt(3.0))
 
@@ -59,7 +60,7 @@ def on_lattice(gamma, scales):
 
 def _product_path(f, cutoff):
     H, shift = wiener._monic(f)
-    inverse = multiply(wiener._power_series(H, lambda j: -1.0, cutoff), shift)
+    inverse = multiply(_product_power_series(H, lambda j: -1.0, cutoff), shift)
     ld = multiply(wiener.majorize(derivative(f), 5), inverse)
     i0 = np.flatnonzero((ld.coeffs != 0) & (np.abs(ld.freqs) <= FREQ_TOL))
     p0 = complex(ld.coeffs[i0[0]]) if i0.size else 0j

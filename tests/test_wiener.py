@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from qclab import wiener
 from qclab.apset import phi_representation
 from qclab.diffraction import bohr_means
-from qclab.errors import CapacityError, DivergenceError, InvalidInputError
+from qclab.errors import CapacityError, InvalidInputError
 from qclab.wiener import (
     add,
-    at_height,
     canonicalize,
-    choose_height,
     constant,
     derivative,
     empty_sum,
@@ -257,89 +255,44 @@ class TestDerivative:
         assert np.max(rel) < 1e-6
 
 
-class TestAtHeight:
-    def test_cos_at_height_one(self, cos):
-        f = at_height(cos, 1.0)
-        expect = {-0.5: math.exp(math.pi) / 2, 0.5: math.exp(-math.pi) / 2}
-        for w, q in f.terms():
-            assert q == pytest.approx(expect[w], rel=1e-14)
-
-    def test_identity_at_zero(self, cos):
-        f = at_height(cos, 0.0)
-        assert np.array_equal(f.coeffs, cos.coeffs)
-
-    def test_constant_invariant(self):
-        c = constant(2.5)
-        assert at_height(c, 7.0).terms() == c.terms()
-
-    def test_matches_evaluation(self, cos):
-        for s in (0.3, -1.2, 2.0):
-            fs = at_height(cos, s)
-            for x in (0.0, 0.7, -3.1):
-                assert evaluate(fs, x) == pytest.approx(evaluate(cos, x + 1j * s), rel=1e-12)
-
-    def test_heights_compose(self):
-        rng = np.random.default_rng(6)
-        f = random_sum(rng, 8, 2.0)
-        a = at_height(at_height(f, 0.4), 0.35)
-        b = at_height(f, 0.75)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) / b.wiener_norm < 1e-12
-
-
-def _residual_below(fs, inv, cutoff):
-    """||fs * inv - 1||_W over the frequencies up to the cutoff, where the
+def _residual_below(f, inv, cutoff):
+    """||f * inv - 1||_W over the frequencies up to the cutoff, where the
     truncated inverse is exact."""
-    return add(multiply(fs, inv, keep_freqs_up_to=cutoff), constant(-1.0)).wiener_norm
+    return add(multiply(f, inv, keep_freqs_up_to=cutoff), constant(-1.0)).wiener_norm
 
 
 class TestNeumannInverse:
     def test_geometric_series(self):
         f = canonicalize([(0.0, 1.0), (1.0, 0.5)])
-        inv = neumann_inverse(f, 0.0, 40.0)
+        inv = neumann_inverse(f, 40.0)
         assert inv.freqs[-1] == 40.0
         assert inv.wiener_norm == pytest.approx(2.0, abs=1e-9)
-        assert _residual_below(at_height(f, 0.0), inv, 40.0) < 1e-10
+        assert _residual_below(f, inv, 40.0) < 1e-10
 
     def test_single_term(self):
         f = canonicalize([(0.7, 2.0)])
-        inv = neumann_inverse(f, 0.0, 10.0)
+        inv = neumann_inverse(f, 10.0)
         assert inv.terms() == [(-0.7, 0.5 + 0j)]
 
-    def test_cos_height_one_h_norm(self, cos):
-        # the normalized remainder has a single term of size exp(-2*pi)
-        fs = at_height(cos, 1.0)
-        h = abs(fs.coeffs[1] / fs.coeffs[0])
-        assert h == pytest.approx(math.exp(-2 * math.pi), rel=1e-12)
-        inv = neumann_inverse(cos, 1.0, 10.0)
-        assert inv.wiener_norm * abs(fs.coeffs[0]) < 3.0
-
-    def test_auto_height_bounds(self):
-        # spectral gaps bounded below, else the auto height (inverse to the
-        # lowest gap) can overflow at_height
+    def test_residual_at_height_zero(self):
+        # ||H||_W is 3.3 to 44 here, so the inverse grows geometrically up
+        # to the cutoff; the residual is exactly 0 below it, and the float
+        # one is the rounding of the product's terms
         rng = np.random.default_rng(7)
         for _ in range(50):
             freqs = np.cumsum(rng.uniform(0.05, 1.0, 10)) - 2.5
             coeffs = rng.normal(size=10) + 1j * rng.normal(size=10)
             f = canonicalize(list(zip(freqs, coeffs)))
-            s = choose_height(f)
-            fs = at_height(f, s)
-            hnorm = float(np.sum(np.abs(fs.coeffs[1:]))) / abs(fs.coeffs[0])
-            assert hnorm < 2.0 / 3.0
-            inv = neumann_inverse(f, s, 4.0)
-            assert _residual_below(fs, inv, 4.0) < 1e-10
-            assert inv.wiener_norm * abs(fs.coeffs[0]) < 3.0
-
-    def test_divergence_error(self):
-        f = canonicalize([(0.0, 1.0), (1.0, 2.0)])
-        with pytest.raises(DivergenceError):
-            neumann_inverse(f, 0.0, 10.0)
+            inv = neumann_inverse(f, 4.0)
+            assert inv.freqs[-1] <= 4.0 - f.freqs[0] + wiener.FREQ_TOL
+            assert _residual_below(f, inv, 4.0) < 1e-14 * f.wiener_norm * inv.wiener_norm
 
     def test_a_gap_inside_a_chain_has_no_band(self):
         # H's lowest frequency 1.5 FREQ_TOL: y_0 and y_eta are one spectral
         # point, which the recursion would need before itself
         f = canonicalize([(0.0, 1.0), (1.5e-9, 0.5)])
         with pytest.raises(InvalidInputError, match="no band to solve"):
-            neumann_inverse(f, 0.0, 1.0)
+            neumann_inverse(f, 1.0)
 
 
 class TestExpSeries:
@@ -410,7 +363,7 @@ class TestTruncatedSeries:
     @settings(max_examples=40, deadline=None)
     @given(_scaled_coeffs(0.9), st.integers(1, 30))
     def test_neumann_matches_reciprocal_recurrence(self, h, N):
-        inv = neumann_inverse(_integer_sum(h, 1.0), 0.0, N)
+        inv = neumann_inverse(_integer_sum(h, 1.0), N)
         assert inv.freqs[-1] <= N
         c = np.zeros(N + 1, complex)
         c[0] = 1.0
@@ -434,7 +387,7 @@ class TestTruncatedSeries:
     def test_doubling_the_bound_keeps_the_low_terms(self, x, X):
         f = _integer_sum(x, 1.0)
         g = _integer_sum(x)
-        for series in (lambda b: neumann_inverse(f, 0.0, b), lambda b: exp_series(g, b)):
+        for series in (lambda b: neumann_inverse(f, b), lambda b: exp_series(g, b)):
             low, high = series(X), series(2 * X)
             sel = high.freqs <= X
             assert np.array_equal(low.freqs, high.freqs[sel])
@@ -511,21 +464,34 @@ def _ref_power_series(x, weight, cutoff):
     return series
 
 
-def _ref_neumann_inverse(f, s, cutoff):
-    fs = at_height(f, s)
-    w1, q1 = float(fs.freqs[0]), complex(fs.coeffs[0])
-    H = wiener._make(fs.freqs[1:] - w1, fs.coeffs[1:] / q1)
+def _ref_neumann_inverse(f, cutoff):
+    w1, q1 = float(f.freqs[0]), complex(f.coeffs[0])
+    H = wiener._make(f.freqs[1:] - w1, f.coeffs[1:] / q1)
     return _ref_multiply(_ref_power_series(H, lambda j: -1.0, cutoff),
                          canonicalize([(-w1, 1.0 / q1)]))
 
 
+def _product_power_series(x, weight, cutoff):
+    """``sum_k c_k * x^k`` with ``c_0 = 1`` and ``c_k = weight(k) * c_{k-1}``,
+    truncated at the frequency ``cutoff``, as the series engine formed its
+    series before the triangular solve: the powers one product at a time,
+    summed, on ``Majorized`` sums, ghosts and majorant included.  The
+    spectrum of x must be strictly positive, so that the truncated power
+    empties.  Its canonical sum is ``_ref_power_series``'s bit for bit."""
+    series = power = wiener.majorize(constant(1.0))
+    k = 0
+    while len(power):
+        k += 1
+        power = scale(multiply(power, x, keep_freqs_up_to=cutoff), weight(k))
+        series = add(series, power)
+    return series
+
+
 def _product_neumann_series(f, cutoff):
-    """The Neumann inverse as the series engine formed it before the
-    triangular solve: the powers of -H one product at a time, summed, and
-    shifted, on ``Majorized`` sums.  Its canonical sum is the reference's
-    bit for bit."""
+    """The Neumann inverse from ``_product_power_series``: the powers of -H,
+    shifted.  Its canonical sum is the reference's bit for bit."""
     H, shift = wiener._monic(f)
-    return multiply(wiener._power_series(H, lambda j: -1.0, cutoff), shift)
+    return multiply(_product_power_series(H, lambda j: -1.0, cutoff), shift)
 
 
 def _bound(m):
@@ -553,9 +519,11 @@ def assert_within_both_bounds(got, want):
 
 class TestPlainReference:
     """Plain sums enter the majorized merge and leave as canonical sums:
-    bit for bit the untracked reference's results.  The Neumann inverse,
-    a triangular solve, sums its terms in another order than the
-    reference's powers: it agrees with them within both bounds."""
+    bit for bit the untracked reference's results.  The Neumann inverse
+    and the exponential, triangular solves, sum their terms in another
+    order than the reference's powers: they agree with the powers on
+    ``Majorized`` sums within both bounds, and those are the reference's
+    bit for bit."""
 
     # Coefficients of modulus above 1e-3 and at most 12 factors in a series
     # power keep every product far from underflow.  An underflow to 0 in
@@ -565,8 +533,8 @@ class TestPlainReference:
     @settings(max_examples=150, deadline=None)
     @given(_tied_sum(0.25, 1e-3), _tied_sum(0.5, 1e-3),
            st.sampled_from([0.0, -1.0, 1.0, 0.3, 2.5 - 1j]), st.sampled_from([None, 2.0, 30.0]),
-           st.sampled_from([0.0, 0.1]), st.sampled_from([1.0, 3.0]))
-    def test_results_are_the_reference(self, f, g, c, keep, s, cutoff):
+           st.sampled_from([1.0, 3.0]))
+    def test_results_are_the_reference(self, f, g, c, keep, cutoff):
         # h = f + g - f: exact cancellations and rounded remainders
         h = add(add(f, g), scale(f, -1.0))
         ref_h = _ref_add(_ref_add(f, g), _ref_scale(f, -1.0))
@@ -581,14 +549,19 @@ class TestPlainReference:
                 (h, ref_h),
                 (scale(f, c), _ref_scale(f, c)),
                 (multiply(f, g, keep_freqs_up_to=keep), _ref_multiply(f, g, keep)),
-                (multiply(h, g, keep_freqs_up_to=keep), _ref_multiply(ref_h, g, keep)),
-                (exp_series(x, cutoff), _ref_power_series(x, lambda k: 1.0 / k, cutoff))):
+                (multiply(h, g, keep_freqs_up_to=keep), _ref_multiply(ref_h, g, keep))):
             assert type(got) is wiener.ExpSum
             assert _bits(got) == _bits(want)
-        fs = at_height(one_plus_h, s)
-        solved, powers = wiener._neumann_series(fs, cutoff), _product_neumann_series(fs, cutoff)
-        assert _bits(neumann_inverse(one_plus_h, s, cutoff)) == _bits(solved.canonical())
-        assert _bits(powers.canonical()) == _bits(_ref_neumann_inverse(one_plus_h, s, cutoff))
+        solved = wiener._neumann_series(one_plus_h, cutoff)
+        powers = _product_neumann_series(one_plus_h, cutoff)
+        assert _bits(neumann_inverse(one_plus_h, cutoff)) == _bits(solved.canonical())
+        assert _bits(powers.canonical()) == _bits(_ref_neumann_inverse(one_plus_h, cutoff))
+        assert_within_both_bounds(solved, powers)
+        X = wiener.majorize(x)
+        solved = exp_series(X, cutoff)
+        powers = _product_power_series(X, lambda k: 1.0 / k, cutoff)
+        assert _bits(exp_series(x, cutoff)) == _bits(solved.canonical())
+        assert _bits(powers.canonical()) == _bits(_ref_power_series(x, lambda k: 1.0 / k, cutoff))
         assert_within_both_bounds(solved, powers)
 
     def test_an_underflow_in_scale_leaves_the_canonical_sum(self):
@@ -743,6 +716,17 @@ class _Shadow:
                 terms[n] = (sum(c for c, _ in raw), sum(a for _, a in raw))
         return _Shadow.of(terms)
 
+    def exp(self, cutoff):
+        """exp(self) at the keys up to the cutoff: E_0 = 1 and n * E_n =
+        sum_k k * g_k * E_(n-k), path sums alike."""
+        terms = {0: (mpmath.mpc(1), mpmath.mpf(1))}
+        for n in range(1, cutoff + 1):
+            raw = [(k * gc * terms[n - k][0], k * ga * terms[n - k][1])
+                   for k, (gc, ga) in self.terms.items() if n - k in terms]
+            if raw:
+                terms[n] = (sum(c for c, _ in raw) / n, sum(a for _, a in raw) / n)
+        return _Shadow.of(terms)
+
     def check(self, m):
         """The Majorized invariant of ``m``, ghosts included."""
         assert sorted(self.terms) == [int(round(w)) for w in m.freqs]
@@ -758,23 +742,24 @@ class TestMajorantInvariant:
     path sum A is at most (1 + gamma_r) * major, against 50-digit sums."""
 
     @settings(max_examples=40, deadline=None)
-    @given(_scaled_coeffs(0.9), st.integers(1, 12), st.booleans())
-    def test_power_series(self, x, N, neumann):
+    @given(_scaled_coeffs(2.0), st.integers(1, 12))
+    def test_exp(self, x, N):
         # the proof assumes no underflow: products of up to 12 factors
-        # above 1e-20 stay far from it
-        assume(all(c == 0 or abs(c) > 1e-20 for c in x))
-        f = _integer_sum(x)
-        weight = (lambda k: -1.0) if neumann else (lambda k: 1.0 / k)
+        # above 1e-20 stay far from it.  g has a term at 1, so every band
+        # is one integer n, with one raw term per term of g at most n
+        assume(x[0] != 0 and all(c == 0 or abs(c) > 1e-20 for c in x))
+        g = _integer_sum(x)
         with mpmath.workdps(50):
-            got = wiener._power_series(wiener.majorize(f), weight, N)
-            sx = _Shadow(f)
-            series = power = _Shadow(constant(1.0))
-            k = 0
-            while power.terms:
-                k += 1
-                power = power.mul(sx, N).scale(weight(k))
-                series = series.add(power)
-            series.check(got)
+            got = exp_series(wiener.majorize(g), N)
+            _Shadow(g).exp(N).check(got)
+        # the proof's count: 2 for the band at 0, which holds r = 1 (r's 2
+        # less 1, plus its one term), then max(1, q + R + 2) plus the band's
+        # raw terms, plus 2 for the division by n, with q = 3: g's 2, and 1
+        # for the weights k * g_k
+        count = 2
+        for n in range(1, N + 1):
+            count = max(1, 3 + count + 2) + int(np.sum(g.freqs <= n)) + 2
+        assert got.rounds == count
 
     @settings(max_examples=40, deadline=None)
     @given(_scaled_coeffs(0.9), st.integers(1, 12), st.booleans())
@@ -802,7 +787,7 @@ class TestMajorantInvariant:
         # the count of each band: max(r's - 1, H's + the last band's + 2) plus
         # its largest chain, from r's 2 and H's 2: 1 + 1, 6 + 4, 14 + 1, 19 + 1
         assert got.rounds == 20
-        powers = wiener._power_series(H, lambda j: -1.0, 3.0)
+        powers = _product_power_series(H, lambda j: -1.0, 3.0)
         assert_within_both_bounds(got, multiply(r, powers, keep_freqs_up_to=3.0))
 
     def test_a_ghost_feeds_a_later_band(self):
