@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qclab import wiener
+import qclab
+from qclab import errors, wiener
 from qclab.apset import phi_representation
 from qclab.diffraction import bohr_means
 from qclab.errors import CapacityError, InvalidInputError
@@ -33,6 +35,9 @@ def random_sum(rng, n_terms=12, freq_span=5.0):
     freqs = rng.uniform(-freq_span, freq_span, n_terms)
     coeffs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
     return canonicalize(list(zip(freqs, coeffs)))
+
+
+_small = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
 class TestCanonicalize:
@@ -294,6 +299,45 @@ class TestNeumannInverse:
         with pytest.raises(InvalidInputError, match="no band to solve"):
             neumann_inverse(f, 1.0)
 
+    def test_takes_only_f_and_cutoff(self):
+        # the inverse runs at height 0 only: no height argument and no
+        # height algebra beside it
+        assert list(inspect.signature(neumann_inverse).parameters) == ["f", "cutoff"]
+        with pytest.raises(TypeError):
+            neumann_inverse(canonicalize([(0.0, 1.0), (1.0, 0.5)]), 4.0, 0.5)
+        for module in (qclab, wiener, errors):
+            for name in ("at_height", "choose_height", "_power_series", "DivergenceError"):
+                assert not hasattr(module, name)
+
+
+class TestSolveCapacity:
+    """The exponential and the inverse share ``_solve``'s two limits: the
+    raw products of one band, and the live terms of the result."""
+
+    @pytest.mark.parametrize("run", [
+        lambda f: exp_series(f, 1.0),
+        lambda f: neumann_inverse(add(constant(1.0), f), 1.0)])
+    def test_a_band_above_the_workspace_cap(self, monkeypatch, run):
+        # each band up to the cutoff is one term, times H's 3 live terms
+        f = canonicalize([(1.0, 0.1), (SQRT2, 0.1), (math.pi, 0.1)])
+        monkeypatch.setattr(wiener, "_WORK_CAP", 3)
+        run(f)
+        monkeypatch.setattr(wiener, "_WORK_CAP", 2)
+        with pytest.raises(CapacityError, match="a band would create 3 raw terms"):
+            run(f)
+
+    @pytest.mark.parametrize("run", [
+        lambda f: exp_series(f, 20.0),
+        lambda f: neumann_inverse(add(constant(1.0), f), 20.0)])
+    def test_a_result_above_the_term_capacity(self, monkeypatch, run):
+        # a single frequency: 21 terms up to the cutoff, one per band
+        f = canonicalize([(1.0, 0.5)])
+        monkeypatch.setattr(wiener, "MAX_TERMS", 21)
+        assert len(run(f)) == 21
+        monkeypatch.setattr(wiener, "MAX_TERMS", 20)
+        with pytest.raises(CapacityError, match="the solve has 21 terms"):
+            run(f)
+
 
 class TestExpSeries:
     def test_empty_gives_one(self):
@@ -329,10 +373,62 @@ class TestExpSeries:
         e = exp_series(g, 20.0)
         assert e.wiener_norm <= math.exp(g.wiener_norm) * (1 + 1e-12)
 
+    def test_below_the_lowest_frequency_gives_one(self):
+        g = canonicalize([(1.5, 0.25), (2.0, 0.1)])
+        assert exp_series(g, 1.0).terms() == [(0.0, 1 + 0j)]
+        assert exp_series(g, 1.5).terms() == [(0.0, 1 + 0j), (1.5, 0.25 + 0j)]
+
+    def test_two_incommensurate_frequencies(self):
+        # exp(a*e(x) + b*e(sqrt2*x)): the coefficient at j + k*sqrt2 is
+        # a^j * b^k / (j! * k!), and no two such frequencies chain
+        a, b = 0.6 - 0.2j, -0.3 + 0.4j
+        e = exp_series(canonicalize([(1.0, a), (SQRT2, b)]), 6.0)
+        want = sorted((j + k * SQRT2, a ** j * b ** k / (math.factorial(j) * math.factorial(k)))
+                      for j in range(7) for k in range(5) if j + k * SQRT2 <= 6.0)
+        assert len(e) == len(want)
+        for (w, q), (w0, q0) in zip(e.terms(), want):
+            assert w == pytest.approx(w0, abs=1e-14)
+            assert q == pytest.approx(q0, rel=1e-13, abs=1e-17)
+
+    @settings(max_examples=30, deadline=None)
+    @given(*[st.lists(st.tuples(st.integers(1, 12), _small), min_size=1, max_size=6,
+                      unique_by=lambda t: t[0])] * 2,
+           st.sampled_from([1.0, 2.5, 3.0]))
+    def test_a_sum_exponentiates_to_the_product(self, terms1, terms2, cutoff):
+        # exp(G1 + G2) = exp(G1) * exp(G2), both sides on Majorized sums
+        # within their bounds; the frequencies lie on a lattice of 0.25,
+        # where every float sum of them is exact
+        G1, G2 = (wiener.majorize(canonicalize(
+            [(0.25 * k, complex(c) if abs(c) > 1e-3 else 0.5) for k, c in t], prune_tol=0.0))
+            for t in (terms1, terms2))
+        both = exp_series(add(G1, G2), cutoff)
+        product = multiply(exp_series(G1, cutoff), exp_series(G2, cutoff),
+                           keep_freqs_up_to=cutoff)
+        assert_within_both_bounds(both, product)
+
+    def test_the_inverse_is_the_exponential_of_minus_g(self):
+        # both engines of the one solve: 1 / exp(g) = exp(-g)
+        g = canonicalize([(0.5, 0.1), (1.3, 0.05 + 0.02j), (SQRT2, -0.04j), (2.0, -0.07)])
+        inv = neumann_inverse(exp_series(g, 12.0), 12.0)
+        want = exp_series(scale(g, -1.0), 12.0)
+        assert len(inv) == len(want)
+        assert add(inv, scale(want, -1.0)).wiener_norm < 1e-15
+
+    def test_the_derivative_is_g_prime_times_the_exponential(self):
+        # E' = G' * E, the identity that the recursion solves, checked
+        # with the product; ``derivative`` prunes the terms below
+        # PRUNE_TOL * ||E'||_W, which the product keeps
+        g = canonicalize([(0.5, 0.1), (1.3, 0.05 + 0.02j), (SQRT2, -0.04j), (2.0, -0.07)])
+        e = exp_series(g, 12.0)
+        lhs, rhs = derivative(e), multiply(derivative(g), e, keep_freqs_up_to=12.0)
+        gap = add(lhs, scale(rhs, -1.0))
+        matched = np.min(np.abs(np.subtract.outer(gap.freqs, lhs.freqs)), axis=1) <= wiener.FREQ_TOL
+        assert np.max(np.abs(gap.coeffs[matched])) < 1e-16 * rhs.wiener_norm
+        assert np.max(np.abs(gap.coeffs)) < wiener.PRUNE_TOL * lhs.wiener_norm
+
 
 # Integer spectra: every series below is a power series in t = exp(2j*pi*x),
 # so its truncation has a closed recurrence to compare with.
-_small = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
 def _integer_sum(coeffs, constant_term=None):
