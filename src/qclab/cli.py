@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -130,12 +131,14 @@ def _counting_spot_check(A, k2, rng, trials):
     in count by more than k2.
 
     Per trial a length h in [0.01, length/4) and two windows [x, x+h)
-    inside the window; the draws are those of rng.uniform(0.01, length/4)
-    then rng.uniform(lo, hi - h, 2), trial after trial.
+    inside the window.  ``rng`` is a ``random.Random``, and the draws are
+    3·trials values u of ``rng.random()`` in order: per trial one for
+    h = 0.01 + (length/4 - 0.01)·u, then one for each of x1 and x2,
+    x = lo + ((hi - h) - lo)·u.
     """
     lo, hi = A.window
     e = A.expand()
-    u = rng.random(3 * trials).reshape(trials, 3)
+    u = np.array([rng.random() for _ in range(3 * trials)]).reshape(trials, 3)
     h = 0.01 + ((hi - lo) / 4.0 - 0.01) * u[:, 0]
     x = lo + ((hi - h) - lo)[:, None] * u[:, 1:]
     c = apset._searched_counts(e, x, h[:, None])
@@ -143,7 +146,7 @@ def _counting_spot_check(A, k2, rng, trials):
 
 
 def _apset_stage(A, half, cfg):
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     dens = apset.density(A)
     lo, hi = A.window
     length = hi - lo

@@ -3,8 +3,11 @@ import csv
 import io as stdio
 import json
 import os
+import random
 import re
 import stat
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -577,8 +580,9 @@ class TestCountingSpotCheck:
         e = A.expand()
         violations = 0
         for _ in range(trials):
-            h = float(rng.uniform(0.01, (hi - lo) / 4.0))
-            x1, x2 = rng.uniform(lo, hi - h, 2)
+            h = 0.01 + ((hi - lo) / 4.0 - 0.01) * rng.random()
+            x1 = lo + ((hi - h) - lo) * rng.random()
+            x2 = lo + ((hi - h) - lo) * rng.random()
             c1 = int(np.searchsorted(e, x1 + h) - np.searchsorted(e, x1))
             c2 = int(np.searchsorted(e, x2 + h) - np.searchsorted(e, x2))
             if abs(c1 - c2) > k2:
@@ -588,10 +592,34 @@ class TestCountingSpotCheck:
     @pytest.mark.parametrize("k2", [0, 1, 2])
     def test_same_draws_and_count_as_the_loop(self, k2):
         A = union_zeroset(200)
-        got = _counting_spot_check(A, k2, np.random.default_rng(7), 2000)
-        assert got == self._loop(A, k2, np.random.default_rng(7), 2000)
+        got = _counting_spot_check(A, k2, random.Random(7), 2000)
+        assert got == self._loop(A, k2, random.Random(7), 2000)
         if k2 < 2:
             assert got > 0
+
+    def test_no_command_loads_numpy_random(self, cos_csv, tmp_path):
+        # numpy.random pulls in secrets, hashlib and OpenSSL; the spot check
+        # draws from the standard library's random, which numpy already loads
+        zs = tmp_path / "zeros.csv"
+        qio.write_zeroset(union_zeroset(100), zs)
+        script = f"""
+import sys
+import numpy
+alone = "numpy.random" in sys.modules
+from qclab.cli import main
+assert main(["analyze", "--input", {cos_csv!r}, "--window=-60,60", "--T", "50",
+             "--out", {str(tmp_path / "analyze")!r}]) == 0
+assert main(["diffract", "--input", {str(zs)!r}, "--T", "50", "--cutoff", "5",
+             "--out", {str(tmp_path / "diffract")!r}]) == 0
+print(alone, "numpy.random" in sys.modules)
+"""
+        src = str(Path(qclab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+        alone, after = (word == "True" for word in out[-1].split())
+        assert alone or not after
 
 
 class TestEmitOutputs:

@@ -347,10 +347,8 @@ class TestNeverAWrongAnswer:
             return
         assert np.max(np.abs(A.expand() - _lattice_zeros(cs, -1.25, 1.25))) < 1e-9
 
-    @settings(max_examples=12, deadline=None)
-    @given(_cosine_products())
-    def test_cosine_products(self, case):
-        cs, (a, b) = case
+    @staticmethod
+    def _check(cs, a, b):
         lo, hi = -_clear_end(cs, a), _clear_end(cs, b)
         expect = _lattice_zeros(cs, lo, hi)
         assert np.min(np.abs(np.concatenate([expect - lo, hi - expect]))) >= 0.01
@@ -360,6 +358,18 @@ class TestNeverAWrongAnswer:
             return
         assert A.count == expect.size
         assert np.max(np.abs(A.expand() - expect)) < 1e-9
+
+    @settings(max_examples=12, deadline=None)
+    @given(_cosine_products())
+    def test_cosine_products(self, case):
+        cs, (a, b) = case
+        self._check(cs, a, b)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 6")
+    def test_close_pair_printed_as_one_double_zero(self):
+        # two simple zeros 7.4e-9 apart near 2.3243 come back as one double
+        # zero 3.7e-9 from each, outside the 1e-9 bound
+        self._check((2.7965150598628705, 0.6453496271567273), 1.0, 3.0)
 
 
 class TestFusedPass:
