@@ -5,8 +5,8 @@ zeros yields a zero counting measure whose Fourier transform is pure
 point; the toolkit extracts the atoms by two independent routes and
 verifies the Poisson summation identity.  Inverse direction: a pure
 point measure is exponentiated back into a Dirichlet series whose zeros
-reproduce the original set, with the bounded-g criterion and the exact
-exponential type of the rebuilt sum as evidence.
+reproduce the original set, with the bounded-g criterion and the spectrum
+width of the rebuilt sum against the density d as evidence.
 """
 
 from .apset import (
@@ -48,7 +48,6 @@ from .errors import (
 )
 from .reconstruct import (
     GReport,
-    exponential_type,
     g_boundedness,
     g_function,
     log_series,

@@ -2,9 +2,10 @@
 
 ``analyze`` runs the full forward and inverse chain on an exponential
 sum: real zeros, set analytics, both diffraction routes with the Poisson
-check, then reconstruction, whose rebuilt sum is certified against the
-input by its coefficient distance and Rouché's theorem over the whole
-window (``_roundtrip``).  The other commands expose the individual
+check, then reconstruction, whose rebuilt spectrum must have the zero
+set's density as its width, and whose rebuilt sum is certified against
+the input by its coefficient distance and Rouché's theorem over the
+whole window (``_roundtrip``).  The other commands expose the individual
 stages.  Reports embed the full config/tolerance snapshot, carry no
 timestamps, and are byte-identical across reruns with the same config
 and seed.
@@ -24,13 +25,20 @@ import numpy as np
 
 from . import apset, diffraction, io, reconstruct, wiener, zeros
 from .diffraction import PointMeasure
-from .errors import ConvergenceError, DomainError, InvalidInputError, QclabError, StageError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    InsufficientDataError,
+    InvalidInputError,
+    QclabError,
+    StageError,
+)
 from .wiener import ExpSum
 from .zeros import ZeroSet
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 ROUNDTRIP_TOL = 1e-9  # largest coefficient distance of a round trip, relative to ||f_hat||_W
-COMMANDS = ("analyze", "zeros", "diffract", "poisson", "reconstruct", "apset")
+COMMANDS = ("analyze", "zeros", "diffract", "reconstruct", "apset")
 
 
 class UsageError(Exception):
@@ -269,10 +277,7 @@ def _diffraction_stage(f, A, half, dens, realness, cfg):
         "agreement": agreement,
         "poisson": {"sigma": diffraction.POISSON_SIGMA, **asdict(poisson)},
         "poisson_vs_T_skipped": skipped,
-        "growth": {
-            "t3_value": profile.t3_value,
-            "kappa_fit": profile.kappa_fit,
-        },
+        "growth": {"t3_value": profile.t3_value},
     }
     if mu_log is not None:
         info["logderiv"] = {
@@ -340,18 +345,28 @@ def _roundtrip(f, A, rebuilt):
     }
 
 
-def _reconstruct_stage(mu, f, A, report):
+def _reconstruct_stage(mu, f, A, dens, report):
     """The stage's report entry; sets ``report.rebuilt`` and ``report.plot_g``.
-    The round trip is certified against the input sum f, if there is one."""
+
+    With the zero set's density ``dens`` the rebuilt spectrum's width,
+    max - min, must be d within its error bound: a sum whose spectrum has
+    width w has zeros of density w.  The round trip is certified against
+    the input sum f, if there is one."""
     L = _stage("reconstruct/log_series", lambda: reconstruct.log_series(mu))
     rebuilt = _stage("reconstruct/rebuild",
                      lambda: reconstruct.rebuild_from_log_series(L, mu.d))
+    if dens is not None:
+        width = float(rebuilt.freqs[-1] - rebuilt.freqs[0])
+        if abs(width - dens.d) > dens.error_bound:
+            raise StageError("reconstruct/width", InsufficientDataError(
+                f"the rebuilt spectrum has width {width:.9g}, but the zero set has density "
+                f"d = {dens.d:.9g} within {dens.error_bound:.3g}: the atoms do not rebuild "
+                "a sum with these zeros"))
     roundtrip = None
     if f is not None:
         roundtrip = _stage("reconstruct/roundtrip", lambda: _roundtrip(f, A, rebuilt))
 
     greport = reconstruct.g_boundedness(mu, [5.0, 10.0, 20.0, 40.0])
-    etype = reconstruct.exponential_type(rebuilt)
     info = {
         "log_series_norm": L.wiener_norm,
         "rebuilt_terms": len(rebuilt),
@@ -361,11 +376,6 @@ def _reconstruct_stage(mu, f, A, report):
         },
         "roundtrip": roundtrip,
         "g": asdict(greport),
-        "exponential_type": {
-            "exact": etype,
-            "pi_d": float(np.pi * mu.d),
-            "relative_error": abs(etype - np.pi * mu.d) / (np.pi * mu.d) if mu.d > 0 else None,
-        },
     }
     report.rebuilt = rebuilt
     report.plot_g = greport.windows
@@ -410,7 +420,7 @@ def _run_pipeline_inner(cfg: RunConfig, report: Report, stages: dict) -> Report:
         if mu is None:
             raise StageError("parse", InvalidInputError("reconstruct expects a measure input"))
         stages["reconstruct"] = _stage("reconstruct",
-                                       lambda: _reconstruct_stage(mu, None, None, report))
+                                       lambda: _reconstruct_stage(mu, None, None, None, report))
         report.measure = mu
         report.plot_m = diffraction.growth_profile(mu, np.linspace(0.5, cfg.cutoff, 20)).m_of_s
         return report
@@ -438,10 +448,11 @@ def _run_pipeline_inner(cfg: RunConfig, report: Report, stages: dict) -> Report:
     report.measure = mu
     report.plot_m = profile.m_of_s
     report.plot_poisson = plot_poisson
-    if cfg.command in ("diffract", "poisson"):
+    if cfg.command == "diffract":
         return report
 
-    stages["reconstruct"] = _stage("reconstruct", lambda: _reconstruct_stage(mu, f, A, report))
+    stages["reconstruct"] = _stage("reconstruct",
+                                   lambda: _reconstruct_stage(mu, f, A, dens, report))
     return report
 
 

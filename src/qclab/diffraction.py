@@ -165,7 +165,6 @@ class LogderivCoefficients:
 class GrowthProfile:
     m_of_s: list[tuple[float, float]]
     t3_value: float
-    kappa_fit: float | None
 
 
 @dataclass(frozen=True)
@@ -338,11 +337,6 @@ def _screen_bound(n: int, step: float, K: int, T: float) -> float:
     return eta * (1.0 + 1e-12)
 
 
-def bohr_error_heuristic(A: ZeroSet, T: float) -> float:
-    """O(k1/T) edge-effect estimate for a Bohr mean at half-length T."""
-    return A.k1 / float(T)
-
-
 def bohr_stable(full, half, threshold: float, slack: float = 0.0) -> np.ndarray:
     """The stability rule of a Bohr scan: |full| > threshold and
     |full - half| < threshold/4, for the means ``full`` at T and ``half``
@@ -371,7 +365,7 @@ def bohr_atoms(A: ZeroSet, gammas, full, half, T: float, threshold: float) -> Po
     below threshold/4; the gamma = 0 mean at T becomes d.
     """
     _check_windows(A, [float(T)])
-    err = bohr_error_heuristic(A, T)
+    err = A.k1 / float(T)  # the O(k1/T) edge effect of a mean at half-length T
     if threshold <= 2.0 * err:
         raise InvalidInputError(
             f"threshold {threshold} must exceed twice the error heuristic {err:.3g}"
@@ -522,19 +516,12 @@ def poisson_residual(A: ZeroSet, mu_hat: PointMeasure) -> PoissonReport:
 
 
 def growth_profile(mu_hat: PointMeasure, s_grid) -> GrowthProfile:
-    """Cumulative mass m(s) over 0 < gamma <= s, the sum |b|/gamma below 1,
-    and a log-log slope over the top decade of the grid, None unless two
-    grid points of distinct s there carry mass.  Each s is a spectral
-    point: an atom within ``FREQ_TOL`` above s counts at s."""
+    """Cumulative mass m(s) over 0 < gamma <= s and the sum |b|/gamma
+    below 1.  Each s is a spectral point: an atom within ``FREQ_TOL``
+    above s counts at s."""
     g, b = mu_hat.positive()
     mass = np.abs(b)
     table = []
     for s in sorted(float(x) for x in s_grid):
         table.append((s, float(np.sum(mass[g <= s + FREQ_TOL]))))
-    ss = np.array([s for s, _ in table])
-    ms = np.array([m for _, m in table])
-    top = (ss >= ss[-1] / 10.0) & (ms > 0) if ss.size else np.zeros(0, bool)
-    kappa = None
-    if int(np.sum(top)) >= 2 and np.ptp(np.log(ss[top])) > 0:
-        kappa = float(np.polyfit(np.log(ss[top]), np.log(ms[top]), 1)[0])
-    return GrowthProfile(m_of_s=table, t3_value=mu_hat.low_band()[2], kappa_fit=kappa)
+    return GrowthProfile(m_of_s=table, t3_value=mu_hat.low_band()[2])

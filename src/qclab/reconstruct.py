@@ -1,5 +1,6 @@
 """The inverse direction: Dirichlet-series reconstruction from the
-diffraction measure, its exponential type, and the bounded-g criterion.
+diffraction measure, whose spectrum width the CLI checks against d, and
+the bounded-g criterion.
 
 Reconstruction path: the atoms define the log of the target as a formal
 series, ``log f(x) + 1j*d*pi*x = -sum (b/gamma) e^{2pi i gamma x}`` up to
@@ -35,7 +36,6 @@ to omega, so every term kept is exact, up to the errors of the atoms.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -216,17 +216,3 @@ def g_boundedness(mu_hat: PointMeasure, X_grid) -> GReport:
     g, _, t3 = mu_hat.low_band()
     allowance = (float(np.sum(2.0 / g)) + 4.0 * g.size + 1.0) * _TINY if g.size else 0.0
     return GReport(windows=list(zip(Xs, sups)), sup_bound=2.0 * t3 + allowance)
-
-
-def exponential_type(f: ExpSum) -> float:
-    """lim y^{-1} log |f(1j*y)| of an exponential sum, exactly.
-
-    The term c*exp(2j*pi*omega*z) has modulus |c|*exp(-2*pi*omega*y) at
-    z = 1j*y, and a canonical sum has no zero coefficient, so the lowest
-    frequency dominates as y -> +inf and the type is -2*pi*freqs[0].
-    """
-    if not isinstance(f, ExpSum):
-        raise DomainError(f"exponential_type expects an ExpSum, not {type(f).__name__}")
-    if len(f) == 0:
-        raise DomainError("the empty sum has no exponential type")
-    return -2.0 * math.pi * float(f.freqs[0])

@@ -25,7 +25,6 @@ from qclab.diffraction import (
     poisson_residual,
 )
 from qclab.reconstruct import (
-    exponential_type,
     g_boundedness,
     g_function,
     rebuild_dirichlet,
@@ -130,8 +129,8 @@ def test_criterion_4_reconstruction_roundtrip():
     _report(4, ok, f"cos coeff err {coeff_err:.1e}, union zero err {zero_err:.1e}")
 
 
-def test_criterion_5_g_criterion_and_type():
-    """g bounded on lattice fixtures, single-atom sup exactly 2, type ~ pi*d."""
+def test_criterion_5_g_criterion_and_width():
+    """g bounded on lattice fixtures, single-atom sup exactly 2, spectrum width ~ d."""
     from qclab.diffraction import PointMeasure
     lat_rep = g_boundedness(lattice_measure(K=10), [5.0, 10.0, 20.0])
     mu6 = PointMeasure(0.6, np.array([-0.6, 0.6]), np.array([-0.6 + 0j, -0.6 + 0j]))
@@ -140,24 +139,22 @@ def test_criterion_5_g_criterion_and_type():
 
     cos = cos_sum()
     funion = union_sum()
-    type_errs = []
-    for f, d_ref in ((cos, 1.0), (union_sum(), 1 + SQRT2)):
-        mu = logderiv_measure(f, 10.0)
-        rebuilt = rebuild_dirichlet(mu)
-        est = exponential_type(rebuilt)
-        type_errs.append(abs(est - math.pi * d_ref) / (math.pi * d_ref))
-    type_errs.append(abs(exponential_type(cos) - math.pi) / math.pi)
+    # a sum whose spectrum has width w has zeros of density w: the cos and
+    # union rebuilds, and the cos input
+    sums = [(rebuild_dirichlet(logderiv_measure(f, 10.0)), d_ref)
+            for f, d_ref in ((cos, 1.0), (funion, 1 + SQRT2))] + [(cos, 1.0)]
+    width_errs = [abs(float(g.freqs[-1] - g.freqs[0]) - d_ref) / d_ref for g, d_ref in sums]
     # the bound 2 * sum |b|/gamma is attained by the sampled sup of the 0.6 atom
     ok = (
         lat_rep.sup_bound == 0.0
         and rep6.sup_bound == 2.0
         and abs(rep6.windows[-1][1] - rep6.sup_bound) < 1e-9
         and abs(sup_g - 2.0) < 1e-12
-        and max(type_errs) < 0.05
+        and max(width_errs) < 0.05
     )
     _report(5, ok, f"lattice sup bound {lat_rep.sup_bound}, 0.6-atom sup bound "
                    f"{rep6.sup_bound}, sampled sup {rep6.windows[-1][1]}, sup|g|={sup_g}, "
-                   f"max type err {max(type_errs):.2%}")
+                   f"max width err {max(width_errs):.2%}")
 
 
 def test_criterion_6_section2_properties():
@@ -238,5 +235,5 @@ def test_criterion_8_determinism(tmp_path):
     a = (tmp_path / "a" / "report.json").read_bytes()
     b = (tmp_path / "b" / "report.json").read_bytes()
     doc = json.loads(a)
-    ok = code_a == code_b == 0 and a == b and doc["schema"] == 5
+    ok = code_a == code_b == 0 and a == b and doc["schema"] == 6
     _report(8, ok, f"{len(a)} byte reports, identical {a == b}")

@@ -18,10 +18,13 @@ import pytest
 
 import qclab
 from qclab import io as qio
-from qclab import diffraction, reconstruct, wiener, zeros
+from qclab import apset, diffraction, reconstruct, wiener, zeros
 from qclab.cli import (
+    COMMANDS,
+    Report,
     RunConfig,
     _counting_spot_check,
+    _reconstruct_stage,
     _roundtrip,
     build_parser,
     emit_outputs,
@@ -455,9 +458,9 @@ class TestRoundtripCertificate:
 
 
 class TestReportSchema:
-    def test_schema_five_and_the_exact_type(self, three_factor_run):
+    def test_schema_six_and_the_spectrum_width(self, three_factor_run):
         doc, _ = three_factor_run
-        assert doc["schema"] == 5
+        assert doc["schema"] == 6
         assert "height" not in doc["config"]
         log = doc["stages"]["diffraction"]["logderiv"]
         assert "height" not in log
@@ -472,9 +475,76 @@ class TestReportSchema:
                    for c in (1.0, np.sqrt(2.0), np.sqrt(3.0)))
         assert rec["log_series_norm"] == pytest.approx(want, rel=1e-12)
         assert rec["rebuilt_terms"] == 8
-        assert rec["exponential_type"]["exact"] == -2.0 * np.pi * rec["spectrum"]["min_freq"]
+        # the rebuilt spectrum spans the density d: max - min = d
+        width = rec["spectrum"]["max_freq"] - rec["spectrum"]["min_freq"]
+        assert width == pytest.approx(log["d"], abs=wiener.FREQ_TOL)
+        # schema 5's exponential type and growth slope are gone
+        assert "exponential_type" not in rec
+        assert set(doc["stages"]["diffraction"]["growth"]) == {"t3_value"}
         assert set(rec["g"]) == {"windows", "sup_bound"}
         assert doc["stages"]["apset"]["periods_max_gap"] is None
+
+
+class TestWidthCheck:
+    """analyze stops at ``reconstruct/width`` when the rebuilt spectrum's
+    width, max - min, is not the zero set's density d within its bound."""
+
+    @staticmethod
+    def _analyze(tmp_path, A):
+        path = tmp_path / "zeros.csv"
+        qio.write_zeroset(A, path)
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(path), "--T", "400", "--cutoff", "4",
+                     "--out", str(out)])
+        return code, json.loads((out / "report.json").read_text())
+
+    def test_union_zero_set_stops_at_the_width_check(self, tmp_path):
+        # the Bohr route keeps the atoms at 1..4 and misses those at k sqrt2:
+        # the rebuild spans 4, where the zeros of cos(pi z) cos(sqrt2 pi z)
+        # have density 1 + sqrt2
+        with pytest.warns(UserWarning, match="inexact"):
+            code, doc = self._analyze(tmp_path, union_zeroset(400.0123))
+        assert code == 2
+        err = doc["error"]
+        assert (err["stage"], err["type"]) == ("reconstruct/width", "InsufficientDataError")
+        a = doc["stages"]["apset"]
+        assert err["message"] == (
+            f"the rebuilt spectrum has width 4, but the zero set has density "
+            f"d = {a['d']:.9g} within {a['error_bound']:.3g}: the atoms do not rebuild "
+            "a sum with these zeros")
+        assert set(doc["stages"]) == {"parse", "apset", "diffraction"}
+
+    def test_cos_zero_set_passes(self, tmp_path):
+        code, doc = self._analyze(tmp_path, lattice_zeroset(0.5, 1.0, 400.0123))
+        assert code == 0
+        spectrum = doc["stages"]["reconstruct"]["spectrum"]
+        a = doc["stages"]["apset"]
+        assert abs(spectrum["max_freq"] - spectrum["min_freq"] - a["d"]) <= a["error_bound"]
+
+    def test_reconstruct_of_a_measure_skips_the_check(self, tmp_path):
+        # a measure file carries no zero set, so no density bound: the union
+        # measure that analyze stops on rebuilds, with width 4
+        path = tmp_path / "zeros.csv"
+        qio.write_zeroset(union_zeroset(400.0123), path)
+        argv = ["--T", "400", "--cutoff", "4"]
+        assert main(["diffract", "--input", str(path), *argv, "--out", str(tmp_path / "mu")]) == 0
+        with pytest.warns(UserWarning, match="inexact"):
+            assert main(["reconstruct", "--input", str(tmp_path / "mu" / "measure.csv"), *argv,
+                         "--out", str(tmp_path / "out")]) == 0
+        g = qio.read_expsum(tmp_path / "out" / "rebuilt.csv")
+        assert g.freqs[-1] - g.freqs[0] == pytest.approx(4.0, abs=1e-9)
+
+    @pytest.mark.parametrize("d, ok", [(1.0099, True), (1.0101, False), (0.9899, False)])
+    def test_the_bound_is_the_density_error_bound(self, d, ok):
+        # the cos(pi z) rebuild spans 1; d carries the bound 0.01
+        dens = apset.DensityEstimate(d=d, error_bound=0.01, counting=None)
+        args = (lattice_measure(K=10), None, None, dens, Report(summary={}))
+        if ok:
+            assert _reconstruct_stage(*args)["spectrum"] == {"min_freq": -0.5, "max_freq": 0.5}
+        else:
+            with pytest.raises(StageError) as exc:
+                _reconstruct_stage(*args)
+            assert exc.value.stage == "reconstruct/width"
 
 
 class TestBohrGridScreen:
@@ -633,7 +703,7 @@ class TestEmitOutputs:
                      "plot_g_sup.csv", "plot_m_of_s.csv", "plot_poisson_vs_T.csv"):
             assert (out / name).exists(), name
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema"] == 5
+        assert doc["schema"] == 6
         assert doc["config"]["tolerances"]["freq_tol"] == 1e-9
 
     def test_no_knob_outside_the_command_line(self, tmp_path):
@@ -663,6 +733,13 @@ class TestMainExitCodes:
         for name in names_a:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes(), name
+
+    def test_poisson_is_not_a_command(self, cos_csv, capsys):
+        # diffract writes what the poisson alias of schema 5 wrote
+        assert COMMANDS == ("analyze", "zeros", "diffract", "reconstruct", "apset")
+        assert main(["poisson", "--input", cos_csv]) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: argument command: invalid choice: 'poisson'")
 
     def test_usage_error_missing_input(self):
         assert main(["analyze", "--input", "/nonexistent.csv"]) == 1

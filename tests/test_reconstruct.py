@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -12,7 +13,6 @@ from qclab.diffraction import PointMeasure, bohr_atoms, bohr_means, logderiv_mea
 from qclab.errors import DomainError
 from qclab.reconstruct import (
     coefficient_distance,
-    exponential_type,
     g_boundedness,
     g_function,
     log_series,
@@ -21,7 +21,7 @@ from qclab.reconstruct import (
 from qclab.wiener import canonicalize, evaluate
 from qclab.zeros import find_real_zeros
 
-from conftest import SQRT2, lattice_measure, lattice_zeroset, union_sum, union_zeroset
+from conftest import SQRT2, lattice_measure, union_sum, union_zeroset
 
 
 class TestCanonicalProduct:
@@ -323,63 +323,24 @@ class TestGSupBound:
             assert sup <= rep.sup_bound * (1.0 + 1e-12)
 
 
-def _log_quotient(f, y1, y2):
-    """The difference quotient of log |f(1j*y)| between y1 and y2, each log
-    a log-sum-exp over the term magnitudes: an estimate of the type that
-    does not read the spectrum's end."""
-    logs = []
-    for y in (y1, y2):
-        a = np.log(np.abs(f.coeffs)) - 2.0 * np.pi * f.freqs * y
-        amax = float(np.max(a))
-        r = complex(np.sum(f.coeffs / np.abs(f.coeffs) * np.exp(a - amax)))
-        logs.append(amax + math.log(abs(r)))
-    return (logs[1] - logs[0]) / (y2 - y1)
 
-
-class TestExponentialType:
-    # a gap of 0.5 above the lowest frequency leaves the other terms a share
-    # of at most 100 * exp(-2*pi*0.5*15) ~ 4e-19 of |f(15j)|
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(-5.0, 5.0), st.lists(st.integers(0, 5000), min_size=0, max_size=5,
-                                          unique=True),
-           st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-math.pi, math.pi)),
-                    min_size=6, max_size=6))
-    def test_equals_the_log_quotient(self, w0, offsets, polar):
-        freqs = [w0] + [w0 + 0.5 + k / 1000.0 for k in offsets]
-        f = canonicalize([(w, r * complex(math.cos(t), math.sin(t)))
-                          for w, (r, t) in zip(freqs, polar)])
-        exact = exponential_type(f)
-        assert exact == -2.0 * math.pi * float(f.freqs[0])
-        assert exact == pytest.approx(_log_quotient(f, 15.0, 20.0), abs=1e-9)
-
-    def test_empty_sum_rejected(self):
-        with pytest.raises(DomainError):
-            exponential_type(canonicalize([]))
-
-    def test_cos_single_height(self, cos):
-        assert exponential_type(cos) == math.pi
-
-    def test_cos_difference_quotient(self, cos):
-        # the exact type is the limit that the difference quotient of log|f| approaches
-        for y1, y2 in ((10.0, 15.0), (15.0, 20.0)):
-            assert _log_quotient(cos, y1, y2) == pytest.approx(exponential_type(cos), abs=1e-9)
-
-    def test_single_exponential_exact(self):
-        f = canonicalize([(0.7, 2.0)])
-        est = exponential_type(f)
-        assert est == pytest.approx(-2 * math.pi * 0.7, rel=1e-12)
-
-    def test_union_rebuilt_type(self, funion):
+class TestSpectrumWidth:
+    def test_union_rebuilt_width(self, funion):
+        # a sum whose spectrum has width w has zeros of density w: the rebuild
+        # of the union's measure spans 1 + sqrt2, its density
         mu = logderiv_measure(funion, 10.0)
         rebuilt = rebuild_dirichlet(mu)
-        est = exponential_type(rebuilt)
-        assert est == pytest.approx(math.pi * (1 + SQRT2), rel=0.02)
+        width = float(rebuilt.freqs[-1] - rebuilt.freqs[0])
+        assert width == pytest.approx(1 + SQRT2, abs=1e-9)
+        assert width == pytest.approx(mu.d, abs=1e-9)
 
-    def test_zeroset_input(self):
-        # only a sum has an exact type; a zero set is a typed error
-        with pytest.raises(DomainError, match="expects an ExpSum"):
-            exponential_type(lattice_zeroset(0.5, 1.0, 10))
-
-    def test_term_list_input(self):
-        with pytest.raises(DomainError, match="expects an ExpSum"):
-            exponential_type([(0.5, 1.0)])
+    def test_no_type_heuristic_or_slope(self):
+        # schema 5's exponential type, the Bohr error heuristic and the
+        # growth slope are gone with their report keys
+        import qclab
+        from qclab import diffraction, reconstruct
+        assert not hasattr(qclab, "exponential_type")
+        assert not hasattr(reconstruct, "exponential_type")
+        assert not hasattr(diffraction, "bohr_error_heuristic")
+        assert [f.name for f in dataclasses.fields(diffraction.GrowthProfile)] == [
+            "m_of_s", "t3_value"]
